@@ -38,13 +38,11 @@ from .smag import (
     RunResult,
     Schedule,
     SmagState,
-    dwc_step,
     initial_state,
-    minmax_step,
     potential_diagnostic,
     run,
     schedule_from_theory,
-    smag_step,
+    step,
     step_diagnostics,
     validate_schedule,
 )
@@ -81,13 +79,11 @@ __all__ = [
     "RunResult",
     "Schedule",
     "SmagState",
-    "dwc_step",
     "initial_state",
-    "minmax_step",
     "potential_diagnostic",
     "run",
     "schedule_from_theory",
-    "smag_step",
+    "step",
     "step_diagnostics",
     "validate_schedule",
     "BaselineResult",

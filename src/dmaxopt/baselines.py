@@ -1,17 +1,16 @@
 """Plain stochastic subgradient baselines for the same problem objects.
 
-Two loops: ``run_sgd`` applies x <- x - lr * (g_phi - g_psi) using the raw
+Two baselines: ``run_sgd`` applies x <- x - lr * (g_phi - g_psi) using the raw
 component oracles (sensible for difference-of-convex instances), and
 ``run_sgda`` does simultaneous stochastic gradient descent-ascent on a
-single component with a dual.  Both share the token discipline of the main
-optimizer: each step draws fresh tokens from the caller's stream, so runs
-are reproducible bit for bit from (problem, seed).
+single component with a dual.  Both run on the main optimizer's driver
+loop and share its token discipline: each step draws fresh tokens from the
+caller's stream, so runs are reproducible bit for bit from (problem, seed).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,11 +22,9 @@ from .core import (
     NonFiniteError,
     ParameterError,
     RngStream,
-    RunRecord,
-    as_vector,
     project,
 )
-from .smag import lr_scale_at
+from .smag import _drive, _oracle_vec, initial_state
 
 __all__ = [
     "BaselineState",
@@ -46,16 +43,6 @@ class BaselineState:
     t: int = 0
 
 
-def _vec(raw, dim: int, what: str) -> np.ndarray:
-    g = np.asarray(raw, dtype=np.float64)
-    if g.shape != (dim,):
-        raise ParameterError(f"{what} returned shape {g.shape}, "
-                             f"expected ({dim},)")
-    if not np.isfinite(g).all():
-        raise NonFiniteError(f"{what} returned a non-finite value")
-    return g
-
-
 def sgd_step(problem: DMaxProblem, state: BaselineState, lr: float,
              rng: RngStream, *, shared_sample: bool = False) -> BaselineState:
     """One step of x <- x - lr (g_phi - g_psi) with independent samples per
@@ -66,10 +53,10 @@ def sgd_step(problem: DMaxProblem, state: BaselineState, lr: float,
     t0 = int(tokens[0])
     t1 = t0 if shared_sample else int(tokens[1])
     dim = problem.dim_x
-    g_phi = _vec(problem.phi_subgrad_x(state.x, state.y, t0), dim,
-                 "phi_subgrad_x")
-    g_psi = _vec(problem.psi_subgrad_x(state.x, None, t1), dim,
-                 "psi_subgrad_x")
+    g_phi = _oracle_vec(problem.phi_subgrad_x(state.x, state.y, t0), dim,
+                        "phi_subgrad_x")
+    g_psi = _oracle_vec(problem.psi_subgrad_x(state.x, None, t1), dim,
+                        "psi_subgrad_x")
     direction = g_phi - g_psi
     x_new = state.x - lr * direction
     if not np.isfinite(x_new).all():
@@ -91,10 +78,10 @@ def sgda_step(problem: DMaxProblem, state: BaselineState, lr_x: float,
     t0 = int(tokens[0])
     t1 = t0 if shared_sample else int(tokens[1])
     dim = problem.dim_x
-    g_x = _vec(problem.phi_subgrad_x(state.x, state.y, t0), dim,
-               "phi_subgrad_x")
-    g_y = _vec(problem.phi_grad_y(state.x, state.y, t1),
-               state.y.shape[0], "phi_grad_y")
+    g_x = _oracle_vec(problem.phi_subgrad_x(state.x, state.y, t0), dim,
+                      "phi_subgrad_x")
+    g_y = _oracle_vec(problem.phi_grad_y(state.x, state.y, t1),
+                      state.y.shape[0], "phi_grad_y")
     x_new = state.x - lr_x * g_x
     y_new = project(problem.set_y, state.y + lr_y * g_y)
     if not np.isfinite(x_new).all():
@@ -110,50 +97,20 @@ class BaselineResult:
     abort_reason: str = ""
 
 
-def _init_state(problem: DMaxProblem, x0) -> BaselineState:
-    if x0 is None:
-        x = np.zeros(problem.dim_x)
-    else:
-        x = as_vector(x0, dim=problem.dim_x, name="x0")
-    y = None
-    if problem.set_y is not None:
-        y = project(problem.set_y, np.zeros(problem.set_y.dim))
-    return BaselineState(x=x.copy(), y=y, last_dir=np.zeros(problem.dim_x),
-                         t=0)
-
-
-def _run_loop(problem: DMaxProblem, step_fn, t_total: int, rng: RngStream,
-              x0, trace_every: int, seed_label: int,
-              decay_milestones: Sequence[int],
-              decay_factor: float) -> BaselineResult:
-    if t_total < 1:
-        raise ParameterError("t_total must be >= 1")
-    if trace_every < 1:
-        raise ParameterError("trace_every must be >= 1")
-    state = _init_state(problem, x0)
-    records: list = []
-    aborted = False
-    reason = ""
-    start = time.perf_counter()
-    for t in range(t_total):
-        scale = lr_scale_at(t, decay_milestones, decay_factor)
-        try:
-            state = step_fn(state, scale)
-        except NonFiniteError as exc:
-            aborted = True
-            reason = str(exc)
-            break
-        if state.t % trace_every == 0 or state.t == t_total:
-            obj = math.nan
-            if problem.full_objective is not None:
-                obj = float(problem.full_objective(state.x))
-            stat = float(np.linalg.norm(state.last_dir))
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            records.append(RunRecord(t=state.t, objective=obj,
-                                     stationarity=stat, p_t=math.nan,
-                                     elapsed_ms=elapsed_ms, seed=seed_label))
+def _run(problem: DMaxProblem, advance, t_total: int, x0,
+         **loop) -> BaselineResult:
+    """Drive ``advance`` from ``x0`` and the projected dual origin."""
+    start = initial_state(problem, x0)
+    state, records, reason = _drive(
+        problem, BaselineState(x=start.x, y=start.y, last_dir=start.last_g),
+        t_total, advance, _direction_norm, **loop)
     return BaselineResult(records=records, final_state=state,
-                          aborted=aborted, abort_reason=reason)
+                          aborted=reason is not None,
+                          abort_reason=reason or "")
+
+
+def _direction_norm(prev: BaselineState, state: BaselineState):
+    return float(np.linalg.norm(state.last_dir)), math.nan
 
 
 def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng: RngStream,
@@ -168,8 +125,9 @@ def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng: RngStream,
         return sgd_step(problem, state, lr * scale, rng,
                         shared_sample=shared_sample)
 
-    return _run_loop(problem, stepper, t_total, rng, x0, trace_every,
-                     seed_label, decay_milestones, decay_factor)
+    return _run(problem, stepper, t_total, x0, trace_every=trace_every,
+                seed_label=seed_label, decay_milestones=decay_milestones,
+                decay_factor=decay_factor)
 
 
 def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
@@ -185,5 +143,6 @@ def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
         return sgda_step(problem, state, lr_x * scale, lr_y * scale, rng,
                          shared_sample=shared_sample)
 
-    return _run_loop(problem, stepper, t_total, rng, x0, trace_every,
-                     seed_label, decay_milestones, decay_factor)
+    return _run(problem, stepper, t_total, x0, trace_every=trace_every,
+                seed_label=seed_label, decay_milestones=decay_milestones,
+                decay_factor=decay_factor)

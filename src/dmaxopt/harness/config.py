@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -260,10 +260,7 @@ def build_schedule(cfg: ExperimentConfig,
             mode=mode, gap_plus_p0=float(section.get("gap_plus_p0", 1.0)))
         if cfg.t_total:
             # allow configs to cap the theoretical (often astronomical) T
-            sched = Schedule(gamma=sched.gamma, eta0=sched.eta0,
-                             eta1=sched.eta1, alpha=sched.alpha,
-                             tau=sched.tau, nu=sched.nu, l_f=sched.l_f,
-                             t_total=cfg.t_total, epsilon=sched.epsilon)
+            sched = replace(sched, t_total=cfg.t_total)
         return sched
     if source == "manual":
         for key in ("gamma", "eta0", "eta1"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import CapabilityError, DMaxProblem, ParameterError, token_generator
-from ..moreau import dmax_envelope_grad, envelope_value
+from ..moreau import dmax_envelope_grad, envelope_value, smoothed_objective
 
 __all__ = ["GradCheckReport", "grad_check"]
 
@@ -50,14 +50,7 @@ def _envelope_diff_value(problem: DMaxProblem, x: np.ndarray, gamma: float,
     if (aux is not None and aux.prox_phi is not None
             and aux.value_phi is not None
             and (aux.prox_psi is None) == (aux.value_psi is None)):
-        p_phi = aux.prox_phi(x, gamma)
-        val = aux.value_phi(p_phi) + float(
-            np.sum((p_phi - x) ** 2)) / (2 * gamma)
-        if aux.prox_psi is not None:
-            p_psi = aux.prox_psi(x, gamma)
-            val -= (aux.value_psi(p_psi)
-                    + float(np.sum((p_psi - x) ** 2)) / (2 * gamma))
-        return val
+        return smoothed_objective(aux, x, gamma, aux.prox_psi is not None)
     if problem.phi_fn is None or problem.psi_fn is None:
         raise CapabilityError(
             "grad check needs exact_aux or component function oracles")

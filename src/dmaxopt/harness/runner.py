@@ -21,7 +21,7 @@ import numpy as np
 
 from ..baselines import run_sgd, run_sgda
 from ..core import ParameterError, RngStream, RunRecord
-from ..smag import run as smag_run
+from ..smag import _missing_maps, run as smag_run
 from .config import (
     ExperimentConfig,
     build_problem,
@@ -126,55 +126,33 @@ def _run_single(raw_cfg: dict, seed: int):
     if isinstance(x0, (int, float)):
         x0 = np.full(problem.dim_x, float(x0))
     rng = RngStream(seed)
+    common = dict(x0=x0, trace_every=cfg.trace_every, seed_label=seed,
+                  decay_milestones=tuple(cfg.decay_milestones),
+                  decay_factor=cfg.decay_factor,
+                  shared_sample=cfg.shared_sample)
     if mode is not None:
         sched = build_schedule(cfg, problem)
         if sched.t_total != cfg.t_total:
             raise ParameterError(
                 f"schedule t_total {sched.t_total} != config t_total "
                 f"{cfg.t_total}")
-        res = smag_run(problem, mode, sched, rng, x0=x0,
-                       trace_every=cfg.trace_every, seed_label=seed,
-                       decay_milestones=tuple(cfg.decay_milestones),
-                       decay_factor=cfg.decay_factor,
-                       shared_sample=cfg.shared_sample,
-                       exact_metrics=cfg.exact_metrics)
-        exact = (cfg.exact_metrics if cfg.exact_metrics is not None
-                 else problem.exact_aux is not None
-                 and problem.exact_aux.prox_phi is not None)
+        res = smag_run(problem, mode, sched, rng,
+                       exact_metrics=cfg.exact_metrics, **common)
+        # run() raised above if exact metrics were forced but unavailable.
+        exact = (cfg.exact_metrics is not False
+                 and not _missing_maps(problem, mode))
         stat_kind = "exact-envelope-grad" if exact else "step-estimate"
-        final = {
-            "objective": res.records[-1].objective if res.records else math.nan,
-            "stationarity": (res.records[-1].stationarity
-                             if res.records else math.nan),
-            "t_bar": res.t_bar,
-        }
-        records, aborted, reason = res.records, res.aborted, res.abort_reason
     elif cfg.algorithm == "sgd":
-        res = run_sgd(problem, cfg.lr, cfg.t_total, rng, x0=x0,
-                      trace_every=cfg.trace_every, seed_label=seed,
-                      decay_milestones=tuple(cfg.decay_milestones),
-                      decay_factor=cfg.decay_factor,
-                      shared_sample=cfg.shared_sample)
+        res = run_sgd(problem, cfg.lr, cfg.t_total, rng, **common)
         stat_kind = "step-direction-norm"
-        final = {
-            "objective": res.records[-1].objective if res.records else math.nan,
-            "stationarity": (res.records[-1].stationarity
-                             if res.records else math.nan),
-        }
-        records, aborted, reason = res.records, res.aborted, res.abort_reason
     else:
-        res = run_sgda(problem, cfg.lr, cfg.lr_y, cfg.t_total, rng, x0=x0,
-                       trace_every=cfg.trace_every, seed_label=seed,
-                       decay_milestones=tuple(cfg.decay_milestones),
-                       decay_factor=cfg.decay_factor,
-                       shared_sample=cfg.shared_sample)
+        res = run_sgda(problem, cfg.lr, cfg.lr_y, cfg.t_total, rng, **common)
         stat_kind = "step-direction-norm"
-        final = {
-            "objective": res.records[-1].objective if res.records else math.nan,
-            "stationarity": (res.records[-1].stationarity
-                             if res.records else math.nan),
-        }
-        records, aborted, reason = res.records, res.aborted, res.abort_reason
+    last = res.records[-1] if res.records else None
+    final = {"objective": last.objective if last else math.nan,
+             "stationarity": last.stationarity if last else math.nan}
+    if mode is not None:
+        final["t_bar"] = res.t_bar
     meta = {
         "format": "dmaxopt-trace v1",
         "config_hash": config_hash(raw_cfg),
@@ -185,9 +163,9 @@ def _run_single(raw_cfg: dict, seed: int):
         "objective": ("full-data" if problem.full_objective is not None
                       else "unavailable"),
     }
-    if aborted:
-        meta["aborted"] = reason
-    return records, final, aborted, reason, meta
+    if res.aborted:
+        meta["aborted"] = res.abort_reason
+    return res.records, final, res.aborted, res.abort_reason, meta
 
 
 def run_experiment(config, output_root: Optional[str] = None

@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     CapabilityError,
     DMaxProblem,
+    ExactAux,
     FunctionOracle,
     ParameterError,
     as_vector,
@@ -32,6 +33,7 @@ __all__ = [
     "prox",
     "envelope_value",
     "envelope_grad",
+    "smoothed_objective",
     "smoothness_constant",
     "dmax_envelope_grad",
     "envelope_prox_points",
@@ -241,6 +243,24 @@ def envelope_grad(f: FunctionOracle, x, gamma: float, tol: float = 1e-8,
     x = as_vector(x, name="x")
     r = prox(f, x, gamma, tol=tol, **kwargs)
     return (x - r.point) / gamma
+
+
+def smoothed_objective(aux: ExactAux, x: np.ndarray, gamma: float,
+                       with_psi: bool = True) -> float:
+    """Smoothed objective ``F_gamma(x) = Phi_gamma(x) - Psi_gamma(x)`` from
+    a problem's exact prox and value maps.
+
+    Each envelope is ``value(p) + ||p - x||^2 / (2 gamma)`` at ``p =
+    prox(x)``.  With ``with_psi=False`` the second component is identically
+    zero (min-max mode) and its maps are not read.
+    """
+    p_phi = aux.prox_phi(x, gamma)
+    val = aux.value_phi(p_phi) + float(np.sum((p_phi - x) ** 2)) / (2.0 * gamma)
+    if with_psi:
+        p_psi = aux.prox_psi(x, gamma)
+        val -= (aux.value_psi(p_psi)
+                + float(np.sum((p_psi - x) ** 2)) / (2.0 * gamma))
+    return val
 
 
 def smoothness_constant(gamma: float, delta_phi: float,

@@ -40,7 +40,7 @@ from .core import (
     as_vector,
     project,
 )
-from .moreau import smoothness_constant
+from .moreau import smoothed_objective, smoothness_constant
 
 __all__ = [
     "Mode",
@@ -49,9 +49,7 @@ __all__ = [
     "schedule_from_theory",
     "validate_schedule",
     "initial_state",
-    "smag_step",
-    "dwc_step",
-    "minmax_step",
+    "step",
     "RunResult",
     "run",
     "PotentialTrace",
@@ -313,9 +311,17 @@ def _oracle_vec(raw, dim: int, what: str) -> np.ndarray:
     return g
 
 
-def _step(problem: DMaxProblem, state: SmagState, sched: Schedule,
-          tokens: np.ndarray, mode: Mode, shared_sample: bool,
-          lr_scale: float) -> SmagState:
+def step(problem: DMaxProblem, state: SmagState, sched: Schedule,
+         rng: RngStream, mode: Mode, *, shared_sample: bool = False,
+         lr_scale: float = 1.0) -> SmagState:
+    """One step in ``mode``.
+
+    Draws four tokens from ``rng`` for the phi_x, phi_y, psi_x and psi_z
+    oracles, in that order, whatever the mode; ``shared_sample`` feeds the
+    first token to all four.  ``lr_scale`` multiplies both step sizes.
+    """
+    _check_mode(mode)
+    tokens = rng.draw_many(4)
     eta1 = sched.eta1 * lr_scale
     eta0 = sched.eta0 * lr_scale
     inv_gamma = 1.0 / sched.gamma
@@ -364,30 +370,6 @@ def _step(problem: DMaxProblem, state: SmagState, sched: Schedule,
                      z=z_new, last_g=g_vec, t=state.t + 1)
 
 
-def smag_step(problem: DMaxProblem, state: SmagState, sched: Schedule,
-              rng: RngStream, *, shared_sample: bool = False,
-              lr_scale: float = 1.0) -> SmagState:
-    """One full step in dmax mode (both components, both duals)."""
-    return _step(problem, state, sched, rng.draw_many(4), "dmax",
-                 shared_sample, lr_scale)
-
-
-def dwc_step(problem: DMaxProblem, state: SmagState, sched: Schedule,
-             rng: RngStream, *, shared_sample: bool = False,
-             lr_scale: float = 1.0) -> SmagState:
-    """One step with the dual updates disabled (difference-of-convex mode)."""
-    return _step(problem, state, sched, rng.draw_many(4), "dwc",
-                 shared_sample, lr_scale)
-
-
-def minmax_step(problem: DMaxProblem, state: SmagState, sched: Schedule,
-                rng: RngStream, *, shared_sample: bool = False,
-                lr_scale: float = 1.0) -> SmagState:
-    """One step with the second component frozen at zero (min-max mode)."""
-    return _step(problem, state, sched, rng.draw_many(4), "minmax",
-                 shared_sample, lr_scale)
-
-
 # ---------------------------------------------------------------------------
 # the driver
 
@@ -415,33 +397,27 @@ class RunResult:
     states: Optional[list] = None
 
 
-def _exact_stationarity(problem: DMaxProblem, x: np.ndarray,
-                        gamma: float) -> float:
+def _missing_maps(problem: DMaxProblem, mode: Mode,
+                  potential: bool = False) -> list:
+    """Names of the ``exact_aux`` maps that exact stationarity in ``mode``
+    (and, with ``potential``, the potential) needs but ``problem`` lacks.
+    Psi is identically zero in minmax mode, so its prox is never needed
+    there."""
+    names = ["prox_phi"] if mode == "minmax" else ["prox_phi", "prox_psi"]
+    if potential and mode != "dwc":
+        names.append("best_response_y")
+    if potential and mode == "dmax":
+        names.append("best_response_z")
+    aux = problem.exact_aux
+    return [n for n in names if getattr(aux, n, None) is None]
+
+
+def _exact_stationarity(problem: DMaxProblem, x: np.ndarray, gamma: float,
+                        mode: Mode) -> float:
     aux = problem.exact_aux
     p_phi = aux.prox_phi(x, gamma)
-    if aux.prox_psi is not None:
-        p_psi = aux.prox_psi(x, gamma)
-    else:
-        p_psi = x
+    p_psi = x if mode == "minmax" else aux.prox_psi(x, gamma)
     return float(np.linalg.norm(p_psi - p_phi)) / gamma
-
-
-def _can_exact(problem: DMaxProblem) -> bool:
-    return (problem.exact_aux is not None
-            and problem.exact_aux.prox_phi is not None)
-
-
-def _potential_ready(problem: DMaxProblem, mode: Mode) -> bool:
-    aux = problem.exact_aux
-    if aux is None or aux.prox_phi is None:
-        return False
-    if mode != "minmax" and aux.prox_psi is None:
-        return False
-    if mode != "dwc" and aux.best_response_y is None:
-        return False
-    if mode == "dmax" and aux.best_response_z is None:
-        return False
-    return True
 
 
 def _potential_terms(problem: DMaxProblem, x_t: np.ndarray, s_next: SmagState,
@@ -475,16 +451,17 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng: RngStream,
     is kept and the result flagged rather than raised.
     """
     _check_mode(mode)
-    t_total = sched.t_total
-    if trace_every < 1:
-        raise ParameterError("trace_every must be >= 1")
+    missing = _missing_maps(problem, mode)
     if exact_metrics is None:
-        exact_metrics = _can_exact(problem)
-    if exact_metrics and not _can_exact(problem):
-        raise CapabilityError("exact metrics need exact_aux.prox_phi")
-    trace_potential = exact_metrics and _potential_ready(problem, mode)
+        exact_metrics = not missing
+    if exact_metrics and missing:
+        raise CapabilityError(
+            f"exact metrics in {mode} mode need exact_aux.{missing[0]}")
+    trace_potential = exact_metrics and not _missing_maps(problem, mode,
+                                                          potential=True)
     pot_coef = 2.0 * sched.eta0 / (sched.eta1 * sched.gamma ** 2 * sched.alpha)
 
+    t_total = sched.t_total
     pick = rng.child(1)
     if mode == "minmax":
         t_bar = int(pick.integers(0, t_total))
@@ -492,55 +469,45 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng: RngStream,
         t_bar = int(pick.integers(1, t_total + 1))
 
     state = initial_state(problem, x0)
-    records: list = []
     states = [state] if collect_states else None
     x_bar: Optional[np.ndarray] = None
     candidate: Optional[np.ndarray] = None
     x_psi_bar: Optional[np.ndarray] = None
     if mode == "minmax" and t_bar == 0:
         x_bar = state.x.copy()
-    aborted = False
-    reason = ""
-    start = time.perf_counter()
 
-    for t in range(t_total):
-        scale = lr_scale_at(t, decay_milestones, decay_factor)
-        prev_x = state.x
-        try:
-            state = _step(problem, state, sched, rng.draw_many(4), mode,
-                          shared_sample, scale)
-        except NonFiniteError as exc:
-            aborted = True
-            reason = str(exc)
-            break
+    def advance(prev: SmagState, scale: float) -> SmagState:
+        nonlocal x_bar, candidate, x_psi_bar
+        nxt = step(problem, prev, sched, rng, mode,
+                   shared_sample=shared_sample, lr_scale=scale)
         if states is not None:
-            states.append(state)
+            states.append(nxt)
         if mode == "minmax":
-            if state.t == t_bar:
-                x_bar = state.x.copy()
-            if state.t == t_bar + 1:
-                candidate = state.x_phi.copy()
-        elif state.t == t_bar:
-            x_bar = prev_x.copy()
-            candidate = state.x_phi.copy()
-            x_psi_bar = state.x_psi.copy()
-        if state.t % trace_every == 0 or state.t == t_total:
-            obj = math.nan
-            if problem.full_objective is not None:
-                obj = float(problem.full_objective(state.x))
-            if exact_metrics:
-                stat = _exact_stationarity(problem, state.x, sched.gamma)
-            else:
-                stat = float(np.linalg.norm(state.last_g))
-            p_t = math.nan
-            if trace_potential:
-                p_t = pot_coef * _potential_terms(problem, prev_x, state,
-                                                  sched.gamma, mode)
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            records.append(RunRecord(t=state.t, objective=obj,
-                                     stationarity=stat, p_t=p_t,
-                                     elapsed_ms=elapsed_ms,
-                                     seed=seed_label))
+            if nxt.t == t_bar:
+                x_bar = nxt.x.copy()
+            if nxt.t == t_bar + 1:
+                candidate = nxt.x_phi.copy()
+        elif nxt.t == t_bar:
+            x_bar = prev.x.copy()
+            candidate = nxt.x_phi.copy()
+            x_psi_bar = nxt.x_psi.copy()
+        return nxt
+
+    def row(prev: SmagState, cur: SmagState):
+        if exact_metrics:
+            stat = _exact_stationarity(problem, cur.x, sched.gamma, mode)
+        else:
+            stat = float(np.linalg.norm(cur.last_g))
+        p_t = math.nan
+        if trace_potential:
+            p_t = pot_coef * _potential_terms(problem, prev.x, cur,
+                                              sched.gamma, mode)
+        return stat, p_t
+
+    state, records, reason = _drive(
+        problem, state, t_total, advance, row, trace_every=trace_every,
+        seed_label=seed_label, decay_milestones=decay_milestones,
+        decay_factor=decay_factor)
 
     if mode == "minmax":
         returned = x_bar if x_bar is not None else state.x.copy()
@@ -556,8 +523,48 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng: RngStream,
             x_psi_bar = state.x_psi.copy()
     return RunResult(records=records, final_state=state, t_bar=t_bar,
                      x_bar=x_bar, candidate=candidate, returned=returned,
-                     x_psi_bar=x_psi_bar, aborted=aborted,
-                     abort_reason=reason, states=states)
+                     x_psi_bar=x_psi_bar, aborted=reason is not None,
+                     abort_reason=reason or "", states=states)
+
+
+def _drive(problem: DMaxProblem, state, t_total: int, advance, row, *,
+           trace_every: int, seed_label: int,
+           decay_milestones: Sequence[int], decay_factor: float):
+    """The step loop shared by :func:`run` and the baselines.
+
+    Advances ``state`` (any state with ``x`` and ``t``) by
+    ``advance(state, lr_scale)`` for ``t_total`` steps and traces a
+    :class:`RunRecord` every ``trace_every`` steps and at the last one;
+    ``row(prev, state)`` gives the record's ``(stationarity, p_t)``.  A
+    :class:`NonFiniteError` ends the loop and keeps the rows traced so far.
+    Returns ``(final state, records, abort reason or None)``.
+    """
+    if t_total < 1:
+        raise ParameterError("t_total must be >= 1")
+    if trace_every < 1:
+        raise ParameterError("trace_every must be >= 1")
+    records: list = []
+    reason = None
+    start = time.perf_counter()
+    for t in range(t_total):
+        scale = lr_scale_at(t, decay_milestones, decay_factor)
+        prev = state
+        try:
+            state = advance(prev, scale)
+        except NonFiniteError as exc:
+            reason = str(exc)
+            break
+        if state.t % trace_every == 0 or state.t == t_total:
+            obj = math.nan
+            if problem.full_objective is not None:
+                obj = float(problem.full_objective(state.x))
+            stat, p_t = row(prev, state)
+            elapsed_ms = (time.perf_counter() - start) * 1e3
+            records.append(RunRecord(t=state.t, objective=obj,
+                                     stationarity=stat, p_t=p_t,
+                                     elapsed_ms=elapsed_ms,
+                                     seed=seed_label))
+    return state, records, reason
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +579,6 @@ class PotentialTrace:
     p_t: np.ndarray
     f_gamma: Optional[np.ndarray]
     coefficient: float
-
-
-def _need_aux(problem: DMaxProblem, attr: str):
-    aux = problem.exact_aux
-    fn = getattr(aux, attr, None) if aux is not None else None
-    if fn is None:
-        raise CapabilityError(f"potential diagnostic needs exact_aux.{attr}")
-    return fn
 
 
 def potential_diagnostic(problem: DMaxProblem, states: Sequence[SmagState],
@@ -598,20 +597,15 @@ def potential_diagnostic(problem: DMaxProblem, states: Sequence[SmagState],
         raise ParameterError("need at least two consecutive states")
     gamma = sched.gamma
     coef = 2.0 * sched.eta0 / (sched.eta1 * gamma * gamma * sched.alpha)
-    prox_phi = _need_aux(problem, "prox_phi")
-    prox_psi = br_y = br_z = None
-    if mode != "minmax":
-        prox_psi = _need_aux(problem, "prox_psi")
-    if mode != "dwc":
-        br_y = _need_aux(problem, "best_response_y")
-    if mode == "dmax":
-        br_z = _need_aux(problem, "best_response_z")
-
+    missing = _missing_maps(problem, mode, potential=True)
+    if missing:
+        raise CapabilityError(
+            f"potential diagnostic needs exact_aux.{missing[0]}")
     aux = problem.exact_aux
+    with_psi = mode != "minmax"
     have_values = aux.value_phi is not None and (
-        mode == "minmax" or aux.value_psi is not None)
+        not with_psi or aux.value_psi is not None)
 
-    del prox_phi, prox_psi, br_y, br_z  # capability checks above
     p_vals = np.empty(len(states) - 1)
     f_vals = np.empty(len(states) - 1) if have_values else None
     for i in range(len(states) - 1):
@@ -619,16 +613,7 @@ def potential_diagnostic(problem: DMaxProblem, states: Sequence[SmagState],
         p_vals[i] = coef * _potential_terms(problem, x_t, states[i + 1],
                                             gamma, mode)
         if f_vals is not None:
-            p_phi = aux.prox_phi(x_t, gamma)
-            f_phi = aux.value_phi(p_phi) + float(
-                np.sum((p_phi - x_t) ** 2)) / (2.0 * gamma)
-            if mode == "minmax" and aux.prox_psi is None:
-                f_psi = 0.0
-            else:
-                p_psi_v = aux.prox_psi(x_t, gamma)
-                f_psi = aux.value_psi(p_psi_v) + float(
-                    np.sum((p_psi_v - x_t) ** 2)) / (2.0 * gamma)
-            f_vals[i] = f_phi - f_psi
+            f_vals[i] = smoothed_objective(aux, x_t, gamma, with_psi)
     return PotentialTrace(p_t=p_vals, f_gamma=f_vals, coefficient=coef)
 
 
@@ -647,15 +632,6 @@ def step_diagnostics(problem: DMaxProblem, before: SmagState,
     gamma = sched.gamma
     eta0 = sched.eta0
 
-    def f_gamma(x: np.ndarray) -> float:
-        p_phi = aux.prox_phi(x, gamma)
-        val = aux.value_phi(p_phi) + float(np.sum((p_phi - x) ** 2)) / (2 * gamma)
-        if aux.prox_psi is not None and aux.value_psi is not None:
-            p_psi = aux.prox_psi(x, gamma)
-            val -= (aux.value_psi(p_psi)
-                    + float(np.sum((p_psi - x) ** 2)) / (2 * gamma))
-        return val
-
     x_t = before.x
     p_phi = aux.prox_phi(x_t, gamma)
     p_psi = aux.prox_psi(x_t, gamma) if aux.prox_psi is not None else x_t
@@ -663,8 +639,10 @@ def step_diagnostics(problem: DMaxProblem, before: SmagState,
     g_vec = after.last_g
     err_sq = float(np.sum((grad_env - g_vec) ** 2))
 
-    descent_lhs = f_gamma(after.x)
-    descent_rhs = (f_gamma(x_t) + 0.5 * eta0 * err_sq
+    with_psi = aux.prox_psi is not None and aux.value_psi is not None
+    descent_lhs = smoothed_objective(aux, after.x, gamma, with_psi)
+    descent_rhs = (smoothed_objective(aux, x_t, gamma, with_psi)
+                   + 0.5 * eta0 * err_sq
                    - 0.5 * eta0 * float(np.sum(grad_env ** 2))
                    - 0.25 * eta0 * float(np.sum(g_vec ** 2)))
     track_rhs = (2.0 / (gamma * gamma)) * (

@@ -23,14 +23,12 @@ from dmaxopt.problems import (
 from dmaxopt.smag import (
     Schedule,
     SmagState,
-    dwc_step,
     initial_state,
     lr_scale_at,
-    minmax_step,
     potential_diagnostic,
     run,
     schedule_from_theory,
-    smag_step,
+    step,
     step_diagnostics,
     validate_schedule,
 )
@@ -199,7 +197,7 @@ def test_one_step_matches_hand_rolled_update():
     prob = make_onedim_dwc(1.0, 0.5)  # deterministic
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
     state = initial_state(prob, 2.0)
-    nxt = dwc_step(prob, state, sched, RngStream(0))
+    nxt = step(prob, state, sched, RngStream(0), "dwc")
     # x_phi: 2 - 0.01*(1 + (2-2)/0.5) = 1.99 ; x_psi: 2 - 0.01*0.5 = 1.995
     assert np.allclose(nxt.x_phi, [1.99], atol=1e-15)
     assert np.allclose(nxt.x_psi, [1.995], atol=1e-15)
@@ -209,7 +207,7 @@ def test_one_step_matches_hand_rolled_update():
     assert nxt.t == 1
 
     # second step exercises the proximal pull (x_phi != x)
-    nxt2 = dwc_step(prob, nxt, sched, RngStream(0))
+    nxt2 = step(prob, nxt, sched, RngStream(0), "dwc")
     want_phi = 1.99 - 0.01 * (1.0 + (1.99 - 1.99995) / 0.5)
     want_psi = 1.995 - 0.01 * (0.5 + (1.995 - 1.99995) / 0.5)
     assert np.allclose(nxt2.x_phi, [want_phi], atol=1e-15)
@@ -223,8 +221,8 @@ def test_dmax_step_equals_dwc_step_with_degenerate_duals():
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
     a = initial_state(prob, 2.0)
     b = initial_state(prob, 2.0)
-    sa = smag_step(prob, a, sched, RngStream(42))
-    sb = dwc_step(prob, b, sched, RngStream(42))
+    sa = step(prob, a, sched, RngStream(42), "dmax")
+    sb = step(prob, b, sched, RngStream(42), "dwc")
     assert np.array_equal(sa.x, sb.x)
     assert np.array_equal(sa.x_phi, sb.x_phi)
     assert np.array_equal(sa.x_psi, sb.x_psi)
@@ -234,7 +232,7 @@ def test_lr_scale_shrinks_the_step():
     prob = make_onedim_dwc(1.0, 0.5)
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
     state = initial_state(prob, 2.0)
-    half = dwc_step(prob, state, sched, RngStream(0), lr_scale=0.5)
+    half = step(prob, state, sched, RngStream(0), "dwc", lr_scale=0.5)
     # eta1 -> 0.005: x_phi = 2 - 0.005*1
     assert np.allclose(half.x_phi, [1.995], atol=1e-15)
 
@@ -247,7 +245,7 @@ def test_minmax_step_algebra_and_stale_dual_anchor():
                       x_psi=np.array([7.0, 7.0]),   # must stay frozen
                       y=np.array([0.3, -0.4]),
                       z=None, last_g=np.zeros(2), t=0)
-    nxt = minmax_step(prob, state, sched, RngStream(1))
+    nxt = step(prob, state, sched, RngStream(1), "minmax")
     want_phi = state.x_phi - 0.05 * (state.y + 2.0 * (state.x_phi - state.x))
     assert np.allclose(nxt.x_phi, want_phi, atol=1e-15)
     # dual ascent must use the PRE-update x_phi
@@ -269,7 +267,7 @@ def test_dual_projection_clips_to_box():
     state = SmagState(x=np.array([50.0]), x_phi=np.array([50.0]),
                       x_psi=np.array([0.0]), y=np.array([0.9]),
                       z=None, last_g=np.zeros(1), t=0)
-    nxt = minmax_step(prob, state, sched, RngStream(1))
+    nxt = step(prob, state, sched, RngStream(1), "minmax")
     # unclipped: 0.9 + 0.2*(50-0.9) >> 1
     assert nxt.y[0] == 1.0
 
@@ -297,20 +295,20 @@ def test_step_token_order_and_shared_sample():
 
     rng = RngStream(3)
     expect = [int(t) for t in RngStream(3).draw_many(4)]
-    smag_step(prob, initial_state(prob), sched, rng)
+    step(prob, initial_state(prob), sched, rng, "dmax")
     assert [name for name, _ in calls] == ["phi_x", "phi_y", "psi_x", "psi_z"]
     assert [tok for _, tok in calls] == expect
 
     calls.clear()
-    smag_step(prob, initial_state(prob), sched, RngStream(3),
-              shared_sample=True)
+    step(prob, initial_state(prob), sched, RngStream(3), "dmax",
+         shared_sample=True)
     assert [tok for _, tok in calls] == [expect[0]] * 4
 
     # dwc skips the dual oracles but still consumes four tokens,
     # feeding phi/psi the same tokens as dmax does
     calls.clear()
     rng2 = RngStream(3)
-    dwc_step(prob, initial_state(prob), sched, rng2)
+    step(prob, initial_state(prob), sched, rng2, "dwc")
     assert [(n, t) for n, t in calls] == [("phi_x", expect[0]),
                                           ("psi_x", expect[2])]
     assert int(rng2.draw()) == int(rng.draw())  # streams stay aligned
@@ -324,9 +322,9 @@ def test_dwc_step_requires_psi_oracle():
     )
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "minmax")
     with pytest.raises(CapabilityError):
-        dwc_step(prob, initial_state(prob), sched, RngStream(0))
+        step(prob, initial_state(prob), sched, RngStream(0), "dwc")
     # minmax mode is fine without psi
-    minmax_step(prob, initial_state(prob), sched, RngStream(0))
+    step(prob, initial_state(prob), sched, RngStream(0), "minmax")
 
 
 def test_oracle_shape_is_validated():
@@ -338,7 +336,7 @@ def test_oracle_shape_is_validated():
     )
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
     with pytest.raises(ParameterError):
-        dwc_step(prob, initial_state(prob), sched, RngStream(0))
+        step(prob, initial_state(prob), sched, RngStream(0), "dwc")
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +426,23 @@ def test_run_exact_metrics_requires_aux():
         run(prob, "dwc", sched, RngStream(0), exact_metrics=True)
     res = run(prob, "dwc", sched, RngStream(0))  # auto-detects: no aux
     assert not res.aborted
+
+    # prox_phi alone does not give the dwc envelope gradient: the run falls
+    # back to the step estimate, or refuses when exact metrics are forced
+    base = make_onedim_dwc(1.0, 0.5)
+    phi_only = DMaxProblem(
+        dim_x=1,
+        constants=base.constants,
+        phi_subgrad_x=base.phi_subgrad_x,
+        psi_subgrad_x=base.psi_subgrad_x,
+        exact_aux=ExactAux(prox_phi=base.exact_aux.prox_phi),
+    )
+    with pytest.raises(CapabilityError):
+        run(phi_only, "dwc", sched, RngStream(0), x0=2.0, exact_metrics=True)
+    res = run(phi_only, "dwc", sched, RngStream(0), x0=2.0)
+    assert res.records[-1].stationarity == pytest.approx(
+        float(np.linalg.norm(res.final_state.last_g)), rel=1e-12)
+    assert math.isnan(res.records[-1].p_t)
 
 
 def test_run_decay_milestones_match_hand_rolled_loop():
@@ -545,6 +560,31 @@ def test_potential_diagnostic_capability_errors():
         potential_diagnostic(prob, [s, s], sched, mode="dwc")  # no prox_psi
     with pytest.raises(ParameterError):
         potential_diagnostic(prob, [s], sched, mode="dwc")     # too short
+
+
+def test_potential_diagnostic_minmax_reads_no_psi_maps():
+    # Psi is identically zero in minmax mode: a registered prox_psi without
+    # value_psi must not be read for the smoothed objective
+    base = make_quadratic_minmax(dim=2)
+    aux = base.exact_aux
+    prob = DMaxProblem(
+        dim_x=2,
+        constants=base.constants,
+        phi_subgrad_x=base.phi_subgrad_x,
+        phi_grad_y=base.phi_grad_y,
+        set_y=base.set_y,
+        exact_aux=ExactAux(prox_phi=aux.prox_phi, prox_psi=aux.prox_psi,
+                           best_response_y=aux.best_response_y,
+                           value_phi=aux.value_phi),
+    )
+    sched = Schedule.from_manual(0.5, 0.01, 0.05, 5, prob.constants,
+                                 mode="minmax")
+    res = run(prob, "minmax", sched, RngStream(4), x0=np.array([1.5, -0.5]),
+              collect_states=True)
+    trace = potential_diagnostic(prob, res.states, sched, mode="minmax")
+    full = potential_diagnostic(base, res.states, sched, mode="minmax")
+    assert np.array_equal(trace.f_gamma, full.f_gamma)
+    assert np.array_equal(trace.p_t, full.p_t)
 
 
 def test_step_diagnostics_inequalities_hold_deterministically():

@@ -9,6 +9,8 @@ at module boundaries.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -180,6 +182,10 @@ def _mix64(a: int, b: int) -> int:
     return z ^ (z >> 31)
 
 
+# Tokens ``RngStream`` prefetches per generator call.
+_BLOCK = 1024
+
+
 class RngStream:
     """Counter-based deterministic random stream keyed by ``(seed, stream_id)``.
 
@@ -188,6 +194,11 @@ class RngStream:
     sequences regardless of platform.  ``draw`` hands out 64-bit sample
     tokens; oracles turn a token into a concrete mini-batch or noise
     realization through :func:`token_generator`.
+
+    Tokens are prefetched from the generator in blocks.  A full-range
+    ``uint64`` draw consumes exactly one Philox output per token, so a block
+    holds the same bits as the single draws it replaces; any other use of
+    the generator first rewinds it to where single draws would have left it.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -199,19 +210,48 @@ class RngStream:
                         self.stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.counter = 0
+        # Prefetched tokens, the index of the next one to hand out, and the
+        # generator state the block was drawn from.
+        self._block = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+        self._block_start = None
+
+    def _take(self, n: int) -> np.ndarray:
+        pos = self._pos
+        if pos + n > self._block.shape[0]:
+            self._rewind()
+            self._block_start = self._gen.bit_generator.state
+            self._block = self._gen.integers(0, 2 ** 64, size=max(n, _BLOCK),
+                                             dtype=np.uint64)
+            pos = 0
+        self._pos = pos + n
+        return self._block[pos:pos + n]
+
+    def _rewind(self) -> None:
+        """Put the generator where single draws of the tokens handed out
+        so far would have left it, and drop the rest of the block."""
+        if self._pos < self._block.shape[0]:
+            self._gen.bit_generator.state = self._block_start
+            self._gen.integers(0, 2 ** 64, size=self._pos, dtype=np.uint64)
+        self._block = self._block[:0]
+        self._pos = 0
 
     def draw(self) -> int:
         """Return the next 64-bit sample token."""
         self.counter += 1
-        return int(self._gen.integers(0, 2 ** 64, dtype=np.uint64))
+        return int(self._take(1)[0])
 
     def draw_many(self, n: int) -> np.ndarray:
         """Return the next ``n`` tokens (identical to ``n`` single draws)."""
-        self.counter += int(n)
-        return self._gen.integers(0, 2 ** 64, size=int(n), dtype=np.uint64)
+        n = int(n)
+        if n < 0:
+            raise ParameterError("cannot draw a negative number of tokens")
+        self.counter += n
+        return self._take(n).copy()
 
     def integers(self, low: int, high: int) -> int:
         """Draw one integer uniformly from ``[low, high)``, advancing the stream."""
+        self._rewind()
         self.counter += 1
         return int(self._gen.integers(low, high))
 
@@ -223,16 +263,42 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
 
 
+# One Philox reused by ``token_generator`` while no Generator handed out
+# earlier still holds it; created on first use so that importing the
+# package does not import ``numpy.random``.
+_philox = None
+_philox_free_refs = 0
+_philox_lock = threading.Lock()
+
+
 def token_generator(token: int, salt: int = _TOKEN_SALT) -> np.random.Generator:
     """Deterministic generator for realizing one sample token.
 
     Every oracle call receives a fresh token and derives its mini-batch
     indices or noise through this map, so a trace is reproducible from the
-    seed alone.
+    seed alone.  The result draws exactly what
+    ``Generator(Philox(key=[token, salt]))`` draws.  It wraps a cached
+    Philox reset to that key (counter 0, empty buffer) when no earlier
+    result still references the cache, and a fresh Philox otherwise, so
+    generators held across calls stay independent.
     """
-    key = np.array([int(token) & 0xFFFFFFFFFFFFFFFF,
-                    int(salt) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    global _philox, _philox_free_refs
+    key = (int(token) & _MASK64, int(salt) & _MASK64)
+    with _philox_lock:
+        bg = _philox
+        # A count above the one taken when bg was made means a Generator
+        # (or anything else) still references it; a reference GC has not
+        # yet cleared only costs a fresh Philox.
+        if bg is not None and sys.getrefcount(bg) == _philox_free_refs:
+            bg.state = {"bit_generator": "Philox",
+                        "state": {"counter": (0, 0, 0, 0), "key": key},
+                        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+        else:
+            bg = _philox = np.random.Philox(
+                key=np.array(key, dtype=np.uint64))
+            _philox_free_refs = sys.getrefcount(bg)
+        return np.random.Generator(bg)
 
 
 # ---------------------------------------------------------------------------

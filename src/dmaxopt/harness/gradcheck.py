@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import CapabilityError, DMaxProblem, ParameterError, token_generator
-from ..moreau import dmax_envelope_grad, envelope_value, smoothed_objective
+from ..moreau import _exact_envelope, dmax_envelope_grad, envelope_value
 
 __all__ = ["GradCheckReport", "grad_check"]
 
@@ -44,18 +44,27 @@ def _kink_distance(problem: DMaxProblem, x: np.ndarray, gamma: float) -> float:
     return gap
 
 
+def _component_envelope(problem: DMaxProblem, which: str, x: np.ndarray,
+                        gamma: float, tol: float) -> float:
+    """Envelope value of Phi or Psi: from the component's exact prox and
+    value maps when it has both, else from its function oracle."""
+    aux = problem.exact_aux
+    prox_map = getattr(aux, f"prox_{which}", None)
+    value_map = getattr(aux, f"value_{which}", None)
+    if prox_map is not None and value_map is not None:
+        return _exact_envelope(prox_map, value_map, x, gamma)
+    fn = getattr(problem, f"{which}_fn")
+    if fn is None:
+        raise CapabilityError(
+            f"grad check needs exact_aux prox_{which} and value_{which}, "
+            f"or {which}_fn")
+    return envelope_value(fn, x, gamma, tol=tol)
+
+
 def _envelope_diff_value(problem: DMaxProblem, x: np.ndarray, gamma: float,
                          tol: float) -> float:
-    aux = problem.exact_aux
-    if (aux is not None and aux.prox_phi is not None
-            and aux.value_phi is not None
-            and (aux.prox_psi is None) == (aux.value_psi is None)):
-        return smoothed_objective(aux, x, gamma, aux.prox_psi is not None)
-    if problem.phi_fn is None or problem.psi_fn is None:
-        raise CapabilityError(
-            "grad check needs exact_aux or component function oracles")
-    return (envelope_value(problem.phi_fn, x, gamma, tol=tol)
-            - envelope_value(problem.psi_fn, x, gamma, tol=tol))
+    return (_component_envelope(problem, "phi", x, gamma, tol)
+            - _component_envelope(problem, "psi", x, gamma, tol))
 
 
 def grad_check(problem: DMaxProblem, gamma: float, *, n_points: int = 20,

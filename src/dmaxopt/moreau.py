@@ -254,13 +254,17 @@ def smoothed_objective(aux: ExactAux, x: np.ndarray, gamma: float,
     prox(x)``.  With ``with_psi=False`` the second component is identically
     zero (min-max mode) and its maps are not read.
     """
-    p_phi = aux.prox_phi(x, gamma)
-    val = aux.value_phi(p_phi) + float(np.sum((p_phi - x) ** 2)) / (2.0 * gamma)
+    val = _exact_envelope(aux.prox_phi, aux.value_phi, x, gamma)
     if with_psi:
-        p_psi = aux.prox_psi(x, gamma)
-        val -= (aux.value_psi(p_psi)
-                + float(np.sum((p_psi - x) ** 2)) / (2.0 * gamma))
+        val -= _exact_envelope(aux.prox_psi, aux.value_psi, x, gamma)
     return val
+
+
+def _exact_envelope(prox_map, value_map, x: np.ndarray, gamma: float) -> float:
+    """One component's envelope ``value(p) + ||p - x||^2 / (2 gamma)`` at
+    ``p = prox_map(x, gamma)``."""
+    p = prox_map(x, gamma)
+    return value_map(p) + float(np.sum((p - x) ** 2)) / (2.0 * gamma)
 
 
 def smoothness_constant(gamma: float, delta_phi: float,

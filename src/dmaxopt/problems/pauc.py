@@ -210,8 +210,7 @@ def pauc_fair_problem(data: LabeledDataset, params: PaucParams,
         idx_n = gen.integers(0, n_neg, size=params.batch_neg)
         g_w, g_s_batch = _pair_subgrads(w, s[idx_p], pos[idx_p], neg[idx_n],
                                         rho, c)
-        g_s = np.zeros(n_pos)
-        np.add.at(g_s, idx_p, g_s_batch)
+        g_s = np.bincount(idx_p, weights=g_s_batch, minlength=n_pos)
         return np.concatenate([g_w, g_s])
 
     def phi_grad_y(x, y, token):

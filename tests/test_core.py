@@ -1,7 +1,16 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dmaxopt
 from dmaxopt.core import (
+    _TOKEN_SALT,
+    DMaxProblem,
     DimensionError,
     NonFiniteError,
     ParameterError,
@@ -15,6 +24,8 @@ from dmaxopt.core import (
     token_generator,
     whole_space,
 )
+from dmaxopt.problems.pu import _DATA_SALT
+from dmaxopt.smag import Schedule, run
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +150,129 @@ def test_token_generator_reproducible():
                               g3.standard_normal(4))
 
 
+def _fresh_philox(a, b):
+    return np.random.Generator(np.random.Philox(
+        key=np.array([a, b], dtype=np.uint64)))
+
+
+def _single_tokens(ref, n):
+    """What a stream drew before tokens were prefetched: one generator call
+    per token."""
+    return [int(ref.integers(0, 2 ** 64, dtype=np.uint64)) for _ in range(n)]
+
+
+def test_prefetched_tokens_match_single_draws_across_blocks():
+    a = RngStream(9, 4)
+    ref = _fresh_philox(9, 4)
+    drawn = 0
+    for i in range(700):
+        assert a.draw_many(4).tolist() == _single_tokens(ref, 4)
+        drawn += 4
+        if i % 50 == 7:
+            assert a.draw() == _single_tokens(ref, 1)[0]
+            drawn += 1
+        if i % 170 == 3:  # shifts the block boundaries off the 4-grid
+            assert a.draw_many(3).tolist() == _single_tokens(ref, 3)
+            drawn += 3
+        if i % 230 == 11:  # mid-block: rewinds the prefetch
+            assert a.integers(0, 1000) == int(ref.integers(0, 1000))
+            drawn += 1
+        assert a.counter == drawn
+    assert a.draw_many(2500).tolist() == _single_tokens(ref, 2500)
+    assert a.draw_many(0).tolist() == []
+    assert a.counter == drawn + 2500
+    assert a.integers(5, 10 ** 9) == int(ref.integers(5, 10 ** 9))
+    assert a.draw() == _single_tokens(ref, 1)[0]
+
+
+def test_stream_position_after_a_run_aborted_mid_block():
+    calls = {"n": 0}
+
+    def phi(xv, y, tok):
+        calls["n"] += 1
+        return np.array([math.nan]) if calls["n"] == 300 else np.ones(1)
+
+    prob = DMaxProblem(
+        dim_x=1,
+        constants=ProblemConstants(m_bound=1.0),
+        phi_subgrad_x=phi,
+        psi_subgrad_x=lambda x, z, tok: np.zeros(1),
+    )
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 1000, prob.constants,
+                                 mode="dwc")
+    rng = RngStream(3)
+    res = run(prob, "dwc", sched, rng, trace_every=100)
+    assert res.aborted and res.final_state.t == 299
+    # 300 steps drew their four tokens; 1200 is not a multiple of the block
+    assert rng.counter == 4 * 300
+    ref = _fresh_philox(3, 0)
+    _single_tokens(ref, 4 * 300)
+    assert rng.integers(0, 10 ** 6) == int(ref.integers(0, 10 ** 6))
+    assert rng.draw() == _single_tokens(ref, 1)[0]
+    assert rng.counter == 4 * 300 + 2
+
+
+def _same_draws(gen, ref):
+    assert np.array_equal(gen.standard_normal(5).view(np.uint64),
+                          ref.standard_normal(5).view(np.uint64))
+    # float32 draws go through the bit generator's 32-bit half buffer
+    assert np.array_equal(gen.random(3, dtype=np.float32).view(np.uint32),
+                          ref.random(3, dtype=np.float32).view(np.uint32))
+    assert gen.integers(0, 37, size=6).tolist() == \
+        ref.integers(0, 37, size=6).tolist()
+    assert int(gen.integers(0, 2 ** 31, dtype=np.uint32)) == \
+        int(ref.integers(0, 2 ** 31, dtype=np.uint32))
+
+
+def test_token_generator_is_token_map_v1():
+    """Token map v1: ``token_generator(t, salt)`` draws what a fresh
+    ``Philox(key=[t, salt])`` draws, whether it reuses its cached state
+    or not."""
+    for salt in (_TOKEN_SALT, _DATA_SALT):
+        for token in (0, 1, 2 ** 63, 2 ** 64 - 1):
+            _same_draws(token_generator(token, salt),
+                        _fresh_philox(token, salt))
+    # a dropped generator's state is reused, a held one's is not
+    reused = id(token_generator(5).bit_generator)
+    assert id(token_generator(6).bit_generator) == reused
+    held = token_generator(7)
+    assert token_generator(8).bit_generator is not held.bit_generator
+    _same_draws(held, _fresh_philox(7, _TOKEN_SALT))
+
+
+def test_token_generators_held_together_stay_independent():
+    a = token_generator(11)
+    b = token_generator(2 ** 64 - 1, salt=_DATA_SALT)
+    ref_a = _fresh_philox(11, _TOKEN_SALT)
+    ref_b = _fresh_philox(2 ** 64 - 1, _DATA_SALT)
+    for i in range(4):
+        _same_draws(a, ref_a)
+        # a generator taken and dropped between draws of held ones
+        _same_draws(token_generator(100 + i), _fresh_philox(
+            100 + i, _TOKEN_SALT))
+        _same_draws(b, ref_b)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    src = str(Path(dmaxopt.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, dmaxopt, dmaxopt.harness; "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_rng_stream_rejects_negative_keys():
     with pytest.raises(ParameterError):
         RngStream(-1)
     with pytest.raises(ParameterError):
         RngStream(0, -2)
+    with pytest.raises(ParameterError):
+        RngStream(0).draw_many(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: grad-check, configs, runner, CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 from dmaxopt.core import (
     CapabilityError,
     DMaxProblem,
+    ExactAux,
     ParameterError,
     ProblemConstants,
 )
@@ -37,10 +39,15 @@ from dmaxopt.problems import make_onedim_dwc, make_quadratic_minmax
 
 def test_grad_check_onedim_is_accurate():
     prob = make_onedim_dwc(1.0, 0.5)
-    rep = grad_check(prob, 1.0, n_points=10, min_kink_gap=0.1, seed=0)
-    assert rep.max_rel_err < 1e-6
-    assert rep.n_checked == 10
-    assert rep.n_rejected >= 0
+    aux = prob.exact_aux
+    # Phi's exact maps only: Psi's envelope comes from its function oracle
+    phi_maps_only = dataclasses.replace(prob, exact_aux=ExactAux(
+        prox_phi=aux.prox_phi, value_phi=aux.value_phi))
+    for p in (prob, phi_maps_only):
+        rep = grad_check(p, 1.0, n_points=10, min_kink_gap=0.1, seed=0)
+        assert rep.max_rel_err < 1e-6
+        assert rep.n_checked == 10
+        assert rep.n_rejected >= 0
 
 
 def test_grad_check_minmax_uses_exact_aux():

@@ -150,28 +150,31 @@ def test_problem_wiring_and_constants():
 def test_primal_oracle_reproduces_the_documented_sampling():
     data = synth_biased_pauc(20, 3, seed=8)
     n_pos = data.n_pos
-    params = PaucParams(rho=0.4, batch_pos=3, batch_neg=5)
-    prob = pauc_fair_problem(data, params)
     rng = np.random.default_rng(14)
     x = np.concatenate([rng.normal(size=3), rng.uniform(0.2, 1.0, n_pos)])
     token = 4242
-    got = prob.phi_subgrad_x(x, None, token)
-
-    # replay: positives batch drawn first, then negatives
     from dmaxopt.problems.pauc import _pair_subgrads
     pos = data.features[data.labels == 1]
     neg = data.features[data.labels == -1]
-    gen = token_generator(token)
-    idx_p = gen.integers(0, n_pos, size=3)
-    idx_n = gen.integers(0, data.n_neg, size=5)
-    g_w, g_s_batch = _pair_subgrads(x[:3], x[3:][idx_p], pos[idx_p],
-                                    neg[idx_n], params.rho, params.c)
-    g_s = np.zeros(n_pos)
-    np.add.at(g_s, idx_p, g_s_batch)
-    assert np.array_equal(got, np.concatenate([g_w, g_s]))
-    # threshold gradient entries vanish off the sampled batch
-    off = np.setdiff1d(np.arange(n_pos), idx_p)
-    assert np.all(got[3:][off] == 0.0)
+    # batch_pos > n_pos forces repeated positives into the batch
+    for batch_pos in (3, 16, 64):
+        params = PaucParams(rho=0.4, batch_pos=batch_pos, batch_neg=5)
+        got = pauc_fair_problem(data, params).phi_subgrad_x(x, None, token)
+
+        # replay: positives batch drawn first, then negatives; threshold
+        # gradients accumulate per positive in batch order
+        gen = token_generator(token)
+        idx_p = gen.integers(0, n_pos, size=batch_pos)
+        idx_n = gen.integers(0, data.n_neg, size=5)
+        g_w, g_s_batch = _pair_subgrads(x[:3], x[3:][idx_p], pos[idx_p],
+                                        neg[idx_n], params.rho, params.c)
+        g_s = np.zeros(n_pos)
+        np.add.at(g_s, idx_p, g_s_batch)
+        want = np.concatenate([g_w, g_s])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # threshold gradient entries vanish off the sampled batch
+        off = np.setdiff1d(np.arange(n_pos), idx_p)
+        assert np.all(got[3:][off] == 0.0)
 
 
 def test_dual_oracle_reproduces_the_documented_sampling():

@@ -51,9 +51,14 @@ def partial_auc(scores: np.ndarray, labels: np.ndarray,
     if pos.size == 0 or neg.size == 0:
         raise ParameterError("partial_auc needs both classes present")
     k = max(1, int(np.floor(rho * neg.size)))
-    hardest = np.sort(neg)[::-1][:k]
-    wins = (pos[:, None] > hardest[None, :]).sum()
-    ties = (pos[:, None] == hardest[None, :]).sum()
+    # The k largest negatives, ascending.  A pair with a NaN neither wins
+    # nor ties.  NaN sorts last, so it is taken first here and lies above
+    # every searched score; NaN positives are dropped before the search.
+    hardest = np.sort(neg)[neg.size - k:]
+    ranked = pos[~np.isnan(pos)]
+    below = np.searchsorted(hardest, ranked, "left")
+    wins = below.sum()
+    ties = (np.searchsorted(hardest, ranked, "right") - below).sum()
     return float(wins + 0.5 * ties) / (pos.size * k)
 
 

@@ -96,18 +96,76 @@ def split_scorer(x: np.ndarray, dim: int, n_pos: int
     return x[:dim], x[dim:]
 
 
+# Leaves of the blocked pair sum hold at most this many pair losses (512 KB
+# of float64).  It must be at least 128, numpy's pairwise-sum leaf, so that
+# every node split here is split the same way by numpy.
+_PAIR_BLOCK = 1 << 16
+
+
+def _hinged_pair_sum(hp: np.ndarray, hn: np.ndarray, s: np.ndarray,
+                     c: float) -> float:
+    """``np.maximum((c - (hp[:, None] - hn)) ** 2 - s[:, None], 0).sum()``,
+    bit for bit, without the ``n_pos x n_neg`` temporaries.
+
+    ``sum`` of a C-contiguous float64 array is numpy's pairwise sum over
+    the flattened array: a node of more than 128 elements splits at
+    ``n // 2`` rounded down to a multiple of 8.  This walks the same tree
+    down to nodes of at most ``_PAIR_BLOCK`` pairs, fills each node's flat
+    range into one reused buffer with the same ufuncs, sums it with numpy
+    and adds the halves in tree order.
+    """
+    n_neg = hn.size
+    buf = np.empty(min(hp.size * n_neg, _PAIR_BLOCK))
+
+    def fill(out, i0, i1, j0, j1):
+        # pairs (rows i0:i1, columns j0:j1) into the flat buffer slice ``out``
+        out = out.reshape(i1 - i0, j1 - j0)
+        np.subtract(hp[i0:i1, None], hn[j0:j1], out=out)
+        np.subtract(c, out, out=out)
+        np.square(out, out=out)
+        np.subtract(out, s[i0:i1, None], out=out)
+        np.maximum(out, 0.0, out=out)
+
+    def node(lo: int, n: int) -> float:
+        if n > _PAIR_BLOCK:
+            half = n // 2
+            half -= half % 8
+            return node(lo, half) + node(lo + half, n - half)
+        i0, j0 = divmod(lo, n_neg)
+        i1, j1 = divmod(lo + n, n_neg)
+        out = buf[:n]
+        if i0 == i1:
+            fill(out, i0, i0 + 1, j0, j1)
+        else:
+            # first row's tail, the full rows, then the last row's head
+            head = n_neg - j0
+            fill(out[:head], i0, i0 + 1, j0, n_neg)
+            fill(out[head:n - j1], i0 + 1, i1, 0, n_neg)
+            if j1:
+                fill(out[n - j1:], i1, i1 + 1, 0, j1)
+        return out.sum()
+
+    return float(node(0, hp.size * n_neg))
+
+
+def _objective(x: np.ndarray, pos: np.ndarray, neg: np.ndarray,
+               params: PaucParams) -> float:
+    n_pos, n_neg = pos.shape[0], neg.shape[0]
+    w, s = split_scorer(x, pos.shape[1], n_pos)
+    pair_sum = _hinged_pair_sum(pos @ w, neg @ w, s, params.c)
+    return float(np.mean(s)) + pair_sum / (n_pos * params.rho * n_neg)
+
+
 def pauc_objective(x: np.ndarray, data: LabeledDataset,
                    params: PaucParams) -> float:
-    """Full-data CVaR-thresholded partial-AUC surrogate at ``x = [w, s]``."""
+    """Full-data CVaR-thresholded partial-AUC surrogate at ``x = [w, s]``.
+
+    The pair losses are summed in blocks, in the order of numpy's own
+    ``sum`` over the dense ``n_pos x n_neg`` array, so the value is the
+    dense formula's to the bit.
+    """
     pos, neg = _split_counts(data)
-    w, s = split_scorer(x, data.dimension, pos.shape[0])
-    hp = pos @ w
-    hn = neg @ w
-    diffs = hp[:, None] - hn[None, :]
-    losses = (params.c - diffs) ** 2
-    hinged = np.maximum(losses - s[:, None], 0.0)
-    n_pos, n_neg = pos.shape[0], neg.shape[0]
-    return float(np.mean(s)) + float(hinged.sum()) / (n_pos * params.rho * n_neg)
+    return _objective(x, pos, neg, params)
 
 
 def fairness_payoff(w_a: np.ndarray, data: LabeledDataset) -> float:
@@ -120,9 +178,8 @@ def fairness_payoff(w_a: np.ndarray, data: LabeledDataset) -> float:
         raise ParameterError("dataset has no sensitive attributes")
     t = data.features @ w_a
     # log sigma(t) = -log1p(exp(-t)); log(1-sigma(t)) = -t - log1p(exp(-t))
-    log_sig = -np.logaddexp(0.0, -t)
-    log_one_minus = -t - np.logaddexp(0.0, -t)
-    vals = np.where(data.sensitive == 1, log_sig, log_one_minus)
+    softplus = np.logaddexp(0.0, -t)
+    vals = np.where(data.sensitive == 1, -softplus, -t - softplus)
     return float(np.mean(vals))
 
 
@@ -219,7 +276,7 @@ def pauc_fair_problem(data: LabeledDataset, params: PaucParams,
         return fairness_dual_grad(y, feats[idx], attrs[idx], params)
 
     def full_objective(x):
-        return pauc_objective(x, data, params)
+        return _objective(x, pos, neg, params)
 
     if m_bound is None:
         # Declared for scores within +-5 of the margin; not verified.

@@ -33,6 +33,40 @@ def test_partial_auc_clamps_to_one_negative():
     assert partial_auc(scores, labels, rho=0.3) == 1.0
 
 
+def _dense_partial_auc(scores, labels, rho):
+    """partial_auc as the dense pos x k comparison, for reference."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = scores[labels == 1]
+    neg = scores[labels == -1]
+    k = max(1, int(np.floor(rho * neg.size)))
+    hardest = np.sort(neg)[::-1][:k]
+    wins = (pos[:, None] > hardest[None, :]).sum()
+    ties = (pos[:, None] == hardest[None, :]).sum()
+    return float(wins + 0.5 * ties) / (pos.size * k)
+
+
+def test_partial_auc_matches_the_dense_count_on_ties_nan_and_inf():
+    rng = np.random.default_rng(0)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        scores = rng.integers(-3, 4, n).astype(np.float64)  # many ties
+        hit = rng.random(n) < 0.3
+        scores[hit] = rng.choice(special, size=int(hit.sum()))
+        labels = np.where(rng.random(n) < 0.5, 1, -1)
+        labels[:2] = [1, -1]
+        rho = float(rng.choice([0.01, 0.3, 0.5, 1.0]))
+        got = partial_auc(scores, labels, rho)
+        want = _dense_partial_auc(scores, labels, rho)
+        assert np.float64(got).view(np.uint64) == \
+            np.float64(want).view(np.uint64)
+    # NaN neither wins nor ties, on either side
+    labels = np.array([1, 1, -1, -1])
+    assert partial_auc([np.nan, 1.0, 1.0, np.nan], labels, rho=1.0) == 0.125
+    assert partial_auc([np.inf, 0.0, np.inf, -np.inf], labels,
+                       rho=1.0) == 0.625
+
+
 def test_partial_auc_validation():
     with pytest.raises(ParameterError):
         partial_auc([1.0], [1], rho=0.3)  # no negatives

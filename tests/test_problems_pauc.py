@@ -1,11 +1,12 @@
 """Tests for the fairness-regularized partial-AUC problem."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dmaxopt.core import ParameterError, contains, token_generator
+from dmaxopt.core import ParameterError, RngStream, contains, token_generator
 from dmaxopt.problems import (
     LabeledDataset,
     PaucParams,
@@ -17,6 +18,32 @@ from dmaxopt.problems import (
     split_scorer,
     synth_biased_pauc,
 )
+from dmaxopt.problems import pauc as pauc_module
+from dmaxopt.smag import Schedule, run
+
+
+def _dense_objective(x, data, params):
+    """The objective as the dense n_pos x n_neg formula, for reference."""
+    pos = data.features[data.labels == 1]
+    neg = data.features[data.labels == -1]
+    w, s = split_scorer(x, data.dimension, pos.shape[0])
+    hp = pos @ w
+    hn = neg @ w
+    diffs = hp[:, None] - hn[None, :]
+    losses = (params.c - diffs) ** 2
+    hinged = np.maximum(losses - s[:, None], 0.0)
+    n_pos, n_neg = pos.shape[0], neg.shape[0]
+    return float(np.mean(s)) + float(hinged.sum()) / (n_pos * params.rho * n_neg)
+
+
+def _bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+def _pauc_data(n_pos, n_neg, dim, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat([1, -1], [n_pos, n_neg]))
+    return LabeledDataset(rng.normal(size=(n_pos + n_neg, dim)), labels)
 
 
 def _tiny():
@@ -143,8 +170,86 @@ def test_problem_wiring_and_constants():
     assert prob.set_y.radius == pytest.approx(
         2 * params.alpha_fair * r_max / params.lambda0 + 1.0)
     x = np.zeros(prob.dim_x)
-    assert prob.full_objective(x) == pytest.approx(
-        pauc_objective(x, data, params))
+    assert prob.full_objective(x) == pauc_objective(x, data, params)
+    x = np.random.default_rng(6).normal(size=prob.dim_x)
+    assert prob.full_objective(x) == pauc_objective(x, data, params)
+    with pytest.raises(ParameterError):
+        prob.full_objective(np.zeros(prob.dim_x + 1))
+
+
+# (n_pos, n_neg, threshold range); the pair block is 2**16 = 65536
+_BLOCKED_SHAPES = {
+    "single-node": (40, 90, (0.2, 2.0)),
+    "total-not-multiple-of-8": (37, 2003, (0.2, 2.0)),
+    "multi-level": (301, 1499, (0.2, 2.0)),
+    "one-positive-wider-than-block": (1, 70001, (0.2, 2.0)),
+    "every-pair-active": (53, 1500, (-3.0, -1.0)),
+    "no-pair-active": (53, 1500, (1e6, 2e6)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_BLOCKED_SHAPES))
+def test_blocked_objective_matches_the_dense_formula_bit_for_bit(shape):
+    n_pos, n_neg, (s_lo, s_hi) = _BLOCKED_SHAPES[shape]
+    data = _pauc_data(n_pos, n_neg, 3, seed=n_pos + n_neg)
+    params = PaucParams(rho=0.3, c=1.0)
+    rng = np.random.default_rng(n_pos)
+    for _ in range(3):
+        x = np.concatenate([rng.normal(size=3),
+                            rng.uniform(s_lo, s_hi, size=n_pos)])
+        want = _dense_objective(x, data, params)
+        assert _bits(pauc_objective(x, data, params)) == _bits(want)
+        assert _bits(pauc_fair_problem(data, params).full_objective(x)) \
+            == _bits(want)
+    if shape == "no-pair-active":
+        assert pauc_objective(x, data, params) == float(np.mean(x[3:]))
+
+
+@pytest.mark.parametrize("block", [128, 129, 1000])
+def test_blocked_objective_is_exact_for_any_leaf_size(monkeypatch, block):
+    # small leaves start and end inside rows at many offsets
+    monkeypatch.setattr(pauc_module, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(block)
+    params = PaucParams(rho=0.4, c=1.5)
+    for n_pos, n_neg in [(1, 1), (1, 5000), (9, 7), (17, 301), (64, 128),
+                         (129, 3)]:
+        data = _pauc_data(n_pos, n_neg, 2, seed=n_pos * n_neg)
+        x = np.concatenate([rng.normal(size=2),
+                            rng.uniform(-0.5, 3.0, size=n_pos)])
+        assert _bits(pauc_objective(x, data, params)) == \
+            _bits(_dense_objective(x, data, params))
+
+
+def test_objective_memory_stays_blocked():
+    data = synth_biased_pauc(4000, 20, seed=3)
+    params = PaucParams(rho=0.3)
+    x = np.concatenate([np.full(20, 0.1), np.ones(data.n_pos)])
+    tracemalloc.start()
+    try:
+        pauc_objective(x, data, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense n_pos x n_neg temporaries took 123 MB here
+    assert peak < 8 * 2 ** 20
+
+
+def test_trace_rows_record_the_dense_objective_at_their_anchor():
+    data = synth_biased_pauc(600, 4, seed=11)
+    assert data.n_pos * data.n_neg > pauc_module._PAIR_BLOCK
+    params = PaucParams(rho=0.3, alpha_fair=0.5, batch_pos=8, batch_neg=8,
+                        batch_attr=8)
+    prob = pauc_fair_problem(data, params)
+    sched = Schedule.from_manual(0.5, 0.002, 0.01, 30, prob.constants,
+                                 mode="minmax")
+    res = run(prob, "minmax", sched, RngStream(3),
+              x0=np.zeros(prob.dim_x), trace_every=7, collect_states=True)
+    assert [r.t for r in res.records] == [7, 14, 21, 28, 30]
+    for rec in res.records:
+        anchor = res.states[rec.t].x
+        assert res.states[rec.t].t == rec.t
+        assert _bits(rec.objective) == \
+            _bits(_dense_objective(anchor, data, params))
 
 
 def test_primal_oracle_reproduces_the_documented_sampling():

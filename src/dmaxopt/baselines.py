@@ -22,9 +22,10 @@ from .core import (
     NonFiniteError,
     ParameterError,
     RngStream,
+    _finite,
     project,
 )
-from .smag import _drive, _oracle_vec, initial_state
+from .smag import _drive, _norm, _oracle_vec, initial_state
 
 __all__ = [
     "BaselineState",
@@ -49,9 +50,9 @@ def sgd_step(problem: DMaxProblem, state: BaselineState, lr: float,
     component (or one shared sample when ``shared_sample`` is set)."""
     if problem.psi_subgrad_x is None:
         raise CapabilityError("sgd baseline needs both component oracles")
-    tokens = rng.draw_many(2)
-    t0 = int(tokens[0])
-    t1 = t0 if shared_sample else int(tokens[1])
+    t0, t1 = rng.draw_many(2).tolist()
+    if shared_sample:
+        t1 = t0
     dim = problem.dim_x
     g_phi = _oracle_vec(problem.phi_subgrad_x(state.x, state.y, t0), dim,
                         "phi_subgrad_x")
@@ -59,7 +60,7 @@ def sgd_step(problem: DMaxProblem, state: BaselineState, lr: float,
                         "psi_subgrad_x")
     direction = g_phi - g_psi
     x_new = state.x - lr * direction
-    if not np.isfinite(x_new).all():
+    if not _finite(x_new):
         raise NonFiniteError("sgd iterate became non-finite")
     return BaselineState(x=x_new, y=state.y, last_dir=direction,
                          t=state.t + 1)
@@ -74,9 +75,9 @@ def sgda_step(problem: DMaxProblem, state: BaselineState, lr_x: float,
         raise CapabilityError("sgda baseline needs a dual oracle and set")
     if state.y is None:
         raise ParameterError("sgda state has no dual iterate")
-    tokens = rng.draw_many(2)
-    t0 = int(tokens[0])
-    t1 = t0 if shared_sample else int(tokens[1])
+    t0, t1 = rng.draw_many(2).tolist()
+    if shared_sample:
+        t1 = t0
     dim = problem.dim_x
     g_x = _oracle_vec(problem.phi_subgrad_x(state.x, state.y, t0), dim,
                       "phi_subgrad_x")
@@ -84,7 +85,7 @@ def sgda_step(problem: DMaxProblem, state: BaselineState, lr_x: float,
                       state.y.shape[0], "phi_grad_y")
     x_new = state.x - lr_x * g_x
     y_new = project(problem.set_y, state.y + lr_y * g_y)
-    if not np.isfinite(x_new).all():
+    if not _finite(x_new):
         raise NonFiniteError("sgda iterate became non-finite")
     return BaselineState(x=x_new, y=y_new, last_dir=g_x, t=state.t + 1)
 
@@ -110,7 +111,7 @@ def _run(problem: DMaxProblem, advance, t_total: int, x0,
 
 
 def _direction_norm(prev: BaselineState, state: BaselineState):
-    return float(np.linalg.norm(state.last_dir)), math.nan
+    return _norm(state.last_dir), math.nan
 
 
 def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng: RngStream,

@@ -55,6 +55,15 @@ class NonFiniteError(FloatingPointError):
     """A vector contained NaN or infinity where finite values are required."""
 
 
+def _finite(v: np.ndarray) -> bool:
+    """Whether every entry of ``v`` is finite.  Same answer as
+    ``np.isfinite(v).all()`` without that method's Python-level wrapper,
+    and unlike a sum of squares it sets no overflow flag on large finite
+    entries."""
+    ok = np.isfinite(v)
+    return np.count_nonzero(ok) == ok.size
+
+
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float64 array, validating its length.
 
@@ -68,13 +77,13 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
         raise DimensionError(f"{name} must be 1-D, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionError(f"{name} has length {v.shape[0]}, expected {dim}")
-    if not np.isfinite(v).all():
+    if not _finite(v):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return v
 
 
 def check_finite(v: np.ndarray, name: str = "vector") -> np.ndarray:
-    if not np.isfinite(v).all():
+    if not _finite(v):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return v
 

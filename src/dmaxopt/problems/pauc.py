@@ -189,18 +189,39 @@ def _pair_subgrads(w, s_batch, pos_x, neg_x, rho, c):
     Returns (g_w, per_pos_s_grad) where the s entries are aligned with the
     rows of ``pos_x``.  The hinge kink takes subgradient zero (strict
     inequality activates a pair).
+
+    The ``bp x bn`` pair arrays are built a block of rows at a time, at
+    most ``_PAIR_BLOCK`` pairs each, and reduced as numpy reduces the dense
+    arrays, so the result is the dense formula's to the bit: each row is
+    summed on its own, and columns add the rows in order, from zero.  A
+    single column is one contiguous (pairwise) sum, so it stays one block.
     """
     hp = pos_x @ w
     hn = neg_x @ w
-    diffs = hp[:, None] - hn[None, :]
-    resid = c - diffs
-    active = (resid * resid - s_batch[:, None]) > 0.0
     bp, bn = pos_x.shape[0], neg_x.shape[0]
+    row_coef = np.empty(bp)
+    n_active = np.empty(bp)
+    rows = bp if bn == 1 else max(1, _PAIR_BLOCK // bn)
+    for i0 in range(0, bp, rows):
+        i1 = min(i0 + rows, bp)
+        resid = np.subtract(hp[i0:i1, None], hn)
+        np.subtract(c, resid, out=resid)
+        margin = np.multiply(resid, resid)
+        np.subtract(margin, s_batch[i0:i1, None], out=margin)
+        active = np.greater(margin, 0.0)
+        # d/d(h_i - h_j) of (c - d)^2 on active pairs
+        coef = np.where(active, np.multiply(resid, -2.0, out=resid), 0.0)
+        np.add.reduce(coef, axis=1, out=row_coef[i0:i1])
+        # the float64 sum ``active.mean`` takes
+        np.add.reduce(active, axis=1, dtype=np.float64, out=n_active[i0:i1])
+        if i0 == 0:
+            col_coef = np.add.reduce(coef, axis=0)
+        else:
+            for row in coef:
+                np.add(col_coef, row, out=col_coef)
     scale = 1.0 / (bp * rho * bn)
-    coef = np.where(active, -2.0 * resid, 0.0)  # d/d(h_i - h_j) of (c-d)^2
-    g_w = scale * (pos_x.T @ coef.sum(axis=1) - neg_x.T @ (coef.sum(axis=0)))
-    frac_active = active.mean(axis=1)
-    g_s = (1.0 - frac_active / rho) / bp
+    g_w = scale * (pos_x.T @ row_coef - neg_x.T @ col_coef)
+    g_s = (1.0 - n_active / bn / rho) / bp
     return g_w, g_s
 
 
@@ -210,7 +231,8 @@ def pauc_full_subgrads(x: np.ndarray, data: LabeledDataset,
 
     Same pair formula as the batch oracle with the batches equal to the
     whole populations, so the stochastic oracle's expectation can be
-    checked against it directly.
+    checked against it directly.  The pairs are processed in blocks, so
+    memory stays small at any population size.
     """
     pos, neg = _split_counts(data)
     w, s = split_scorer(x, data.dimension, pos.shape[0])
@@ -219,12 +241,12 @@ def pauc_full_subgrads(x: np.ndarray, data: LabeledDataset,
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """``1 / (1 + exp(-t))`` for ``t >= 0`` and ``e / (1 + e)`` with
+    ``e = exp(t)`` otherwise, so no ``exp`` overflows.  ``minimum(t, -t)``
+    is ``-|t|`` and passes a NaN through with its sign bit."""
+    e = np.exp(np.minimum(t, -t))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def fairness_dual_grad(w_a: np.ndarray, feats: np.ndarray,

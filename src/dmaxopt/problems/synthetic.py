@@ -65,8 +65,12 @@ def piecewise_quadratic(a: float = 1.0, center: float = 0.0,
     def value(u: np.ndarray) -> float:
         return a * float(np.abs(u - c).sum()) + 0.5 * kappa * float(u @ u)
 
+    # u - (+0.0) is u to the bit (also for u = -0.0), so a centre at +0.0
+    # needs no shift; a centre at -0.0 would turn u = -0.0 into +0.0.
+    unshifted = c == 0.0 and math.copysign(1.0, c) > 0.0
+
     def subgrad(u: np.ndarray) -> np.ndarray:
-        return a * np.sign(u - c) + kappa * u
+        return a * np.sign(u if unshifted else u - c) + kappa * u
 
     def prox_map(v: np.ndarray, gamma: float) -> np.ndarray:
         big_a = kappa + 1.0 / gamma

@@ -32,11 +32,13 @@ import numpy as np
 from .core import (
     CapabilityError,
     DMaxProblem,
+    ExactAux,
     NonFiniteError,
     ParameterError,
     ProblemConstants,
     RngStream,
     RunRecord,
+    _finite,
     as_vector,
     project,
 )
@@ -306,9 +308,17 @@ def _oracle_vec(raw, dim: int, what: str) -> np.ndarray:
     if g.shape != (dim,):
         raise ParameterError(
             f"{what} returned shape {g.shape}, expected ({dim},)")
-    if not np.isfinite(g).all():
+    if not _finite(g):
         raise NonFiniteError(f"{what} returned a non-finite value")
     return g
+
+
+def _norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a 1-D array, bit for bit: for a
+    contiguous float64 vector numpy computes ``sqrt(v.dot(v))``."""
+    if v.dtype == np.float64 and v.flags.c_contiguous:
+        return math.sqrt(v.dot(v))
+    return float(np.linalg.norm(v))
 
 
 def step(problem: DMaxProblem, state: SmagState, sched: Schedule,
@@ -321,16 +331,14 @@ def step(problem: DMaxProblem, state: SmagState, sched: Schedule,
     first token to all four.  ``lr_scale`` multiplies both step sizes.
     """
     _check_mode(mode)
-    tokens = rng.draw_many(4)
+    t0, t1, t2, t3 = rng.draw_many(4).tolist()
+    if shared_sample:
+        t1 = t2 = t3 = t0
     eta1 = sched.eta1 * lr_scale
     eta0 = sched.eta0 * lr_scale
     inv_gamma = 1.0 / sched.gamma
     dim = problem.dim_x
     x_t = state.x
-    t0 = int(tokens[0])
-    t1 = t0 if shared_sample else int(tokens[1])
-    t2 = t0 if shared_sample else int(tokens[2])
-    t3 = t0 if shared_sample else int(tokens[3])
 
     g_phi = _oracle_vec(problem.phi_subgrad_x(state.x_phi, state.y, t0),
                         dim, "phi_subgrad_x")
@@ -364,7 +372,7 @@ def step(problem: DMaxProblem, state: SmagState, sched: Schedule,
         g_vec = (x_psi_new - x_phi_new) * inv_gamma
 
     x_new = x_t - eta0 * g_vec
-    if not np.isfinite(x_new).all():
+    if not _finite(x_new):
         raise NonFiniteError("anchor iterate became non-finite")
     return SmagState(x=x_new, x_phi=x_phi_new, x_psi=x_psi_new, y=y_new,
                      z=z_new, last_g=g_vec, t=state.t + 1)
@@ -412,28 +420,29 @@ def _missing_maps(problem: DMaxProblem, mode: Mode,
     return [n for n in names if getattr(aux, n, None) is None]
 
 
-def _exact_stationarity(problem: DMaxProblem, x: np.ndarray, gamma: float,
-                        mode: Mode) -> float:
-    aux = problem.exact_aux
+def _prox_pair(aux: ExactAux, x: np.ndarray, gamma: float, mode: Mode):
+    """``(prox_phi(x), prox_psi(x))``; Psi is identically zero in minmax
+    mode, so its prox is ``x`` itself."""
     p_phi = aux.prox_phi(x, gamma)
-    p_psi = x if mode == "minmax" else aux.prox_psi(x, gamma)
-    return float(np.linalg.norm(p_psi - p_phi)) / gamma
+    return p_phi, (x if mode == "minmax" else aux.prox_psi(x, gamma))
 
 
-def _potential_terms(problem: DMaxProblem, x_t: np.ndarray, s_next: SmagState,
-                     gamma: float, mode: Mode) -> float:
-    """Unscaled sum of squared tracking errors for the potential at x_t."""
-    aux = problem.exact_aux
-    p_phi = aux.prox_phi(x_t, gamma)
-    total = float(np.sum((s_next.x_phi - p_phi) ** 2))
+def _sq(d: np.ndarray) -> float:
+    """``float(np.sum(d ** 2))``, calling the reduction directly."""
+    return float(np.add.reduce(d ** 2, axis=None))
+
+
+def _potential_terms(aux: ExactAux, p_phi: np.ndarray, p_psi: np.ndarray,
+                     s_next: SmagState, mode: Mode) -> float:
+    """Unscaled sum of squared tracking errors for the potential at the
+    anchor whose prox points are ``p_phi`` and ``p_psi``."""
+    total = _sq(s_next.x_phi - p_phi)
     if mode != "dwc" and s_next.y is not None:
-        total += float(np.sum((s_next.y - aux.best_response_y(p_phi)) ** 2))
+        total += _sq(s_next.y - aux.best_response_y(p_phi))
     if mode != "minmax":
-        p_psi = aux.prox_psi(x_t, gamma)
-        total += float(np.sum((s_next.x_psi - p_psi) ** 2))
+        total += _sq(s_next.x_psi - p_psi)
         if mode == "dmax" and s_next.z is not None:
-            total += float(
-                np.sum((s_next.z - aux.best_response_z(p_psi)) ** 2))
+            total += _sq(s_next.z - aux.best_response_z(p_psi))
     return total
 
 
@@ -493,15 +502,26 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng: RngStream,
             x_psi_bar = nxt.x_psi.copy()
         return nxt
 
+    aux = problem.exact_aux
+    last_prox = (None, None, None)  # an anchor and its two prox points
+
+    def prox_at(x: np.ndarray):
+        # With trace_every=1 a row's potential is taken at the anchor whose
+        # prox points the previous row's stationarity already computed.
+        nonlocal last_prox
+        if last_prox[0] is not x:
+            last_prox = (x, *_prox_pair(aux, x, sched.gamma, mode))
+        return last_prox[1:]
+
     def row(prev: SmagState, cur: SmagState):
-        if exact_metrics:
-            stat = _exact_stationarity(problem, cur.x, sched.gamma, mode)
-        else:
-            stat = float(np.linalg.norm(cur.last_g))
         p_t = math.nan
         if trace_potential:
-            p_t = pot_coef * _potential_terms(problem, prev.x, cur,
-                                              sched.gamma, mode)
+            p_t = pot_coef * _potential_terms(aux, *prox_at(prev.x), cur, mode)
+        if exact_metrics:
+            p_phi, p_psi = prox_at(cur.x)
+            stat = _norm(p_psi - p_phi) / sched.gamma
+        else:
+            stat = _norm(cur.last_g)
         return stat, p_t
 
     state, records, reason = _drive(
@@ -543,11 +563,14 @@ def _drive(problem: DMaxProblem, state, t_total: int, advance, row, *,
         raise ParameterError("t_total must be >= 1")
     if trace_every < 1:
         raise ParameterError("trace_every must be >= 1")
+    if decay_factor <= 0:
+        raise ParameterError("decay factor must be positive")
+    milestones = tuple(decay_milestones)
     records: list = []
     reason = None
     start = time.perf_counter()
     for t in range(t_total):
-        scale = lr_scale_at(t, decay_milestones, decay_factor)
+        scale = lr_scale_at(t, milestones, decay_factor) if milestones else 1.0
         prev = state
         try:
             state = advance(prev, scale)
@@ -610,8 +633,8 @@ def potential_diagnostic(problem: DMaxProblem, states: Sequence[SmagState],
     f_vals = np.empty(len(states) - 1) if have_values else None
     for i in range(len(states) - 1):
         x_t = states[i].x
-        p_vals[i] = coef * _potential_terms(problem, x_t, states[i + 1],
-                                            gamma, mode)
+        p_vals[i] = coef * _potential_terms(
+            aux, *_prox_pair(aux, x_t, gamma, mode), states[i + 1], mode)
         if f_vals is not None:
             f_vals[i] = smoothed_objective(aux, x_t, gamma, with_psi)
     return PotentialTrace(p_t=p_vals, f_gamma=f_vals, coefficient=coef)

@@ -19,6 +19,7 @@ from dmaxopt.core import (
     ParameterError,
     ProblemConstants,
     RngStream,
+    box,
 )
 from dmaxopt.problems import make_onedim_dwc, make_quadratic_minmax
 
@@ -161,6 +162,54 @@ def test_run_loop_aborts_on_non_finite():
     assert res.aborted
     assert "phi_subgrad_x" in res.abort_reason
     assert res.final_state.t == 2
+
+
+def _constant_problem(g_phi, g_psi=0.0):
+    return DMaxProblem(
+        dim_x=1, constants=ProblemConstants(m_bound=1.0),
+        phi_subgrad_x=lambda x, y, tok: np.full(1, g_phi),
+        phi_grad_y=lambda x, y, tok: np.zeros(1),
+        psi_subgrad_x=lambda x, z, tok: np.full(1, g_psi),
+        set_y=box([-1.0], [1.0]))
+
+
+@pytest.mark.parametrize("x, g, lr", [(1e308, -1e308, 1.0),
+                                      (-1e308, 1e308, 1.0),
+                                      (1.0, 1.0, math.nan)],
+                         ids=["+inf", "-inf", "nan"])
+def test_non_finite_iterates_keep_their_error_and_message(x, g, lr):
+    # +inf, -inf and NaN iterates from finite oracle values
+    prob = _constant_problem(g)
+    state = BaselineState(x=np.array([x]), y=np.zeros(1),
+                          last_dir=np.zeros(1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError,
+                           match=r"^sgd iterate became non-finite$"):
+            sgd_step(prob, state, lr, RngStream(0))
+        with pytest.raises(NonFiniteError,
+                           match=r"^sgda iterate became non-finite$"):
+            sgda_step(prob, state, lr, 0.1, RngStream(0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_oracle_values_stop_the_baselines(bad):
+    state = BaselineState(x=np.ones(1), y=np.zeros(1), last_dir=np.zeros(1))
+    for prob, name in [(_constant_problem(bad), "phi_subgrad_x"),
+                       (_constant_problem(1.0, bad), "psi_subgrad_x")]:
+        with pytest.raises(NonFiniteError,
+                           match=rf"^{name} returned a non-finite value$"):
+            sgd_step(prob, state, 0.1, RngStream(0))
+
+
+def test_large_finite_iterates_are_accepted():
+    prob = _constant_problem(1e200, -1e200)
+    state = BaselineState(x=np.array([1e200]), y=np.zeros(1),
+                          last_dir=np.zeros(1))
+    with np.errstate(all="raise"):
+        assert sgd_step(prob, state, 0.1, RngStream(0)).x[0] == \
+            1e200 - 0.1 * 2e200
+        assert sgda_step(prob, state, 0.1, 0.1, RngStream(0)).x[0] == \
+            1e200 - 0.1 * 1e200
 
 
 def test_run_validation():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,11 @@ from dmaxopt.core import (
     ParameterError,
     ProblemConstants,
     RngStream,
+    _finite,
     as_vector,
     ball,
     box,
+    check_finite,
     contains,
     project,
     token_generator,
@@ -30,6 +33,40 @@ from dmaxopt.smag import Schedule, run
 
 # ---------------------------------------------------------------------------
 # vectors
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_keep_their_error_and_message(bad):
+    for v in ([bad], [1.0, bad, -2.0]):
+        assert not _finite(np.array(v))
+        with pytest.raises(NonFiniteError,
+                           match=r"^x0 contains non-finite entries$"):
+            as_vector(v, name="x0")
+        with pytest.raises(NonFiniteError,
+                           match=r"^prox point contains non-finite entries$"):
+            check_finite(np.array(v), "prox point")
+        n = len(v)
+        for cset in (whole_space(n), box(-np.ones(n), np.ones(n)),
+                     ball(np.zeros(n), 1.0)):
+            with pytest.raises(NonFiniteError,
+                               match=r"^point contains non-finite entries$"):
+                project(cset, v)
+
+
+def test_large_finite_entries_pass_without_a_floating_point_flag():
+    # squares of these overflow, so a sum-of-squares test would flag them
+    big = [1e200, -1.7e308, 1e-300]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert _finite(np.array(big))
+        assert _finite(np.empty(0))
+        assert _finite(np.array([0.0]))
+        assert as_vector(big).tolist() == big
+        assert as_vector([]).shape == (0,)
+        assert check_finite(np.array(big)) is not None
+        assert project(whole_space(3), big).tolist() == big
+        assert project(box(-np.ones(3), np.ones(3)), big).tolist() == \
+            [1.0, -1.0, 1e-300]
 
 
 def test_as_vector_coerces_scalars_and_lists():

@@ -252,6 +252,110 @@ def test_trace_rows_record_the_dense_objective_at_their_anchor():
             _bits(_dense_objective(anchor, data, params))
 
 
+def _dense_pair_subgrads(w, s_batch, pos_x, neg_x, rho, c):
+    """The pair subgradients as dense ``bp x bn`` formulas, for reference."""
+    hp = pos_x @ w
+    hn = neg_x @ w
+    diffs = hp[:, None] - hn[None, :]
+    resid = c - diffs
+    active = (resid * resid - s_batch[:, None]) > 0.0
+    bp, bn = pos_x.shape[0], neg_x.shape[0]
+    scale = 1.0 / (bp * rho * bn)
+    coef = np.where(active, -2.0 * resid, 0.0)
+    g_w = scale * (pos_x.T @ coef.sum(axis=1) - neg_x.T @ (coef.sum(axis=0)))
+    g_s = (1.0 - active.mean(axis=1) / rho) / bp
+    return g_w, g_s
+
+
+def _masked_sigmoid(t):
+    """The sigmoid with one ``exp`` per sign class, for reference."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
+def test_pair_subgrads_match_the_dense_formula_bit_for_bit(scale):
+    rng = np.random.default_rng(int(scale * 10))
+    for k in range(300):
+        bp, bn, dim = rng.integers(1, 80), rng.integers(1, 80), 3
+        pos = rng.normal(size=(bp, dim)) * scale
+        neg = rng.normal(size=(bn, dim)) * scale
+        w = rng.normal(size=dim)
+        if k % 4 == 0:
+            s = np.full(bp, -1.0)        # every pair active
+        elif k % 4 == 1:
+            s = np.full(bp, 1e300)       # no pair active
+        elif k % 4 == 2:
+            # thresholds on a hinge kink: the first pair of each row
+            r = 1.0 - ((pos @ w)[:, None] - (neg @ w)[None, :])
+            s = (r * r)[:, 0].copy()
+        else:
+            s = rng.normal(size=bp) * scale ** 2
+        got = pauc_module._pair_subgrads(w, s, pos, neg, 0.3, 1.0)
+        want = _dense_pair_subgrads(w, s, pos, neg, 0.3, 1.0)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        if k % 4 == 1:
+            assert np.all(got[0] == 0.0)
+
+
+def test_sigmoid_matches_the_masked_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                         745.0, -745.0, 1e308, -1e308])
+    with np.errstate(invalid="ignore"):
+        specials[1] = np.float64(np.inf) - np.inf   # the sign-set NaN
+    for k in range(200):
+        t = rng.normal(size=rng.integers(0, 300)) * 10.0 ** (k % 4)
+        if k % 3 == 0:
+            t = np.concatenate([specials, t])
+            rng.shuffle(t)
+        assert _same_bits(pauc_module._sigmoid(t), _masked_sigmoid(t))
+
+
+@pytest.mark.parametrize("block", [128, 1000, 1 << 16])
+def test_full_subgrads_match_the_dense_formula_on_edge_shapes(monkeypatch,
+                                                              block):
+    # blocks of one row, of a few rows, and a single column of many rows
+    monkeypatch.setattr(pauc_module, "_PAIR_BLOCK", block)
+    params = PaucParams(rho=0.3, c=1.0)
+    rng = np.random.default_rng(block)
+    for n_pos, n_neg in [(1, 1), (1, 3000), (3000, 1), (37, 2003),
+                         (300, 129), (130, 1)]:
+        data = _pauc_data(n_pos, n_neg, 3, seed=n_pos + n_neg)
+        pos = data.features[data.labels == 1]
+        neg = data.features[data.labels == -1]
+        for s_lo, s_hi in [(0.2, 2.0), (-3.0, -1.0), (1e6, 2e6)]:
+            x = np.concatenate([rng.normal(size=3),
+                                rng.uniform(s_lo, s_hi, size=n_pos)])
+            g_w, g_s = _dense_pair_subgrads(x[:3], x[3:], pos, neg,
+                                            params.rho, params.c)
+            assert _same_bits(pauc_full_subgrads(x, data, params),
+                              np.concatenate([g_w, g_s]))
+
+
+def test_full_subgrads_memory_stays_blocked():
+    data = synth_biased_pauc(4000, 20, seed=3)
+    params = PaucParams(rho=0.3)
+    x = np.concatenate([np.full(20, 0.1), np.ones(data.n_pos)])
+    tracemalloc.start()
+    try:
+        pauc_full_subgrads(x, data, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense n_pos x n_neg temporaries took 133 MB here
+    assert peak < 8 * 2 ** 20
+
+
 def test_primal_oracle_reproduces_the_documented_sampling():
     data = synth_biased_pauc(20, 3, seed=8)
     n_pos = data.n_pos

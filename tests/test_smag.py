@@ -1,24 +1,31 @@
 """Tests for the single-loop optimizer: schedules, step kernel, driver,
 and the potential/descent diagnostics."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from dmaxopt.baselines import run_sgd, run_sgda
 from dmaxopt.core import (
     CapabilityError,
     DMaxProblem,
     ExactAux,
+    NonFiniteError,
     ParameterError,
     ProblemConstants,
     RngStream,
     box,
 )
 from dmaxopt.problems import (
+    PaucParams,
     make_onedim_dwc,
     make_quadratic_minmax,
+    pauc_fair_problem,
     piecewise_quadratic,
+    synth_biased_pauc,
 )
 from dmaxopt.smag import (
     Schedule,
@@ -627,3 +634,188 @@ def test_initial_state_shapes_and_duals():
     from dmaxopt.core import DimensionError
     with pytest.raises(DimensionError):
         initial_state(prob, 1.5)
+
+
+def _constant_oracle_problem(g_phi, g_psi=0.0, g_y=0.0, dim=1):
+    return DMaxProblem(
+        dim_x=dim, constants=ProblemConstants(m_bound=1.0),
+        phi_subgrad_x=lambda x, y, tok: np.full(dim, g_phi),
+        phi_grad_y=lambda x, y, tok: np.full(dim, g_y),
+        psi_subgrad_x=lambda x, z, tok: np.full(dim, g_psi),
+        set_y=box(-np.ones(dim), np.ones(dim)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_oracle_values_keep_their_error_and_message(bad):
+    sched = _manual_sched(0.5, 0.005, 0.01, ALL_ONES, "dwc")
+    for dim in (1, 3):
+        for mode, prob, name in [
+                ("dwc", _constant_oracle_problem(bad, dim=dim),
+                 "phi_subgrad_x"),
+                ("dwc", _constant_oracle_problem(1.0, bad, dim=dim),
+                 "psi_subgrad_x"),
+                ("minmax", _constant_oracle_problem(1.0, g_y=bad, dim=dim),
+                 "phi_grad_y")]:
+            state = initial_state(prob, np.ones(dim))
+            with pytest.raises(NonFiniteError,
+                               match=rf"^{name} returned a non-finite value$"):
+                step(prob, state, sched, RngStream(0), mode)
+
+
+@pytest.mark.parametrize("x0, g, scale", [(1e308, -1e308, 1e10),
+                                          (-1e308, 1e308, 1e10),
+                                          (1.0, 1.0, math.nan)],
+                         ids=["+inf", "-inf", "nan"])
+def test_non_finite_anchor_keeps_its_error_and_message(x0, g, scale):
+    # +inf, -inf and NaN anchors from finite oracle values
+    prob = _constant_oracle_problem(g)
+    sched = _manual_sched(0.5, 0.005, 0.01, ALL_ONES, "dwc")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match=r"^anchor iterate became non-finite$"):
+        step(prob, initial_state(prob, x0), sched, RngStream(0), "dwc",
+             lr_scale=scale)
+
+
+def test_large_finite_oracle_values_and_anchors_are_accepted():
+    # squares of 1e200 overflow; the step must still take them
+    prob = _constant_oracle_problem(1e200, -1e200, dim=2)
+    sched = _manual_sched(0.5, 0.005, 0.01, ALL_ONES, "dwc")
+    with np.errstate(all="raise"):
+        nxt = step(prob, initial_state(prob, [1e200, 0.0]), sched,
+                   RngStream(0), "dwc")
+    assert np.all(np.isfinite(nxt.x)) and abs(nxt.x[0]) > 1e199
+
+
+# ---------------------------------------------------------------------------
+# golden digests: whole runs pinned to the bit
+
+
+def _digest(res) -> str:
+    """sha256 of everything deterministic a run returns: each trace row
+    but its wall time, the final state, the output iterates and the abort
+    reason."""
+    h = hashlib.sha256()
+
+    def arr(v):
+        if v is None:
+            h.update(b"None")
+            return
+        v = np.asarray(v)
+        h.update(f"{v.dtype.str}{v.shape}".encode())
+        h.update(v.tobytes())
+
+    for r in res.records:
+        h.update(struct.pack("<qdddq", r.t, r.objective, r.stationarity,
+                             r.p_t, r.seed))
+    fs = res.final_state
+    for name in ("x", "x_phi", "x_psi", "y", "z", "last_g", "last_dir"):
+        if hasattr(fs, name):
+            arr(getattr(fs, name))
+    h.update(repr((fs.t, res.aborted, res.abort_reason)).encode())
+    for name in ("t_bar", "x_bar", "candidate", "returned", "x_psi_bar"):
+        if hasattr(res, name):
+            v = getattr(res, name)
+            arr(v) if not isinstance(v, int) else h.update(repr(v).encode())
+    return h.hexdigest()
+
+
+def _golden_runs():
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    dwc3 = make_onedim_dwc(1.0, 0.5, kappa_phi=0.2, center_psi=0.3,
+                           noise_sigma=0.2, dim=3)
+    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
+    pauc_data = synth_biased_pauc(60, 4, seed=5)
+    pauc = pauc_fair_problem(pauc_data, PaucParams(
+        alpha_fair=0.5, batch_pos=8, batch_neg=8, batch_attr=8))
+
+    def sched(prob, mode, t_total, eta0=0.005, eta1=0.01):
+        return Schedule.from_manual(0.5, eta0, eta1, t_total,
+                                    prob.constants, mode=mode)
+
+    def anchor_blows_up():
+        # finite oracles near the top of the float range: the inner
+        # iterates overflow on the second step, then the anchor follows
+        prob = DMaxProblem(
+            dim_x=1, constants=ProblemConstants(m_bound=1.0),
+            phi_subgrad_x=lambda x, y, tok: np.full(1, -1e308),
+            psi_subgrad_x=lambda x, z, tok: np.full(1, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(prob, "dwc", sched(prob, "dwc", 10, 0.05, 0.2),
+                       RngStream(0), x0=1.5e308)
+
+    def oracle_goes_nan():
+        calls = {"n": 0}
+
+        def phi(x, y, tok):
+            calls["n"] += 1
+            return np.array([math.nan if calls["n"] > 7 else 1.0, 0.5])
+
+        prob = DMaxProblem(
+            dim_x=2, constants=ProblemConstants(m_bound=1.0),
+            phi_subgrad_x=phi, psi_subgrad_x=lambda x, z, tok: np.zeros(2))
+        return run(prob, "dwc", sched(prob, "dwc", 20), RngStream(4))
+
+    return {
+        "dwc-exact-decay": lambda: run(
+            dwc, "dwc", sched(dwc, "dwc", 400), RngStream(7), x0=2.0,
+            trace_every=1, decay_milestones=(100, 250), decay_factor=3.0,
+            exact_metrics=True),
+        "dwc-estimate-shared": lambda: run(
+            dwc3, "dwc", sched(dwc3, "dwc", 300), RngStream(8),
+            x0=np.array([2.0, -1.0, 0.5]), trace_every=1,
+            exact_metrics=False, shared_sample=True),
+        "dmax-onedim": lambda: run(
+            dwc3, "dmax", sched(dwc3, "dwc", 300), RngStream(9),
+            x0=np.array([1.0, -2.0, 0.25]), trace_every=1,
+            decay_milestones=(50,)),
+        "dmax-quadratic": lambda: run(
+            quad, "dmax", sched(quad, "dwc", 300, 0.01, 0.05), RngStream(10),
+            x0=np.full(3, 1.5), trace_every=1),
+        "minmax-exact-decay": lambda: run(
+            quad, "minmax", sched(quad, "minmax", 400, 0.01, 0.05),
+            RngStream(11), x0=np.array([1.5, -0.5, 3.0]), trace_every=1,
+            decay_milestones=(150, 300), decay_factor=2.0),
+        "minmax-pauc": lambda: run(
+            pauc, "minmax", sched(pauc, "minmax", 60, 0.005, 0.02),
+            RngStream(12), trace_every=1),
+        "abort-anchor": anchor_blows_up,
+        "abort-oracle": oracle_goes_nan,
+        "sgd-decay": lambda: run_sgd(
+            dwc3, 0.01, 300, RngStream(13), x0=np.array([2.0, 0.0, -1.0]),
+            trace_every=1, decay_milestones=(100, 200), decay_factor=2.0),
+        "sgda-shared": lambda: run_sgda(
+            quad, 0.02, 0.05, 300, RngStream(14), x0=np.full(3, -1.0),
+            trace_every=1, decay_milestones=(120,), shared_sample=True),
+    }
+
+
+# sha256 of each run in ``_golden_runs``, recorded before the step kernel,
+# driver loop and trace rows were trimmed for speed; any change to a bit of
+# a trajectory, a trace row or an abort reason changes them.
+GOLDEN = {
+    "abort-anchor":
+        "4ccc794f023af1c1ecb637d62582b46cc0717e3aa93e71e25d0dfe9d06be745b",
+    "abort-oracle":
+        "5a4fe189a9eef0ecc451a2250abd447947188198a35ac150d89a782cdc3a07a1",
+    "dmax-onedim":
+        "83fed4a7291f363c929d19e7f7b5016ac1355e954cfe26c5e64e6db3877a2d01",
+    "dmax-quadratic":
+        "b5f8318f985f899aca2fa123500022ef632b7c56b686f0fd82adb0f381fd8934",
+    "dwc-estimate-shared":
+        "6a74d32a2ec5520b0099dd38f012c092fef8132ba290b39645e355a28abce322",
+    "dwc-exact-decay":
+        "5440cc8ca58d5196929d3f12d955dd72909e9285ddbb14c19ec178d15127ea72",
+    "minmax-exact-decay":
+        "7b24856a54b54366479db6808de85dded934dac8bd881fe3ce07b2a859a9d364",
+    "minmax-pauc":
+        "a9530f2642f416765bf7588d7544de467042f45ddccde90ca5db578c476724e3",
+    "sgd-decay":
+        "df649e4af97dc18b0d407c37d17a8e9188e082002af2b4ceddbab0aab439fae1",
+    "sgda-shared":
+        "503d678c337e62333127ef7da03347d52bf1d80d02512c58fb80208f5b80cc99",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_runs_match_their_golden_digests(case):
+    assert _digest(_golden_runs()[case]()) == GOLDEN[case]

@@ -41,6 +41,7 @@ from .smag import (
     initial_state,
     potential_diagnostic,
     run,
+    run_batch,
     schedule_from_theory,
     step,
     step_diagnostics,
@@ -82,6 +83,7 @@ __all__ = [
     "initial_state",
     "potential_diagnostic",
     "run",
+    "run_batch",
     "schedule_from_theory",
     "step",
     "step_diagnostics",

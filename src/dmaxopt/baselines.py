@@ -19,13 +19,20 @@ import numpy as np
 from .core import (
     CapabilityError,
     DMaxProblem,
-    NonFiniteError,
     ParameterError,
     RngStream,
-    _finite,
     project,
 )
-from .smag import _drive, _norm, _oracle_vec, initial_state
+from .smag import (
+    _Feed,
+    _drive,
+    _keep,
+    _norm,
+    _one_step,
+    _stack,
+    _streams,
+    initial_state,
+)
 
 __all__ = [
     "BaselineState",
@@ -44,50 +51,76 @@ class BaselineState:
     t: int = 0
 
 
-def sgd_step(problem: DMaxProblem, state: BaselineState, lr: float,
-             rng: RngStream, *, shared_sample: bool = False) -> BaselineState:
-    """One step of x <- x - lr (g_phi - g_psi) with independent samples per
-    component (or one shared sample when ``shared_sample`` is set)."""
+def _sgd_kernel(problem: DMaxProblem, st: BaselineState, lr: float,
+                feed) -> BaselineState:
+    dim = problem.dim_x
+    x, y = st.x, st.y
+    g_phi, keep = feed.grad(0, x, y, dim, "phi_subgrad_x")
+    if keep is not None:
+        x, y = _keep(keep, x, y)
+    g_psi, keep = feed.grad(1, x, None, dim, "psi_subgrad_x")
+    if keep is not None:
+        x, y, g_phi = _keep(keep, x, y, g_phi)
+    direction = g_phi - g_psi
+    x_new = x - lr * direction
+    keep = feed.check(x_new, "sgd iterate became non-finite")
+    if keep is not None:
+        x_new, y, direction = _keep(keep, x_new, y, direction)
+    return BaselineState(x=x_new, y=y, last_dir=direction, t=st.t + 1)
+
+
+def _sgda_kernel(problem: DMaxProblem, st: BaselineState, lr_x: float,
+                 lr_y: float, feed) -> BaselineState:
+    x, y = st.x, st.y
+    g_x, keep = feed.grad(0, x, y, problem.dim_x, "phi_subgrad_x")
+    if keep is not None:
+        x, y = _keep(keep, x, y)
+    g_y, keep = feed.grad(1, x, y, y.shape[1], "phi_grad_y")
+    if keep is not None:
+        x, y, g_x = _keep(keep, x, y, g_x)
+    x_new = x - lr_x * g_x
+    y_new, keep = feed.project(project, problem.set_y, y + lr_y * g_y)
+    if keep is not None:
+        x_new, g_x = _keep(keep, x_new, g_x)
+    keep = feed.check(x_new, "sgda iterate became non-finite")
+    if keep is not None:
+        x_new, y_new, g_x = _keep(keep, x_new, y_new, g_x)
+    return BaselineState(x=x_new, y=y_new, last_dir=g_x, t=st.t + 1)
+
+
+def _sgd_oracles(problem: DMaxProblem) -> list:
     if problem.psi_subgrad_x is None:
         raise CapabilityError("sgd baseline needs both component oracles")
-    t0, t1 = rng.draw_many(2).tolist()
-    if shared_sample:
-        t1 = t0
-    dim = problem.dim_x
-    g_phi = _oracle_vec(problem.phi_subgrad_x(state.x, state.y, t0), dim,
-                        "phi_subgrad_x")
-    g_psi = _oracle_vec(problem.psi_subgrad_x(state.x, None, t1), dim,
-                        "psi_subgrad_x")
-    direction = g_phi - g_psi
-    x_new = state.x - lr * direction
-    if not _finite(x_new):
-        raise NonFiniteError("sgd iterate became non-finite")
-    return BaselineState(x=x_new, y=state.y, last_dir=direction,
-                         t=state.t + 1)
+    return [problem.phi_subgrad_x, problem.psi_subgrad_x]
 
 
-def sgda_step(problem: DMaxProblem, state: BaselineState, lr_x: float,
-              lr_y: float, rng: RngStream,
-              *, shared_sample: bool = False) -> BaselineState:
-    """One simultaneous descent-ascent step; both gradients are evaluated at
-    the pre-update pair (x, y)."""
+def _sgda_oracles(problem: DMaxProblem, state: BaselineState) -> list:
     if problem.phi_grad_y is None or problem.set_y is None:
         raise CapabilityError("sgda baseline needs a dual oracle and set")
     if state.y is None:
         raise ParameterError("sgda state has no dual iterate")
-    t0, t1 = rng.draw_many(2).tolist()
-    if shared_sample:
-        t1 = t0
-    dim = problem.dim_x
-    g_x = _oracle_vec(problem.phi_subgrad_x(state.x, state.y, t0), dim,
-                      "phi_subgrad_x")
-    g_y = _oracle_vec(problem.phi_grad_y(state.x, state.y, t1),
-                      state.y.shape[0], "phi_grad_y")
-    x_new = state.x - lr_x * g_x
-    y_new = project(problem.set_y, state.y + lr_y * g_y)
-    if not _finite(x_new):
-        raise NonFiniteError("sgda iterate became non-finite")
-    return BaselineState(x=x_new, y=y_new, last_dir=g_x, t=state.t + 1)
+    return [problem.phi_subgrad_x, problem.phi_grad_y]
+
+
+def sgd_step(problem: DMaxProblem, state: BaselineState, lr: float,
+             rng, *, shared_sample: bool = False) -> BaselineState:
+    """One step of x <- x - lr (g_phi - g_psi) with independent samples per
+    component (or one shared sample when ``shared_sample`` is set).  A
+    state with a leading seed axis steps its rows in lockstep, with
+    ``rng`` a sequence of one stream per row."""
+    return _one_step(lambda st, feed: _sgd_kernel(problem, st, lr, feed),
+                     state, rng, _sgd_oracles(problem), shared_sample)
+
+
+def sgda_step(problem: DMaxProblem, state: BaselineState, lr_x: float,
+              lr_y: float, rng,
+              *, shared_sample: bool = False) -> BaselineState:
+    """One simultaneous descent-ascent step; both gradients are evaluated at
+    the pre-update pair (x, y).  Stacked states step as in
+    :func:`sgd_step`."""
+    return _one_step(
+        lambda st, feed: _sgda_kernel(problem, st, lr_x, lr_y, feed),
+        state, rng, _sgda_oracles(problem, state), shared_sample)
 
 
 @dataclass
@@ -98,52 +131,61 @@ class BaselineResult:
     abort_reason: str = ""
 
 
-def _run(problem: DMaxProblem, advance, t_total: int, x0,
-         **loop) -> BaselineResult:
-    """Drive ``advance`` from ``x0`` and the projected dual origin."""
+def _run(problem: DMaxProblem, oracles, kernel, t_total: int, rng, x0, *,
+         seed_label, shared_sample: bool, **loop):
+    """Drive ``kernel`` from ``x0`` and the projected dual origin, for one
+    stream or, in lockstep, for each stream of a sequence."""
+    rngs, labels = _streams(rng, seed_label)
     start = initial_state(problem, x0)
-    state, records, reason = _drive(
-        problem, BaselineState(x=start.x, y=start.y, last_dir=start.last_g),
-        t_total, advance, _direction_norm, **loop)
-    return BaselineResult(records=records, final_state=state,
-                          aborted=reason is not None,
-                          abort_reason=reason or "")
+    state = BaselineState(x=start.x, y=start.y, last_dir=start.last_g)
+    feed = _Feed(rngs, oracles(state), shared_sample)
+    finals, records, reasons = _drive(
+        problem, _stack(state, len(rngs)), t_total,
+        lambda st, scale: kernel(st, scale, feed), feed, _direction_norm,
+        seed_labels=labels, **loop)
+    res = [BaselineResult(records=rec, final_state=fs,
+                          aborted=why is not None, abort_reason=why or "")
+           for fs, rec, why in zip(finals, records, reasons)]
+    return res[0] if isinstance(rng, RngStream) else res
 
 
-def _direction_norm(prev: BaselineState, state: BaselineState):
-    return _norm(state.last_dir), math.nan
+def _direction_norm(prev: BaselineState, state: BaselineState, j: int,
+                    i: int):
+    return _norm(state.last_dir[j]), math.nan
 
 
-def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng: RngStream,
-            x0=None, *, trace_every: int = 1, seed_label: int = 0,
+def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
+            x0=None, *, trace_every: int = 1, seed_label=0,
             decay_milestones: Sequence[int] = (), decay_factor: float = 10.0,
-            shared_sample: bool = False) -> BaselineResult:
-    """Run the difference-of-subgradients baseline for ``t_total`` steps."""
+            shared_sample: bool = False):
+    """Run the difference-of-subgradients baseline for ``t_total`` steps.
+
+    With a sequence of streams for ``rng`` (and of labels for
+    ``seed_label``) the seeds run in lockstep, as in
+    :func:`dmaxopt.smag.run_batch`, and a list of results comes back.
+    """
     if lr <= 0:
         raise ParameterError("lr must be positive")
-
-    def stepper(state: BaselineState, scale: float) -> BaselineState:
-        return sgd_step(problem, state, lr * scale, rng,
-                        shared_sample=shared_sample)
-
-    return _run(problem, stepper, t_total, x0, trace_every=trace_every,
-                seed_label=seed_label, decay_milestones=decay_milestones,
-                decay_factor=decay_factor)
+    return _run(problem, lambda st: _sgd_oracles(problem),
+                lambda st, scale, feed: _sgd_kernel(problem, st, lr * scale,
+                                                    feed),
+                t_total, rng, x0, seed_label=seed_label,
+                shared_sample=shared_sample, trace_every=trace_every,
+                decay_milestones=decay_milestones, decay_factor=decay_factor)
 
 
 def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
-             rng: RngStream, x0=None, *, trace_every: int = 1,
-             seed_label: int = 0, decay_milestones: Sequence[int] = (),
+             rng, x0=None, *, trace_every: int = 1,
+             seed_label=0, decay_milestones: Sequence[int] = (),
              decay_factor: float = 10.0,
-             shared_sample: bool = False) -> BaselineResult:
-    """Run simultaneous stochastic gradient descent-ascent."""
+             shared_sample: bool = False):
+    """Run simultaneous stochastic gradient descent-ascent; a sequence of
+    streams runs in lockstep as in :func:`run_sgd`."""
     if lr_x <= 0 or lr_y <= 0:
         raise ParameterError("step sizes must be positive")
-
-    def stepper(state: BaselineState, scale: float) -> BaselineState:
-        return sgda_step(problem, state, lr_x * scale, lr_y * scale, rng,
-                         shared_sample=shared_sample)
-
-    return _run(problem, stepper, t_total, x0, trace_every=trace_every,
-                seed_label=seed_label, decay_milestones=decay_milestones,
-                decay_factor=decay_factor)
+    return _run(problem, lambda st: _sgda_oracles(problem, st),
+                lambda st, scale, feed: _sgda_kernel(
+                    problem, st, lr_x * scale, lr_y * scale, feed),
+                t_total, rng, x0, seed_label=seed_label,
+                shared_sample=shared_sample, trace_every=trace_every,
+                decay_milestones=decay_milestones, decay_factor=decay_factor)

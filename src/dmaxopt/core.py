@@ -140,17 +140,28 @@ def ball(center, radius: float) -> ConstraintSet:
                          radius=float(radius))
 
 
+# numpy's clip ufunc; ``np.clip`` reaches it through two Python wrappers.
+_clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
+
+
 def project(cset: ConstraintSet, v) -> np.ndarray:
     """Euclidean projection of ``v`` onto ``cset``.
 
-    Idempotent and 1-Lipschitz; the result always lies in the set.
+    Idempotent and 1-Lipschitz; the result always lies in the set.  ``v``
+    may also be an ``(S, dim)`` stack of points, projected row by row.
     """
-    v = as_vector(v, dim=cset.dim, name="point")
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 2 and v.shape[1] == cset.dim:
+        check_finite(v, "point")
+    else:
+        v = as_vector(v, dim=cset.dim, name="point")
     if cset.kind == "whole-space":
         return v
     if cset.kind == "box":
-        return np.clip(v, cset.lo, cset.hi)
+        return _clip(v, cset.lo, cset.hi)
     if cset.kind == "ball":
+        if v.ndim == 2:
+            return np.array([project(cset, r) for r in v]).reshape(v.shape)
         u = v - cset.center
         nrm = float(np.linalg.norm(u))
         if nrm <= cset.radius:
@@ -258,6 +269,12 @@ class RngStream:
         self.counter += n
         return self._take(n).copy()
 
+    def _put_back(self, n: int) -> None:
+        """Return the last ``n`` tokens of the latest ``draw_many`` to the
+        stream, as if they had never been drawn."""
+        self._pos -= n
+        self.counter -= n
+
     def integers(self, low: int, high: int) -> int:
         """Draw one integer uniformly from ``[low, high)``, advancing the stream."""
         self._rewind()
@@ -308,6 +325,82 @@ def token_generator(token: int, salt: int = _TOKEN_SALT) -> np.random.Generator:
                 key=np.array(key, dtype=np.uint64))
             _philox_free_refs = sys.getrefcount(bg)
         return np.random.Generator(bg)
+
+
+# Philox4x64-10 multipliers and key increments (Salmon et al., "Parallel
+# Random Numbers: As Easy as 1, 2, 3", SC 2011).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_zig = None  # numpy's ziggurat tables (wi, ki), read on first use
+
+
+def _mulhilo(a: np.ndarray, m: int):
+    """High and low 64-bit words of ``a * m`` for a ``uint64`` array."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LOW32, a >> _S32
+    # Schoolbook product of 32-bit halves; no partial sum overflows.
+    u = a_hi * m_lo
+    u += (a_lo * m_lo) >> _S32
+    w = a_lo * m_hi
+    w += u & _LOW32
+    hi = a_hi * m_hi
+    hi += u >> _S32
+    hi += w >> _S32
+    return hi, a * np.uint64(m)
+
+
+def _philox_words(keys: np.ndarray, blocks: int,
+                  salt: int = _TOKEN_SALT) -> np.ndarray:
+    """The first ``4 * blocks`` words of ``Philox(key=[k, salt]).random_raw``
+    for each key ``k``, as an ``(n, 4 * blocks)`` array.  Block ``b`` is
+    the 4-word output of counter ``b``: numpy increments the counter
+    before it generates, so the first block has counter 1."""
+    n = keys.shape[0]
+    k0, k1 = keys.copy(), salt
+    x0 = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64)[:, None], n,
+                   axis=1)
+    x1 = x2 = x3 = np.zeros_like(x0)
+    for rnd in range(10):
+        if rnd:
+            k0 += np.uint64(_PHILOX_W[0])
+            k1 = (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+        hi1 ^= x1
+        hi1 ^= k0
+        hi0 ^= x3
+        hi0 ^= np.uint64(k1)
+        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
+    return np.stack([x0, x1, x2, x3], axis=2).transpose(1, 0, 2).reshape(
+        n, 4 * blocks)
+
+
+def _normals(tokens, d: int) -> np.ndarray:
+    """``token_generator(t).standard_normal(d)`` for every token ``t``,
+    stacked as an ``(n, d)`` array, bit for bit.
+
+    Each draw of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw.
+    2000) reads one raw Philox word and returns ``+-rabs * wi[idx]`` when
+    ``rabs < ki[idx]``.  That fast path is realized here for all tokens at
+    once; a token with a rejection in any of its ``d`` draws is realized
+    whole by the scalar generator.
+    """
+    global _zig
+    if _zig is None:
+        from ._ziggurat import tables
+        _zig = tables()
+    wi, ki = _zig
+    keys = np.asarray(tokens, dtype=np.uint64).reshape(-1)
+    raw = _philox_words(keys, -(-d // 4))[:, :d]
+    idx = (raw & np.uint64(0xFF)).astype(np.intp)
+    rabs = (raw >> np.uint64(9)) & np.uint64(0xFFFFFFFFFFFFF)
+    out = rabs.astype(np.float64) * wi[idx]
+    np.negative(out, out=out, where=(raw & np.uint64(0x100)).astype(bool))
+    for i in np.flatnonzero(~(rabs < ki[idx]).all(axis=1)).tolist():
+        out[i] = token_generator(int(keys[i])).standard_normal(d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +540,7 @@ class DMaxProblem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """One trace row emitted by a run.
 

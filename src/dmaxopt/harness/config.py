@@ -84,6 +84,11 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _is_int(v) -> bool:
+    """An integer in JSON's sense: ``true`` and ``1.5`` are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Validated view of a ``run`` config."""
@@ -99,6 +104,8 @@ class ExperimentConfig:
     decay_milestones: list = field(default_factory=list)
     decay_factor: float = 10.0
     shared_sample: bool = False
+    # Accepted and hashed for existing configs; seeds run in lockstep in
+    # one process whatever it says.
     workers: int = 1
     exact_metrics: Optional[bool] = None
     lr: Optional[float] = None
@@ -129,17 +136,17 @@ class ExperimentConfig:
         if not isinstance(self.problem, dict) or "kind" not in self.problem:
             raise ParameterError("problem must be an object with a 'kind'")
         if (not isinstance(self.seeds, list) or not self.seeds
-                or not all(isinstance(s, int) and s >= 0 for s in self.seeds)):
+                or not all(_is_int(s) and s >= 0 for s in self.seeds)):
             raise ParameterError("seeds must be a non-empty list of "
                                  "nonnegative integers")
         if len(set(self.seeds)) != len(self.seeds):
             raise ParameterError("seeds must be distinct")
-        if not isinstance(self.t_total, int) or self.t_total < 0:
+        if not _is_int(self.t_total) or self.t_total < 0:
             raise ParameterError("t_total must be a nonnegative integer")
-        if self.trace_every < 1:
-            raise ParameterError("trace_every must be >= 1")
-        if self.workers < 0:
-            raise ParameterError("workers must be >= 0 (0 = one per seed)")
+        if not _is_int(self.trace_every) or self.trace_every < 1:
+            raise ParameterError("trace_every must be an integer >= 1")
+        if not _is_int(self.workers) or self.workers < 0:
+            raise ParameterError("workers must be an integer >= 0")
         if self.decay_factor <= 0:
             raise ParameterError("decay_factor must be positive")
         if self.algorithm.startswith("smag"):

@@ -1,11 +1,12 @@
 """Deterministic experiment runner: per-seed trace CSVs plus a summary.
 
-Each seed is an independent unit of work (the problem is rebuilt from the
-config inside the worker), so dispatching seeds to a process pool changes
-nothing about the numbers.  Trace files carry ``#`` metadata lines (config
-hash, seed, algorithm, metric provenance) above a fixed CSV header; the
-``elapsed_ms`` column is wall-clock and is the only column exempt from
-bit-identity guarantees.
+All seeds of a config run in one process, in lockstep: one batched call
+steps them together (see :func:`dmaxopt.smag.run_batch`), and each seed's
+numbers are bit-identical to a solo run of that seed.  Trace files carry
+``#`` metadata lines (config hash, seed, algorithm, metric provenance)
+above a fixed CSV header; the ``elapsed_ms`` column is wall-clock (the
+batch's shared clock) and is the only column exempt from bit-identity
+guarantees.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,20 +57,19 @@ class ExperimentResult:
 
 
 def _fmt(v: float) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return ""
-    return format(v, ".17g")
+    # v != v only for NaN
+    return "" if v is None or v != v else format(v, ".17g")
 
 
 def _write_trace(path: str, meta: dict, records) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, val in meta.items():
             fh.write(f"# {key}: {val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for r in records:
-            writer.writerow([r.t, _fmt(r.objective), _fmt(r.stationarity),
-                             _fmt(r.p_t), _fmt(r.elapsed_ms), r.seed])
+        csv.writer(fh).writerow(TRACE_HEADER)
+        # The rows as csv.writer writes them: no field needs quoting.
+        fh.writelines(f"{r.t},{_fmt(r.objective)},{_fmt(r.stationarity)},"
+                      f"{_fmt(r.p_t)},{_fmt(r.elapsed_ms)},{r.seed}\r\n"
+                      for r in records)
 
 
 def read_trace(path: str):
@@ -116,17 +115,17 @@ def trace_payload(path: str):
     return meta, rows
 
 
-def _run_single(raw_cfg: dict, seed: int):
-    """Worker entry point: rebuild everything from the raw config and run
-    one seed.  Returns (records, final_metrics, aborted, reason, meta)."""
-    cfg = ExperimentConfig.from_dict(raw_cfg)
+def _run_seeds(cfg: ExperimentConfig, cfg_hash: str) -> list:
+    """Build the problem once and run every seed of the config in one
+    lockstep call.  Returns, per seed, (records, final_metrics, aborted,
+    meta)."""
     problem = build_problem(cfg.problem)
     mode = mode_for_algorithm(cfg.algorithm)
     x0 = cfg.x0
     if isinstance(x0, (int, float)):
         x0 = np.full(problem.dim_x, float(x0))
-    rng = RngStream(seed)
-    common = dict(x0=x0, trace_every=cfg.trace_every, seed_label=seed,
+    rngs = [RngStream(seed) for seed in cfg.seeds]
+    common = dict(x0=x0, trace_every=cfg.trace_every, seed_label=cfg.seeds,
                   decay_milestones=tuple(cfg.decay_milestones),
                   decay_factor=cfg.decay_factor,
                   shared_sample=cfg.shared_sample)
@@ -136,36 +135,40 @@ def _run_single(raw_cfg: dict, seed: int):
             raise ParameterError(
                 f"schedule t_total {sched.t_total} != config t_total "
                 f"{cfg.t_total}")
-        res = smag_run(problem, mode, sched, rng,
-                       exact_metrics=cfg.exact_metrics, **common)
+        results = smag_run(problem, mode, sched, rngs,
+                           exact_metrics=cfg.exact_metrics, **common)
         # run() raised above if exact metrics were forced but unavailable.
         exact = (cfg.exact_metrics is not False
                  and not _missing_maps(problem, mode))
         stat_kind = "exact-envelope-grad" if exact else "step-estimate"
     elif cfg.algorithm == "sgd":
-        res = run_sgd(problem, cfg.lr, cfg.t_total, rng, **common)
+        results = run_sgd(problem, cfg.lr, cfg.t_total, rngs, **common)
         stat_kind = "step-direction-norm"
     else:
-        res = run_sgda(problem, cfg.lr, cfg.lr_y, cfg.t_total, rng, **common)
+        results = run_sgda(problem, cfg.lr, cfg.lr_y, cfg.t_total, rngs,
+                           **common)
         stat_kind = "step-direction-norm"
-    last = res.records[-1] if res.records else None
-    final = {"objective": last.objective if last else math.nan,
-             "stationarity": last.stationarity if last else math.nan}
-    if mode is not None:
-        final["t_bar"] = res.t_bar
-    meta = {
-        "format": "dmaxopt-trace v1",
-        "config_hash": config_hash(raw_cfg),
-        "algorithm": cfg.algorithm,
-        "seed": seed,
-        "problem": cfg.problem.get("kind"),
-        "stationarity": stat_kind,
-        "objective": ("full-data" if problem.full_objective is not None
-                      else "unavailable"),
-    }
-    if res.aborted:
-        meta["aborted"] = res.abort_reason
-    return res.records, final, res.aborted, res.abort_reason, meta
+    out = []
+    for seed, res in zip(cfg.seeds, results):
+        last = res.records[-1] if res.records else None
+        final = {"objective": last.objective if last else math.nan,
+                 "stationarity": last.stationarity if last else math.nan}
+        if mode is not None:
+            final["t_bar"] = res.t_bar
+        meta = {
+            "format": "dmaxopt-trace v1",
+            "config_hash": cfg_hash,
+            "algorithm": cfg.algorithm,
+            "seed": seed,
+            "problem": cfg.problem.get("kind"),
+            "stationarity": stat_kind,
+            "objective": ("full-data" if problem.full_objective is not None
+                          else "unavailable"),
+        }
+        if res.aborted:
+            meta["aborted"] = res.abort_reason
+        out.append((res.records, final, res.aborted, meta))
+    return out
 
 
 def run_experiment(config, output_root: Optional[str] = None
@@ -173,10 +176,10 @@ def run_experiment(config, output_root: Optional[str] = None
     """Run every seed of a config, writing traces and a summary CSV.
 
     ``config`` is a raw dict (as loaded from JSON) or an
-    :class:`ExperimentConfig`.  Seeds run in a process pool when
-    ``workers`` allows (0 means one worker per seed); numerical output is
-    identical either way.  If any seed aborts on a non-finite value the
-    traces are still written and :class:`RunAborted` is raised at the end.
+    :class:`ExperimentConfig`.  The seeds run in lockstep in this process;
+    ``workers`` is validated and hashed with the config but starts no
+    processes.  If any seed aborts on a non-finite value the traces are
+    still written and :class:`RunAborted` is raised at the end.
     """
     if isinstance(config, ExperimentConfig):
         raw_cfg = config.raw
@@ -214,24 +217,11 @@ def run_experiment(config, output_root: Optional[str] = None
                                 trace_paths=trace_paths, finals={},
                                 aborted_seeds=[], cfg_hash=cfg_hash)
 
-    n_workers = cfg.workers if cfg.workers > 0 else len(cfg.seeds)
-    n_workers = min(n_workers, len(cfg.seeds), os.cpu_count() or 1)
-    results = {}
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = {seed: pool.submit(_run_single, raw_cfg, seed)
-                       for seed in cfg.seeds}
-            for seed, fut in futures.items():
-                results[seed] = fut.result()
-    else:
-        for seed in cfg.seeds:
-            results[seed] = _run_single(raw_cfg, seed)
-
     trace_paths = {}
     finals = {}
     aborted_seeds = []
-    for seed in cfg.seeds:
-        records, final, aborted, reason, meta = results[seed]
+    for seed, (records, final, aborted, meta) in zip(
+            cfg.seeds, _run_seeds(cfg, cfg_hash)):
         path = os.path.join(out_dir, f"trace_seed{seed}.csv")
         _write_trace(path, meta, records)
         trace_paths[seed] = path

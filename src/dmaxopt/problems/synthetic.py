@@ -21,6 +21,8 @@ from ..core import (
     FunctionOracle,
     ParameterError,
     ProblemConstants,
+    _clip,
+    _normals,
     box,
     token_generator,
 )
@@ -63,7 +65,8 @@ def piecewise_quadratic(a: float = 1.0, center: float = 0.0,
     delta = max(0.0, -kappa)
 
     def value(u: np.ndarray) -> float:
-        return a * float(np.abs(u - c).sum()) + 0.5 * kappa * float(u @ u)
+        return (a * float(np.add.reduce(np.abs(u - c), axis=None))
+                + 0.5 * kappa * float(u @ u))
 
     # u - (+0.0) is u to the bit (also for u = -0.0), so a centre at +0.0
     # needs no shift; a centre at -0.0 would turn u = -0.0 into +0.0.
@@ -96,6 +99,35 @@ def _noisy(g: np.ndarray, sigma: float, token: int) -> np.ndarray:
     if sigma == 0.0:
         return g
     return g + sigma * token_generator(token).standard_normal(g.shape[0])
+
+
+class _NoisyOracle:
+    """The stochastic oracle ``g(x, dual) + sigma * N(0, I_dim)``, its
+    noise realized from the sample token (none when ``sigma`` is 0).
+
+    It is called per seed as ``(x, dual, token)``.  For seeds in lockstep
+    it splits in two: ``sample(tokens)`` realizes the noise of many tokens
+    in bulk, and ``grad(x, dual, noise)`` is deterministic on ``(S, dim)``
+    stacks.  Both paths give the same bits.
+    """
+
+    def __init__(self, g, sigma: float, dim: int):
+        self.g, self.sigma, self.dim = g, sigma, dim
+
+    def __call__(self, x, dual, token):
+        return _noisy(self.g(x, dual), self.sigma, token)
+
+    def sample(self, tokens) -> Optional[np.ndarray]:
+        return None if self.sigma == 0.0 else _normals(tokens, self.dim)
+
+    def grad(self, x, dual, noise):
+        g = self.g(x, dual)
+        return g if noise is None else g + self.sigma * noise
+
+
+def _zero_dual_grad(x, dual):
+    """The zero gradient of a frozen one-dimensional dual."""
+    return np.zeros(x.shape[:-1] + (1,))
 
 
 def _dummy_dual() -> ConstraintSet:
@@ -132,14 +164,7 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
     psi = piecewise_quadratic(b, center_psi, kappa_psi)
     sigma = float(noise_sigma)
 
-    def phi_subgrad_x(x, y, token):
-        return _noisy(phi.subgrad(x), sigma, token)
-
-    def psi_subgrad_x(x, z, token):
-        return _noisy(psi.subgrad(x), sigma, token)
-
-    def zero_dual_grad(x, dual, token):
-        return np.zeros(1)
+    zero_dual_grad = _NoisyOracle(_zero_dual_grad, 0.0, 1)
 
     if m_bound is None:
         # Declared for a |x| <= 5 operating region, not verified globally.
@@ -160,9 +185,9 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
     return DMaxProblem(
         dim_x=dim,
         constants=constants,
-        phi_subgrad_x=phi_subgrad_x,
+        phi_subgrad_x=_NoisyOracle(lambda x, y: phi.subgrad(x), sigma, dim),
         phi_grad_y=zero_dual_grad,
-        psi_subgrad_x=psi_subgrad_x,
+        psi_subgrad_x=_NoisyOracle(lambda x, z: psi.subgrad(x), sigma, dim),
         psi_grad_z=zero_dual_grad,
         set_y=_dummy_dual(),
         set_z=_dummy_dual(),
@@ -181,10 +206,12 @@ def _huber_oracle(dim: int) -> FunctionOracle:
     def value(u: np.ndarray) -> float:
         au = np.abs(u)
         inner = au <= 1.0
-        return float(np.where(inner, 0.5 * u * u, au - 0.5).sum())
+        # np.add.reduce is what .sum() calls, without its wrappers
+        return float(np.add.reduce(np.where(inner, 0.5 * u * u, au - 0.5),
+                                   axis=None))
 
     def grad(u: np.ndarray) -> np.ndarray:
-        return np.clip(u, -1.0, 1.0)
+        return _clip(u, -1.0, 1.0)
 
     def prox_map(v: np.ndarray, gamma: float) -> np.ndarray:
         # Solve u + gamma * clip(u, -1, 1) = v coordinatewise.
@@ -217,18 +244,6 @@ def make_quadratic_minmax(dim: int = 1, noise_sigma: float = 0.0,
     huber = _huber_oracle(dim)
     zero = zero_function(dim)
 
-    def phi_subgrad_x(x, y, token):
-        return _noisy(y.copy(), sigma, token)
-
-    def phi_grad_y(x, y, token):
-        return _noisy(x - y, sigma, token)
-
-    def psi_subgrad_x(x, z, token):
-        return np.zeros(dim)
-
-    def psi_grad_z(x, z, token):
-        return np.zeros(1)
-
     if m_bound is None:
         m_bound = 2.0 * math.sqrt(dim) * (1.0 + sigma) + 1.0
 
@@ -237,7 +252,7 @@ def make_quadratic_minmax(dim: int = 1, noise_sigma: float = 0.0,
     aux = ExactAux(
         prox_phi=huber.prox,
         prox_psi=zero.prox,
-        best_response_y=lambda x: np.clip(x, -1.0, 1.0),
+        best_response_y=lambda x: _clip(x, -1.0, 1.0),
         best_response_z=lambda x: np.zeros(1),
         value_phi=huber.value,
         value_psi=zero.value,
@@ -246,10 +261,10 @@ def make_quadratic_minmax(dim: int = 1, noise_sigma: float = 0.0,
     return DMaxProblem(
         dim_x=dim,
         constants=constants,
-        phi_subgrad_x=phi_subgrad_x,
-        phi_grad_y=phi_grad_y,
-        psi_subgrad_x=psi_subgrad_x,
-        psi_grad_z=psi_grad_z,
+        phi_subgrad_x=_NoisyOracle(lambda x, y: y.copy(), sigma, dim),
+        phi_grad_y=_NoisyOracle(lambda x, y: x - y, sigma, dim),
+        psi_subgrad_x=_NoisyOracle(lambda x, z: np.zeros(x.shape), 0.0, dim),
+        psi_grad_z=_NoisyOracle(_zero_dual_grad, 0.0, 1),
         set_y=ybox,
         set_z=_dummy_dual(),
         exact_aux=aux,

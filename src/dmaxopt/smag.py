@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Literal, Optional, Sequence
 
 import numpy as np
 
 from .core import (
     CapabilityError,
+    ConstraintSet,
     DMaxProblem,
     ExactAux,
     NonFiniteError,
@@ -54,6 +55,7 @@ __all__ = [
     "step",
     "RunResult",
     "run",
+    "run_batch",
     "PotentialTrace",
     "potential_diagnostic",
     "step_diagnostics",
@@ -300,7 +302,34 @@ def lr_scale_at(t: int, milestones: Sequence[int], factor: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the step kernel
+# lockstep seeds
+
+# Tokens per oracle that one refill of a lockstep batch realizes at most;
+# bounds the memory of bulk-realized noise.
+_CHUNK = 1024
+
+
+def _arrays(state) -> dict:
+    """The array fields of a state dataclass, by name."""
+    return {f.name: getattr(state, f.name) for f in fields(state)
+            if isinstance(getattr(state, f.name), np.ndarray)}
+
+
+def _pick(state, idx):
+    """``state`` with every array indexed by ``idx`` along the seed axis: a
+    row (1-D views), a boolean mask of rows, or ``None`` (a new seed axis of
+    length 1)."""
+    return replace(state, **{k: v[idx] for k, v in _arrays(state).items()})
+
+
+def _stack(state, n: int):
+    """``n`` copies of the 1-D ``state`` as the rows of one stacked state."""
+    return replace(state, **{k: np.repeat(v[None], n, axis=0)
+                             for k, v in _arrays(state).items()})
+
+
+def _keep(keep: np.ndarray, *arrays):
+    return tuple(None if a is None else a[keep] for a in arrays)
 
 
 def _oracle_vec(raw, dim: int, what: str) -> np.ndarray:
@@ -313,6 +342,157 @@ def _oracle_vec(raw, dim: int, what: str) -> np.ndarray:
     return g
 
 
+class _Feed:
+    """Oracle inputs for seeds that step in lockstep, one row per seed.
+
+    Each token slot of a step (four for SMAG, two for the baselines) has
+    one oracle, or ``None`` when the run never calls it.  The feed draws
+    every live seed's tokens for a chunk of steps at once, which are the
+    tokens per-step draws would give.  An oracle with ``sample`` /
+    ``grad`` gets the chunk's noise realized in bulk and is evaluated on
+    the stacked rows; any other oracle is called per seed with its token.
+
+    A seed whose step fails is dropped from the rows: its
+    :class:`NonFiniteError` goes to ``lost``, and the tokens drawn for its
+    later steps go back to its stream, so the stream ends where a solo run
+    would leave it.
+    """
+
+    def __init__(self, rngs, oracles, shared_sample: bool):
+        self.rngs = list(rngs)
+        self.oracles = oracles
+        self.slot = [0 if shared_sample else k for k in range(len(oracles))]
+        self.bulk = [hasattr(o, "sample") and hasattr(o, "grad")
+                     for o in oracles]
+        self.rows = list(range(len(self.rngs)))  # live seeds, in row order
+        self.lost: dict = {}
+        self.c = self.steps = 0  # step within the chunk, chunk length
+        self.cols = None  # chunk column of each row, once a row is dropped
+
+    def next_step(self, remaining: int) -> None:
+        self.c += 1
+        if self.c < self.steps:
+            return
+        n, live = len(self.oracles), self.rows
+        self.steps = min(remaining, max(1, _CHUNK // len(live)))
+        self.c, self.cols = 0, None
+        toks = np.stack([self.rngs[i].draw_many(n * self.steps)
+                         for i in live]).reshape(len(live), self.steps, n)
+        self.inputs = []
+        for k, oracle in enumerate(self.oracles):
+            t = toks[:, :, self.slot[k]].T  # (steps, seeds)
+            if oracle is None:
+                self.inputs.append(None)
+            elif self.bulk[k]:
+                z = oracle.sample(t.reshape(-1))
+                self.inputs.append(
+                    None if z is None else z.reshape(*t.shape, -1))
+            else:
+                self.inputs.append(t.tolist())
+
+    def drop(self, bad: np.ndarray, errors) -> np.ndarray:
+        """Drop the rows flagged in ``bad``; ``errors(j)`` is row ``j``'s
+        error.  Returns the mask of the rows kept."""
+        give_back = len(self.oracles) * (self.steps - self.c - 1)
+        for j in np.flatnonzero(bad).tolist():
+            seed = self.rows[j]
+            self.lost[seed] = errors(j)
+            self.rngs[seed]._put_back(give_back)
+        keep = ~bad
+        self.rows = [i for i, kept in zip(self.rows, keep.tolist()) if kept]
+        cols = np.arange(keep.shape[0]) if self.cols is None else self.cols
+        self.cols = cols[keep]
+        return keep
+
+    def grad(self, k: int, x: np.ndarray, dual, dim: int, what: str):
+        """Oracle ``k`` at the rows of ``x`` and ``dual``.  Returns the
+        ``(rows, dim)`` values of the rows that stay, and the keep mask
+        when a row was dropped (else ``None``)."""
+        oracle, inputs = self.oracles[k], self.inputs[k]
+        if self.bulk[k]:
+            z = inputs if inputs is None else inputs[self.c]
+            if z is not None and self.cols is not None:
+                z = z[self.cols]
+            g = np.asarray(oracle.grad(x, dual, z), dtype=np.float64)
+            if g.shape[1:] != (dim,):
+                raise ParameterError(f"{what} returned shape {g.shape[1:]}, "
+                                     f"expected ({dim},)")
+            if _finite(g):
+                return g, None
+            err = NonFiniteError(f"{what} returned a non-finite value")
+            keep = self.drop(~np.isfinite(g).all(axis=1), lambda j: err)
+            return g[keep], keep
+        toks, cols = inputs[self.c], self.cols
+        g = np.empty((x.shape[0], dim))
+        errors = {}
+        for j in range(x.shape[0]):
+            try:
+                g[j] = _oracle_vec(
+                    oracle(x[j], None if dual is None else dual[j],
+                           toks[j if cols is None else cols[j]]), dim, what)
+            except NonFiniteError as exc:
+                errors[j] = exc
+        if not errors:
+            return g, None
+        bad = np.zeros(x.shape[0], dtype=bool)
+        bad[list(errors)] = True
+        keep = self.drop(bad, errors.__getitem__)
+        return g[keep], keep
+
+    def project(self, proj, cset: ConstraintSet, v: np.ndarray):
+        """``proj(cset, v)`` on the rows of ``v``; a row it would refuse is
+        dropped with the error ``proj`` raises for it.  Returns the
+        projected rows and the keep mask (or ``None``)."""
+        try:
+            return proj(cset, v), None
+        except NonFiniteError:
+            pass
+
+        def error(j):
+            try:
+                proj(cset, v[j])
+            except NonFiniteError as exc:
+                return exc
+            raise AssertionError("a non-finite point was projected")
+
+        keep = self.drop(~np.isfinite(v).all(axis=1), error)
+        return proj(cset, v[keep]), keep
+
+    def check(self, x: np.ndarray, message: str):
+        """Drop the rows of ``x`` with a non-finite entry; returns the keep
+        mask (or ``None``)."""
+        if _finite(x):
+            return None
+        err = NonFiniteError(message)
+        return self.drop(~np.isfinite(x).all(axis=1), lambda j: err)
+
+
+def _streams(rng, seed_label):
+    """The streams and labels of a run: ``rng`` is one stream or a
+    sequence of them, and an int label applies to every stream."""
+    rngs = [rng] if isinstance(rng, RngStream) else list(rng)
+    if isinstance(seed_label, int):
+        return rngs, [seed_label] * len(rngs)
+    return rngs, list(seed_label)
+
+
+def _one_step(kernel, state, rng, oracles, shared_sample: bool):
+    """``kernel(state, feed)`` for one step of a 1-D ``state`` and one
+    stream, or of a stacked ``state`` and one stream per row; a failed row
+    raises its :class:`NonFiniteError`."""
+    stacked = not isinstance(rng, RngStream)
+    feed = _Feed(rng if stacked else [rng], oracles, shared_sample)
+    feed.next_step(1)
+    nxt = kernel(state if stacked else _pick(state, None), feed)
+    if feed.lost:
+        raise feed.lost[min(feed.lost)]
+    return nxt if stacked else _pick(nxt, 0)
+
+
+# ---------------------------------------------------------------------------
+# the step kernel
+
+
 def _norm(v: np.ndarray) -> float:
     """``float(np.linalg.norm(v))`` of a 1-D array, bit for bit: for a
     contiguous float64 vector numpy computes ``sqrt(v.dot(v))``."""
@@ -321,61 +501,92 @@ def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
+def _smag_oracles(problem: DMaxProblem, state: SmagState, mode: Mode):
+    """The oracle of each of the four token slots that ``mode`` calls."""
+    p = problem
+    return [p.phi_subgrad_x,
+            p.phi_grad_y if mode != "dwc" and state.y is not None else None,
+            p.psi_subgrad_x if mode != "minmax" else None,
+            p.psi_grad_z if mode == "dmax" and state.z is not None else None]
+
+
+def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
+                 mode: Mode, lr_scale: float, feed: _Feed) -> SmagState:
+    """One step of the stacked seeds ``st``; rows that fail are dropped."""
+    eta1 = sched.eta1 * lr_scale
+    eta0 = sched.eta0 * lr_scale
+    inv_gamma = 1.0 / sched.gamma
+    dim = problem.dim_x
+    x_t, x_phi, x_psi, y, z = st.x, st.x_phi, st.x_psi, st.y, st.z
+
+    g_phi, keep = feed.grad(0, x_phi, y, dim, "phi_subgrad_x")
+    if keep is not None:
+        x_t, x_phi, x_psi, y, z = _keep(keep, x_t, x_phi, x_psi, y, z)
+    x_phi_new = x_phi - eta1 * (g_phi + inv_gamma * (x_phi - x_t))
+
+    y_new = y
+    if mode != "dwc" and problem.phi_grad_y is not None and y is not None:
+        # Dual ascent evaluates at the *previous* x_phi on purpose.
+        g_y, keep = feed.grad(1, x_phi, y, y.shape[1], "phi_grad_y")
+        if keep is not None:
+            x_t, x_psi, y, z, x_phi_new = _keep(keep, x_t, x_psi, y, z,
+                                                x_phi_new)
+        y_new, keep = feed.project(project, problem.set_y, y + eta1 * g_y)
+        if keep is not None:
+            x_t, x_psi, z, x_phi_new = _keep(keep, x_t, x_psi, z, x_phi_new)
+
+    if mode == "minmax":
+        x_psi_new = x_psi
+        z_new = z
+        g_vec = (x_t - x_phi_new) * inv_gamma
+    else:
+        if problem.psi_subgrad_x is None:
+            raise CapabilityError(
+                f"mode {mode!r} needs a psi_subgrad_x oracle")
+        g_psi, keep = feed.grad(2, x_psi, z, dim, "psi_subgrad_x")
+        if keep is not None:
+            x_t, x_psi, z, x_phi_new, y_new = _keep(keep, x_t, x_psi, z,
+                                                    x_phi_new, y_new)
+        x_psi_new = x_psi - eta1 * (g_psi + inv_gamma * (x_psi - x_t))
+        z_new = z
+        if mode == "dmax" and problem.psi_grad_z is not None and z is not None:
+            g_z, keep = feed.grad(3, x_psi, z, z.shape[1], "psi_grad_z")
+            if keep is not None:
+                x_t, z, x_phi_new, y_new, x_psi_new = _keep(
+                    keep, x_t, z, x_phi_new, y_new, x_psi_new)
+            z_new, keep = feed.project(project, problem.set_z,
+                                       z + eta1 * g_z)
+            if keep is not None:
+                x_t, x_phi_new, y_new, x_psi_new = _keep(
+                    keep, x_t, x_phi_new, y_new, x_psi_new)
+        g_vec = (x_psi_new - x_phi_new) * inv_gamma
+
+    x_new = x_t - eta0 * g_vec
+    keep = feed.check(x_new, "anchor iterate became non-finite")
+    if keep is not None:
+        x_new, x_phi_new, x_psi_new, y_new, z_new, g_vec = _keep(
+            keep, x_new, x_phi_new, x_psi_new, y_new, z_new, g_vec)
+    return SmagState(x=x_new, x_phi=x_phi_new, x_psi=x_psi_new, y=y_new,
+                     z=z_new, last_g=g_vec, t=st.t + 1)
+
+
 def step(problem: DMaxProblem, state: SmagState, sched: Schedule,
-         rng: RngStream, mode: Mode, *, shared_sample: bool = False,
+         rng, mode: Mode, *, shared_sample: bool = False,
          lr_scale: float = 1.0) -> SmagState:
     """One step in ``mode``.
 
     Draws four tokens from ``rng`` for the phi_x, phi_y, psi_x and psi_z
     oracles, in that order, whatever the mode; ``shared_sample`` feeds the
     first token to all four.  ``lr_scale`` multiplies both step sizes.
+    A state whose arrays carry a leading seed axis steps its rows in
+    lockstep, with ``rng`` a sequence of one stream per row.  A non-finite
+    value raises :class:`NonFiniteError`.
     """
     _check_mode(mode)
-    t0, t1, t2, t3 = rng.draw_many(4).tolist()
-    if shared_sample:
-        t1 = t2 = t3 = t0
-    eta1 = sched.eta1 * lr_scale
-    eta0 = sched.eta0 * lr_scale
-    inv_gamma = 1.0 / sched.gamma
-    dim = problem.dim_x
-    x_t = state.x
-
-    g_phi = _oracle_vec(problem.phi_subgrad_x(state.x_phi, state.y, t0),
-                        dim, "phi_subgrad_x")
-    x_phi_new = state.x_phi - eta1 * (g_phi + inv_gamma * (state.x_phi - x_t))
-
-    y_new = state.y
-    if mode != "dwc" and problem.phi_grad_y is not None and state.y is not None:
-        # Dual ascent evaluates at the *previous* x_phi on purpose.
-        g_y = _oracle_vec(problem.phi_grad_y(state.x_phi, state.y, t1),
-                          state.y.shape[0], "phi_grad_y")
-        y_new = project(problem.set_y, state.y + eta1 * g_y)
-
-    if mode == "minmax":
-        x_psi_new = state.x_psi
-        z_new = state.z
-        g_vec = (x_t - x_phi_new) * inv_gamma
-    else:
-        if problem.psi_subgrad_x is None:
-            raise CapabilityError(
-                f"mode {mode!r} needs a psi_subgrad_x oracle")
-        g_psi = _oracle_vec(problem.psi_subgrad_x(state.x_psi, state.z, t2),
-                            dim, "psi_subgrad_x")
-        x_psi_new = state.x_psi - eta1 * (g_psi
-                                          + inv_gamma * (state.x_psi - x_t))
-        z_new = state.z
-        if (mode == "dmax" and problem.psi_grad_z is not None
-                and state.z is not None):
-            g_z = _oracle_vec(problem.psi_grad_z(state.x_psi, state.z, t3),
-                              state.z.shape[0], "psi_grad_z")
-            z_new = project(problem.set_z, state.z + eta1 * g_z)
-        g_vec = (x_psi_new - x_phi_new) * inv_gamma
-
-    x_new = x_t - eta0 * g_vec
-    if not _finite(x_new):
-        raise NonFiniteError("anchor iterate became non-finite")
-    return SmagState(x=x_new, x_phi=x_phi_new, x_psi=x_psi_new, y=y_new,
-                     z=z_new, last_g=g_vec, t=state.t + 1)
+    return _one_step(
+        lambda st, feed: _smag_kernel(problem, st, sched, mode, lr_scale,
+                                      feed),
+        state, rng, _smag_oracles(problem, state, mode), shared_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -433,24 +644,25 @@ def _sq(d: np.ndarray) -> float:
 
 
 def _potential_terms(aux: ExactAux, p_phi: np.ndarray, p_psi: np.ndarray,
-                     s_next: SmagState, mode: Mode) -> float:
+                     s_next: SmagState, mode: Mode, j=...) -> float:
     """Unscaled sum of squared tracking errors for the potential at the
-    anchor whose prox points are ``p_phi`` and ``p_psi``."""
-    total = _sq(s_next.x_phi - p_phi)
+    anchor whose prox points are ``p_phi`` and ``p_psi``; ``j`` picks a row
+    of a stacked ``s_next`` (the default takes a 1-D state whole)."""
+    total = _sq(s_next.x_phi[j] - p_phi)
     if mode != "dwc" and s_next.y is not None:
-        total += _sq(s_next.y - aux.best_response_y(p_phi))
+        total += _sq(s_next.y[j] - aux.best_response_y(p_phi))
     if mode != "minmax":
-        total += _sq(s_next.x_psi - p_psi)
+        total += _sq(s_next.x_psi[j] - p_psi)
         if mode == "dmax" and s_next.z is not None:
-            total += _sq(s_next.z - aux.best_response_z(p_psi))
+            total += _sq(s_next.z[j] - aux.best_response_z(p_psi))
     return total
 
 
-def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng: RngStream,
-        x0=None, *, trace_every: int = 1, seed_label: int = 0,
+def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
+        x0=None, *, trace_every: int = 1, seed_label=0,
         decay_milestones: Sequence[int] = (), decay_factor: float = 10.0,
         shared_sample: bool = False, exact_metrics: Optional[bool] = None,
-        collect_states: bool = False) -> RunResult:
+        collect_states: bool = False):
     """Run ``sched.t_total`` steps and return traces plus the output iterate.
 
     The output index ``t_bar`` is drawn up front from a child stream of
@@ -458,6 +670,38 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng: RngStream,
     inner iterate, uniform over ``{0..T-1}`` for minmax where it is an
     anchor).  A non-finite oracle value aborts the run; the partial trace
     is kept and the result flagged rather than raised.
+
+    This is :func:`run_batch` for one seed.  With a sequence of streams
+    for ``rng`` (and of labels for ``seed_label``) it is
+    :func:`run_batch` itself and returns one result per stream.
+    """
+    rngs, labels = _streams(rng, seed_label)
+    res = run_batch(problem, mode, sched, rngs, x0,
+                    trace_every=trace_every, seed_labels=labels,
+                    decay_milestones=decay_milestones,
+                    decay_factor=decay_factor, shared_sample=shared_sample,
+                    exact_metrics=exact_metrics,
+                    collect_states=collect_states)
+    return res[0] if isinstance(rng, RngStream) else res
+
+
+def run_batch(problem: DMaxProblem, mode: Mode, sched: Schedule,
+              rngs: Sequence[RngStream], x0=None, *, trace_every: int = 1,
+              seed_labels: Optional[Sequence[int]] = None,
+              decay_milestones: Sequence[int] = (),
+              decay_factor: float = 10.0, shared_sample: bool = False,
+              exact_metrics: Optional[bool] = None,
+              collect_states: bool = False) -> list:
+    """:func:`run` for several seeds at once, one :class:`RunResult` per
+    stream of ``rngs``, each equal bit for bit to a solo run of that
+    stream.
+
+    The seeds step in lockstep as the rows of ``(S, dim)`` arrays.
+    Oracles that can ``sample`` realize a chunk of steps' noise in bulk
+    and take one numpy step for all seeds; other oracles are called per
+    seed with its token.  Trace rows, ``t_bar``, finiteness checks and
+    aborts stay per seed: a seed that aborts stops there, and the others
+    go on.  ``elapsed_ms`` is the batch's shared clock.
     """
     _check_mode(mode)
     missing = _missing_maps(problem, mode)
@@ -471,93 +715,111 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng: RngStream,
     pot_coef = 2.0 * sched.eta0 / (sched.eta1 * sched.gamma ** 2 * sched.alpha)
 
     t_total = sched.t_total
-    pick = rng.child(1)
-    if mode == "minmax":
-        t_bar = int(pick.integers(0, t_total))
-    else:
-        t_bar = int(pick.integers(1, t_total + 1))
+    n = len(rngs)
+    labels = list(seed_labels) if seed_labels is not None else [0] * n
+    low = 0 if mode == "minmax" else 1
+    t_bar = [int(r.child(1).integers(low, t_total + low)) for r in rngs]
 
-    state = initial_state(problem, x0)
-    states = [state] if collect_states else None
-    x_bar: Optional[np.ndarray] = None
-    candidate: Optional[np.ndarray] = None
-    x_psi_bar: Optional[np.ndarray] = None
-    if mode == "minmax" and t_bar == 0:
-        x_bar = state.x.copy()
-
-    def advance(prev: SmagState, scale: float) -> SmagState:
-        nonlocal x_bar, candidate, x_psi_bar
-        nxt = step(problem, prev, sched, rng, mode,
-                   shared_sample=shared_sample, lr_scale=scale)
-        if states is not None:
-            states.append(nxt)
+    start = initial_state(problem, x0)
+    states = [[start] for _ in rngs] if collect_states else None
+    x_bar: list = [None] * n
+    candidate: list = [None] * n
+    x_psi_bar: list = [None] * n
+    # Steps at which some seed takes its output iterates.
+    marks: dict = {}
+    for i, tb in enumerate(t_bar):
+        if mode == "minmax" and tb == 0:
+            x_bar[i] = start.x.copy()
+        marks.setdefault(tb, []).append(i)
         if mode == "minmax":
-            if nxt.t == t_bar:
-                x_bar = nxt.x.copy()
-            if nxt.t == t_bar + 1:
-                candidate = nxt.x_phi.copy()
-        elif nxt.t == t_bar:
-            x_bar = prev.x.copy()
-            candidate = nxt.x_phi.copy()
-            x_psi_bar = nxt.x_psi.copy()
-        return nxt
+            marks.setdefault(tb + 1, []).append(i)
+
+    def on_step(prev: SmagState, nxt: SmagState, rows: list) -> None:
+        if states is not None:
+            for j, i in enumerate(rows):
+                states[i].append(_pick(nxt, j))
+        for i in marks.get(nxt.t, ()):
+            if i not in rows:
+                continue
+            j = rows.index(i)
+            if mode != "minmax":
+                x_bar[i] = prev.x[j].copy()
+                candidate[i] = nxt.x_phi[j].copy()
+                x_psi_bar[i] = nxt.x_psi[j].copy()
+            elif nxt.t == t_bar[i]:
+                x_bar[i] = nxt.x[j].copy()
+            else:
+                candidate[i] = nxt.x_phi[j].copy()
 
     aux = problem.exact_aux
-    last_prox = (None, None, None)  # an anchor and its two prox points
+    # Per seed: an anchor stack, a row of it and that anchor's prox points.
+    last_prox: list = [(None, None, None, None)] * n
 
-    def prox_at(x: np.ndarray):
+    def prox_at(i: int, xs: np.ndarray, j: int):
         # With trace_every=1 a row's potential is taken at the anchor whose
         # prox points the previous row's stationarity already computed.
-        nonlocal last_prox
-        if last_prox[0] is not x:
-            last_prox = (x, *_prox_pair(aux, x, sched.gamma, mode))
-        return last_prox[1:]
+        c = last_prox[i]
+        if c[0] is not xs or c[1] != j:
+            c = last_prox[i] = (xs, j, *_prox_pair(aux, xs[j], sched.gamma,
+                                                   mode))
+        return c[2:]
 
-    def row(prev: SmagState, cur: SmagState):
+    def row(prev: SmagState, cur: SmagState, j: int, i: int):
         p_t = math.nan
         if trace_potential:
-            p_t = pot_coef * _potential_terms(aux, *prox_at(prev.x), cur, mode)
+            p_t = pot_coef * _potential_terms(aux, *prox_at(i, prev.x, j),
+                                              cur, mode, j)
         if exact_metrics:
-            p_phi, p_psi = prox_at(cur.x)
+            p_phi, p_psi = prox_at(i, cur.x, j)
             stat = _norm(p_psi - p_phi) / sched.gamma
         else:
-            stat = _norm(cur.last_g)
+            stat = _norm(cur.last_g[j])
         return stat, p_t
 
-    state, records, reason = _drive(
-        problem, state, t_total, advance, row, trace_every=trace_every,
-        seed_label=seed_label, decay_milestones=decay_milestones,
+    feed = _Feed(rngs, _smag_oracles(problem, start, mode), shared_sample)
+    finals, records, reasons = _drive(
+        problem, _stack(start, n), t_total,
+        lambda st, scale: _smag_kernel(problem, st, sched, mode, scale, feed),
+        feed, row, on_step=on_step, trace_every=trace_every,
+        seed_labels=labels, decay_milestones=decay_milestones,
         decay_factor=decay_factor)
 
-    if mode == "minmax":
-        returned = x_bar if x_bar is not None else state.x.copy()
-        if candidate is None:
-            candidate = state.x_phi.copy()
-    else:
-        returned = candidate if candidate is not None else state.x_phi.copy()
-        if x_bar is None:
-            x_bar = state.x.copy()
-        if candidate is None:
-            candidate = state.x_phi.copy()
-        if x_psi_bar is None:
-            x_psi_bar = state.x_psi.copy()
-    return RunResult(records=records, final_state=state, t_bar=t_bar,
-                     x_bar=x_bar, candidate=candidate, returned=returned,
-                     x_psi_bar=x_psi_bar, aborted=reason is not None,
-                     abort_reason=reason or "", states=states)
+    results = []
+    for i, state in enumerate(finals):
+        xb, cand, xpb = x_bar[i], candidate[i], x_psi_bar[i]
+        if mode == "minmax":
+            returned = xb if xb is not None else state.x.copy()
+            if cand is None:
+                cand = state.x_phi.copy()
+        else:
+            returned = cand if cand is not None else state.x_phi.copy()
+            if xb is None:
+                xb = state.x.copy()
+            if cand is None:
+                cand = state.x_phi.copy()
+            if xpb is None:
+                xpb = state.x_psi.copy()
+        results.append(RunResult(
+            records=records[i], final_state=state, t_bar=t_bar[i], x_bar=xb,
+            candidate=cand, returned=returned, x_psi_bar=xpb,
+            aborted=reasons[i] is not None, abort_reason=reasons[i] or "",
+            states=None if states is None else states[i]))
+    return results
 
 
-def _drive(problem: DMaxProblem, state, t_total: int, advance, row, *,
-           trace_every: int, seed_label: int,
+def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
+           row, *, on_step=None, trace_every: int, seed_labels: list,
            decay_milestones: Sequence[int], decay_factor: float):
-    """The step loop shared by :func:`run` and the baselines.
+    """The lockstep loop shared by :func:`run_batch` and the baselines.
 
-    Advances ``state`` (any state with ``x`` and ``t``) by
-    ``advance(state, lr_scale)`` for ``t_total`` steps and traces a
-    :class:`RunRecord` every ``trace_every`` steps and at the last one;
-    ``row(prev, state)`` gives the record's ``(stationarity, p_t)``.  A
-    :class:`NonFiniteError` ends the loop and keeps the rows traced so far.
-    Returns ``(final state, records, abort reason or None)``.
+    ``state`` stacks one row per seed of ``feed`` (any state dataclass with
+    ``x`` and ``t``).  Each step is ``kernel(state, lr_scale)``, which
+    drops the rows of seeds whose step failed; ``on_step(prev, state,
+    rows)`` then sees the surviving rows, whose seeds are ``rows``.  Every
+    ``trace_every`` steps and at the last one each live seed ``i`` in row
+    ``j`` gets a :class:`RunRecord`, with ``row(prev, state, j, i)`` giving
+    its ``(stationarity, p_t)``.  Returns per seed its final state (1-D),
+    its records and its abort reason (``None`` if it did not abort).
     """
     if t_total < 1:
         raise ParameterError("t_total must be >= 1")
@@ -565,29 +827,43 @@ def _drive(problem: DMaxProblem, state, t_total: int, advance, row, *,
         raise ParameterError("trace_every must be >= 1")
     if decay_factor <= 0:
         raise ParameterError("decay factor must be positive")
+    if not feed.rngs or len(seed_labels) != len(feed.rngs):
+        raise ParameterError(
+            "need at least one stream and one seed label per stream")
     milestones = tuple(decay_milestones)
-    records: list = []
-    reason = None
+    finals: list = [None] * len(feed.rngs)
+    records: list = [[] for _ in feed.rngs]
+    objective = problem.full_objective
     start = time.perf_counter()
     for t in range(t_total):
         scale = lr_scale_at(t, milestones, decay_factor) if milestones else 1.0
-        prev = state
-        try:
-            state = advance(prev, scale)
-        except NonFiniteError as exc:
-            reason = str(exc)
-            break
+        feed.next_step(t_total - t)
+        prev, before = state, feed.rows
+        state = kernel(prev, scale)
+        if feed.rows is not before:
+            kept = np.isin(before, feed.rows)
+            for j in np.flatnonzero(~kept).tolist():
+                finals[before[j]] = _pick(prev, j)
+            if not feed.rows:
+                break
+            prev = _pick(prev, kept)
+        if on_step is not None:
+            on_step(prev, state, feed.rows)
         if state.t % trace_every == 0 or state.t == t_total:
-            obj = math.nan
-            if problem.full_objective is not None:
-                obj = float(problem.full_objective(state.x))
-            stat, p_t = row(prev, state)
+            traced = [(i, math.nan if objective is None
+                       else float(objective(state.x[j])),
+                       *row(prev, state, j, i))
+                      for j, i in enumerate(feed.rows)]
+            # One reading of the shared clock for the step's rows.
             elapsed_ms = (time.perf_counter() - start) * 1e3
-            records.append(RunRecord(t=state.t, objective=obj,
-                                     stationarity=stat, p_t=p_t,
-                                     elapsed_ms=elapsed_ms,
-                                     seed=seed_label))
-    return state, records, reason
+            for i, obj, stat, p_t in traced:
+                records[i].append(RunRecord(state.t, obj, stat, p_t,
+                                            elapsed_ms, seed_labels[i]))
+    for j, i in enumerate(feed.rows):
+        finals[i] = _pick(state, j)
+    reasons = [str(feed.lost[i]) if i in feed.lost else None
+               for i in range(len(feed.rngs))]
+    return finals, records, reasons
 
 
 # ---------------------------------------------------------------------------

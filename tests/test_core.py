@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dmaxopt
+import dmaxopt.core as core
 from dmaxopt.core import (
     _TOKEN_SALT,
     DMaxProblem,
@@ -18,6 +19,8 @@ from dmaxopt.core import (
     ProblemConstants,
     RngStream,
     _finite,
+    _normals,
+    _philox_words,
     as_vector,
     ball,
     box,
@@ -131,6 +134,53 @@ def test_projection_properties_random():
             assert np.allclose(project(cset, pu), pu, atol=1e-12)
             assert (np.linalg.norm(pu - pv)
                     <= np.linalg.norm(u - v) + 1e-12)
+
+
+def _bits(v):
+    return np.ascontiguousarray(v, dtype=np.float64).view(np.uint64)
+
+
+def test_box_projection_keeps_np_clip_bits():
+    zeros = [0.0, -0.0]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -1.5]
+    for lo in zeros:
+        for hi in zeros + [1.0]:
+            if hi < lo:
+                continue
+            cset = box([lo] * len(special), [hi] * len(special))
+            # the clip ufunc project calls, on every special input
+            v = np.array(special)
+            assert np.array_equal(_bits(core._clip(v, cset.lo, cset.hi)),
+                                  _bits(np.clip(v, cset.lo, cset.hi)))
+            # project itself, on the finite inputs, one point and a stack
+            fin = np.array([0.0, -0.0, 1.5, -1.5, 0.25, -0.25, 3.0])
+            want = _bits(np.clip(fin, cset.lo, cset.hi))
+            assert np.array_equal(_bits(project(cset, fin)), want)
+            stack = np.stack([fin, fin[::-1]])
+            assert np.array_equal(
+                _bits(project(cset, stack)),
+                _bits(np.clip(stack, cset.lo, cset.hi)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_projecting_a_non_finite_point_or_stack_raises(bad):
+    cset = box([-1.0, -1.0], [1.0, 1.0])
+    for v in ([bad, 0.0], [[0.0, 0.5], [0.0, bad]]):
+        with pytest.raises(NonFiniteError,
+                           match=r"^point contains non-finite entries$"):
+            project(cset, v)
+    with pytest.raises(DimensionError):
+        project(cset, np.zeros((2, 3)))
+
+
+def test_projection_of_a_stack_is_row_by_row():
+    rng = np.random.default_rng(5)
+    for cset in (box(-np.ones(4), np.ones(4)), ball(rng.normal(size=4), 1.5),
+                 whole_space(4)):
+        stack = rng.normal(scale=3.0, size=(6, 4))
+        rows = np.stack([project(cset, r) for r in stack])
+        assert np.array_equal(_bits(project(cset, stack)), _bits(rows))
+        assert project(cset, stack[:0]).shape == (0, 4)
 
 
 def test_box_validation():
@@ -288,6 +338,45 @@ def test_token_generators_held_together_stay_independent():
         _same_draws(token_generator(100 + i), _fresh_philox(
             100 + i, _TOKEN_SALT))
         _same_draws(b, ref_b)
+
+
+def test_philox_words_are_numpy_philox_raw_output():
+    toks = np.random.default_rng(8).integers(0, 2 ** 64, size=300,
+                                              dtype=np.uint64)
+    toks[:3] = [0, 1, 2 ** 64 - 1]
+    assert np.array_equal(_philox_words(toks, 3)[:, :4],
+                          _philox_words(toks, 1))
+    for salt in (_TOKEN_SALT, 7):
+        words = _philox_words(toks, 3, salt)
+        for t, w in zip(toks.tolist(), words):
+            bg = np.random.Philox(key=np.array([t, salt], dtype=np.uint64))
+            assert bg.random_raw(12).tolist() == w.tolist()
+
+
+@pytest.mark.parametrize("d", [1, 10, 37])
+def test_bulk_normals_are_token_map_v1(d, monkeypatch):
+    """The ziggurat tables are pinned on 1e5 tokens: every bulk normal
+    equals ``token_generator(t).standard_normal(d)`` to the bit, and at
+    d = 1 almost every token takes the fast path (each of the 256 layers
+    about 390 times)."""
+    fallbacks = []
+
+    def counted(token, salt=_TOKEN_SALT):
+        fallbacks.append(token)
+        return token_generator(token, salt)
+
+    monkeypatch.setattr(core, "token_generator", counted)
+    toks = np.random.default_rng(d).integers(0, 2 ** 64, size=100_000,
+                                             dtype=np.uint64)
+    out = _normals(toks, d)
+    assert out.shape == (100_000, d)
+    want = np.stack([token_generator(t).standard_normal(d)
+                     for t in toks.tolist()])
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    share = len(fallbacks) / toks.shape[0]
+    # a token falls back when any of its d draws misses the fast path
+    assert share < {1: 0.02, 10: 0.15, 37: 0.45}[d]
+    assert _normals(toks[:0], d).shape == (0, d)
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -1,13 +1,18 @@
 """Tests for the experiment harness: grad-check, configs, runner, CLI."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dmaxopt
 from dmaxopt.core import (
     CapabilityError,
     DMaxProblem,
@@ -160,6 +165,27 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict(_good_cfg(algorithm="sgda", lr=0.1))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seeds", [True, 2]), ("seeds", [1.0, 2]), ("t_total", True),
+    ("t_total", 20.0), ("trace_every", 1.5), ("trace_every", True),
+    ("workers", 1.5), ("workers", False)])
+def test_config_integers_reject_bools_and_fractions(key, value):
+    with pytest.raises(ParameterError, match=key):
+        ExperimentConfig.from_dict(_good_cfg(**{key: value}))
+
+
+def test_importing_the_harness_leaves_concurrent_futures_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmaxopt.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, dmaxopt.harness; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_mode_for_algorithm():
     assert mode_for_algorithm("smag-dmax") == "dmax"
     assert mode_for_algorithm("smag-dwc") == "dwc"
@@ -276,6 +302,7 @@ def test_run_experiment_is_bit_reproducible(tmp_path):
 
 
 def test_run_experiment_pool_matches_serial(tmp_path):
+    # ``workers`` is still accepted and hashed, but starts no processes
     serial = run_experiment(_good_cfg(output_dir="s", workers=1),
                             output_root=str(tmp_path))
     pooled = run_experiment(_good_cfg(output_dir="p", workers=2),
@@ -341,6 +368,30 @@ def test_run_experiment_env_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("DMAXOPT_OUTPUT_ROOT", str(tmp_path / "envroot"))
     res = run_experiment(_good_cfg())
     assert res.output_dir.startswith(str(tmp_path / "envroot"))
+
+
+def test_trace_rows_are_the_bytes_csv_writer_writes(tmp_path):
+    from dmaxopt.core import RunRecord
+    from dmaxopt.harness.runner import TRACE_HEADER, _write_trace
+    vals = [0.1, -0.0, 1e-310, 1.7976931348623157e308, math.inf,
+            -math.inf, math.nan, 2.0 / 3.0, 12345678.9]
+    records = [RunRecord(t, vals[t % 9], vals[(t + 3) % 9],
+                         vals[(t + 5) % 9], 1e3 * t / 7.0, 10 ** 12 + t)
+               for t in range(27)]
+    path = tmp_path / "trace.csv"
+    _write_trace(str(path), {"seed": 3}, records)
+
+    def cell(v):
+        return "" if math.isnan(v) else format(v, ".17g")
+
+    want = io.StringIO(newline="")
+    want.write("# seed: 3\n")
+    writer = csv.writer(want)
+    writer.writerow(TRACE_HEADER)
+    for r in records:
+        writer.writerow([r.t, cell(r.objective), cell(r.stationarity),
+                         cell(r.p_t), cell(r.elapsed_ms), r.seed])
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_read_trace_rejects_malformed(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the single-loop optimizer: schedules, step kernel, driver,
 and the potential/descent diagnostics."""
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -8,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+import dmaxopt.core as core
 from dmaxopt.baselines import run_sgd, run_sgda
 from dmaxopt.core import (
     CapabilityError,
@@ -28,12 +30,14 @@ from dmaxopt.problems import (
     synth_biased_pauc,
 )
 from dmaxopt.smag import (
+    RunResult,
     Schedule,
     SmagState,
     initial_state,
     lr_scale_at,
     potential_diagnostic,
     run,
+    run_batch,
     schedule_from_theory,
     step,
     step_diagnostics,
@@ -819,3 +823,219 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_runs_match_their_golden_digests(case):
     assert _digest(_golden_runs()[case]()) == GOLDEN[case]
+
+
+# ---------------------------------------------------------------------------
+# seeds in lockstep
+
+
+def _state_bits(state):
+    return [(name, None if v is None else np.asarray(v).tobytes())
+            for name, v in sorted(vars(state).items())]
+
+
+def _lockstep_cases():
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    dwc3 = make_onedim_dwc(1.0, 0.5, kappa_phi=0.2, center_psi=0.3,
+                           noise_sigma=0.2, dim=3)
+    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
+    pauc = pauc_fair_problem(synth_biased_pauc(60, 4, seed=5), PaucParams(
+        alpha_fair=0.5, batch_pos=8, batch_neg=8, batch_attr=8))
+    blow_up = DMaxProblem(
+        dim_x=1, constants=ProblemConstants(m_bound=1.0),
+        phi_subgrad_x=lambda x, y, tok: np.full(1, -1e308),
+        psi_subgrad_x=lambda x, z, tok: np.full(1, 1e308))
+
+    def sched(prob, mode, t_total, eta0=0.005, eta1=0.01):
+        return Schedule.from_manual(0.5, eta0, eta1, t_total,
+                                    prob.constants, mode=mode)
+
+    return {
+        "dwc-exact-decay-states": lambda rng, label: run(
+            dwc, "dwc", sched(dwc, "dwc", 300), rng, x0=2.0,
+            trace_every=7, seed_label=label, decay_milestones=(100, 250),
+            decay_factor=3.0, collect_states=True),
+        "dwc-estimate-shared": lambda rng, label: run(
+            dwc3, "dwc", sched(dwc3, "dwc", 200), rng,
+            x0=np.array([2.0, -1.0, 0.5]), seed_label=label,
+            exact_metrics=False, shared_sample=True),
+        "dmax-quadratic": lambda rng, label: run(
+            quad, "dmax", sched(quad, "dwc", 200, 0.01, 0.05), rng,
+            x0=np.full(3, 1.5), seed_label=label),
+        "minmax-decay-states": lambda rng, label: run(
+            quad, "minmax", sched(quad, "minmax", 250, 0.01, 0.05), rng,
+            x0=np.array([1.5, -0.5, 3.0]), seed_label=label,
+            decay_milestones=(100, 200), decay_factor=2.0,
+            collect_states=True),
+        "minmax-pauc": lambda rng, label: run(
+            pauc, "minmax", sched(pauc, "minmax", 40, 0.005, 0.02), rng,
+            seed_label=label),
+        "all-abort-anchor": lambda rng, label: run(
+            blow_up, "dwc", sched(blow_up, "dwc", 10, 0.05, 0.2), rng,
+            x0=1.5e308, seed_label=label),
+        "sgd-decay": lambda rng, label: run_sgd(
+            dwc3, 0.01, 200, rng, x0=np.array([2.0, 0.0, -1.0]),
+            seed_label=label, decay_milestones=(100,), decay_factor=2.0),
+        "sgda-shared": lambda rng, label: run_sgda(
+            quad, 0.02, 0.05, 200, rng, x0=np.full(3, -1.0),
+            seed_label=label, decay_milestones=(120,), shared_sample=True),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_lockstep_cases()))
+def test_seeds_in_lockstep_equal_their_solo_runs(case):
+    runner = _lockstep_cases()[case]
+    seeds = [21, 22, 23]
+    solo_rngs = [RngStream(s) for s in seeds]
+    batch_rngs = [RngStream(s) for s in seeds]
+    with np.errstate(over="ignore", invalid="ignore"):
+        solo = [runner(r, s) for r, s in zip(solo_rngs, seeds)]
+        batch = runner(batch_rngs, seeds)
+    assert len(batch) == len(seeds)
+    for a, b, ra, rb in zip(solo, batch, solo_rngs, batch_rngs):
+        assert _digest(b) == _digest(a)
+        # the streams end where the solo runs left theirs: four tokens per
+        # SMAG step, two per baseline step, the aborted step included
+        per_step = 4 if isinstance(a, RunResult) else 2
+        assert rb.counter == per_step * (a.final_state.t + a.aborted)
+        assert (rb.counter, rb.draw()) == (ra.counter, ra.draw())
+        assert [r.seed for r in b.records] == [r.seed for r in a.records]
+        if getattr(a, "states", None) is not None:
+            assert [_state_bits(s) for s in b.states] == \
+                   [_state_bits(s) for s in a.states]
+    if case == "all-abort-anchor":
+        assert all(r.aborted for r in batch)
+
+
+def test_run_batch_of_one_is_run():
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
+    [a] = run_batch(dwc, "dwc", Schedule.from_manual(
+        0.5, 0.005, 0.01, 400, dwc.constants, mode="dwc"), [RngStream(7)],
+        x0=2.0, trace_every=1, decay_milestones=(100, 250),
+        decay_factor=3.0, exact_metrics=True)
+    assert _digest(a) == GOLDEN["dwc-exact-decay"]
+    [b] = run_batch(quad, "minmax", Schedule.from_manual(
+        0.5, 0.01, 0.05, 400, quad.constants, mode="minmax"),
+        [RngStream(11)], x0=np.array([1.5, -0.5, 3.0]), trace_every=1,
+        decay_milestones=(150, 300), decay_factor=2.0)
+    assert _digest(b) == GOLDEN["minmax-exact-decay"]
+
+
+class _NanAt:
+    """A quadratic-minmax oracle that returns NaN for one token, with or
+    without the bulk ``sample`` / ``grad`` split."""
+
+    def __init__(self, oracle, bad):
+        self.oracle, self.bad = oracle, bad
+
+    def __call__(self, x, dual, token):
+        g = self.oracle(x, dual, token)
+        return np.full_like(g, math.nan) if token == self.bad else g
+
+
+class _BulkNanAt(_NanAt):
+    def sample(self, tokens):
+        flag = (tokens == np.uint64(self.bad)).astype(np.float64)
+        return np.column_stack([self.oracle.sample(tokens), flag])
+
+    def grad(self, x, dual, z):
+        g = self.oracle.grad(x, dual, z[:, :-1])
+        return np.where(z[:, -1:] == 1.0, math.nan, g)
+
+
+def _one_seed_fails(slot, step_no, seed, kind):
+    """The quadratic problem, with the oracle of token slot ``slot``
+    failing on ``seed``'s token of step ``step_no``: NaN from a bulk or a
+    per-seed oracle, or a finite 1e308 whose dual ascent step overflows."""
+    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
+    bad = int(RngStream(seed).draw_many(4 * step_no)[4 * (step_no - 1)
+                                                     + slot])
+    field = ("phi_subgrad_x", "phi_grad_y")[slot]
+    base = getattr(quad, field)
+    if kind == "overflow":
+        def oracle(x, y, tok):
+            return np.full(3, 1e308) if tok == bad else base(x, y, tok)
+    else:
+        oracle = (_BulkNanAt if kind == "bulk" else _NanAt)(base, bad)
+    return dataclasses.replace(quad, **{field: oracle})
+
+
+@pytest.mark.parametrize("slot, kind, why", [
+    (0, "bulk", "phi_subgrad_x returned a non-finite value"),
+    (0, "per-seed", "phi_subgrad_x returned a non-finite value"),
+    (1, "bulk", "phi_grad_y returned a non-finite value"),
+    (1, "per-seed", "phi_grad_y returned a non-finite value"),
+    (1, "overflow", "point contains non-finite entries")])
+def test_a_seed_that_aborts_mid_chunk_stops_alone(slot, kind, why):
+    seeds, failing, step_no = [31, 32, 33], 32, 40
+    prob = _one_seed_fails(slot, step_no, failing, kind)
+    # eta1 = 2 lets a dual ascent step of 2e308 overflow
+    sched = Schedule.from_manual(
+        0.5, 0.01, 2.0 if kind == "overflow" else 0.05, 60, prob.constants,
+        mode="minmax", check_feasible=False)
+    solo_rngs = [RngStream(s) for s in seeds]
+    batch_rngs = [RngStream(s) for s in seeds]
+    with np.errstate(over="ignore"):
+        solo = [run(prob, "minmax", sched, r, x0=np.full(3, 0.5),
+                    seed_label=s) for r, s in zip(solo_rngs, seeds)]
+        batch = run_batch(prob, "minmax", sched, batch_rngs,
+                          x0=np.full(3, 0.5), seed_labels=seeds)
+    for s, a, b, ra, rb in zip(seeds, solo, batch, solo_rngs, batch_rngs):
+        assert _digest(b) == _digest(a)
+        assert b.aborted == (s == failing)
+        assert rb.counter == ra.counter
+        assert rb.draw() == ra.draw()
+        assert rb.integers(0, 10 ** 9) == ra.integers(0, 10 ** 9)
+    lost = batch[seeds.index(failing)]
+    assert lost.abort_reason == why
+    assert lost.final_state.t == step_no - 1
+    assert solo_rngs[seeds.index(failing)].counter == 4 * step_no + 2
+
+
+def test_every_token_on_the_scalar_fallback_keeps_the_golden_digests(
+        monkeypatch):
+    # zero tables: no draw passes the bulk fast path, and one that did
+    # would read 0
+    monkeypatch.setattr(core, "_zig", (np.zeros(256),
+                                       np.zeros(256, dtype=np.uint64)))
+    realized = []
+    plain = core.token_generator
+    monkeypatch.setattr(core, "token_generator",
+                        lambda t: realized.append(t) or plain(t))
+    for case, make in _golden_runs().items():
+        assert _digest(make()) == GOLDEN[case], case
+    assert len(realized) > 1000
+
+
+def test_stacked_steps_equal_row_by_row_steps():
+    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
+    sched = _manual_sched(0.5, 0.01, 0.05, quad.constants, "minmax")
+    rows = [initial_state(quad, np.full(3, v)) for v in (1.5, -0.5)]
+    stacked = SmagState(x=np.stack([r.x for r in rows]),
+                        x_phi=np.stack([r.x_phi for r in rows]),
+                        x_psi=np.stack([r.x_psi for r in rows]),
+                        y=np.stack([r.y for r in rows]), z=None,
+                        last_g=np.zeros((2, 3)))
+    rows = [dataclasses.replace(r, z=None) for r in rows]
+    for mode in ("minmax", "dmax"):
+        both = step(quad, stacked, sched, [RngStream(1), RngStream(2)], mode)
+        for j, seed in enumerate((1, 2)):
+            one = step(quad, rows[j], sched, RngStream(seed), mode)
+            for name in ("x", "x_phi", "x_psi", "y", "last_g"):
+                assert getattr(both, name)[j].tobytes() == \
+                       getattr(one, name).tobytes()
+    # the second row's anchor overflows
+    bad = dataclasses.replace(stacked, x=stacked.x * [[1.0], [1e308]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match=r"^anchor iterate became non-finite$"):
+        step(quad, bad, sched, [RngStream(1), RngStream(2)], "minmax",
+             lr_scale=1e10)
+
+
+def test_run_batch_needs_a_stream_and_a_label_per_stream():
+    prob = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
+    for rngs, labels in (([], None), ([RngStream(1)], [1, 2])):
+        with pytest.raises(ParameterError, match="one seed label"):
+            run_batch(prob, "dwc", sched, rngs, seed_labels=labels)

@@ -41,7 +41,6 @@ from .smag import (
     initial_state,
     potential_diagnostic,
     run,
-    run_batch,
     schedule_from_theory,
     step,
     step_diagnostics,
@@ -83,7 +82,6 @@ __all__ = [
     "initial_state",
     "potential_diagnostic",
     "run",
-    "run_batch",
     "schedule_from_theory",
     "step",
     "step_diagnostics",

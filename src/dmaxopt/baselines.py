@@ -26,7 +26,6 @@ from .core import (
 from .smag import (
     _Feed,
     _drive,
-    _keep,
     _norm,
     _one_step,
     _stack,
@@ -54,37 +53,22 @@ class BaselineState:
 def _sgd_kernel(problem: DMaxProblem, st: BaselineState, lr: float,
                 feed) -> BaselineState:
     dim = problem.dim_x
-    x, y = st.x, st.y
-    g_phi, keep = feed.grad(0, x, y, dim, "phi_subgrad_x")
-    if keep is not None:
-        x, y = _keep(keep, x, y)
-    g_psi, keep = feed.grad(1, x, None, dim, "psi_subgrad_x")
-    if keep is not None:
-        x, y, g_phi = _keep(keep, x, y, g_phi)
+    g_phi = feed.grad(0, st.x, st.y, dim, "phi_subgrad_x")
+    g_psi = feed.grad(1, st.x, None, dim, "psi_subgrad_x")
     direction = g_phi - g_psi
-    x_new = x - lr * direction
-    keep = feed.check(x_new, "sgd iterate became non-finite")
-    if keep is not None:
-        x_new, y, direction = _keep(keep, x_new, y, direction)
-    return BaselineState(x=x_new, y=y, last_dir=direction, t=st.t + 1)
+    x_new = st.x - lr * direction
+    feed.check(x_new, "sgd iterate became non-finite")
+    return BaselineState(x=x_new, y=st.y, last_dir=direction, t=st.t + 1)
 
 
 def _sgda_kernel(problem: DMaxProblem, st: BaselineState, lr_x: float,
                  lr_y: float, feed) -> BaselineState:
     x, y = st.x, st.y
-    g_x, keep = feed.grad(0, x, y, problem.dim_x, "phi_subgrad_x")
-    if keep is not None:
-        x, y = _keep(keep, x, y)
-    g_y, keep = feed.grad(1, x, y, y.shape[1], "phi_grad_y")
-    if keep is not None:
-        x, y, g_x = _keep(keep, x, y, g_x)
+    g_x = feed.grad(0, x, y, problem.dim_x, "phi_subgrad_x")
+    g_y = feed.grad(1, x, y, y.shape[1], "phi_grad_y")
     x_new = x - lr_x * g_x
-    y_new, keep = feed.project(project, problem.set_y, y + lr_y * g_y)
-    if keep is not None:
-        x_new, g_x = _keep(keep, x_new, g_x)
-    keep = feed.check(x_new, "sgda iterate became non-finite")
-    if keep is not None:
-        x_new, y_new, g_x = _keep(keep, x_new, y_new, g_x)
+    y_new = feed.project(project, problem.set_y, y + lr_y * g_y, y)
+    feed.check(x_new, "sgda iterate became non-finite")
     return BaselineState(x=x_new, y=y_new, last_dir=g_x, t=st.t + 1)
 
 
@@ -105,9 +89,7 @@ def _sgda_oracles(problem: DMaxProblem, state: BaselineState) -> list:
 def sgd_step(problem: DMaxProblem, state: BaselineState, lr: float,
              rng, *, shared_sample: bool = False) -> BaselineState:
     """One step of x <- x - lr (g_phi - g_psi) with independent samples per
-    component (or one shared sample when ``shared_sample`` is set).  A
-    state with a leading seed axis steps its rows in lockstep, with
-    ``rng`` a sequence of one stream per row."""
+    component (or one shared sample when ``shared_sample`` is set)."""
     return _one_step(lambda st, feed: _sgd_kernel(problem, st, lr, feed),
                      state, rng, _sgd_oracles(problem), shared_sample)
 
@@ -116,8 +98,7 @@ def sgda_step(problem: DMaxProblem, state: BaselineState, lr_x: float,
               lr_y: float, rng,
               *, shared_sample: bool = False) -> BaselineState:
     """One simultaneous descent-ascent step; both gradients are evaluated at
-    the pre-update pair (x, y).  Stacked states step as in
-    :func:`sgd_step`."""
+    the pre-update pair (x, y)."""
     return _one_step(
         lambda st, feed: _sgda_kernel(problem, st, lr_x, lr_y, feed),
         state, rng, _sgda_oracles(problem, state), shared_sample)
@@ -162,7 +143,7 @@ def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
 
     With a sequence of streams for ``rng`` (and of labels for
     ``seed_label``) the seeds run in lockstep, as in
-    :func:`dmaxopt.smag.run_batch`, and a list of results comes back.
+    :func:`dmaxopt.smag.run`, and a list of results comes back.
     """
     if lr <= 0:
         raise ParameterError("lr must be positive")

@@ -147,8 +147,20 @@ class ExperimentConfig:
             raise ParameterError("trace_every must be an integer >= 1")
         if not _is_int(self.workers) or self.workers < 0:
             raise ParameterError("workers must be an integer >= 0")
-        if self.decay_factor <= 0:
-            raise ParameterError("decay_factor must be positive")
+        if (not isinstance(self.decay_milestones, list)
+                or not all(_is_int(m) and m >= 0
+                           for m in self.decay_milestones)):
+            raise ParameterError("decay_milestones must be a list of "
+                                 "nonnegative integers")
+        if (not isinstance(self.decay_factor, (int, float))
+                or isinstance(self.decay_factor, bool)
+                or self.decay_factor <= 0):
+            raise ParameterError("decay_factor must be a positive number")
+        if not isinstance(self.shared_sample, bool):
+            raise ParameterError("shared_sample must be true or false")
+        if self.exact_metrics is not None and not isinstance(
+                self.exact_metrics, bool):
+            raise ParameterError("exact_metrics must be true, false or null")
         if self.algorithm.startswith("smag"):
             if not isinstance(self.schedule, dict) or not self.schedule:
                 raise ParameterError("smag algorithms need a schedule object")

@@ -1,7 +1,7 @@
 """Deterministic experiment runner: per-seed trace CSVs plus a summary.
 
 All seeds of a config run in one process, in lockstep: one batched call
-steps them together (see :func:`dmaxopt.smag.run_batch`), and each seed's
+steps them together (see :func:`dmaxopt.smag.run`), and each seed's
 numbers are bit-identical to a solo run of that seed.  Trace files carry
 ``#`` metadata lines (config hash, seed, algorithm, metric provenance)
 above a fixed CSV header; the ``elapsed_ms`` column is wall-clock (the

@@ -17,7 +17,6 @@ from .pauc import (
 from .pu import (
     PuParams,
     make_pu_problem,
-    pu_component_subgrads,
     pu_full_subgrads,
     pu_objective,
     synth_gaussian_pu,
@@ -44,7 +43,6 @@ __all__ = [
     "synth_biased_pauc",
     "PuParams",
     "make_pu_problem",
-    "pu_component_subgrads",
     "pu_full_subgrads",
     "pu_objective",
     "synth_gaussian_pu",

@@ -145,7 +145,10 @@ def _hinged_pair_sum(hp: np.ndarray, hn: np.ndarray, s: np.ndarray,
                 fill(out[n - j1:], i1, i1 + 1, 0, j1)
         return out.sum()
 
-    return float(node(0, hp.size * n_neg))
+    try:
+        return float(node(0, hp.size * n_neg))
+    finally:
+        del node  # ``node`` refers to itself through its closure cell
 
 
 def _objective(x: np.ndarray, pos: np.ndarray, neg: np.ndarray,

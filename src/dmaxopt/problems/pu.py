@@ -27,7 +27,6 @@ from ..core import (
     FunctionOracle,
     ParameterError,
     ProblemConstants,
-    RngStream,
     box,
     token_generator,
 )
@@ -36,7 +35,6 @@ from .data import LabeledDataset
 __all__ = [
     "PuParams",
     "pu_objective",
-    "pu_component_subgrads",
     "pu_full_subgrads",
     "make_pu_problem",
     "synth_gaussian_pu",
@@ -87,27 +85,6 @@ def _phi_batch_grad(w, pos_x, unl_x, pi_p):
 def _psi_batch_grad(w, pos_x, pi_p):
     act = (pos_x @ w) > -1.0
     return pi_p * (pos_x.T @ act) / pos_x.shape[0]
-
-
-def pu_component_subgrads(w: np.ndarray, positives: LabeledDataset,
-                          unlabeled: LabeledDataset, params: PuParams,
-                          token) -> Tuple[np.ndarray, np.ndarray]:
-    """One coupled mini-batch subgradient pair (g_phi, g_psi).
-
-    ``token`` is either an integer sample token or an :class:`RngStream`
-    (in which case one token is drawn from it).  Both components use the
-    same positive batch; phi additionally samples an unlabeled batch.
-    """
-    if isinstance(token, RngStream):
-        token = token.draw()
-    gen = token_generator(int(token))
-    idx_p = gen.integers(0, len(positives), size=params.batch_pos)
-    idx_u = gen.integers(0, len(unlabeled), size=params.batch_unl)
-    pos_x = positives.features[idx_p]
-    unl_x = unlabeled.features[idx_u]
-    g_phi = _phi_batch_grad(w, pos_x, unl_x, params.pi_p)
-    g_psi = _psi_batch_grad(w, pos_x, params.pi_p)
-    return g_phi, g_psi
 
 
 def pu_full_subgrads(w: np.ndarray, positives: LabeledDataset,

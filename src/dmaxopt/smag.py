@@ -55,7 +55,6 @@ __all__ = [
     "step",
     "RunResult",
     "run",
-    "run_batch",
     "PotentialTrace",
     "potential_diagnostic",
     "step_diagnostics",
@@ -328,10 +327,6 @@ def _stack(state, n: int):
                              for k, v in _arrays(state).items()})
 
 
-def _keep(keep: np.ndarray, *arrays):
-    return tuple(None if a is None else a[keep] for a in arrays)
-
-
 def _oracle_vec(raw, dim: int, what: str) -> np.ndarray:
     g = np.asarray(raw, dtype=np.float64)
     if g.shape != (dim,):
@@ -352,10 +347,9 @@ class _Feed:
     ``grad`` gets the chunk's noise realized in bulk and is evaluated on
     the stacked rows; any other oracle is called per seed with its token.
 
-    A seed whose step fails is dropped from the rows: its
-    :class:`NonFiniteError` goes to ``lost``, and the tokens drawn for its
-    later steps go back to its stream, so the stream ends where a solo run
-    would leave it.
+    A row whose step fails is marked in ``failed`` with its first
+    :class:`NonFiniteError`, and reads finite values for the rest of the
+    step.  :meth:`drop` removes the marked rows at the end of the step.
     """
 
     def __init__(self, rngs, oracles, shared_sample: bool):
@@ -365,9 +359,9 @@ class _Feed:
         self.bulk = [hasattr(o, "sample") and hasattr(o, "grad")
                      for o in oracles]
         self.rows = list(range(len(self.rngs)))  # live seeds, in row order
-        self.lost: dict = {}
+        self.failed: dict = {}  # row -> its error, within the step
+        self.lost: dict = {}  # seed -> its error
         self.c = self.steps = 0  # step within the chunk, chunk length
-        self.cols = None  # chunk column of each row, once a row is dropped
 
     def next_step(self, remaining: int) -> None:
         self.c += 1
@@ -375,7 +369,7 @@ class _Feed:
             return
         n, live = len(self.oracles), self.rows
         self.steps = min(remaining, max(1, _CHUNK // len(live)))
-        self.c, self.cols = 0, None
+        self.c = 0
         toks = np.stack([self.rngs[i].draw_many(n * self.steps)
                          for i in live]).reshape(len(live), self.steps, n)
         self.inputs = []
@@ -388,83 +382,77 @@ class _Feed:
                 self.inputs.append(
                     None if z is None else z.reshape(*t.shape, -1))
             else:
-                self.inputs.append(t.tolist())
+                self.inputs.append(t.T.tolist())  # per seed, per step
 
-    def drop(self, bad: np.ndarray, errors) -> np.ndarray:
-        """Drop the rows flagged in ``bad``; ``errors(j)`` is row ``j``'s
-        error.  Returns the mask of the rows kept."""
+    def drop(self, keep: np.ndarray) -> None:
+        """Drop the rows marked in ``failed``, ``keep`` being the mask of
+        the others: their errors go to ``lost``, and the tokens drawn for
+        their later steps go back to their streams, so each stream ends
+        where a solo run would leave it."""
         give_back = len(self.oracles) * (self.steps - self.c - 1)
-        for j in np.flatnonzero(bad).tolist():
-            seed = self.rows[j]
-            self.lost[seed] = errors(j)
-            self.rngs[seed]._put_back(give_back)
-        keep = ~bad
+        for j, err in self.failed.items():
+            self.lost[self.rows[j]] = err
+            self.rngs[self.rows[j]]._put_back(give_back)
+        self.failed = {}
         self.rows = [i for i, kept in zip(self.rows, keep.tolist()) if kept]
-        cols = np.arange(keep.shape[0]) if self.cols is None else self.cols
-        self.cols = cols[keep]
-        return keep
+        self.inputs = [
+            z if z is None else z[:, keep] if self.bulk[k]
+            else [toks for toks, kept in zip(z, keep.tolist()) if kept]
+            for k, z in enumerate(self.inputs)]
+
+    def _mark(self, bad: np.ndarray, err: NonFiniteError) -> None:
+        for j in np.flatnonzero(bad).tolist():
+            self.failed.setdefault(j, err)
 
     def grad(self, k: int, x: np.ndarray, dual, dim: int, what: str):
-        """Oracle ``k`` at the rows of ``x`` and ``dual``.  Returns the
-        ``(rows, dim)`` values of the rows that stay, and the keep mask
-        when a row was dropped (else ``None``)."""
+        """Oracle ``k`` at the rows of ``x`` and ``dual``, as ``(rows,
+        dim)`` values.  A row whose value is not finite fails and reads 0;
+        a per-seed oracle skips the rows that already failed."""
         oracle, inputs = self.oracles[k], self.inputs[k]
         if self.bulk[k]:
             z = inputs if inputs is None else inputs[self.c]
-            if z is not None and self.cols is not None:
-                z = z[self.cols]
             g = np.asarray(oracle.grad(x, dual, z), dtype=np.float64)
             if g.shape[1:] != (dim,):
                 raise ParameterError(f"{what} returned shape {g.shape[1:]}, "
                                      f"expected ({dim},)")
             if _finite(g):
-                return g, None
-            err = NonFiniteError(f"{what} returned a non-finite value")
-            keep = self.drop(~np.isfinite(g).all(axis=1), lambda j: err)
-            return g[keep], keep
-        toks, cols = inputs[self.c], self.cols
-        g = np.empty((x.shape[0], dim))
-        errors = {}
+                return g
+            bad = ~np.isfinite(g).all(axis=1)
+            self._mark(bad, NonFiniteError(f"{what} returned a non-finite "
+                                           "value"))
+            return np.where(bad[:, None], 0.0, g)
+        g = np.zeros((x.shape[0], dim))
         for j in range(x.shape[0]):
+            if j in self.failed:
+                continue
             try:
                 g[j] = _oracle_vec(
                     oracle(x[j], None if dual is None else dual[j],
-                           toks[j if cols is None else cols[j]]), dim, what)
+                           inputs[j][self.c]), dim, what)
             except NonFiniteError as exc:
-                errors[j] = exc
-        if not errors:
-            return g, None
-        bad = np.zeros(x.shape[0], dtype=bool)
-        bad[list(errors)] = True
-        keep = self.drop(bad, errors.__getitem__)
-        return g[keep], keep
+                self.failed[j] = exc
+        return g
 
-    def project(self, proj, cset: ConstraintSet, v: np.ndarray):
-        """``proj(cset, v)`` on the rows of ``v``; a row it would refuse is
-        dropped with the error ``proj`` raises for it.  Returns the
-        projected rows and the keep mask (or ``None``)."""
+    def project(self, proj, cset: ConstraintSet, v: np.ndarray,
+                old: np.ndarray) -> np.ndarray:
+        """``proj(cset, v)`` on the rows of ``v``.  A row it refuses fails
+        with the error ``proj`` raises for it, and its old dual ``old`` is
+        projected in its place."""
         try:
-            return proj(cset, v), None
+            return proj(cset, v)
         except NonFiniteError:
-            pass
-
-        def error(j):
+            bad = ~np.isfinite(v).all(axis=1)
+        for j in np.flatnonzero(bad).tolist():
             try:
                 proj(cset, v[j])
             except NonFiniteError as exc:
-                return exc
-            raise AssertionError("a non-finite point was projected")
+                self.failed.setdefault(j, exc)
+        return proj(cset, np.where(bad[:, None], old, v))
 
-        keep = self.drop(~np.isfinite(v).all(axis=1), error)
-        return proj(cset, v[keep]), keep
-
-    def check(self, x: np.ndarray, message: str):
-        """Drop the rows of ``x`` with a non-finite entry; returns the keep
-        mask (or ``None``)."""
-        if _finite(x):
-            return None
-        err = NonFiniteError(message)
-        return self.drop(~np.isfinite(x).all(axis=1), lambda j: err)
+    def check(self, x: np.ndarray, message: str) -> None:
+        """Fail the rows of ``x`` with a non-finite entry."""
+        if not _finite(x):
+            self._mark(~np.isfinite(x).all(axis=1), NonFiniteError(message))
 
 
 def _streams(rng, seed_label):
@@ -476,17 +464,17 @@ def _streams(rng, seed_label):
     return rngs, list(seed_label)
 
 
-def _one_step(kernel, state, rng, oracles, shared_sample: bool):
-    """``kernel(state, feed)`` for one step of a 1-D ``state`` and one
-    stream, or of a stacked ``state`` and one stream per row; a failed row
-    raises its :class:`NonFiniteError`."""
-    stacked = not isinstance(rng, RngStream)
-    feed = _Feed(rng if stacked else [rng], oracles, shared_sample)
+def _one_step(kernel, state, rng: RngStream, oracles, shared_sample: bool):
+    """``kernel(state, feed)`` for one step of the 1-D ``state`` on the
+    stream ``rng``; a failure raises its :class:`NonFiniteError`."""
+    if np.ndim(state.x) != 1:
+        raise ParameterError("a step takes one state with a 1-D x")
+    feed = _Feed([rng], oracles, shared_sample)
     feed.next_step(1)
-    nxt = kernel(state if stacked else _pick(state, None), feed)
-    if feed.lost:
-        raise feed.lost[min(feed.lost)]
-    return nxt if stacked else _pick(nxt, 0)
+    nxt = kernel(_pick(state, None), feed)
+    if feed.failed:
+        raise feed.failed[0]
+    return _pick(nxt, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -512,28 +500,22 @@ def _smag_oracles(problem: DMaxProblem, state: SmagState, mode: Mode):
 
 def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
                  mode: Mode, lr_scale: float, feed: _Feed) -> SmagState:
-    """One step of the stacked seeds ``st``; rows that fail are dropped."""
+    """One step of the stacked seeds ``st``; rows that fail are marked in
+    ``feed``."""
     eta1 = sched.eta1 * lr_scale
     eta0 = sched.eta0 * lr_scale
     inv_gamma = 1.0 / sched.gamma
     dim = problem.dim_x
     x_t, x_phi, x_psi, y, z = st.x, st.x_phi, st.x_psi, st.y, st.z
 
-    g_phi, keep = feed.grad(0, x_phi, y, dim, "phi_subgrad_x")
-    if keep is not None:
-        x_t, x_phi, x_psi, y, z = _keep(keep, x_t, x_phi, x_psi, y, z)
+    g_phi = feed.grad(0, x_phi, y, dim, "phi_subgrad_x")
     x_phi_new = x_phi - eta1 * (g_phi + inv_gamma * (x_phi - x_t))
 
     y_new = y
     if mode != "dwc" and problem.phi_grad_y is not None and y is not None:
         # Dual ascent evaluates at the *previous* x_phi on purpose.
-        g_y, keep = feed.grad(1, x_phi, y, y.shape[1], "phi_grad_y")
-        if keep is not None:
-            x_t, x_psi, y, z, x_phi_new = _keep(keep, x_t, x_psi, y, z,
-                                                x_phi_new)
-        y_new, keep = feed.project(project, problem.set_y, y + eta1 * g_y)
-        if keep is not None:
-            x_t, x_psi, z, x_phi_new = _keep(keep, x_t, x_psi, z, x_phi_new)
+        g_y = feed.grad(1, x_phi, y, y.shape[1], "phi_grad_y")
+        y_new = feed.project(project, problem.set_y, y + eta1 * g_y, y)
 
     if mode == "minmax":
         x_psi_new = x_psi
@@ -543,29 +525,16 @@ def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
         if problem.psi_subgrad_x is None:
             raise CapabilityError(
                 f"mode {mode!r} needs a psi_subgrad_x oracle")
-        g_psi, keep = feed.grad(2, x_psi, z, dim, "psi_subgrad_x")
-        if keep is not None:
-            x_t, x_psi, z, x_phi_new, y_new = _keep(keep, x_t, x_psi, z,
-                                                    x_phi_new, y_new)
+        g_psi = feed.grad(2, x_psi, z, dim, "psi_subgrad_x")
         x_psi_new = x_psi - eta1 * (g_psi + inv_gamma * (x_psi - x_t))
         z_new = z
         if mode == "dmax" and problem.psi_grad_z is not None and z is not None:
-            g_z, keep = feed.grad(3, x_psi, z, z.shape[1], "psi_grad_z")
-            if keep is not None:
-                x_t, z, x_phi_new, y_new, x_psi_new = _keep(
-                    keep, x_t, z, x_phi_new, y_new, x_psi_new)
-            z_new, keep = feed.project(project, problem.set_z,
-                                       z + eta1 * g_z)
-            if keep is not None:
-                x_t, x_phi_new, y_new, x_psi_new = _keep(
-                    keep, x_t, x_phi_new, y_new, x_psi_new)
+            g_z = feed.grad(3, x_psi, z, z.shape[1], "psi_grad_z")
+            z_new = feed.project(project, problem.set_z, z + eta1 * g_z, z)
         g_vec = (x_psi_new - x_phi_new) * inv_gamma
 
     x_new = x_t - eta0 * g_vec
-    keep = feed.check(x_new, "anchor iterate became non-finite")
-    if keep is not None:
-        x_new, x_phi_new, x_psi_new, y_new, z_new, g_vec = _keep(
-            keep, x_new, x_phi_new, x_psi_new, y_new, z_new, g_vec)
+    feed.check(x_new, "anchor iterate became non-finite")
     return SmagState(x=x_new, x_phi=x_phi_new, x_psi=x_psi_new, y=y_new,
                      z=z_new, last_g=g_vec, t=st.t + 1)
 
@@ -578,9 +547,7 @@ def step(problem: DMaxProblem, state: SmagState, sched: Schedule,
     Draws four tokens from ``rng`` for the phi_x, phi_y, psi_x and psi_z
     oracles, in that order, whatever the mode; ``shared_sample`` feeds the
     first token to all four.  ``lr_scale`` multiplies both step sizes.
-    A state whose arrays carry a leading seed axis steps its rows in
-    lockstep, with ``rng`` a sequence of one stream per row.  A non-finite
-    value raises :class:`NonFiniteError`.
+    A non-finite value raises :class:`NonFiniteError`.
     """
     _check_mode(mode)
     return _one_step(
@@ -671,38 +638,17 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     anchor).  A non-finite oracle value aborts the run; the partial trace
     is kept and the result flagged rather than raised.
 
-    This is :func:`run_batch` for one seed.  With a sequence of streams
-    for ``rng`` (and of labels for ``seed_label``) it is
-    :func:`run_batch` itself and returns one result per stream.
+    With a sequence of streams for ``rng`` (and of labels for
+    ``seed_label``, or one int label for all) the seeds step in lockstep
+    as the rows of ``(S, dim)`` arrays, and one :class:`RunResult` per
+    stream comes back, each equal bit for bit to a solo run of that
+    stream.  Oracles that can ``sample`` realize a chunk of steps' noise
+    in bulk and take one numpy step for all seeds; other oracles are
+    called per seed with its token.  Trace rows, ``t_bar``, finiteness
+    checks and aborts stay per seed: a seed that aborts stops there, and
+    the others go on.  ``elapsed_ms`` is the seeds' shared clock.
     """
     rngs, labels = _streams(rng, seed_label)
-    res = run_batch(problem, mode, sched, rngs, x0,
-                    trace_every=trace_every, seed_labels=labels,
-                    decay_milestones=decay_milestones,
-                    decay_factor=decay_factor, shared_sample=shared_sample,
-                    exact_metrics=exact_metrics,
-                    collect_states=collect_states)
-    return res[0] if isinstance(rng, RngStream) else res
-
-
-def run_batch(problem: DMaxProblem, mode: Mode, sched: Schedule,
-              rngs: Sequence[RngStream], x0=None, *, trace_every: int = 1,
-              seed_labels: Optional[Sequence[int]] = None,
-              decay_milestones: Sequence[int] = (),
-              decay_factor: float = 10.0, shared_sample: bool = False,
-              exact_metrics: Optional[bool] = None,
-              collect_states: bool = False) -> list:
-    """:func:`run` for several seeds at once, one :class:`RunResult` per
-    stream of ``rngs``, each equal bit for bit to a solo run of that
-    stream.
-
-    The seeds step in lockstep as the rows of ``(S, dim)`` arrays.
-    Oracles that can ``sample`` realize a chunk of steps' noise in bulk
-    and take one numpy step for all seeds; other oracles are called per
-    seed with its token.  Trace rows, ``t_bar``, finiteness checks and
-    aborts stay per seed: a seed that aborts stops there, and the others
-    go on.  ``elapsed_ms`` is the batch's shared clock.
-    """
     _check_mode(mode)
     missing = _missing_maps(problem, mode)
     if exact_metrics is None:
@@ -716,7 +662,6 @@ def run_batch(problem: DMaxProblem, mode: Mode, sched: Schedule,
 
     t_total = sched.t_total
     n = len(rngs)
-    labels = list(seed_labels) if seed_labels is not None else [0] * n
     low = 0 if mode == "minmax" else 1
     t_bar = [int(r.child(1).integers(low, t_total + low)) for r in rngs]
 
@@ -804,22 +749,24 @@ def run_batch(problem: DMaxProblem, mode: Mode, sched: Schedule,
             candidate=cand, returned=returned, x_psi_bar=xpb,
             aborted=reasons[i] is not None, abort_reason=reasons[i] or "",
             states=None if states is None else states[i]))
-    return results
+    return results[0] if isinstance(rng, RngStream) else results
 
 
 def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
            row, *, on_step=None, trace_every: int, seed_labels: list,
            decay_milestones: Sequence[int], decay_factor: float):
-    """The lockstep loop shared by :func:`run_batch` and the baselines.
+    """The lockstep loop shared by :func:`run` and the baselines.
 
     ``state`` stacks one row per seed of ``feed`` (any state dataclass with
     ``x`` and ``t``).  Each step is ``kernel(state, lr_scale)``, which
-    drops the rows of seeds whose step failed; ``on_step(prev, state,
-    rows)`` then sees the surviving rows, whose seeds are ``rows``.  Every
-    ``trace_every`` steps and at the last one each live seed ``i`` in row
-    ``j`` gets a :class:`RunRecord`, with ``row(prev, state, j, i)`` giving
-    its ``(stationarity, p_t)``.  Returns per seed its final state (1-D),
-    its records and its abort reason (``None`` if it did not abort).
+    marks the rows whose step failed in ``feed``; those rows are dropped
+    here, their seeds keeping the state before the step.  ``on_step(prev,
+    state, rows)`` then sees the surviving rows, whose seeds are ``rows``.
+    Every ``trace_every`` steps and at the last one each live seed ``i``
+    in row ``j`` gets a :class:`RunRecord`, with ``row(prev, state, j,
+    i)`` giving its ``(stationarity, p_t)``.  Returns per seed its final
+    state (1-D), its records and its abort reason (``None`` if it did not
+    abort).
     """
     if t_total < 1:
         raise ParameterError("t_total must be >= 1")
@@ -838,15 +785,17 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
     for t in range(t_total):
         scale = lr_scale_at(t, milestones, decay_factor) if milestones else 1.0
         feed.next_step(t_total - t)
-        prev, before = state, feed.rows
+        prev = state
         state = kernel(prev, scale)
-        if feed.rows is not before:
-            kept = np.isin(before, feed.rows)
-            for j in np.flatnonzero(~kept).tolist():
-                finals[before[j]] = _pick(prev, j)
+        if feed.failed:
+            keep = np.ones(len(feed.rows), dtype=bool)
+            keep[list(feed.failed)] = False
+            for j in feed.failed:
+                finals[feed.rows[j]] = _pick(prev, j)
+            feed.drop(keep)
             if not feed.rows:
                 break
-            prev = _pick(prev, kept)
+            prev, state = _pick(prev, keep), _pick(state, keep)
         if on_step is not None:
             on_step(prev, state, feed.rows)
         if state.t % trace_every == 0 or state.t == t_total:

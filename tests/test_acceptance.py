@@ -33,7 +33,6 @@ from dmaxopt.problems import (
 from dmaxopt.smag import (
     Schedule,
     run,
-    run_batch,
     schedule_from_theory,
     step_diagnostics,
     validate_schedule,
@@ -172,9 +171,9 @@ def test_noisy_dwc_reaches_certified_criticality():
     sched = Schedule.from_manual(0.5, 0.005, 0.01, t_total, prob.constants,
                                  mode="dwc")
     certified = 0
-    for res in run_batch(prob, "dwc", sched,
-                         [RngStream(seed) for seed in range(5)], x0=2.0,
-                         trace_every=t_total):
+    for res in run(prob, "dwc", sched,
+                   [RngStream(seed) for seed in range(5)], x0=2.0,
+                   trace_every=t_total):
         cert = check_nearly_critical(prob, res.x_bar, res.returned, 0.5, 0.1)
         certified += cert.certified
     elapsed = time.monotonic() - t0
@@ -196,9 +195,9 @@ def test_noisy_minmax_envelope_gradient_small():
                                  mode="minmax")
     hits = 0
     norms = []
-    for res in run_batch(prob, "minmax", sched,
-                         [RngStream(seed) for seed in range(5)],
-                         x0=np.full(10, 1.5), trace_every=t_total):
+    for res in run(prob, "minmax", sched,
+                   [RngStream(seed) for seed in range(5)],
+                   x0=np.full(10, 1.5), trace_every=t_total):
         g = dmax_envelope_grad(prob, res.returned, 0.5)
         norms.append(float(np.linalg.norm(g)))
         hits += norms[-1] <= 0.05

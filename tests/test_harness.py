@@ -168,7 +168,11 @@ def test_experiment_config_validation():
 @pytest.mark.parametrize("key, value", [
     ("seeds", [True, 2]), ("seeds", [1.0, 2]), ("t_total", True),
     ("t_total", 20.0), ("trace_every", 1.5), ("trace_every", True),
-    ("workers", 1.5), ("workers", False)])
+    ("workers", 1.5), ("workers", False), ("decay_milestones", 5),
+    ("decay_milestones", [10, 2.5]), ("decay_milestones", [True]),
+    ("decay_milestones", [-1]), ("decay_factor", True),
+    ("decay_factor", "2"), ("decay_factor", 0), ("shared_sample", "false"),
+    ("shared_sample", 0), ("exact_metrics", "true"), ("exact_metrics", 1)])
 def test_config_integers_reject_bools_and_fractions(key, value):
     with pytest.raises(ParameterError, match=key):
         ExperimentConfig.from_dict(_good_cfg(**{key: value}))

@@ -1,5 +1,6 @@
 """Tests for the fairness-regularized partial-AUC problem."""
 
+import gc
 import math
 import tracemalloc
 
@@ -232,6 +233,22 @@ def test_objective_memory_stays_blocked():
         tracemalloc.stop()
     # the dense n_pos x n_neg temporaries took 123 MB here
     assert peak < 8 * 2 ** 20
+
+
+def test_objective_leaves_no_reference_cycle():
+    # a cycle would hold the pair buffer until the next full collection
+    data = synth_biased_pauc(200, 4, seed=3)
+    params = PaucParams(rho=0.3)
+    x = np.concatenate([np.full(4, 0.1), np.ones(data.n_pos)])
+    objective = pauc_fair_problem(data, params).full_objective
+    gc.collect()
+    gc.disable()
+    try:
+        pauc_objective(x, data, params)
+        objective(x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_trace_rows_record_the_dense_objective_at_their_anchor():

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from dmaxopt.core import ParameterError, RngStream
+from dmaxopt.core import ParameterError, token_generator
 from dmaxopt.problems import (
     LabeledDataset,
     PuParams,
     make_pu_problem,
-    pu_component_subgrads,
     pu_full_subgrads,
     pu_objective,
     synth_gaussian_pu,
@@ -73,29 +72,24 @@ def test_component_subgrads_share_the_positive_batch():
     prob = make_pu_problem(positives, unlabeled, params)
     w = gen_data.normal(size=3)
     token = 1234
-    pair = pu_component_subgrads(w, positives, unlabeled, params, token)
-    # the problem oracles with the same token must reproduce the pair
+    # the batches a token draws: positives first, then unlabeled points
+    gen = token_generator(token)
+    idx_p = gen.integers(0, len(positives), size=params.batch_pos)
+    idx_u = gen.integers(0, len(unlabeled), size=params.batch_unl)
+    pair = pu_full_subgrads(w, positives.subset(idx_p),
+                            unlabeled.subset(idx_u), params)
     assert np.array_equal(prob.phi_subgrad_x(w, None, token), pair[0])
     assert np.array_equal(prob.psi_subgrad_x(w, None, token), pair[1])
-
-
-def test_component_subgrads_accept_stream_or_int():
-    positives, unlabeled = _single_point_sets()
-    params = PuParams(pi_p=0.5, batch_pos=2, batch_unl=2)
-    w = np.array([0.3])
-    tok = int(RngStream(5).draw())
-    a = pu_component_subgrads(w, positives, unlabeled, params, tok)
-    b = pu_component_subgrads(w, positives, unlabeled, params, RngStream(5))
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_minibatch_matches_full_when_batch_covers_singleton():
     positives, unlabeled = _single_point_sets()
     params = PuParams(pi_p=0.7, batch_pos=4, batch_unl=4)
+    prob = make_pu_problem(positives, unlabeled, params)
     w = np.array([-0.2])
-    g = pu_component_subgrads(w, positives, unlabeled, params, 99)
     f = pu_full_subgrads(w, positives, unlabeled, params)
-    assert np.allclose(g[0], f[0]) and np.allclose(g[1], f[1])
+    assert np.allclose(prob.phi_subgrad_x(w, None, 99), f[0])
+    assert np.allclose(prob.psi_subgrad_x(w, None, 99), f[1])
 
 
 def test_make_pu_problem_wiring():

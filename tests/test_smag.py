@@ -37,7 +37,6 @@ from dmaxopt.smag import (
     lr_scale_at,
     potential_diagnostic,
     run,
-    run_batch,
     schedule_from_theory,
     step,
     step_diagnostics,
@@ -907,15 +906,15 @@ def test_seeds_in_lockstep_equal_their_solo_runs(case):
         assert all(r.aborted for r in batch)
 
 
-def test_run_batch_of_one_is_run():
+def test_run_of_a_list_of_one_stream_is_run():
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
-    [a] = run_batch(dwc, "dwc", Schedule.from_manual(
+    [a] = run(dwc, "dwc", Schedule.from_manual(
         0.5, 0.005, 0.01, 400, dwc.constants, mode="dwc"), [RngStream(7)],
         x0=2.0, trace_every=1, decay_milestones=(100, 250),
         decay_factor=3.0, exact_metrics=True)
     assert _digest(a) == GOLDEN["dwc-exact-decay"]
-    [b] = run_batch(quad, "minmax", Schedule.from_manual(
+    [b] = run(quad, "minmax", Schedule.from_manual(
         0.5, 0.01, 0.05, 400, quad.constants, mode="minmax"),
         [RngStream(11)], x0=np.array([1.5, -0.5, 3.0]), trace_every=1,
         decay_milestones=(150, 300), decay_factor=2.0)
@@ -923,15 +922,15 @@ def test_run_batch_of_one_is_run():
 
 
 class _NanAt:
-    """A quadratic-minmax oracle that returns NaN for one token, with or
-    without the bulk ``sample`` / ``grad`` split."""
+    """An oracle that returns ``value`` (NaN by default) in every entry for
+    one token, with or without the bulk ``sample`` / ``grad`` split."""
 
-    def __init__(self, oracle, bad):
-        self.oracle, self.bad = oracle, bad
+    def __init__(self, oracle, bad, value=math.nan):
+        self.oracle, self.bad, self.value = oracle, bad, value
 
     def __call__(self, x, dual, token):
         g = self.oracle(x, dual, token)
-        return np.full_like(g, math.nan) if token == self.bad else g
+        return np.full_like(g, self.value) if token == self.bad else g
 
 
 class _BulkNanAt(_NanAt):
@@ -941,7 +940,13 @@ class _BulkNanAt(_NanAt):
 
     def grad(self, x, dual, z):
         g = self.oracle.grad(x, dual, z[:, :-1])
-        return np.where(z[:, -1:] == 1.0, math.nan, g)
+        return np.where(z[:, -1:] == 1.0, self.value, g)
+
+
+def _token_of(seed, step_no, slot):
+    """``seed``'s token for the oracle of ``slot`` at step ``step_no``."""
+    return int(RngStream(seed).draw_many(4 * step_no)[4 * (step_no - 1)
+                                                       + slot])
 
 
 def _one_seed_fails(slot, step_no, seed, kind):
@@ -949,8 +954,7 @@ def _one_seed_fails(slot, step_no, seed, kind):
     failing on ``seed``'s token of step ``step_no``: NaN from a bulk or a
     per-seed oracle, or a finite 1e308 whose dual ascent step overflows."""
     quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
-    bad = int(RngStream(seed).draw_many(4 * step_no)[4 * (step_no - 1)
-                                                     + slot])
+    bad = _token_of(seed, step_no, slot)
     field = ("phi_subgrad_x", "phi_grad_y")[slot]
     base = getattr(quad, field)
     if kind == "overflow":
@@ -979,8 +983,8 @@ def test_a_seed_that_aborts_mid_chunk_stops_alone(slot, kind, why):
     with np.errstate(over="ignore"):
         solo = [run(prob, "minmax", sched, r, x0=np.full(3, 0.5),
                     seed_label=s) for r, s in zip(solo_rngs, seeds)]
-        batch = run_batch(prob, "minmax", sched, batch_rngs,
-                          x0=np.full(3, 0.5), seed_labels=seeds)
+        batch = run(prob, "minmax", sched, batch_rngs, x0=np.full(3, 0.5),
+                    seed_label=seeds)
     for s, a, b, ra, rb in zip(seeds, solo, batch, solo_rngs, batch_rngs):
         assert _digest(b) == _digest(a)
         assert b.aborted == (s == failing)
@@ -1008,34 +1012,68 @@ def test_every_token_on_the_scalar_fallback_keeps_the_golden_digests(
     assert len(realized) > 1000
 
 
-def test_stacked_steps_equal_row_by_row_steps():
+def test_a_failed_row_reads_zeros_for_the_rest_of_its_step():
+    # phi and psi both return +inf for one seed in one step: unless the
+    # failed rows read 0, its anchor move takes inf - inf
+    seeds, failing, step_no = [31, 32, 33], 32, 40
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    prob = dataclasses.replace(dwc, **{
+        name: _BulkNanAt(getattr(dwc, name),
+                         _token_of(failing, step_no, slot), math.inf)
+        for slot, name in ((0, "phi_subgrad_x"), (2, "psi_subgrad_x"))})
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, prob.constants,
+                                 mode="dwc")
+    solo_rngs = [RngStream(s) for s in seeds]
+    batch_rngs = [RngStream(s) for s in seeds]
+    with np.errstate(invalid="raise"):
+        solo = [run(prob, "dwc", sched, r, x0=2.0, seed_label=s)
+                for r, s in zip(solo_rngs, seeds)]
+        batch = run(prob, "dwc", sched, batch_rngs, x0=2.0, seed_label=seeds)
+    for s, a, b, ra, rb in zip(seeds, solo, batch, solo_rngs, batch_rngs):
+        assert _digest(b) == _digest(a)
+        assert b.aborted == (s == failing)
+        assert (rb.counter, rb.draw()) == (ra.counter, ra.draw())
+    lost = batch[seeds.index(failing)]
+    assert lost.abort_reason == "phi_subgrad_x returned a non-finite value"
+    assert lost.final_state.t == step_no - 1
+
+
+def test_a_failed_row_skips_the_per_seed_oracles_left_in_its_step():
+    seeds, failing, step_no = [31, 32, 33], 32, 40
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    calls = []
+
+    def psi(x, z, tok):
+        calls.append(tok)
+        return dwc.psi_subgrad_x(x, z, tok)
+
+    prob = dataclasses.replace(
+        dwc, psi_subgrad_x=psi, phi_subgrad_x=_NanAt(
+            dwc.phi_subgrad_x, _token_of(failing, step_no, 0)))
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, prob.constants,
+                                 mode="dwc")
+    for s in seeds:
+        run(prob, "dwc", sched, RngStream(s), x0=2.0)
+    solo_calls = sorted(calls)
+    calls.clear()
+    batch = run(prob, "dwc", sched, [RngStream(s) for s in seeds], x0=2.0)
+    assert sorted(calls) == solo_calls
+    assert _token_of(failing, step_no, 2) not in calls
+    assert [r.aborted for r in batch] == [s == failing for s in seeds]
+
+
+def test_steps_take_a_one_dimensional_state():
     quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
     sched = _manual_sched(0.5, 0.01, 0.05, quad.constants, "minmax")
-    rows = [initial_state(quad, np.full(3, v)) for v in (1.5, -0.5)]
-    stacked = SmagState(x=np.stack([r.x for r in rows]),
-                        x_phi=np.stack([r.x_phi for r in rows]),
-                        x_psi=np.stack([r.x_psi for r in rows]),
-                        y=np.stack([r.y for r in rows]), z=None,
-                        last_g=np.zeros((2, 3)))
-    rows = [dataclasses.replace(r, z=None) for r in rows]
-    for mode in ("minmax", "dmax"):
-        both = step(quad, stacked, sched, [RngStream(1), RngStream(2)], mode)
-        for j, seed in enumerate((1, 2)):
-            one = step(quad, rows[j], sched, RngStream(seed), mode)
-            for name in ("x", "x_phi", "x_psi", "y", "last_g"):
-                assert getattr(both, name)[j].tobytes() == \
-                       getattr(one, name).tobytes()
-    # the second row's anchor overflows
-    bad = dataclasses.replace(stacked, x=stacked.x * [[1.0], [1e308]])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NonFiniteError, match=r"^anchor iterate became non-finite$"):
-        step(quad, bad, sched, [RngStream(1), RngStream(2)], "minmax",
-             lr_scale=1e10)
+    one = initial_state(quad, np.full(3, 1.5))
+    stacked = dataclasses.replace(one, x=np.stack([one.x, one.x]))
+    with pytest.raises(ParameterError, match="1-D"):
+        step(quad, stacked, sched, RngStream(1), "minmax")
 
 
-def test_run_batch_needs_a_stream_and_a_label_per_stream():
+def test_run_needs_a_stream_and_a_label_per_stream():
     prob = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
-    for rngs, labels in (([], None), ([RngStream(1)], [1, 2])):
+    for rngs, labels in (([], 0), ([RngStream(1)], [1, 2])):
         with pytest.raises(ParameterError, match="one seed label"):
-            run_batch(prob, "dwc", sched, rngs, seed_labels=labels)
+            run(prob, "dwc", sched, rngs, seed_label=labels)

@@ -26,7 +26,7 @@ from .core import (
 from .smag import (
     _Feed,
     _drive,
-    _norm,
+    _norms,
     _one_step,
     _stack,
     _streams,
@@ -130,9 +130,8 @@ def _run(problem: DMaxProblem, oracles, kernel, t_total: int, rng, x0, *,
     return res[0] if isinstance(rng, RngStream) else res
 
 
-def _direction_norm(prev: BaselineState, state: BaselineState, j: int,
-                    i: int):
-    return _norm(state.last_dir[j]), math.nan
+def _direction_norm(prev: BaselineState, state: BaselineState):
+    return _norms(state.last_dir), [math.nan] * state.x.shape[0]
 
 
 def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
@@ -145,8 +144,8 @@ def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
     ``seed_label``) the seeds run in lockstep, as in
     :func:`dmaxopt.smag.run`, and a list of results comes back.
     """
-    if lr <= 0:
-        raise ParameterError("lr must be positive")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ParameterError("lr must be positive and finite")
     return _run(problem, lambda st: _sgd_oracles(problem),
                 lambda st, scale, feed: _sgd_kernel(problem, st, lr * scale,
                                                     feed),
@@ -162,8 +161,9 @@ def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
              shared_sample: bool = False):
     """Run simultaneous stochastic gradient descent-ascent; a sequence of
     streams runs in lockstep as in :func:`run_sgd`."""
-    if lr_x <= 0 or lr_y <= 0:
-        raise ParameterError("step sizes must be positive")
+    if not (lr_x > 0 and lr_y > 0 and math.isfinite(lr_x)
+            and math.isfinite(lr_y)):
+        raise ParameterError("step sizes must be positive and finite")
     return _run(problem, lambda st: _sgda_oracles(problem, st),
                 lambda st, scale, feed: _sgda_kernel(
                     problem, st, lr_x * scale, lr_y * scale, feed),

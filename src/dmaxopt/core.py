@@ -473,6 +473,18 @@ class FunctionOracle:
     kink_gap: Optional[Callable[[np.ndarray, float], float]] = None
 
 
+# A point ``(dim,)``, or a stack ``(S, dim)`` of points, one per row.
+Points = np.ndarray
+
+
+def _each_row(f, x: Points):
+    """``f`` of one point, or of each row of a stack as an ``(S,)`` array:
+    for maps that cost a full data pass per point anyway."""
+    if np.ndim(x) == 2:
+        return np.array([f(row) for row in x], dtype=np.float64)
+    return f(x)
+
+
 @dataclass(frozen=True)
 class ExactAux:
     """Closed-form auxiliary oracles a test problem may register.
@@ -480,12 +492,17 @@ class ExactAux:
     All fields are optional callables; anything present is trusted to be
     exact and is preferred over iterative computation by the verification
     paths (prox points, best responses, component values).
+
+    The prox and best-response maps take a point ``(dim,)`` or a stack
+    ``(S, dim)`` and return a point, or a stack with one row per input row.
+    Each row of a stack must equal, bit for bit, the map of that row alone:
+    runs trace all their seeds with one call.  The value maps take a point.
     """
 
-    prox_phi: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    prox_psi: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    best_response_y: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    best_response_z: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    prox_phi: Optional[Callable[[Points, float], Points]] = None
+    prox_psi: Optional[Callable[[Points, float], Points]] = None
+    best_response_y: Optional[Callable[[Points], Points]] = None
+    best_response_z: Optional[Callable[[Points], Points]] = None
     value_phi: Optional[Callable[[np.ndarray], float]] = None
     value_psi: Optional[Callable[[np.ndarray], float]] = None
 
@@ -505,6 +522,8 @@ class DMaxProblem:
 
     The four stochastic oracles take ``(x, dual, token)`` and return an
     unbiased (sub)gradient realized deterministically from the token.
+    ``full_objective`` and the maps of ``exact_aux`` take one point or an
+    ``(S, dim)`` stack of them (see :class:`ExactAux`).
     ``psi_*`` oracles and ``set_z`` may be ``None`` when the second
     component is absent; likewise ``phi_grad_y`` / ``set_y`` when the first
     component has no inner max.
@@ -522,8 +541,10 @@ class DMaxProblem:
     # Deterministic component functions Phi / Psi (of x alone), when available.
     phi_fn: Optional[FunctionOracle] = None
     psi_fn: Optional[FunctionOracle] = None
-    # Full-data objective F(x) for traces, when computable at reasonable cost.
-    full_objective: Optional[Callable[[np.ndarray], float]] = None
+    # Full-data objective F(x) for traces, when computable at reasonable
+    # cost: a float for a point ``(dim,)``, an ``(S,)`` array for a stack
+    # ``(S, dim)``, each entry equal bit for bit to F of its row alone.
+    full_objective: Optional[Callable[[Points], "float | np.ndarray"]] = None
     name: str = ""
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -89,6 +90,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_positive(v) -> bool:
+    """A finite positive number: ``true``, ``"0.1"``, NaN and infinities
+    are not."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0)
+
+
 @dataclass
 class ExperimentConfig:
     """Validated view of a ``run`` config."""
@@ -152,10 +160,9 @@ class ExperimentConfig:
                            for m in self.decay_milestones)):
             raise ParameterError("decay_milestones must be a list of "
                                  "nonnegative integers")
-        if (not isinstance(self.decay_factor, (int, float))
-                or isinstance(self.decay_factor, bool)
-                or self.decay_factor <= 0):
-            raise ParameterError("decay_factor must be a positive number")
+        if not _is_positive(self.decay_factor):
+            raise ParameterError(
+                "decay_factor must be a positive finite number")
         if not isinstance(self.shared_sample, bool):
             raise ParameterError("shared_sample must be true or false")
         if self.exact_metrics is not None and not isinstance(
@@ -165,11 +172,11 @@ class ExperimentConfig:
             if not isinstance(self.schedule, dict) or not self.schedule:
                 raise ParameterError("smag algorithms need a schedule object")
         else:
-            if self.lr is None or self.lr <= 0:
-                raise ParameterError(f"{self.algorithm} needs a positive lr")
-            if self.algorithm == "sgda" and (self.lr_y is None
-                                             or self.lr_y <= 0):
-                raise ParameterError("sgda needs a positive lr_y")
+            if not _is_positive(self.lr):
+                raise ParameterError(
+                    f"{self.algorithm} needs a positive finite lr")
+            if self.algorithm == "sgda" and not _is_positive(self.lr_y):
+                raise ParameterError("sgda needs a positive finite lr_y")
 
 
 def mode_for_algorithm(algorithm: str) -> Optional[Mode]:

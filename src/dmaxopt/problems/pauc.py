@@ -30,6 +30,7 @@ from ..core import (
     DMaxProblem,
     ParameterError,
     ProblemConstants,
+    _each_row,
     ball,
     token_generator,
 )
@@ -301,7 +302,7 @@ def pauc_fair_problem(data: LabeledDataset, params: PaucParams,
         return fairness_dual_grad(y, feats[idx], attrs[idx], params)
 
     def full_objective(x):
-        return _objective(x, pos, neg, params)
+        return _each_row(lambda row: _objective(row, pos, neg, params), x)
 
     if m_bound is None:
         # Declared for scores within +-5 of the margin; not verified.

@@ -27,6 +27,7 @@ from ..core import (
     FunctionOracle,
     ParameterError,
     ProblemConstants,
+    _each_row,
     box,
     token_generator,
 )
@@ -163,8 +164,8 @@ def make_pu_problem(positives: LabeledDataset, unlabeled: LabeledDataset,
         set_z=dummy,
         phi_fn=phi_fn,
         psi_fn=psi_fn,
-        full_objective=lambda x: pu_objective(x, positives, unlabeled,
-                                              params),
+        full_objective=lambda x: _each_row(
+            lambda w: pu_objective(w, positives, unlabeled, params), x),
         name="pu-hinge",
     )
 

@@ -47,6 +47,11 @@ def zero_function(dim: int = 1) -> FunctionOracle:
     )
 
 
+def _per_point(v):
+    """A float for one point, the ``(S,)`` array for a stack of them."""
+    return float(v) if v.ndim == 0 else v
+
+
 def piecewise_quadratic(a: float = 1.0, center: float = 0.0,
                         curvature: float = 0.0) -> FunctionOracle:
     """Separable ``f(u) = a * sum_i |u_i - center| + (curvature/2) ||u||^2``.
@@ -55,7 +60,8 @@ def piecewise_quadratic(a: float = 1.0, center: float = 0.0,
     modulus ``-curvature``.  The proximal map is a shifted soft-threshold,
     exact in every dimension; ``kink_gap`` reports the distance to the
     nearest point where the Moreau envelope loses second-order smoothness
-    (where the prox crosses the |.| kink).
+    (where the prox crosses the |.| kink).  ``value`` and the prox map
+    also take an ``(S, dim)`` stack, row by row.
     """
     if a < 0:
         raise ParameterError("the |.| weight must be nonnegative")
@@ -64,9 +70,10 @@ def piecewise_quadratic(a: float = 1.0, center: float = 0.0,
     kappa = float(curvature)
     delta = max(0.0, -kappa)
 
-    def value(u: np.ndarray) -> float:
-        return (a * float(np.add.reduce(np.abs(u - c), axis=None))
-                + 0.5 * kappa * float(u @ u))
+    def value(u: np.ndarray):
+        # vecdot calls the dot that ``u @ u`` calls, once per row
+        return _per_point(a * np.add.reduce(np.abs(u - c), axis=-1)
+                          + 0.5 * kappa * np.vecdot(u, u))
 
     # u - (+0.0) is u to the bit (also for u = -0.0), so a centre at +0.0
     # needs no shift; a centre at -0.0 would turn u = -0.0 into +0.0.
@@ -125,8 +132,9 @@ class _NoisyOracle:
         return g if noise is None else g + self.sigma * noise
 
 
-def _zero_dual_grad(x, dual):
-    """The zero gradient of a frozen one-dimensional dual."""
+def _zero_dual(x, dual=None):
+    """Zero in a frozen one-dimensional dual, at a point or at each row of a
+    stack: the dual's gradient and its best response."""
     return np.zeros(x.shape[:-1] + (1,))
 
 
@@ -164,7 +172,7 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
     psi = piecewise_quadratic(b, center_psi, kappa_psi)
     sigma = float(noise_sigma)
 
-    zero_dual_grad = _NoisyOracle(_zero_dual_grad, 0.0, 1)
+    zero_dual_grad = _NoisyOracle(_zero_dual, 0.0, 1)
 
     if m_bound is None:
         # Declared for a |x| <= 5 operating region, not verified globally.
@@ -177,8 +185,8 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
     aux = ExactAux(
         prox_phi=phi.prox,
         prox_psi=psi.prox,
-        best_response_y=lambda x: np.zeros(1),
-        best_response_z=lambda x: np.zeros(1),
+        best_response_y=_zero_dual,
+        best_response_z=_zero_dual,
         value_phi=phi.value,
         value_psi=psi.value,
     )
@@ -201,14 +209,15 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
 
 def _huber_oracle(dim: int) -> FunctionOracle:
     """Coordinatewise Huber function: the exact max over y in [-1,1] of
-    x*y - y^2/2, i.e. u^2/2 for |u| <= 1 and |u| - 1/2 outside."""
+    x*y - y^2/2, i.e. u^2/2 for |u| <= 1 and |u| - 1/2 outside.  ``value``
+    and the prox map also take an ``(S, dim)`` stack, row by row."""
 
-    def value(u: np.ndarray) -> float:
+    def value(u: np.ndarray):
         au = np.abs(u)
         inner = au <= 1.0
         # np.add.reduce is what .sum() calls, without its wrappers
-        return float(np.add.reduce(np.where(inner, 0.5 * u * u, au - 0.5),
-                                   axis=None))
+        return _per_point(np.add.reduce(
+            np.where(inner, 0.5 * u * u, au - 0.5), axis=-1))
 
     def grad(u: np.ndarray) -> np.ndarray:
         return _clip(u, -1.0, 1.0)
@@ -253,7 +262,7 @@ def make_quadratic_minmax(dim: int = 1, noise_sigma: float = 0.0,
         prox_phi=huber.prox,
         prox_psi=zero.prox,
         best_response_y=lambda x: _clip(x, -1.0, 1.0),
-        best_response_z=lambda x: np.zeros(1),
+        best_response_z=_zero_dual,
         value_phi=huber.value,
         value_psi=zero.value,
     )
@@ -264,7 +273,7 @@ def make_quadratic_minmax(dim: int = 1, noise_sigma: float = 0.0,
         phi_subgrad_x=_NoisyOracle(lambda x, y: y.copy(), sigma, dim),
         phi_grad_y=_NoisyOracle(lambda x, y: x - y, sigma, dim),
         psi_subgrad_x=_NoisyOracle(lambda x, z: np.zeros(x.shape), 0.0, dim),
-        psi_grad_z=_NoisyOracle(_zero_dual_grad, 0.0, 1),
+        psi_grad_z=_NoisyOracle(_zero_dual, 0.0, 1),
         set_y=ybox,
         set_z=_dummy_dual(),
         exact_aux=aux,

@@ -481,14 +481,6 @@ def _one_step(kernel, state, rng: RngStream, oracles, shared_sample: bool):
 # the step kernel
 
 
-def _norm(v: np.ndarray) -> float:
-    """``float(np.linalg.norm(v))`` of a 1-D array, bit for bit: for a
-    contiguous float64 vector numpy computes ``sqrt(v.dot(v))``."""
-    if v.dtype == np.float64 and v.flags.c_contiguous:
-        return math.sqrt(v.dot(v))
-    return float(np.linalg.norm(v))
-
-
 def _smag_oracles(problem: DMaxProblem, state: SmagState, mode: Mode):
     """The oracle of each of the four token slots that ``mode`` calls."""
     p = problem
@@ -598,30 +590,58 @@ def _missing_maps(problem: DMaxProblem, mode: Mode,
     return [n for n in names if getattr(aux, n, None) is None]
 
 
+def _shaped(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a float64 array, which a map ``name`` must return with
+    ``shape``: a map that only takes one point fails here on a stack."""
+    v = np.asarray(value, dtype=np.float64)
+    if v.shape != shape:
+        raise ParameterError(f"{name} returned shape {v.shape}, expected "
+                             f"{shape}; on an (S, dim) stack it must "
+                             "return one row per point")
+    return v
+
+
+def _norms(v: np.ndarray) -> list:
+    """The Euclidean norm of each row of ``v``, as floats bit for bit
+    ``np.linalg.norm`` of the row alone: numpy takes that as the square
+    root of the row's ``dot`` with itself, and ``vecdot`` calls that dot
+    once per row."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    return [math.sqrt(q) for q in np.vecdot(v, v).tolist()]
+
+
+def _sq(d: np.ndarray):
+    """``np.sum(d ** 2)`` of a point, or of each row of a stack, calling
+    the reduction directly."""
+    return np.add.reduce(d ** 2, axis=-1)
+
+
 def _prox_pair(aux: ExactAux, x: np.ndarray, gamma: float, mode: Mode):
-    """``(prox_phi(x), prox_psi(x))``; Psi is identically zero in minmax
-    mode, so its prox is ``x`` itself."""
-    p_phi = aux.prox_phi(x, gamma)
-    return p_phi, (x if mode == "minmax" else aux.prox_psi(x, gamma))
-
-
-def _sq(d: np.ndarray) -> float:
-    """``float(np.sum(d ** 2))``, calling the reduction directly."""
-    return float(np.add.reduce(d ** 2, axis=None))
+    """``(prox_phi(x), prox_psi(x))`` at a point or at each row of a stack;
+    Psi is identically zero in minmax mode, so its prox is ``x`` itself."""
+    p_phi = _shaped(aux.prox_phi(x, gamma), x.shape, "exact_aux.prox_phi")
+    if mode == "minmax":
+        return p_phi, x
+    return p_phi, _shaped(aux.prox_psi(x, gamma), x.shape,
+                          "exact_aux.prox_psi")
 
 
 def _potential_terms(aux: ExactAux, p_phi: np.ndarray, p_psi: np.ndarray,
-                     s_next: SmagState, mode: Mode, j=...) -> float:
+                     s_next: SmagState, mode: Mode):
     """Unscaled sum of squared tracking errors for the potential at the
-    anchor whose prox points are ``p_phi`` and ``p_psi``; ``j`` picks a row
-    of a stacked ``s_next`` (the default takes a 1-D state whole)."""
-    total = _sq(s_next.x_phi[j] - p_phi)
+    anchor whose prox points are ``p_phi`` and ``p_psi``: a float64 for a
+    1-D ``s_next``, one entry per row for a stacked one."""
+    total = _sq(s_next.x_phi - p_phi)
     if mode != "dwc" and s_next.y is not None:
-        total += _sq(s_next.y[j] - aux.best_response_y(p_phi))
+        total += _sq(s_next.y - _shaped(aux.best_response_y(p_phi),
+                                        s_next.y.shape,
+                                        "exact_aux.best_response_y"))
     if mode != "minmax":
-        total += _sq(s_next.x_psi[j] - p_psi)
+        total += _sq(s_next.x_psi - p_psi)
         if mode == "dmax" and s_next.z is not None:
-            total += _sq(s_next.z[j] - aux.best_response_z(p_psi))
+            total += _sq(s_next.z - _shaped(aux.best_response_z(p_psi),
+                                            s_next.z.shape,
+                                            "exact_aux.best_response_z"))
     return total
 
 
@@ -644,9 +664,11 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     stream comes back, each equal bit for bit to a solo run of that
     stream.  Oracles that can ``sample`` realize a chunk of steps' noise
     in bulk and take one numpy step for all seeds; other oracles are
-    called per seed with its token.  Trace rows, ``t_bar``, finiteness
-    checks and aborts stay per seed: a seed that aborts stops there, and
-    the others go on.  ``elapsed_ms`` is the seeds' shared clock.
+    called per seed with its token.  Trace rows are computed on the stack,
+    one call of ``full_objective`` and of each exact map per traced step,
+    and reduced row by row.  ``t_bar``, finiteness checks and aborts stay
+    per seed: a seed that aborts stops there, and the others go on.
+    ``elapsed_ms`` is the seeds' shared clock.
     """
     rngs, labels = _streams(rng, seed_label)
     _check_mode(mode)
@@ -697,35 +719,33 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
                 candidate[i] = nxt.x_phi[j].copy()
 
     aux = problem.exact_aux
-    # Per seed: an anchor stack, a row of it and that anchor's prox points.
-    last_prox: list = [(None, None, None, None)] * n
+    # The last anchor stack whose prox pair was taken, and that pair.  With
+    # trace_every=1 a row's potential is taken at the anchors whose prox
+    # points the previous row's stationarity already computed; a step that
+    # drops a seed slices a new stack, whose pair is computed afresh.
+    last_prox: list = [None, None]
 
-    def prox_at(i: int, xs: np.ndarray, j: int):
-        # With trace_every=1 a row's potential is taken at the anchor whose
-        # prox points the previous row's stationarity already computed.
-        c = last_prox[i]
-        if c[0] is not xs or c[1] != j:
-            c = last_prox[i] = (xs, j, *_prox_pair(aux, xs[j], sched.gamma,
-                                                   mode))
-        return c[2:]
+    def prox_at(xs: np.ndarray):
+        if last_prox[0] is not xs:
+            last_prox[:] = xs, _prox_pair(aux, xs, sched.gamma, mode)
+        return last_prox[1]
 
-    def row(prev: SmagState, cur: SmagState, j: int, i: int):
-        p_t = math.nan
+    def rows(prev: SmagState, cur: SmagState):
         if trace_potential:
-            p_t = pot_coef * _potential_terms(aux, *prox_at(i, prev.x, j),
-                                              cur, mode, j)
-        if exact_metrics:
-            p_phi, p_psi = prox_at(i, cur.x, j)
-            stat = _norm(p_psi - p_phi) / sched.gamma
+            p_t = (pot_coef * _potential_terms(aux, *prox_at(prev.x), cur,
+                                               mode)).tolist()
         else:
-            stat = _norm(cur.last_g[j])
-        return stat, p_t
+            p_t = [math.nan] * cur.x.shape[0]
+        if exact_metrics:
+            p_phi, p_psi = prox_at(cur.x)
+            return [s / sched.gamma for s in _norms(p_psi - p_phi)], p_t
+        return _norms(cur.last_g), p_t
 
     feed = _Feed(rngs, _smag_oracles(problem, start, mode), shared_sample)
     finals, records, reasons = _drive(
         problem, _stack(start, n), t_total,
         lambda st, scale: _smag_kernel(problem, st, sched, mode, scale, feed),
-        feed, row, on_step=on_step, trace_every=trace_every,
+        feed, rows, on_step=on_step, trace_every=trace_every,
         seed_labels=labels, decay_milestones=decay_milestones,
         decay_factor=decay_factor)
 
@@ -753,7 +773,7 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
 
 
 def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
-           row, *, on_step=None, trace_every: int, seed_labels: list,
+           rows, *, on_step=None, trace_every: int, seed_labels: list,
            decay_milestones: Sequence[int], decay_factor: float):
     """The lockstep loop shared by :func:`run` and the baselines.
 
@@ -762,11 +782,11 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
     marks the rows whose step failed in ``feed``; those rows are dropped
     here, their seeds keeping the state before the step.  ``on_step(prev,
     state, rows)`` then sees the surviving rows, whose seeds are ``rows``.
-    Every ``trace_every`` steps and at the last one each live seed ``i``
-    in row ``j`` gets a :class:`RunRecord`, with ``row(prev, state, j,
-    i)`` giving its ``(stationarity, p_t)``.  Returns per seed its final
-    state (1-D), its records and its abort reason (``None`` if it did not
-    abort).
+    Every ``trace_every`` steps and at the last one each live seed gets a
+    :class:`RunRecord`: ``full_objective`` takes the whole anchor stack
+    once, and ``rows(prev, state)`` gives the lists of the rows'
+    stationarity and ``p_t``, as floats.  Returns per seed its final state (1-D), its
+    records and its abort reason (``None`` if it did not abort).
     """
     if t_total < 1:
         raise ParameterError("t_total must be >= 1")
@@ -799,15 +819,16 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
         if on_step is not None:
             on_step(prev, state, feed.rows)
         if state.t % trace_every == 0 or state.t == t_total:
-            traced = [(i, math.nan if objective is None
-                       else float(objective(state.x[j])),
-                       *row(prev, state, j, i))
-                      for j, i in enumerate(feed.rows)]
+            live = len(feed.rows)
+            obj = ([math.nan] * live if objective is None
+                   else _shaped(objective(state.x), (live,),
+                                "full_objective").tolist())
+            stat, p_t = rows(prev, state)
             # One reading of the shared clock for the step's rows.
             elapsed_ms = (time.perf_counter() - start) * 1e3
-            for i, obj, stat, p_t in traced:
-                records[i].append(RunRecord(state.t, obj, stat, p_t,
-                                            elapsed_ms, seed_labels[i]))
+            for i, o, s, p in zip(feed.rows, obj, stat, p_t):
+                records[i].append(RunRecord(state.t, o, s, p, elapsed_ms,
+                                            seed_labels[i]))
     for j, i in enumerate(feed.rows):
         finals[i] = _pick(state, j)
     reasons = [str(feed.lost[i]) if i in feed.lost else None

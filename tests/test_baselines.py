@@ -222,3 +222,10 @@ def test_run_validation():
         run_sgd(prob, 0.1, 10, RngStream(0), trace_every=0)
     with pytest.raises(ParameterError):
         run_sgda(make_quadratic_minmax(), 0.1, 0.0, 10, RngStream(0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            run_sgd(prob, bad, 10, RngStream(0))
+        with pytest.raises(ParameterError, match="finite"):
+            run_sgda(make_quadratic_minmax(), bad, 0.1, 10, RngStream(0))
+        with pytest.raises(ParameterError, match="finite"):
+            run_sgda(make_quadratic_minmax(), 0.1, bad, 10, RngStream(0))

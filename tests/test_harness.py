@@ -178,6 +178,21 @@ def test_config_integers_reject_bools_and_fractions(key, value):
         ExperimentConfig.from_dict(_good_cfg(**{key: value}))
 
 
+@pytest.mark.parametrize("over, key", [
+    ({"algorithm": "sgd", "lr": True}, "lr"),
+    ({"algorithm": "sgd", "lr": "0.1"}, "lr"),
+    ({"algorithm": "sgd", "lr": math.nan}, "lr"),
+    ({"algorithm": "sgd", "lr": math.inf}, "lr"),
+    ({"algorithm": "sgda", "lr": 0.1, "lr_y": math.nan}, "lr_y"),
+    ({"algorithm": "sgda", "lr": 0.1, "lr_y": -math.inf}, "lr_y"),
+    ({"algorithm": "sgda", "lr": 0.1, "lr_y": False}, "lr_y"),
+    ({"decay_factor": math.nan}, "decay_factor"),
+    ({"decay_factor": math.inf}, "decay_factor")])
+def test_config_step_sizes_and_decay_must_be_finite_numbers(over, key):
+    with pytest.raises(ParameterError, match=key):
+        ExperimentConfig.from_dict(_good_cfg(**over))
+
+
 def test_importing_the_harness_leaves_concurrent_futures_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(dmaxopt.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -854,6 +854,10 @@ def _lockstep_cases():
             dwc, "dwc", sched(dwc, "dwc", 300), rng, x0=2.0,
             trace_every=7, seed_label=label, decay_milestones=(100, 250),
             decay_factor=3.0, collect_states=True),
+        "dwc-exact-every-step": lambda rng, label: run(
+            dwc3, "dwc", sched(dwc3, "dwc", 200), rng,
+            x0=np.array([2.0, -1.0, 0.5]), trace_every=1, seed_label=label,
+            exact_metrics=True),
         "dwc-estimate-shared": lambda rng, label: run(
             dwc3, "dwc", sched(dwc3, "dwc", 200), rng,
             x0=np.array([2.0, -1.0, 0.5]), seed_label=label,
@@ -904,6 +908,50 @@ def test_seeds_in_lockstep_equal_their_solo_runs(case):
                    [_state_bits(s) for s in a.states]
     if case == "all-abort-anchor":
         assert all(r.aborted for r in batch)
+    if case == "dwc-exact-every-step":
+        # every row carries the potential, from the stacked prox cache
+        assert all(math.isfinite(rec.p_t) for r in batch for rec in r.records)
+
+
+def test_maps_that_take_one_point_fail_on_a_stack_of_seeds():
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1, dim=3)
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 20, dwc.constants,
+                                 mode="dwc")
+    one_point = {
+        "full_objective": dataclasses.replace(
+            dwc, full_objective=lambda x: float(x.sum())),
+        "exact_aux.best_response_y": dataclasses.replace(
+            dwc, exact_aux=dataclasses.replace(
+                dwc.exact_aux, best_response_y=lambda x: np.zeros(1))),
+    }
+    for name, prob in one_point.items():
+        with pytest.raises(ParameterError, match=name):
+            run(prob, "dmax" if "best" in name else "dwc", sched,
+                [RngStream(1), RngStream(2)], x0=np.ones(3))
+
+
+@pytest.mark.parametrize("dim", (1, 7, 8, 9, 128, 129, 2005))
+def test_stacked_trace_reductions_equal_their_rows_bit_for_bit(dim):
+    from dmaxopt.smag import _norms, _pick, _potential_terms, _prox_pair, _sq
+    gen = core.token_generator(dim)
+    v = gen.standard_normal((3, dim)) * np.array([[1e-3], [1.0], [1e5]])
+    for j in range(3):
+        assert _norms(v)[j] == float(np.linalg.norm(v[j]))
+        assert _sq(v)[j] == float(np.sum(v[j] ** 2))
+    # the potential of a stacked state, against each row's own
+    quad = make_quadratic_minmax(dim=dim)
+    aux = quad.exact_aux
+    x, x_phi, x_psi = 2.0 * gen.standard_normal((3, 3, dim))
+    st = SmagState(x=x, x_phi=x_phi, x_psi=x_psi,
+                   y=gen.standard_normal((3, dim)), z=np.zeros((3, 1)),
+                   last_g=v, t=1)
+    for mode in ("dmax", "dwc", "minmax"):
+        stacked = _potential_terms(aux, *_prox_pair(aux, st.x, 0.5, mode),
+                                   st, mode)
+        for j in range(3):
+            row = _pick(st, j)
+            assert stacked[j] == _potential_terms(
+                aux, *_prox_pair(aux, row.x, 0.5, mode), row, mode)
 
 
 def test_run_of_a_list_of_one_stream_is_run():

@@ -240,3 +240,64 @@ def test_quadratic_minmax_rejects_bad_args():
         make_quadratic_minmax(dim=0)
     with pytest.raises(ParameterError):
         make_quadratic_minmax(noise_sigma=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# trace maps on stacks of points
+
+# Dimensions around numpy's pairwise-sum blocks (8 lanes, 128-entry leaves)
+# and one of pAUC size.
+STACK_DIMS = (1, 7, 8, 9, 128, 129, 2005)
+
+
+def _stack(dim: int) -> np.ndarray:
+    """Three points: random ones and one with entries on kinks and zeros."""
+    x = 2.0 * token_generator(dim).standard_normal((3, dim))
+    x[1, ::2] = 0.2
+    x[1, 1::3] = -0.0
+    return x
+
+
+def _trace_maps(dim: int) -> dict:
+    """The maps a traced run calls on a stack, by name."""
+    maps = {}
+    for name, prob in (
+            ("onedim", make_onedim_dwc(1.0, 0.5, kappa_phi=0.3,
+                                       kappa_psi=0.1, center_phi=0.2,
+                                       center_psi=-0.4, dim=dim)),
+            ("quadratic", make_quadratic_minmax(dim=dim))):
+        aux = prob.exact_aux
+        maps.update({
+            f"{name}.full_objective": prob.full_objective,
+            f"{name}.prox_phi": lambda x, aux=aux: aux.prox_phi(x, 0.5),
+            f"{name}.prox_psi": lambda x, aux=aux: aux.prox_psi(x, 0.5),
+            f"{name}.best_response_y": aux.best_response_y,
+            f"{name}.best_response_z": aux.best_response_z,
+        })
+    return maps
+
+
+@pytest.mark.parametrize("dim", STACK_DIMS)
+def test_trace_maps_on_a_stack_equal_their_rows_bit_for_bit(dim):
+    x = _stack(dim)
+    for name, f in _trace_maps(dim).items():
+        got = np.asarray(f(x))
+        rows = [np.asarray(f(row)) for row in x]
+        assert got.shape == (3,) + rows[0].shape, name
+        for j, want in enumerate(rows):
+            assert got[j].tobytes() == want.tobytes(), (name, j)
+
+
+@pytest.mark.parametrize("dim", STACK_DIMS)
+def test_values_of_one_point_keep_their_reductions(dim):
+    # vecdot is the dot that ``u @ u`` calls, and a row reduction the sum
+    # of the whole vector.
+    f = piecewise_quadratic(1.5, 0.2, -0.3)
+    huber = make_quadratic_minmax(dim=dim).full_objective
+    for u in _stack(dim):
+        assert np.vecdot(u, u) == u @ u == u.dot(u)
+        assert f.value(u) == (
+            1.5 * float(np.add.reduce(np.abs(u - 0.2), axis=None))
+            + 0.5 * -0.3 * float(u @ u))
+        assert huber(u) == float(np.sum(np.where(
+            np.abs(u) <= 1.0, 0.5 * u * u, np.abs(u) - 0.5)))

@@ -97,6 +97,25 @@ def _is_positive(v) -> bool:
             and math.isfinite(v) and v > 0)
 
 
+def _int(section: dict, key: str, default) -> int:
+    """The integer ``problem.key`` of a config (``default`` when absent):
+    ``true`` and ``2.7`` are refused rather than read as 1 and 2."""
+    v = section.get(key, default)
+    if not _is_int(v):
+        raise ParameterError(f"problem.{key} must be an integer, got {v!r}")
+    return v
+
+
+def _flag(section: dict, key: str, block: str) -> bool:
+    """The boolean ``block.key`` of a config (false when absent): the
+    string ``"false"`` is refused rather than read as true."""
+    v = section.get(key, False)
+    if not isinstance(v, bool):
+        raise ParameterError(
+            f"{block}.{key} must be true or false, got {v!r}")
+    return v
+
+
 @dataclass
 class ExperimentConfig:
     """Validated view of a ``run`` config."""
@@ -187,14 +206,14 @@ def mode_for_algorithm(algorithm: str) -> Optional[Mode]:
 
 def _pu_from_libsvm(section: dict) -> DMaxProblem:
     data = load_libsvm(section["path"], dimension=section.get("dimension"),
-                       normalize=bool(section.get("normalize", False)))
+                       normalize=_flag(section, "normalize", "problem"))
     if "pi_p" not in section:
         raise ParameterError("pu-libsvm needs an explicit pi_p")
     positives = data.subset(data.labels == 1)
     # the whole file, labels hidden, forms the unlabeled pool
     params = PuParams(pi_p=float(section["pi_p"]),
-                      batch_pos=int(section.get("batch_pos", 64)),
-                      batch_unl=int(section.get("batch_unl", 64)))
+                      batch_pos=_int(section, "batch_pos", 64),
+                      batch_unl=_int(section, "batch_unl", 64))
     return make_pu_problem(positives, data, params,
                            m_bound=section.get("m_bound"))
 
@@ -202,16 +221,15 @@ def _pu_from_libsvm(section: dict) -> DMaxProblem:
 def _pauc_dataset(section: dict) -> LabeledDataset:
     if section["kind"] == "pauc-synth":
         return synth_biased_pauc(
-            int(section.get("n", 4000)), int(section.get("dim", 20)),
-            int(section.get("data_seed", 0)),
+            _int(section, "n", 4000), _int(section, "dim", 20),
+            _int(section, "data_seed", 0),
             sep_label=float(section.get("sep_label", 1.0)),
             sep_group=float(section.get("sep_group", 1.0)),
             skew=float(section.get("skew", 0.65)))
     data = load_libsvm(section["path"], dimension=section.get("dimension"),
-                       normalize=bool(section.get("normalize", False)))
-    col = section.get("sensitive_feature")
-    if col is not None:
-        col = int(col)
+                       normalize=_flag(section, "normalize", "problem"))
+    if section.get("sensitive_feature") is not None:
+        col = _int(section, "sensitive_feature", None)
         if not 1 <= col <= data.dimension:
             raise ParameterError(
                 f"sensitive_feature {col} outside 1..{data.dimension}")
@@ -226,9 +244,9 @@ def _pauc_params(section: dict) -> PaucParams:
         c=float(section.get("c", 1.0)),
         alpha_fair=float(section.get("alpha_fair", 0.0)),
         lambda0=float(section.get("lambda0", 1.0)),
-        batch_pos=int(section.get("batch_pos", 64)),
-        batch_neg=int(section.get("batch_neg", 64)),
-        batch_attr=int(section.get("batch_attr", 64)))
+        batch_pos=_int(section, "batch_pos", 64),
+        batch_neg=_int(section, "batch_neg", 64),
+        batch_attr=_int(section, "batch_attr", 64))
 
 
 def build_problem(section: dict) -> DMaxProblem:
@@ -244,24 +262,25 @@ def build_problem(section: dict) -> DMaxProblem:
             center_phi=float(section.get("center_phi", 0.0)),
             center_psi=float(section.get("center_psi", 0.0)),
             noise_sigma=float(section.get("noise_sigma", 0.0)),
-            dim=int(section.get("dim", 1)),
+            dim=_int(section, "dim", 1),
             m_bound=section.get("m_bound"),
-            allow_unbounded=bool(section.get("allow_unbounded", False)))
+            allow_unbounded=_flag(section, "allow_unbounded",
+                                  "problem"))
     if kind == "quadratic-minmax":
         return make_quadratic_minmax(
-            dim=int(section.get("dim", 1)),
+            dim=_int(section, "dim", 1),
             noise_sigma=float(section.get("noise_sigma", 0.0)),
             m_bound=section.get("m_bound"))
     if kind == "pu-synth":
         if "pi_p" not in section:
             raise ParameterError("pu-synth needs an explicit pi_p")
         pos, unl = synth_gaussian_pu(
-            int(section.get("n_pos", 500)), int(section.get("n_unl", 2000)),
-            int(section.get("dim", 10)), float(section.get("separation", 1.5)),
-            float(section["pi_p"]), int(section.get("data_seed", 0)))
+            _int(section, "n_pos", 500), _int(section, "n_unl", 2000),
+            _int(section, "dim", 10), float(section.get("separation", 1.5)),
+            float(section["pi_p"]), _int(section, "data_seed", 0))
         params = PuParams(pi_p=float(section["pi_p"]),
-                          batch_pos=int(section.get("batch_pos", 64)),
-                          batch_unl=int(section.get("batch_unl", 64)))
+                          batch_pos=_int(section, "batch_pos", 64),
+                          batch_unl=_int(section, "batch_unl", 64))
         return make_pu_problem(pos, unl, params, m_bound=section.get("m_bound"))
     if kind == "pu-libsvm":
         return _pu_from_libsvm(section)
@@ -296,5 +315,6 @@ def build_schedule(cfg: ExperimentConfig,
             float(section["gamma"]), float(section["eta0"]), float(section["eta1"]),
             max(1, cfg.t_total), constants=problem.constants, mode=mode,
             epsilon=float(section.get("epsilon", 1.0)),
-            check_feasible=not bool(section.get("allow_infeasible", False)))
+            check_feasible=not _flag(section, "allow_infeasible",
+                                     "schedule"))
     raise ParameterError(f"unknown schedule source {source!r}")

@@ -5,8 +5,8 @@ steps them together (see :func:`dmaxopt.smag.run`), and each seed's
 numbers are bit-identical to a solo run of that seed.  Trace files carry
 ``#`` metadata lines (config hash, seed, algorithm, metric provenance)
 above a fixed CSV header; the ``elapsed_ms`` column is wall-clock (the
-batch's shared clock) and is the only column exempt from bit-identity
-guarantees.
+batch's shared clock at the traced step, net of the time spent computing
+trace rows) and is the only column exempt from bit-identity guarantees.
 """
 
 from __future__ import annotations

@@ -306,6 +306,9 @@ def lr_scale_at(t: int, milestones: Sequence[int], factor: float) -> float:
 # Tokens per oracle that one refill of a lockstep batch realizes at most;
 # bounds the memory of bulk-realized noise.
 _CHUNK = 1024
+# Anchor floats of the traced steps whose rows one call computes: bounds
+# the stacked states and temporaries of a block of trace rows.
+_TRACE_BLOCK = 1 << 12
 
 
 def _arrays(state) -> dict:
@@ -325,6 +328,14 @@ def _stack(state, n: int):
     """``n`` copies of the 1-D ``state`` as the rows of one stacked state."""
     return replace(state, **{k: np.repeat(v[None], n, axis=0)
                              for k, v in _arrays(state).items()})
+
+
+def _concat(states: list):
+    """The rows of the stacked ``states``, in order, as one stacked state
+    (whose ``t`` is the first one's)."""
+    return replace(states[0], **{
+        k: np.concatenate([getattr(s, k) for s in states])
+        for k in _arrays(states[0])})
 
 
 def _oracle_vec(raw, dim: int, what: str) -> np.ndarray:
@@ -596,7 +607,7 @@ def _shaped(value, shape: tuple, name: str) -> np.ndarray:
     v = np.asarray(value, dtype=np.float64)
     if v.shape != shape:
         raise ParameterError(f"{name} returned shape {v.shape}, expected "
-                             f"{shape}; on an (S, dim) stack it must "
+                             f"{shape}; on an (n, dim) stack it must "
                              "return one row per point")
     return v
 
@@ -664,11 +675,12 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     stream comes back, each equal bit for bit to a solo run of that
     stream.  Oracles that can ``sample`` realize a chunk of steps' noise
     in bulk and take one numpy step for all seeds; other oracles are
-    called per seed with its token.  Trace rows are computed on the stack,
-    one call of ``full_objective`` and of each exact map per traced step,
-    and reduced row by row.  ``t_bar``, finiteness checks and aborts stay
-    per seed: a seed that aborts stops there, and the others go on.
-    ``elapsed_ms`` is the seeds' shared clock.
+    called per seed with its token.  Trace rows are computed on the stack
+    of a block of traced steps, one call of ``full_objective`` and of each
+    exact map per block, and reduced row by row.  ``t_bar``, finiteness
+    checks and aborts stay per seed: a seed that aborts stops there, and
+    the others go on.  ``elapsed_ms`` is the seeds' shared clock at the
+    traced step, net of the time spent computing trace rows.
     """
     rngs, labels = _streams(rng, seed_label)
     _check_mode(mode)
@@ -719,25 +731,16 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
                 candidate[i] = nxt.x_phi[j].copy()
 
     aux = problem.exact_aux
-    # The last anchor stack whose prox pair was taken, and that pair.  With
-    # trace_every=1 a row's potential is taken at the anchors whose prox
-    # points the previous row's stationarity already computed; a step that
-    # drops a seed slices a new stack, whose pair is computed afresh.
-    last_prox: list = [None, None]
-
-    def prox_at(xs: np.ndarray):
-        if last_prox[0] is not xs:
-            last_prox[:] = xs, _prox_pair(aux, xs, sched.gamma, mode)
-        return last_prox[1]
 
     def rows(prev: SmagState, cur: SmagState):
         if trace_potential:
-            p_t = (pot_coef * _potential_terms(aux, *prox_at(prev.x), cur,
-                                               mode)).tolist()
+            p_t = (pot_coef * _potential_terms(
+                aux, *_prox_pair(aux, prev.x, sched.gamma, mode), cur,
+                mode)).tolist()
         else:
             p_t = [math.nan] * cur.x.shape[0]
         if exact_metrics:
-            p_phi, p_psi = prox_at(cur.x)
+            p_phi, p_psi = _prox_pair(aux, cur.x, sched.gamma, mode)
             return [s / sched.gamma for s in _norms(p_psi - p_phi)], p_t
         return _norms(cur.last_g), p_t
 
@@ -782,11 +785,17 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
     marks the rows whose step failed in ``feed``; those rows are dropped
     here, their seeds keeping the state before the step.  ``on_step(prev,
     state, rows)`` then sees the surviving rows, whose seeds are ``rows``.
+
     Every ``trace_every`` steps and at the last one each live seed gets a
-    :class:`RunRecord`: ``full_objective`` takes the whole anchor stack
-    once, and ``rows(prev, state)`` gives the lists of the rows'
-    stationarity and ``p_t``, as floats.  Returns per seed its final state (1-D), its
-    records and its abort reason (``None`` if it did not abort).
+    :class:`RunRecord`.  Such a step only reads the clock and holds its
+    ``(prev, state)``; the rows are computed a block at a time, once the
+    held anchors reach ``_TRACE_BLOCK`` floats, before seeds are dropped
+    and after the loop.  A block stacks its steps' states in step order,
+    ``full_objective`` takes the block's anchors once, and ``rows(prev,
+    state)`` gives the lists of the rows' stationarity and ``p_t``, as
+    floats.  ``elapsed_ms`` is the clock at the traced step, less the time
+    spent computing rows before it.  Returns per seed its final state
+    (1-D), its records and its abort reason (``None`` if it did not abort).
     """
     if t_total < 1:
         raise ParameterError("t_total must be >= 1")
@@ -801,6 +810,26 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
     finals: list = [None] * len(feed.rngs)
     records: list = [[] for _ in feed.rngs]
     objective = problem.full_objective
+    pending: list = []  # (prev, state, elapsed_ms) of the traced steps held
+    spent = 0.0  # seconds spent computing rows
+
+    def flush() -> None:
+        nonlocal spent
+        t0 = time.perf_counter()
+        cur = _concat([p[1] for p in pending])
+        n = cur.x.shape[0]
+        obj = ([math.nan] * n if objective is None
+               else _shaped(objective(cur.x), (n,), "full_objective").tolist())
+        stat, p_t = rows(_concat([p[0] for p in pending]), cur)
+        k = 0
+        for _, st, elapsed_ms in pending:
+            for i in feed.rows:
+                records[i].append(RunRecord(st.t, obj[k], stat[k], p_t[k],
+                                            elapsed_ms, seed_labels[i]))
+                k += 1
+        pending.clear()
+        spent += time.perf_counter() - t0
+
     start = time.perf_counter()
     for t in range(t_total):
         scale = lr_scale_at(t, milestones, decay_factor) if milestones else 1.0
@@ -808,6 +837,8 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
         prev = state
         state = kernel(prev, scale)
         if feed.failed:
+            if pending:
+                flush()
             keep = np.ones(len(feed.rows), dtype=bool)
             keep[list(feed.failed)] = False
             for j in feed.failed:
@@ -819,16 +850,13 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
         if on_step is not None:
             on_step(prev, state, feed.rows)
         if state.t % trace_every == 0 or state.t == t_total:
-            live = len(feed.rows)
-            obj = ([math.nan] * live if objective is None
-                   else _shaped(objective(state.x), (live,),
-                                "full_objective").tolist())
-            stat, p_t = rows(prev, state)
-            # One reading of the shared clock for the step's rows.
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            for i, o, s, p in zip(feed.rows, obj, stat, p_t):
-                records[i].append(RunRecord(state.t, o, s, p, elapsed_ms,
-                                            seed_labels[i]))
+            pending.append((prev, state,
+                            (time.perf_counter() - start - spent) * 1e3))
+            # a block has one row set, so its anchors hold this many floats
+            if len(pending) * state.x.size >= _TRACE_BLOCK:
+                flush()
+    if pending:
+        flush()
     for j, i in enumerate(feed.rows):
         finals[i] = _pick(state, j)
     reasons = [str(feed.lost[i]) if i in feed.lost else None

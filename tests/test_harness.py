@@ -230,6 +230,55 @@ def test_build_problem_kinds(tmp_path):
         build_problem({})
 
 
+@pytest.mark.parametrize("section, key", [
+    ({"kind": "onedim-dwc", "allow_unbounded": "false"}, "allow_unbounded"),
+    ({"kind": "onedim-dwc", "allow_unbounded": 0}, "allow_unbounded"),
+    ({"kind": "onedim-dwc", "dim": 2.7}, "dim"),
+    ({"kind": "onedim-dwc", "dim": True}, "dim"),
+    ({"kind": "quadratic-minmax", "dim": 2.0}, "dim"),
+    ({"kind": "quadratic-minmax", "dim": "3"}, "dim"),
+    ({"kind": "pu-synth", "pi_p": 0.5, "n_pos": 20.5}, "n_pos"),
+    ({"kind": "pu-synth", "pi_p": 0.5, "n_unl": True}, "n_unl"),
+    ({"kind": "pu-synth", "pi_p": 0.5, "batch_pos": 8.5}, "batch_pos"),
+    ({"kind": "pu-synth", "pi_p": 0.5, "batch_unl": False}, "batch_unl"),
+    ({"kind": "pu-synth", "pi_p": 0.5, "data_seed": 1.5}, "data_seed"),
+    ({"kind": "pauc-synth", "n": 40.5, "dim": 3}, "n"),
+    ({"kind": "pauc-synth", "n": 40, "dim": 3, "batch_neg": 1.5},
+     "batch_neg"),
+    ({"kind": "pauc-synth", "n": 40, "dim": 3, "batch_attr": True},
+     "batch_attr")])
+def test_problem_flags_and_integers_reject_strings_bools_and_fractions(
+        section, key):
+    with pytest.raises(ParameterError, match=key):
+        build_problem(section)
+
+
+def test_libsvm_flags_and_columns_reject_strings_and_fractions(tmp_path):
+    p = tmp_path / "toy.libsvm"
+    p.write_text("+1 1:1.0 2:0.5\n-1 1:-1.0 2:0.3\n")
+    for section, key in (
+            ({"kind": "pu-libsvm", "pi_p": 0.5, "normalize": "false"},
+             "normalize"),
+            ({"kind": "pauc-libsvm", "normalize": 1}, "normalize"),
+            ({"kind": "pauc-libsvm", "sensitive_feature": 1.5},
+             "sensitive_feature"),
+            ({"kind": "pauc-libsvm", "sensitive_feature": True},
+             "sensitive_feature")):
+        with pytest.raises(ParameterError, match=key):
+            build_problem(dict(section, path=str(p)))
+
+
+def test_schedule_flag_rejects_strings():
+    # "false" is truthy: read with bool() it would switch the caps off
+    for flag in ("false", "true", 0):
+        cfg = ExperimentConfig.from_dict(_good_cfg(
+            problem={"kind": "quadratic-minmax"}, algorithm="smag-minmax",
+            schedule={"source": "manual", "gamma": 0.5, "eta0": 5.0,
+                      "eta1": 5.0, "allow_infeasible": flag}))
+        with pytest.raises(ParameterError, match="allow_infeasible"):
+            build_schedule(cfg, build_problem(cfg.problem))
+
+
 def test_build_problem_libsvm_kinds(tmp_path):
     p = tmp_path / "toy.libsvm"
     p.write_text("+1 1:1.0 2:0.5\n+1 1:0.8 2:-0.2\n-1 1:-1.0 2:0.3\n"

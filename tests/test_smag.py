@@ -5,12 +5,13 @@ import dataclasses
 import hashlib
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
 
 import dmaxopt.core as core
-from dmaxopt.baselines import run_sgd, run_sgda
+from dmaxopt.baselines import BaselineState, run_sgd, run_sgda, sgda_step
 from dmaxopt.core import (
     CapabilityError,
     DMaxProblem,
@@ -30,6 +31,7 @@ from dmaxopt.problems import (
     synth_biased_pauc,
 )
 from dmaxopt.smag import (
+    _TRACE_BLOCK,
     RunResult,
     Schedule,
     SmagState,
@@ -997,17 +999,17 @@ def _token_of(seed, step_no, slot):
                                                        + slot])
 
 
-def _one_seed_fails(slot, step_no, seed, kind):
+def _one_seed_fails(slot, step_no, seed, kind, dim=3):
     """The quadratic problem, with the oracle of token slot ``slot``
     failing on ``seed``'s token of step ``step_no``: NaN from a bulk or a
     per-seed oracle, or a finite 1e308 whose dual ascent step overflows."""
-    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
+    quad = make_quadratic_minmax(dim=dim, noise_sigma=0.1)
     bad = _token_of(seed, step_no, slot)
     field = ("phi_subgrad_x", "phi_grad_y")[slot]
     base = getattr(quad, field)
     if kind == "overflow":
         def oracle(x, y, tok):
-            return np.full(3, 1e308) if tok == bad else base(x, y, tok)
+            return np.full(dim, 1e308) if tok == bad else base(x, y, tok)
     else:
         oracle = (_BulkNanAt if kind == "bulk" else _NanAt)(base, bad)
     return dataclasses.replace(quad, **{field: oracle})
@@ -1125,3 +1127,133 @@ def test_run_needs_a_stream_and_a_label_per_stream():
     for rngs, labels in (([], 0), ([RngStream(1)], [1, 2])):
         with pytest.raises(ParameterError, match="one seed label"):
             run(prob, "dwc", sched, rngs, seed_label=labels)
+
+
+# ---------------------------------------------------------------------------
+# trace rows in blocks
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def _record_bits(records):
+    return [(r.t, _bits(r.objective), _bits(r.stationarity), _bits(r.p_t),
+             r.seed) for r in records]
+
+
+def _smag_reference(prob, mode, sched, res, label):
+    """The records of ``res`` rebuilt from its states one at a time:
+    ``full_objective``, the prox maps and the potential each take one
+    point."""
+    aux, gamma, states = prob.exact_aux, sched.gamma, res.states
+    p_t = potential_diagnostic(prob, states, sched, mode).p_t
+    rows = []
+    for t, s in enumerate(states[1:], start=1):
+        p_phi = aux.prox_phi(s.x, gamma)
+        p_psi = s.x if mode == "minmax" else aux.prox_psi(s.x, gamma)
+        rows.append((t, _bits(prob.full_objective(s.x)),
+                     _bits(float(np.linalg.norm(p_psi - p_phi)) / gamma),
+                     _bits(p_t[t - 1]), label))
+    return rows
+
+
+def _sgda_reference(prob, lr_x, lr_y, t_total, seed, x0):
+    """An SGDA run's records rebuilt from single steps."""
+    start = initial_state(prob, x0)
+    st = BaselineState(x=start.x, y=start.y, last_dir=start.last_g)
+    rng, rows = RngStream(seed), []
+    for t in range(1, t_total + 1):
+        st = sgda_step(prob, st, lr_x, lr_y, rng)
+        rows.append((t, _bits(prob.full_objective(st.x)),
+                     _bits(float(np.linalg.norm(st.last_dir))),
+                     _bits(math.nan), seed))
+    return rows
+
+
+@pytest.mark.parametrize("seeds", [[41], [41, 42, 43]])
+def test_blocked_trace_rows_equal_rows_taken_one_state_at_a_time(seeds):
+    # dim 64: a block is 64 steps of one seed or 22 steps of three, so 273
+    # steps make more than three blocks and a partial one
+    dim, t_total = 64, 273
+    assert t_total > 3 * _TRACE_BLOCK // dim + 1
+    quad = make_quadratic_minmax(dim=dim, noise_sigma=0.1)
+    dwc = make_onedim_dwc(1.0, 0.5, kappa_phi=0.2, center_psi=0.3,
+                          noise_sigma=0.2, dim=dim)
+    x0 = np.linspace(-2.0, 2.0, dim)
+    for prob, mode, eta0, eta1 in ((quad, "minmax", 0.01, 0.05),
+                                   (dwc, "dwc", 0.005, 0.01)):
+        sched = Schedule.from_manual(0.5, eta0, eta1, t_total,
+                                     prob.constants, mode=mode)
+        batch = run(prob, mode, sched, [RngStream(s) for s in seeds], x0=x0,
+                    trace_every=1, seed_label=seeds, collect_states=True)
+        for s, res in zip(seeds, batch):
+            assert len(res.records) == t_total
+            assert _record_bits(res.records) == _smag_reference(
+                prob, mode, sched, res, s), (mode, s)
+    batch = run_sgda(quad, 0.02, 0.05, t_total,
+                     [RngStream(s) for s in seeds], x0=x0, seed_label=seeds)
+    for s, res in zip(seeds, batch):
+        assert _record_bits(res.records) == _sgda_reference(
+            quad, 0.02, 0.05, t_total, s, x0)
+
+
+def test_a_seed_that_aborts_mid_block_keeps_its_rows_up_to_its_last_step():
+    # dim 64 and three seeds: blocks of 22 steps, so step 50 fails in the
+    # middle of the third
+    seeds, failing, step_no, dim = [31, 32, 33], 32, 50, 64
+    assert (step_no - 1) % (_TRACE_BLOCK // (len(seeds) * dim) + 1) != 0
+    prob = _one_seed_fails(0, step_no, failing, "bulk", dim=dim)
+    sched = Schedule.from_manual(0.5, 0.01, 0.05, 120, prob.constants,
+                                 mode="minmax")
+    x0 = np.full(dim, 0.5)
+    solo = [run(prob, "minmax", sched, RngStream(s), x0=x0, seed_label=s)
+            for s in seeds]
+    batch = run(prob, "minmax", sched, [RngStream(s) for s in seeds], x0=x0,
+                seed_label=seeds)
+    for s, a, b in zip(seeds, solo, batch):
+        assert _digest(b) == _digest(a)
+        assert b.aborted == (s == failing)
+        want = range(1, step_no) if s == failing else range(1, 121)
+        assert [r.t for r in b.records] == list(want)
+
+
+@pytest.mark.parametrize("dim, n_seeds", [(10, 1), (10, 4), (64, 3),
+                                          (2005, 1), (2005, 3)])
+def test_a_block_of_trace_rows_holds_a_bounded_number_of_floats(dim,
+                                                                n_seeds):
+    prob = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1, dim=dim)
+    seen = []
+
+    def objective(x):
+        seen.append(x.shape[0])
+        return prob.full_objective(x)
+
+    t_total = 60
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, t_total, prob.constants,
+                                 mode="dwc")
+    run(dataclasses.replace(prob, full_objective=objective), "dwc", sched,
+        [RngStream(s) for s in range(n_seeds)], x0=np.ones(dim),
+        trace_every=1, seed_label=list(range(n_seeds)))
+    bound = max(n_seeds, n_seeds * -(-_TRACE_BLOCK // (n_seeds * dim)))
+    assert max(seen) <= bound
+    assert sum(seen) == t_total * n_seeds
+    assert len(seen) == -(-t_total * n_seeds // bound)
+
+
+def test_elapsed_ms_leaves_out_the_time_of_trace_rows():
+    # dim 2048: one seed's block is two steps, so rows are computed all
+    # along the run, and each computation sleeps 1 ms a row
+    dim, t_total = 2048, 50
+    prob = make_quadratic_minmax(dim=dim)
+
+    def slow(x):
+        time.sleep(1e-3 * len(x))
+        return prob.full_objective(x)
+
+    sched = Schedule.from_manual(0.5, 0.01, 0.05, t_total, prob.constants,
+                                 mode="minmax")
+    res = run(dataclasses.replace(prob, full_objective=slow), "minmax",
+              sched, RngStream(5), x0=np.ones(dim), trace_every=1)
+    assert len(res.records) == t_total
+    assert res.records[-1].elapsed_ms < 0.5 * t_total * 1e-3 * 1e3

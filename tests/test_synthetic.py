@@ -250,9 +250,9 @@ def test_quadratic_minmax_rejects_bad_args():
 STACK_DIMS = (1, 7, 8, 9, 128, 129, 2005)
 
 
-def _stack(dim: int) -> np.ndarray:
-    """Three points: random ones and one with entries on kinks and zeros."""
-    x = 2.0 * token_generator(dim).standard_normal((3, dim))
+def _stack(dim: int, n: int = 3) -> np.ndarray:
+    """``n`` points: random ones and one with entries on kinks and zeros."""
+    x = 2.0 * token_generator(dim).standard_normal((n, dim))
     x[1, ::2] = 0.2
     x[1, 1::3] = -0.0
     return x
@@ -279,13 +279,16 @@ def _trace_maps(dim: int) -> dict:
 
 @pytest.mark.parametrize("dim", STACK_DIMS)
 def test_trace_maps_on_a_stack_equal_their_rows_bit_for_bit(dim):
-    x = _stack(dim)
-    for name, f in _trace_maps(dim).items():
-        got = np.asarray(f(x))
-        rows = [np.asarray(f(row)) for row in x]
-        assert got.shape == (3,) + rows[0].shape, name
-        for j, want in enumerate(rows):
-            assert got[j].tobytes() == want.tobytes(), (name, j)
+    # three points, and a stack as tall as the largest block of trace rows
+    # (``smag._TRACE_BLOCK`` floats, at dim 1)
+    for n in (3, 4096):
+        x = _stack(dim, n)
+        for name, f in _trace_maps(dim).items():
+            got = np.asarray(f(x))
+            assert got.shape == (n,) + np.shape(f(x[0])), name
+            for j, row in enumerate(x):
+                assert got[j].tobytes() == np.asarray(f(row)).tobytes(), \
+                    (name, j)
 
 
 @pytest.mark.parametrize("dim", STACK_DIMS)

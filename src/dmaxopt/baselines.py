@@ -130,7 +130,7 @@ def _run(problem: DMaxProblem, oracles, kernel, t_total: int, rng, x0, *,
     return res[0] if isinstance(rng, RngStream) else res
 
 
-def _direction_norm(prev: BaselineState, state: BaselineState):
+def _direction_norm(prev_x: np.ndarray, state: BaselineState):
     return _norms(state.last_dir), [math.nan] * state.x.shape[0]
 
 

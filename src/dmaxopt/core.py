@@ -202,10 +202,6 @@ def _mix64(a: int, b: int) -> int:
     return z ^ (z >> 31)
 
 
-# Tokens ``RngStream`` prefetches per generator call.
-_BLOCK = 1024
-
-
 class RngStream:
     """Counter-based deterministic random stream keyed by ``(seed, stream_id)``.
 
@@ -215,10 +211,10 @@ class RngStream:
     tokens; oracles turn a token into a concrete mini-batch or noise
     realization through :func:`token_generator`.
 
-    Tokens are prefetched from the generator in blocks.  A full-range
-    ``uint64`` draw consumes exactly one Philox output per token, so a block
-    holds the same bits as the single draws it replaces; any other use of
-    the generator first rewinds it to where single draws would have left it.
+    A full-range ``uint64`` draw consumes exactly one Philox output per
+    token, so ``draw_many(n)`` holds the same bits as ``n`` single draws.
+    Runs draw a chunk of tokens per seed at a time, and a seed that stops
+    early hands the unused ones back (``_put_back``).
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -230,54 +226,33 @@ class RngStream:
                         self.stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.counter = 0
-        # Prefetched tokens, the index of the next one to hand out, and the
-        # generator state the block was drawn from.
-        self._block = np.empty(0, dtype=np.uint64)
-        self._pos = 0
-        self._block_start = None
-
-    def _take(self, n: int) -> np.ndarray:
-        pos = self._pos
-        if pos + n > self._block.shape[0]:
-            self._rewind()
-            self._block_start = self._gen.bit_generator.state
-            self._block = self._gen.integers(0, 2 ** 64, size=max(n, _BLOCK),
-                                             dtype=np.uint64)
-            pos = 0
-        self._pos = pos + n
-        return self._block[pos:pos + n]
-
-    def _rewind(self) -> None:
-        """Put the generator where single draws of the tokens handed out
-        so far would have left it, and drop the rest of the block."""
-        if self._pos < self._block.shape[0]:
-            self._gen.bit_generator.state = self._block_start
-            self._gen.integers(0, 2 ** 64, size=self._pos, dtype=np.uint64)
-        self._block = self._block[:0]
-        self._pos = 0
+        # The generator state before the latest ``draw_many``, and its size.
+        self._last = (None, 0)
 
     def draw(self) -> int:
         """Return the next 64-bit sample token."""
-        self.counter += 1
-        return int(self._take(1)[0])
+        return int(self.draw_many(1)[0])
 
     def draw_many(self, n: int) -> np.ndarray:
         """Return the next ``n`` tokens (identical to ``n`` single draws)."""
         n = int(n)
         if n < 0:
             raise ParameterError("cannot draw a negative number of tokens")
+        self._last = (self._gen.bit_generator.state, n)
         self.counter += n
-        return self._take(n).copy()
+        return self._gen.integers(0, 2 ** 64, size=n, dtype=np.uint64)
 
-    def _put_back(self, n: int) -> None:
-        """Return the last ``n`` tokens of the latest ``draw_many`` to the
+    def _put_back(self, k: int) -> None:
+        """Return the last ``k`` tokens of the latest ``draw_many`` to the
         stream, as if they had never been drawn."""
-        self._pos -= n
-        self.counter -= n
+        state, n = self._last
+        self._gen.bit_generator.state = state
+        self._gen.integers(0, 2 ** 64, size=n - k, dtype=np.uint64)
+        self._last = (state, n - k)
+        self.counter -= k
 
     def integers(self, low: int, high: int) -> int:
         """Draw one integer uniformly from ``[low, high)``, advancing the stream."""
-        self._rewind()
         self.counter += 1
         return int(self._gen.integers(low, high))
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import CapabilityError, DMaxProblem, ParameterError, token_generator
-from ..moreau import _exact_envelope, dmax_envelope_grad, envelope_value
+from ..core import DMaxProblem, ParameterError, token_generator
+from ..moreau import dmax_envelope_grad, smoothed_objective
 
 __all__ = ["GradCheckReport", "grad_check"]
 
@@ -42,29 +42,6 @@ def _kink_distance(problem: DMaxProblem, x: np.ndarray, gamma: float) -> float:
         if fn is not None and fn.kink_gap is not None:
             gap = min(gap, fn.kink_gap(x, gamma))
     return gap
-
-
-def _component_envelope(problem: DMaxProblem, which: str, x: np.ndarray,
-                        gamma: float, tol: float) -> float:
-    """Envelope value of Phi or Psi: from the component's exact prox and
-    value maps when it has both, else from its function oracle."""
-    aux = problem.exact_aux
-    prox_map = getattr(aux, f"prox_{which}", None)
-    value_map = getattr(aux, f"value_{which}", None)
-    if prox_map is not None and value_map is not None:
-        return _exact_envelope(prox_map, value_map, x, gamma)
-    fn = getattr(problem, f"{which}_fn")
-    if fn is None:
-        raise CapabilityError(
-            f"grad check needs exact_aux prox_{which} and value_{which}, "
-            f"or {which}_fn")
-    return envelope_value(fn, x, gamma, tol=tol)
-
-
-def _envelope_diff_value(problem: DMaxProblem, x: np.ndarray, gamma: float,
-                         tol: float) -> float:
-    return (_component_envelope(problem, "phi", x, gamma, tol)
-            - _component_envelope(problem, "psi", x, gamma, tol))
 
 
 def grad_check(problem: DMaxProblem, gamma: float, *, n_points: int = 20,
@@ -115,8 +92,8 @@ def grad_check(problem: DMaxProblem, gamma: float, *, n_points: int = 20,
         for i in range(dim):
             e = np.zeros(dim)
             e[i] = h
-            fd[i] = (_envelope_diff_value(problem, x + e, gamma, tol)
-                     - _envelope_diff_value(problem, x - e, gamma, tol)
+            fd[i] = (smoothed_objective(problem, x + e, gamma, tol=tol)
+                     - smoothed_objective(problem, x - e, gamma, tol=tol)
                      ) / (2 * h)
         denom = max(float(np.linalg.norm(g)), float(np.linalg.norm(fd)), 1.0)
         worst = max(worst, float(np.linalg.norm(fd - g)) / denom)

@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     CapabilityError,
     DMaxProblem,
-    ExactAux,
     FunctionOracle,
     ParameterError,
     as_vector,
@@ -93,14 +92,14 @@ def _golden_refine(g, lo: float, hi: float, iters: int = 96) -> Tuple[float, flo
 
 
 def prox(f: FunctionOracle, x, gamma: float, tol: float = 1e-8,
-         max_inner: int = 200_000, use_closed_form: bool = True) -> ProxResult:
+         max_inner: int = 200_000) -> ProxResult:
     """Proximal point of ``f`` at ``x`` with parameter ``gamma``.
 
-    When ``f`` registers a closed-form prox (and ``use_closed_form`` is not
-    disabled) it is returned directly with ``exact=True``.  Otherwise the
-    strongly convex subproblem ``min_u f(u) + ||u - x||^2/(2 gamma)`` is
-    solved by subgradient descent with steps ``2 / (mu (k + 2))``,
-    ``mu = 1/gamma - delta``, keeping the best suffix-averaged iterate.
+    When ``f`` registers a closed-form prox it is returned directly with
+    ``exact=True``.  Otherwise the strongly convex subproblem ``min_u f(u)
+    + ||u - x||^2/(2 gamma)`` is solved by subgradient descent with steps
+    ``2 / (mu (k + 2))``, ``mu = 1/gamma - delta``, keeping the best
+    suffix-averaged iterate.
 
     Residual semantics for iterative solves:
 
@@ -122,7 +121,7 @@ def prox(f: FunctionOracle, x, gamma: float, tol: float = 1e-8,
     if not (tol > 0):
         raise ParameterError("tol must be positive")
 
-    if use_closed_form and f.prox is not None:
+    if f.prox is not None:
         pt = as_vector(f.prox(x, gamma), dim=x.shape[0], name="prox point")
         return ProxResult(point=pt, residual=0.0, inner_iters=0, exact=True)
 
@@ -245,26 +244,37 @@ def envelope_grad(f: FunctionOracle, x, gamma: float, tol: float = 1e-8,
     return (x - r.point) / gamma
 
 
-def smoothed_objective(aux: ExactAux, x: np.ndarray, gamma: float,
-                       with_psi: bool = True) -> float:
-    """Smoothed objective ``F_gamma(x) = Phi_gamma(x) - Psi_gamma(x)`` from
-    a problem's exact prox and value maps.
+def smoothed_objective(problem: DMaxProblem, x: np.ndarray, gamma: float,
+                       with_psi: bool = True, tol: float = 1e-8) -> float:
+    """Smoothed objective ``F_gamma(x) = Phi_gamma(x) - Psi_gamma(x)``.
 
-    Each envelope is ``value(p) + ||p - x||^2 / (2 gamma)`` at ``p =
-    prox(x)``.  With ``with_psi=False`` the second component is identically
-    zero (min-max mode) and its maps are not read.
+    A component with both an exact prox and an exact value map in
+    ``exact_aux`` gives ``value(p) + ||p - x||^2 / (2 gamma)`` at ``p =
+    prox(x)``; any other gives :func:`envelope_value` of its function
+    oracle ``{phi,psi}_fn``.  With ``with_psi=False`` the second component
+    is identically zero (min-max mode) and is not read.
     """
-    val = _exact_envelope(aux.prox_phi, aux.value_phi, x, gamma)
+    val = _envelope(problem, "phi", x, gamma, tol)
     if with_psi:
-        val -= _exact_envelope(aux.prox_psi, aux.value_psi, x, gamma)
+        val -= _envelope(problem, "psi", x, gamma, tol)
     return val
 
 
-def _exact_envelope(prox_map, value_map, x: np.ndarray, gamma: float) -> float:
-    """One component's envelope ``value(p) + ||p - x||^2 / (2 gamma)`` at
-    ``p = prox_map(x, gamma)``."""
-    p = prox_map(x, gamma)
-    return value_map(p) + float(np.sum((p - x) ** 2)) / (2.0 * gamma)
+def _envelope(problem: DMaxProblem, which: str, x: np.ndarray, gamma: float,
+              tol: float) -> float:
+    """Envelope value of Phi or Psi at ``x``: see :func:`smoothed_objective`."""
+    aux = problem.exact_aux
+    prox_map = getattr(aux, f"prox_{which}", None)
+    value_map = getattr(aux, f"value_{which}", None)
+    if prox_map is not None and value_map is not None:
+        p = prox_map(x, gamma)
+        return value_map(p) + float(np.sum((p - x) ** 2)) / (2.0 * gamma)
+    fn = getattr(problem, f"{which}_fn")
+    if fn is None:
+        raise CapabilityError(
+            f"the smoothed objective needs exact_aux prox_{which} and "
+            f"value_{which}, or {which}_fn")
+    return envelope_value(fn, x, gamma, tol=tol)
 
 
 def smoothness_constant(gamma: float, delta_phi: float,

@@ -732,10 +732,10 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
 
     aux = problem.exact_aux
 
-    def rows(prev: SmagState, cur: SmagState):
+    def rows(prev_x: np.ndarray, cur: SmagState):
         if trace_potential:
             p_t = (pot_coef * _potential_terms(
-                aux, *_prox_pair(aux, prev.x, sched.gamma, mode), cur,
+                aux, *_prox_pair(aux, prev_x, sched.gamma, mode), cur,
                 mode)).tolist()
         else:
             p_t = [math.nan] * cur.x.shape[0]
@@ -788,14 +788,15 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
 
     Every ``trace_every`` steps and at the last one each live seed gets a
     :class:`RunRecord`.  Such a step only reads the clock and holds its
-    ``(prev, state)``; the rows are computed a block at a time, once the
-    held anchors reach ``_TRACE_BLOCK`` floats, before seeds are dropped
-    and after the loop.  A block stacks its steps' states in step order,
-    ``full_objective`` takes the block's anchors once, and ``rows(prev,
-    state)`` gives the lists of the rows' stationarity and ``p_t``, as
-    floats.  ``elapsed_ms`` is the clock at the traced step, less the time
-    spent computing rows before it.  Returns per seed its final state
-    (1-D), its records and its abort reason (``None`` if it did not abort).
+    previous anchors ``prev.x`` and its ``state``; the rows are computed a
+    block at a time, once the held anchors reach ``_TRACE_BLOCK`` floats,
+    before seeds are dropped and after the loop.  A block stacks its
+    steps' states and previous anchors in step order, ``full_objective``
+    takes the block's anchors once, and ``rows(prev_x, state)`` gives the
+    lists of the rows' stationarity and ``p_t``, as floats.
+    ``elapsed_ms`` is the clock at the traced step, less the time spent
+    computing rows before it.  Returns per seed its final state (1-D), its
+    records and its abort reason (``None`` if it did not abort).
     """
     if t_total < 1:
         raise ParameterError("t_total must be >= 1")
@@ -810,7 +811,7 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
     finals: list = [None] * len(feed.rngs)
     records: list = [[] for _ in feed.rngs]
     objective = problem.full_objective
-    pending: list = []  # (prev, state, elapsed_ms) of the traced steps held
+    pending: list = []  # (prev.x, state, elapsed_ms) of the traced steps
     spent = 0.0  # seconds spent computing rows
 
     def flush() -> None:
@@ -820,7 +821,7 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
         n = cur.x.shape[0]
         obj = ([math.nan] * n if objective is None
                else _shaped(objective(cur.x), (n,), "full_objective").tolist())
-        stat, p_t = rows(_concat([p[0] for p in pending]), cur)
+        stat, p_t = rows(np.concatenate([p[0] for p in pending]), cur)
         k = 0
         for _, st, elapsed_ms in pending:
             for i in feed.rows:
@@ -850,7 +851,7 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
         if on_step is not None:
             on_step(prev, state, feed.rows)
         if state.t % trace_every == 0 or state.t == t_total:
-            pending.append((prev, state,
+            pending.append((prev.x, state,
                             (time.perf_counter() - start - spent) * 1e3))
             # a block has one row set, so its anchors hold this many floats
             if len(pending) * state.x.size >= _TRACE_BLOCK:
@@ -910,7 +911,7 @@ def potential_diagnostic(problem: DMaxProblem, states: Sequence[SmagState],
         p_vals[i] = coef * _potential_terms(
             aux, *_prox_pair(aux, x_t, gamma, mode), states[i + 1], mode)
         if f_vals is not None:
-            f_vals[i] = smoothed_objective(aux, x_t, gamma, with_psi)
+            f_vals[i] = smoothed_objective(problem, x_t, gamma, with_psi)
     return PotentialTrace(p_t=p_vals, f_gamma=f_vals, coefficient=coef)
 
 
@@ -937,8 +938,8 @@ def step_diagnostics(problem: DMaxProblem, before: SmagState,
     err_sq = float(np.sum((grad_env - g_vec) ** 2))
 
     with_psi = aux.prox_psi is not None and aux.value_psi is not None
-    descent_lhs = smoothed_objective(aux, after.x, gamma, with_psi)
-    descent_rhs = (smoothed_objective(aux, x_t, gamma, with_psi)
+    descent_lhs = smoothed_objective(problem, after.x, gamma, with_psi)
+    descent_rhs = (smoothed_objective(problem, x_t, gamma, with_psi)
                    + 0.5 * eta0 * err_sq
                    - 0.5 * eta0 * float(np.sum(grad_env ** 2))
                    - 0.25 * eta0 * float(np.sum(g_vec ** 2)))

@@ -7,6 +7,7 @@ budgets are pinned in the tests; nothing here is tunable from the
 outside.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -83,8 +84,8 @@ def test_iterative_prox_against_grid_search():
         gamma = float(gen.uniform(0.1, 2.0))
         x = float(gen.uniform(-3.0, 3.0))
         f = piecewise_quadratic(a, c, kappa)
-        r = prox(f, [x], gamma, tol=1e-10, max_inner=20_000,
-                 use_closed_form=False)
+        r = prox(dataclasses.replace(f, prox=None), [x], gamma, tol=1e-10,
+                 max_inner=20_000)
         grid = x + np.arange(-5.0, 5.0 + 1e-4, 1e-4)
         vals = (a * np.abs(grid - c) + 0.5 * kappa * grid * grid
                 + (grid - x) ** 2 / (2.0 * gamma))

@@ -243,12 +243,13 @@ def _fresh_philox(a, b):
 
 
 def _single_tokens(ref, n):
-    """What a stream drew before tokens were prefetched: one generator call
-    per token."""
+    """One generator call per token: what ``n`` single draws give."""
     return [int(ref.integers(0, 2 ** 64, dtype=np.uint64)) for _ in range(n)]
 
 
 def test_prefetched_tokens_match_single_draws_across_blocks():
+    # draws of mixed sizes, interleaved with ``integers``, read the same
+    # tokens as one generator call per token
     a = RngStream(9, 4)
     ref = _fresh_philox(9, 4)
     drawn = 0
@@ -258,10 +259,10 @@ def test_prefetched_tokens_match_single_draws_across_blocks():
         if i % 50 == 7:
             assert a.draw() == _single_tokens(ref, 1)[0]
             drawn += 1
-        if i % 170 == 3:  # shifts the block boundaries off the 4-grid
+        if i % 170 == 3:  # shifts the token position off the 4-grid
             assert a.draw_many(3).tolist() == _single_tokens(ref, 3)
             drawn += 3
-        if i % 230 == 11:  # mid-block: rewinds the prefetch
+        if i % 230 == 11:  # ``integers`` between token draws
             assert a.integers(0, 1000) == int(ref.integers(0, 1000))
             drawn += 1
         assert a.counter == drawn
@@ -290,13 +291,30 @@ def test_stream_position_after_a_run_aborted_mid_block():
     rng = RngStream(3)
     res = run(prob, "dwc", sched, rng, trace_every=100)
     assert res.aborted and res.final_state.t == 299
-    # 300 steps drew their four tokens; 1200 is not a multiple of the block
+    # 300 steps drew their four tokens; the feed drew a chunk of 4 * 1000
+    # and put back the tokens of the 700 steps not taken
     assert rng.counter == 4 * 300
     ref = _fresh_philox(3, 0)
     _single_tokens(ref, 4 * 300)
     assert rng.integers(0, 10 ** 6) == int(ref.integers(0, 10 ** 6))
     assert rng.draw() == _single_tokens(ref, 1)[0]
     assert rng.counter == 4 * 300 + 2
+
+
+@pytest.mark.parametrize("n", [1, 5, 3000])
+@pytest.mark.parametrize("integers_first", [False, True])
+def test_put_back_leaves_the_stream_where_fewer_draws_would(n,
+                                                            integers_first):
+    for k in sorted({0, 1, n - 1, n}):
+        a, b = RngStream(21, 2), RngStream(21, 2)
+        if integers_first:
+            assert a.integers(0, 10 ** 9) == b.integers(0, 10 ** 9)
+        assert a.draw_many(n)[:n - k].tolist() == b.draw_many(n - k).tolist()
+        a._put_back(k)
+        assert a.counter == b.counter
+        assert a.draw_many(7).tolist() == b.draw_many(7).tolist()
+        assert a.draw() == b.draw()
+        assert a.integers(0, 10 ** 9) == b.integers(0, 10 ** 9)
 
 
 def _same_draws(gen, ref):

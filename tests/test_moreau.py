@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -92,7 +93,7 @@ ITERATIVE_CASES = [
 def test_iterative_prox_matches_closed_form(kwargs, x, gamma):
     f = piecewise_quadratic(**kwargs)
     exact = f.prox(np.array([x]), gamma)
-    r = prox(f, [x], gamma, use_closed_form=False)
+    r = prox(dataclasses.replace(f, prox=None), [x], gamma)
     assert not r.exact
     assert abs(r.point[0] - exact[0]) < 1e-6
     assert r.residual <= 1e-8
@@ -102,7 +103,7 @@ def test_iterative_prox_multidim():
     f = piecewise_quadratic(1.0, 0.3, 0.5)
     x = np.array([2.0, -1.0, 0.35, 0.0])
     exact = f.prox(x, 0.8)
-    r = prox(f, x, 0.8, use_closed_form=False)
+    r = prox(dataclasses.replace(f, prox=None), x, 0.8)
     assert np.abs(r.point - exact).max() < 1e-4
     assert r.residual <= 1e-5  # honest gap estimate, not a false certificate
 
@@ -138,7 +139,7 @@ def test_prox_vs_grid_search_bruteforce():
         vals = np.array([f.value(np.array([u])) for u in grid])
         vals += (grid - x) ** 2 / (2 * gamma)
         best = grid[np.argmin(vals)]
-        r = prox(f, [x], gamma, use_closed_form=False)
+        r = prox(dataclasses.replace(f, prox=None), [x], gamma)
         assert abs(r.point[0] - best) < 1e-3
 
 

@@ -499,9 +499,12 @@ class DMaxProblem:
     unbiased (sub)gradient realized deterministically from the token.
     ``full_objective`` and the maps of ``exact_aux`` take one point or an
     ``(S, dim)`` stack of them (see :class:`ExactAux`).
-    ``psi_*`` oracles and ``set_z`` may be ``None`` when the second
-    component is absent; likewise ``phi_grad_y`` / ``set_y`` when the first
-    component has no inner max.
+
+    A problem carries only the parts it has.  A component without an inner
+    max has no dual: ``phi_grad_y``, ``set_y`` and
+    ``exact_aux.best_response_y`` are ``None`` (likewise the ``z`` parts
+    for Psi), and runs neither step nor trace it.  Without a second
+    component ``psi_subgrad_x`` is ``None`` too, and only minmax mode runs.
     """
 
     dim_x: int

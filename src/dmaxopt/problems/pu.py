@@ -15,7 +15,6 @@ which is what couples them in shared-sample mode.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -23,12 +22,10 @@ import numpy as np
 
 from ..core import (
     DMaxProblem,
-    ExactAux,
     FunctionOracle,
     ParameterError,
     ProblemConstants,
     _each_row,
-    box,
     token_generator,
 )
 from .data import LabeledDataset
@@ -151,17 +148,12 @@ def make_pu_problem(positives: LabeledDataset, unlabeled: LabeledDataset,
         r_unl = float(np.linalg.norm(unlabeled.features, axis=1).max())
         m_bound = pi_p * r_pos + r_unl
 
-    dummy = box([-1.0], [1.0])
     return DMaxProblem(
         dim_x=dim,
         constants=ProblemConstants(delta_phi=0.0, delta_psi=0.0,
                                    m_bound=float(m_bound)),
         phi_subgrad_x=phi_subgrad_x,
-        phi_grad_y=lambda x, y, token: np.zeros(1),
         psi_subgrad_x=psi_subgrad_x,
-        psi_grad_z=lambda x, z, token: np.zeros(1),
-        set_y=dummy,
-        set_z=dummy,
         phi_fn=phi_fn,
         psi_fn=psi_fn,
         full_objective=lambda x: _each_row(

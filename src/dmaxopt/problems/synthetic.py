@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from ..core import (
-    ConstraintSet,
     DMaxProblem,
     ExactAux,
     FunctionOracle,
@@ -132,16 +131,6 @@ class _NoisyOracle:
         return g if noise is None else g + self.sigma * noise
 
 
-def _zero_dual(x, dual=None):
-    """Zero in a frozen one-dimensional dual, at a point or at each row of a
-    stack: the dual's gradient and its best response."""
-    return np.zeros(x.shape[:-1] + (1,))
-
-
-def _dummy_dual() -> ConstraintSet:
-    return box([-1.0], [1.0])
-
-
 def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
                     kappa_psi: float = 0.0, center_phi: float = 0.0,
                     center_psi: float = 0.0, noise_sigma: float = 0.0,
@@ -151,7 +140,8 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
 
     ``phi(x) = a |x - c1| + (kappa_phi/2) x^2`` and
     ``psi(x) = b |x - c2| + (kappa_psi/2) x^2`` (summed coordinatewise for
-    ``dim > 1``).  Exact soft-threshold prox maps and component values are
+    ``dim > 1``).  Neither component has an inner max, so the problem has
+    no duals.  Exact soft-threshold prox maps and component values are
     registered in ``exact_aux``.  Combinations that make ``phi - psi``
     unbounded below (dominating psi curvature, or equal curvature with
     ``b > a``) are rejected unless ``allow_unbounded=True``.
@@ -172,8 +162,6 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
     psi = piecewise_quadratic(b, center_psi, kappa_psi)
     sigma = float(noise_sigma)
 
-    zero_dual_grad = _NoisyOracle(_zero_dual, 0.0, 1)
-
     if m_bound is None:
         # Declared for a |x| <= 5 operating region, not verified globally.
         m_bound = math.sqrt(dim) * (max(a, b)
@@ -185,8 +173,6 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
     aux = ExactAux(
         prox_phi=phi.prox,
         prox_psi=psi.prox,
-        best_response_y=_zero_dual,
-        best_response_z=_zero_dual,
         value_phi=phi.value,
         value_psi=psi.value,
     )
@@ -194,11 +180,7 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
         dim_x=dim,
         constants=constants,
         phi_subgrad_x=_NoisyOracle(lambda x, y: phi.subgrad(x), sigma, dim),
-        phi_grad_y=zero_dual_grad,
         psi_subgrad_x=_NoisyOracle(lambda x, z: psi.subgrad(x), sigma, dim),
-        psi_grad_z=zero_dual_grad,
-        set_y=_dummy_dual(),
-        set_z=_dummy_dual(),
         exact_aux=aux,
         phi_fn=phi,
         psi_fn=psi,
@@ -241,9 +223,9 @@ def make_quadratic_minmax(dim: int = 1, noise_sigma: float = 0.0,
 
     The inner max has the closed best response ``y*(x) = clip(x, -1, 1)``
     and value ``Phi(x) = sum_i huber(x_i)``; the second component is the
-    zero function (its prox is the identity), so the same instance also
-    runs in dmax/dwc modes.  Structural constants: ``delta_phi = 0``,
-    ``mu_phi = 1``, ``L_{phi,yx} = 1``.
+    zero function (its prox is the identity) with no inner max, so the
+    same instance also runs in dmax/dwc modes.  Structural constants:
+    ``delta_phi = 0``, ``mu_phi = 1``, ``L_{phi,yx} = 1``.
     """
     if dim < 1:
         raise ParameterError("dim must be >= 1")
@@ -262,7 +244,6 @@ def make_quadratic_minmax(dim: int = 1, noise_sigma: float = 0.0,
         prox_phi=huber.prox,
         prox_psi=zero.prox,
         best_response_y=lambda x: _clip(x, -1.0, 1.0),
-        best_response_z=_zero_dual,
         value_phi=huber.value,
         value_psi=zero.value,
     )
@@ -273,9 +254,7 @@ def make_quadratic_minmax(dim: int = 1, noise_sigma: float = 0.0,
         phi_subgrad_x=_NoisyOracle(lambda x, y: y.copy(), sigma, dim),
         phi_grad_y=_NoisyOracle(lambda x, y: x - y, sigma, dim),
         psi_subgrad_x=_NoisyOracle(lambda x, z: np.zeros(x.shape), 0.0, dim),
-        psi_grad_z=_NoisyOracle(_zero_dual, 0.0, 1),
         set_y=ybox,
-        set_z=_dummy_dual(),
         exact_aux=aux,
         phi_fn=huber,
         psi_fn=zero,

@@ -10,14 +10,15 @@ smoothed-objective gradient direction.
 
 Three modes share one step kernel:
 
-- ``"dmax"``  two components, each with a dual maximization;
+- ``"dmax"``  two components, each with the dual maximization it has;
 - ``"dwc"``   two components, no duals (difference of convex-like);
 - ``"minmax"`` one component with a dual, second component identically 0.
 
-All modes draw four RNG tokens per step in a fixed order so that
-trajectories stay aligned across modes on problems where the extra
-oracles are degenerate (this is what makes the dwc reduction bit-identical
-to dmax on problems with frozen duals).
+A step updates only the parts the problem has: a dual without a set and
+an oracle is not there, and is neither stepped nor traced.  All modes
+draw four RNG tokens per step in a fixed order, so trajectories stay
+aligned across modes: on a problem without duals, dmax and dwc runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .core import (
     as_vector,
     project,
 )
-from .moreau import smoothed_objective, smoothness_constant
+from .moreau import _component_prox, smoothed_objective, smoothness_constant
 
 __all__ = [
     "Mode",
@@ -493,8 +494,12 @@ def _one_step(kernel, state, rng: RngStream, oracles, shared_sample: bool):
 
 
 def _smag_oracles(problem: DMaxProblem, state: SmagState, mode: Mode):
-    """The oracle of each of the four token slots that ``mode`` calls."""
+    """The oracle of each of the four token slots that ``mode`` calls on
+    ``problem``, ``None`` for a part it does not step: a dual the mode
+    drops or the state lacks, and Psi in minmax mode."""
     p = problem
+    if mode != "minmax" and p.psi_subgrad_x is None:
+        raise CapabilityError(f"mode {mode!r} needs a psi_subgrad_x oracle")
     return [p.phi_subgrad_x,
             p.phi_grad_y if mode != "dwc" and state.y is not None else None,
             p.psi_subgrad_x if mode != "minmax" else None,
@@ -504,7 +509,8 @@ def _smag_oracles(problem: DMaxProblem, state: SmagState, mode: Mode):
 def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
                  mode: Mode, lr_scale: float, feed: _Feed) -> SmagState:
     """One step of the stacked seeds ``st``; rows that fail are marked in
-    ``feed``."""
+    ``feed``.  A part steps when ``feed`` has an oracle in its token slot
+    (see :func:`_smag_oracles`)."""
     eta1 = sched.eta1 * lr_scale
     eta0 = sched.eta0 * lr_scale
     inv_gamma = 1.0 / sched.gamma
@@ -515,23 +521,18 @@ def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
     x_phi_new = x_phi - eta1 * (g_phi + inv_gamma * (x_phi - x_t))
 
     y_new = y
-    if mode != "dwc" and problem.phi_grad_y is not None and y is not None:
+    if feed.oracles[1] is not None:
         # Dual ascent evaluates at the *previous* x_phi on purpose.
         g_y = feed.grad(1, x_phi, y, y.shape[1], "phi_grad_y")
         y_new = feed.project(project, problem.set_y, y + eta1 * g_y, y)
 
-    if mode == "minmax":
-        x_psi_new = x_psi
-        z_new = z
+    x_psi_new, z_new = x_psi, z
+    if feed.oracles[2] is None:
         g_vec = (x_t - x_phi_new) * inv_gamma
     else:
-        if problem.psi_subgrad_x is None:
-            raise CapabilityError(
-                f"mode {mode!r} needs a psi_subgrad_x oracle")
         g_psi = feed.grad(2, x_psi, z, dim, "psi_subgrad_x")
         x_psi_new = x_psi - eta1 * (g_psi + inv_gamma * (x_psi - x_t))
-        z_new = z
-        if mode == "dmax" and problem.psi_grad_z is not None and z is not None:
+        if feed.oracles[3] is not None:
             g_z = feed.grad(3, x_psi, z, z.shape[1], "psi_grad_z")
             z_new = feed.project(project, problem.set_z, z + eta1 * g_z, z)
         g_vec = (x_psi_new - x_phi_new) * inv_gamma
@@ -591,11 +592,12 @@ def _missing_maps(problem: DMaxProblem, mode: Mode,
     """Names of the ``exact_aux`` maps that exact stationarity in ``mode``
     (and, with ``potential``, the potential) needs but ``problem`` lacks.
     Psi is identically zero in minmax mode, so its prox is never needed
-    there."""
+    there, and a best response is needed only for a dual set the problem
+    has."""
     names = ["prox_phi"] if mode == "minmax" else ["prox_phi", "prox_psi"]
-    if potential and mode != "dwc":
+    if potential and mode != "dwc" and problem.set_y is not None:
         names.append("best_response_y")
-    if potential and mode == "dmax":
+    if potential and mode == "dmax" and problem.set_z is not None:
         names.append("best_response_z")
     aux = problem.exact_aux
     return [n for n in names if getattr(aux, n, None) is None]
@@ -790,10 +792,12 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
     :class:`RunRecord`.  Such a step only reads the clock and holds its
     previous anchors ``prev.x`` and its ``state``; the rows are computed a
     block at a time, once the held anchors reach ``_TRACE_BLOCK`` floats,
-    before seeds are dropped and after the loop.  A block stacks its
-    steps' states and previous anchors in step order, ``full_objective``
-    takes the block's anchors once, and ``rows(prev_x, state)`` gives the
-    lists of the rows' stationarity and ``p_t``, as floats.
+    before seeds are dropped and after the loop.  The first traced step is
+    a block of its own, so a map that cannot take a stack fails there.  A
+    block stacks its steps' states and previous anchors in step order,
+    ``full_objective`` takes the block's anchors once, and ``rows(prev_x,
+    state)`` gives the lists of the rows' stationarity and ``p_t``, as
+    floats.
     ``elapsed_ms`` is the clock at the traced step, less the time spent
     computing rows before it.  Returns per seed its final state (1-D), its
     records and its abort reason (``None`` if it did not abort).
@@ -812,6 +816,7 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
     records: list = [[] for _ in feed.rngs]
     objective = problem.full_objective
     pending: list = []  # (prev.x, state, elapsed_ms) of the traced steps
+    block = 0  # anchor floats that make a block: none for the first one
     spent = 0.0  # seconds spent computing rows
 
     def flush() -> None:
@@ -854,8 +859,9 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
             pending.append((prev.x, state,
                             (time.perf_counter() - start - spent) * 1e3))
             # a block has one row set, so its anchors hold this many floats
-            if len(pending) * state.x.size >= _TRACE_BLOCK:
+            if len(pending) * state.x.size >= block:
                 flush()
+                block = _TRACE_BLOCK
     if pending:
         flush()
     for j, i in enumerate(feed.rows):
@@ -922,22 +928,23 @@ def step_diagnostics(problem: DMaxProblem, before: SmagState,
     bound of the gradient-estimate error by the inner tracking error.
 
     Returns both sides of each inequality; callers assert
-    ``lhs <= rhs + slack``.  Requires exact component prox and value maps.
+    ``lhs <= rhs + slack``.  Each component's prox point and envelope come
+    from its exact maps when ``exact_aux`` has them and from its function
+    oracle otherwise; Psi reads as 0 only on a problem without a second
+    component (no ``psi_subgrad_x``).
     """
-    aux = problem.exact_aux
-    if aux is None or aux.prox_phi is None or aux.value_phi is None:
-        raise CapabilityError("step diagnostics need exact prox/value maps")
     gamma = sched.gamma
     eta0 = sched.eta0
 
     x_t = before.x
-    p_phi = aux.prox_phi(x_t, gamma)
-    p_psi = aux.prox_psi(x_t, gamma) if aux.prox_psi is not None else x_t
+    with_psi = problem.psi_subgrad_x is not None
+    p_phi = _component_prox(problem, "phi", x_t, gamma, 1e-8)[0]
+    p_psi = (_component_prox(problem, "psi", x_t, gamma, 1e-8)[0]
+             if with_psi else x_t)
     grad_env = (p_psi - p_phi) / gamma
     g_vec = after.last_g
     err_sq = float(np.sum((grad_env - g_vec) ** 2))
 
-    with_psi = aux.prox_psi is not None and aux.value_psi is not None
     descent_lhs = smoothed_objective(problem, after.x, gamma, with_psi)
     descent_rhs = (smoothed_objective(problem, x_t, gamma, with_psi)
                    + 0.5 * eta0 * err_sq

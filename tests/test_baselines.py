@@ -21,7 +21,13 @@ from dmaxopt.core import (
     RngStream,
     box,
 )
-from dmaxopt.problems import make_onedim_dwc, make_quadratic_minmax
+from dmaxopt.problems import (
+    PuParams,
+    make_onedim_dwc,
+    make_pu_problem,
+    make_quadratic_minmax,
+    synth_gaussian_pu,
+)
 
 
 def test_sgd_step_algebra():
@@ -86,7 +92,7 @@ def test_sgda_projects_dual():
 
 
 def test_sgda_requires_dual_machinery():
-    prob = make_onedim_dwc(1.0, 0.5)
+    prob = make_quadratic_minmax(dim=1)
     state = BaselineState(x=np.zeros(1), y=None, last_dir=np.zeros(1), t=0)
     with pytest.raises(ParameterError):
         sgda_step(prob, state, 0.1, 0.1, RngStream(0))  # no dual iterate
@@ -99,6 +105,16 @@ def test_sgda_requires_dual_machinery():
                            last_dir=np.zeros(1), t=0)
     with pytest.raises(CapabilityError):
         sgda_step(bare, state2, 0.1, 0.1, RngStream(0))
+
+
+def test_run_sgda_refuses_a_problem_without_a_dual():
+    pos, unl = synth_gaussian_pu(20, 40, 3, 1.0, 0.4, seed=1)
+    for prob in (make_onedim_dwc(1.0, 0.5),
+                 make_pu_problem(pos, unl, PuParams(pi_p=0.4))):
+        rng = RngStream(0)
+        with pytest.raises(CapabilityError, match="dual"):
+            run_sgda(prob, 0.1, 0.1, 5, rng)
+        assert rng.counter == 0
 
 
 def test_run_sgd_deterministic_and_traced():

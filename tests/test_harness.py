@@ -503,6 +503,17 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem", [
+    {"kind": "onedim-dwc"},
+    {"kind": "pu-synth", "pi_p": 0.5, "n_pos": 20, "n_unl": 30, "dim": 4}])
+def test_cli_run_sgda_on_a_problem_without_a_dual_is_a_config_error(
+        tmp_path, capsys, problem):
+    path = _write_cfg(tmp_path, _good_cfg(problem=problem, algorithm="sgda",
+                                          lr=0.05, lr_y=0.05))
+    assert main(["run", path, "--output-root", str(tmp_path / "out")]) == 2
+    assert "needs a dual oracle and set" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_run_abort_exit_code(tmp_path, capsys):
     cfg = {

@@ -24,11 +24,14 @@ from dmaxopt.core import (
 )
 from dmaxopt.problems import (
     PaucParams,
+    PuParams,
     make_onedim_dwc,
+    make_pu_problem,
     make_quadratic_minmax,
     pauc_fair_problem,
     piecewise_quadratic,
     synth_biased_pauc,
+    synth_gaussian_pu,
 )
 from dmaxopt.smag import (
     _TRACE_BLOCK,
@@ -339,6 +342,51 @@ def test_dwc_step_requires_psi_oracle():
     step(prob, initial_state(prob), sched, RngStream(0), "minmax")
 
 
+def test_a_shipped_problem_has_each_dual_whole_or_not_at_all():
+    # a dual set, its oracle and its best response (on a problem with exact
+    # maps; pAUC has none) are there together or not at all
+    pos, unl = synth_gaussian_pu(20, 40, 3, 1.0, 0.4, seed=1)
+    shipped = {
+        "onedim": (make_onedim_dwc(1.0, 0.5, dim=2), False),
+        "quadratic": (make_quadratic_minmax(dim=3), True),
+        "pu": (make_pu_problem(pos, unl, PuParams(pi_p=0.4)), False),
+        "pauc": (pauc_fair_problem(synth_biased_pauc(60, 4, seed=5),
+                                   PaucParams(alpha_fair=0.5)), True),
+    }
+    for name, (prob, has_y) in shipped.items():
+        aux = prob.exact_aux
+        for has, cset, oracle, response in (
+                (has_y, prob.set_y, prob.phi_grad_y, "best_response_y"),
+                (False, prob.set_z, prob.psi_grad_z, "best_response_z")):
+            assert (cset is not None) == has, (name, response)
+            assert (oracle is not None) == has, (name, response)
+            if aux is not None:
+                assert (getattr(aux, response) is not None) == has, \
+                    (name, response)
+
+
+def test_dmax_steps_and_traces_only_the_parts_a_problem_has():
+    # the 1-d problem has no duals: dmax calls its two primal oracles, still
+    # draws four tokens a step, and traces the potential without best
+    # responses
+    base = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    calls = []
+
+    def recorded(name):
+        oracle = getattr(base, name)
+        return lambda x, dual, tok: calls.append(name) or oracle(x, dual, tok)
+
+    prob = dataclasses.replace(base, **{
+        name: recorded(name) for name in ("phi_subgrad_x", "psi_subgrad_x")})
+    sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
+    rng = RngStream(2)
+    res = run(prob, "dmax", sched, rng, x0=2.0)
+    assert calls == ["phi_subgrad_x", "psi_subgrad_x"] * 10
+    assert rng.counter == 4 * 10
+    assert res.final_state.y is None and res.final_state.z is None
+    assert all(math.isfinite(r.p_t) for r in res.records)
+
+
 def test_oracle_shape_is_validated():
     prob = DMaxProblem(
         dim_x=2,
@@ -626,6 +674,24 @@ def test_step_diagnostics_requires_exact_aux():
         step_diagnostics(prob, s, s, sched)
 
 
+def test_step_diagnostics_read_psi_from_its_function_oracle():
+    # without Psi's exact maps its prox point and envelope come from psi_fn,
+    # as for the full maps, rather than from a Psi read as 0
+    full = make_onedim_dwc(1.0, 0.5, kappa_phi=0.5, kappa_psi=0.2,
+                           center_phi=0.3)
+    aux = full.exact_aux
+    phi_only = dataclasses.replace(full, exact_aux=ExactAux(
+        prox_phi=aux.prox_phi, value_phi=aux.value_phi))
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 1, full.constants,
+                                 mode="dwc")
+    before = initial_state(full, 2.0)
+    after = step(full, before, sched, RngStream(0), "dwc")
+    want = step_diagnostics(full, before, after, sched)
+    assert want["grad_env_norm"] == pytest.approx(0.7818181818, rel=1e-9)
+    got = step_diagnostics(phi_only, before, after, sched)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_initial_state_shapes_and_duals():
     prob = make_quadratic_minmax(dim=4)
     s = initial_state(prob, np.full(4, 1.5))
@@ -796,26 +862,29 @@ def _golden_runs():
 
 # sha256 of each run in ``_golden_runs``, recorded before the step kernel,
 # driver loop and trace rows were trimmed for speed; any change to a bit of
-# a trajectory, a trace row or an abort reason changes them.
+# a trajectory, a trace row or an abort reason changes them.  The six runs
+# on the 1-d and quadratic problems were re-recorded when those problems
+# lost their frozen dummy duals: their final ``y``/``z`` became ``None``,
+# and everything else hashed the same as before.
 GOLDEN = {
     "abort-anchor":
         "4ccc794f023af1c1ecb637d62582b46cc0717e3aa93e71e25d0dfe9d06be745b",
     "abort-oracle":
         "5a4fe189a9eef0ecc451a2250abd447947188198a35ac150d89a782cdc3a07a1",
     "dmax-onedim":
-        "83fed4a7291f363c929d19e7f7b5016ac1355e954cfe26c5e64e6db3877a2d01",
+        "0c9f275439ad41a699f7dc3115a86a43a8a88aa421cd66665058be738c647502",
     "dmax-quadratic":
-        "b5f8318f985f899aca2fa123500022ef632b7c56b686f0fd82adb0f381fd8934",
+        "b16a5f5fb17e4d19a3ca858da865c5925171da0ced6949114d7551503fa5acf3",
     "dwc-estimate-shared":
-        "6a74d32a2ec5520b0099dd38f012c092fef8132ba290b39645e355a28abce322",
+        "5b7b5708956c846523b12f02982c854cae35a93b0604dfea334667212b8d28b6",
     "dwc-exact-decay":
-        "5440cc8ca58d5196929d3f12d955dd72909e9285ddbb14c19ec178d15127ea72",
+        "140c51b5fe6323c0868319917577d7f031ac7cec242d6a397d5f6c15bb295331",
     "minmax-exact-decay":
-        "7b24856a54b54366479db6808de85dded934dac8bd881fe3ce07b2a859a9d364",
+        "37e5f1a3660793c8188749dde331720bdfe986169cfb6352e2677da53b4098ed",
     "minmax-pauc":
         "a9530f2642f416765bf7588d7544de467042f45ddccde90ca5db578c476724e3",
     "sgd-decay":
-        "df649e4af97dc18b0d407c37d17a8e9188e082002af2b4ceddbab0aab439fae1",
+        "82bc7a77e82aad7e037f48078866fda3326ff9afa4e12da14ed8155e5ef20035",
     "sgda-shared":
         "503d678c337e62333127ef7da03347d52bf1d80d02512c58fb80208f5b80cc99",
 }
@@ -917,19 +986,41 @@ def test_seeds_in_lockstep_equal_their_solo_runs(case):
 
 def test_maps_that_take_one_point_fail_on_a_stack_of_seeds():
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1, dim=3)
-    sched = Schedule.from_manual(0.5, 0.005, 0.01, 20, dwc.constants,
-                                 mode="dwc")
+    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
     one_point = {
-        "full_objective": dataclasses.replace(
-            dwc, full_objective=lambda x: float(x.sum())),
-        "exact_aux.best_response_y": dataclasses.replace(
-            dwc, exact_aux=dataclasses.replace(
-                dwc.exact_aux, best_response_y=lambda x: np.zeros(1))),
+        "full_objective": (dataclasses.replace(
+            dwc, full_objective=lambda x: float(x.sum())), "dwc"),
+        "exact_aux.best_response_y": (dataclasses.replace(
+            quad, exact_aux=dataclasses.replace(
+                quad.exact_aux, best_response_y=lambda x: np.zeros(3))),
+            "minmax"),
     }
-    for name, prob in one_point.items():
+    for name, (prob, mode) in one_point.items():
+        sched = Schedule.from_manual(0.5, 0.005, 0.01, 20, prob.constants,
+                                     mode=mode)
         with pytest.raises(ParameterError, match=name):
-            run(prob, "dmax" if "best" in name else "dwc", sched,
-                [RngStream(1), RngStream(2)], x0=np.ones(3))
+            run(prob, mode, sched, [RngStream(1), RngStream(2)],
+                x0=np.ones(3))
+
+
+@pytest.mark.parametrize("dim, n_seeds", [(10, 4), (1, 1)])
+def test_a_map_that_takes_one_point_fails_at_the_first_traced_step(
+        dim, n_seeds):
+    quad = make_quadratic_minmax(dim=dim)
+    tokens = []
+
+    def phi_x(x, y, token):
+        tokens.append(token)
+        return quad.phi_subgrad_x(x, y, token)
+
+    prob = dataclasses.replace(quad, phi_subgrad_x=phi_x,
+                               full_objective=lambda x: float(x.sum()))
+    sched = Schedule.from_manual(0.5, 0.01, 0.05, 5000, prob.constants,
+                                 mode="minmax")
+    with pytest.raises(ParameterError, match="full_objective"):
+        run(prob, "minmax", sched, [RngStream(s) for s in range(n_seeds)],
+            x0=np.ones(dim))
+    assert len(tokens) == n_seeds  # one step of each seed
 
 
 @pytest.mark.parametrize("dim", (1, 7, 8, 9, 128, 129, 2005))
@@ -940,13 +1031,12 @@ def test_stacked_trace_reductions_equal_their_rows_bit_for_bit(dim):
     for j in range(3):
         assert _norms(v)[j] == float(np.linalg.norm(v[j]))
         assert _sq(v)[j] == float(np.sum(v[j] ** 2))
-    # the potential of a stacked state, against each row's own
-    quad = make_quadratic_minmax(dim=dim)
-    aux = quad.exact_aux
-    x, x_phi, x_psi = 2.0 * gen.standard_normal((3, 3, dim))
-    st = SmagState(x=x, x_phi=x_phi, x_psi=x_psi,
-                   y=gen.standard_normal((3, dim)), z=np.zeros((3, 1)),
-                   last_g=v, t=1)
+    # the potential of a stacked state, against each row's own; the
+    # quadratic problem has no second dual, so z gets a test-local one
+    aux = dataclasses.replace(make_quadratic_minmax(dim=dim).exact_aux,
+                              best_response_z=lambda p: np.clip(p, -0.5, 0.5))
+    x, x_phi, x_psi, y, z = 2.0 * gen.standard_normal((5, 3, dim))
+    st = SmagState(x=x, x_phi=x_phi, x_psi=x_psi, y=y, z=z, last_g=v, t=1)
     for mode in ("dmax", "dwc", "minmax"):
         stacked = _potential_terms(aux, *_prox_pair(aux, st.x, 0.5, mode),
                                    st, mode)
@@ -1236,9 +1326,11 @@ def test_a_block_of_trace_rows_holds_a_bounded_number_of_floats(dim,
         [RngStream(s) for s in range(n_seeds)], x0=np.ones(dim),
         trace_every=1, seed_label=list(range(n_seeds)))
     bound = max(n_seeds, n_seeds * -(-_TRACE_BLOCK // (n_seeds * dim)))
+    # the first traced step is a block of its own, then blocks fill up
+    assert seen[0] == n_seeds
     assert max(seen) <= bound
     assert sum(seen) == t_total * n_seeds
-    assert len(seen) == -(-t_total * n_seeds // bound)
+    assert len(seen) == 1 + -(-(t_total - 1) * n_seeds // bound)
 
 
 def test_elapsed_ms_leaves_out_the_time_of_trace_rows():

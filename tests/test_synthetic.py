@@ -153,7 +153,7 @@ def test_onedim_exact_aux_matches_components():
                        prob.phi_fn.prox(v, 0.5))
     assert aux.value_phi(v) == pytest.approx(1.5 * 2.0)
     assert aux.value_psi(v) == pytest.approx(0.5 * 3.0)
-    assert np.allclose(aux.best_response_y(v), [0.0])
+    assert np.allclose(aux.prox_psi(v, 0.5), prob.psi_fn.prox(v, 0.5))
 
 
 def test_onedim_constants():
@@ -271,9 +271,9 @@ def _trace_maps(dim: int) -> dict:
             f"{name}.full_objective": prob.full_objective,
             f"{name}.prox_phi": lambda x, aux=aux: aux.prox_phi(x, 0.5),
             f"{name}.prox_psi": lambda x, aux=aux: aux.prox_psi(x, 0.5),
-            f"{name}.best_response_y": aux.best_response_y,
-            f"{name}.best_response_z": aux.best_response_z,
         })
+        if aux.best_response_y is not None:
+            maps[f"{name}.best_response_y"] = aux.best_response_y
     return maps
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -389,11 +389,12 @@ class ProblemConstants:
 
     ``delta_phi`` / ``delta_psi`` are weak-convexity moduli of the
     component functions in ``x`` (0 means convex).  ``mu_phi`` / ``mu_psi``
-    are strong-concavity moduli of the inner maximizations and are ``None``
-    when the corresponding max structure is absent, as are the cross
-    Lipschitz constants ``l_phi_yx`` / ``l_psi_zx`` of the dual gradients
-    with respect to ``x``.  ``m_bound`` bounds the second moment of every
-    stochastic (sub)gradient oracle; it is declared, not verified.
+    are strong-concavity moduli of the inner maximizations, and
+    ``l_phi_yx`` / ``l_psi_zx`` the cross Lipschitz constants of the dual
+    gradients with respect to ``x``.  ``None`` means the dual is absent:
+    the schedule then drops that dual's terms.  ``m_bound`` bounds the
+    second moment of every stochastic (sub)gradient oracle; it is
+    declared, not verified.  Every declared constant must be finite.
     """
 
     delta_phi: float = 0.0
@@ -405,6 +406,10 @@ class ProblemConstants:
     m_bound: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and not math.isfinite(v):
+                raise ParameterError(f"{f.name} must be finite")
         if self.delta_phi < 0 or self.delta_psi < 0:
             raise ParameterError("weak-convexity moduli must be nonnegative")
         for name in ("mu_phi", "mu_psi"):

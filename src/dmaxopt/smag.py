@@ -14,11 +14,15 @@ Three modes share one step kernel:
 - ``"dwc"``   two components, no duals (difference of convex-like);
 - ``"minmax"`` one component with a dual, second component identically 0.
 
-A step updates only the parts the problem has: a dual without a set and
-an oracle is not there, and is neither stepped nor traced.  All modes
+A mode names the parts a run may step, and the problem decides which of
+them it has: a dual without a set and an oracle is not there, and is
+neither stepped nor traced.  The schedule reads the constants of the
+components a mode runs and drops the terms of a dual whose ``mu`` is
+``None``, so dmax runs on every problem with two components.  All modes
 draw four RNG tokens per step in a fixed order, so trajectories stay
-aligned across modes: on a problem without duals, dmax and dwc runs are
-bit-identical.
+aligned across modes: on a problem without duals, dmax and dwc runs with
+the same step sizes are bit-identical.  All modes take their output
+iterates by one rule (see :class:`RunResult`).
 """
 
 from __future__ import annotations
@@ -147,9 +151,10 @@ class Schedule:
             raise ParameterError("step sizes must be positive")
         if t_total < 1:
             raise ParameterError("t_total must be >= 1")
-        alpha = _alpha_for(constants, gamma, mode)
+        parts = _parts(constants, mode)
+        alpha = _alpha(parts, gamma, mode)
         tau = eta0 / eta1
-        l_f = _l_f_for(constants, gamma, mode)
+        l_f = smoothness_constant(gamma, *[d for d, _, _ in parts])
         nu = min(1.0, 2.0 * tau / (gamma * gamma * alpha))
         sched = Schedule(gamma=gamma, eta0=tau * eta1, eta1=eta1, alpha=alpha,
                          tau=tau, nu=nu, l_f=l_f, t_total=int(t_total),
@@ -167,45 +172,22 @@ def _rate(gamma: float, delta: float) -> float:
     return r
 
 
-def _alpha_for(constants: ProblemConstants, gamma: float, mode: Mode) -> float:
+def _parts(constants: ProblemConstants, mode: Mode) -> list:
+    """The components a run in ``mode`` steps, Phi first, each as ``(delta,
+    mu, l_yx)``: its weak-convexity modulus, the strong-concavity modulus
+    of its dual (``None`` for a dual the mode drops or the constants do not
+    declare) and that dual's coupling constant.  Minmax mode runs Phi
+    alone."""
     c = constants
-    if mode == "dmax":
-        if c.mu_phi is None or c.mu_psi is None:
-            raise ParameterError("dmax mode needs mu_phi and mu_psi")
-        return min(_rate(gamma, c.delta_phi) / 4.0,
-                   _rate(gamma, c.delta_psi) / 4.0, c.mu_phi, c.mu_psi)
-    if mode == "dwc":
-        return min(_rate(gamma, c.delta_phi) / 2.0,
-                   _rate(gamma, c.delta_psi) / 2.0)
-    if c.mu_phi is None:
-        raise ParameterError("minmax mode needs mu_phi")
-    return min(_rate(gamma, c.delta_phi) / 2.0, c.mu_phi)
+    phi = (c.delta_phi, c.mu_phi if mode != "dwc" else None, c.l_phi_yx)
+    psi = (c.delta_psi, c.mu_psi if mode == "dmax" else None, c.l_psi_zx)
+    return [phi] if mode == "minmax" else [phi, psi]
 
 
-def _l_f_for(constants: ProblemConstants, gamma: float, mode: Mode) -> float:
-    if mode == "minmax":
-        return smoothness_constant(gamma, constants.delta_phi)
-    return smoothness_constant(gamma, constants.delta_phi, constants.delta_psi)
-
-
-def _tau_for(constants: ProblemConstants, gamma: float, alpha: float,
-             mode: Mode) -> float:
-    c = constants
-    g2 = gamma * gamma
-    terms = [g2 * alpha * alpha / 4.0]
-    if mode == "dmax":
-        if c.l_phi_yx is None or c.l_psi_zx is None:
-            raise ParameterError("dmax mode needs l_phi_yx and l_psi_zx")
-        if c.l_phi_yx > 0:
-            terms.append(c.mu_phi ** 1.5 * g2 * alpha ** 1.5 / (4.0 * c.l_phi_yx))
-        if c.l_psi_zx > 0:
-            terms.append(c.mu_psi ** 1.5 * g2 * alpha ** 1.5 / (4.0 * c.l_psi_zx))
-    elif mode == "minmax":
-        if c.l_phi_yx is None:
-            raise ParameterError("minmax mode needs l_phi_yx")
-        if c.l_phi_yx > 0:
-            terms.append(c.mu_phi ** 1.5 * g2 * alpha ** 1.5 / (4.0 * c.l_phi_yx))
-    return min(terms)
+def _alpha(parts: list, gamma: float, mode: Mode) -> float:
+    div = 4.0 if mode == "dmax" else 2.0
+    return min([_rate(gamma, delta) / div for delta, _, _ in parts]
+               + [mu for _, mu, _ in parts if mu is not None])
 
 
 def schedule_from_theory(constants: ProblemConstants, gamma: float,
@@ -214,49 +196,58 @@ def schedule_from_theory(constants: ProblemConstants, gamma: float,
     """Derive the full step-size schedule and iteration budget that the
     convergence analysis prescribes for target accuracy ``epsilon``.
 
+    The terms come from the components ``mode`` runs: each gives its
+    strong-convexity caps, and each dual it keeps its ``mu`` bound on
+    ``alpha`` and, with its coupling constant, a bound on ``tau``.
     ``gap_plus_p0`` is the (user-supplied) bound on the initial smoothed
     suboptimality plus the initial potential; it only scales the iteration
-    count ``t_total``, never the step sizes.
+    count ``t_total``, never the step sizes.  A schedule whose step size or
+    iteration count leaves the float range raises ParameterError.
     """
     _check_mode(mode)
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
-    if gap_plus_p0 <= 0:
-        raise ParameterError("gap_plus_p0 must be positive")
-    if gamma <= 0:
-        raise ParameterError("gamma must be positive")
-    c = constants
-    noise_coef = 384.0 if mode == "minmax" else 768.0
+    for name, v in (("epsilon", epsilon), ("gap_plus_p0", gap_plus_p0),
+                    ("gamma", gamma)):
+        if not 0.0 < v < math.inf:
+            raise ParameterError(f"{name} must be positive and finite")
+    parts = _parts(constants, mode)
+    noise_coef = 384.0 * len(parts)
     g2 = gamma * gamma
-
-    alpha = _alpha_for(c, gamma, mode)
-    tau = _tau_for(c, gamma, alpha, mode)
-    nu = min(1.0, 2.0 * tau / (g2 * alpha))
-    l_f = _l_f_for(c, gamma, mode)
-    m2 = c.m_bound * c.m_bound
-    min_at = min(alpha, tau)
-    min_g = min(1.0, g2)
-
-    eta1_terms = [g2 * _rate(gamma, c.delta_phi) / 2.0,
-                  1.0 / (2.0 * l_f * tau),
-                  min_g * min_at * nu * alpha * epsilon * epsilon
-                  / (noise_coef * tau * m2)]
-    t_terms = [2.0 / (g2 * _rate(gamma, c.delta_phi)),
-               2.0 * l_f * tau,
-               noise_coef * tau * m2
-               / (min_g * min_at * nu * alpha * epsilon * epsilon)]
-    if mode != "minmax":
-        eta1_terms.insert(1, g2 * _rate(gamma, c.delta_psi) / 2.0)
-        t_terms.insert(1, 2.0 / (g2 * _rate(gamma, c.delta_psi)))
-
-    eta1 = min(eta1_terms)
-    eta0 = tau * eta1
-    min_ig = min(1.0, 1.0 / g2)
-    t_bound = (16.0 * gap_plus_p0 / (min_ig * min_at * nu * epsilon * epsilon)
-               * max(t_terms))
-    t_total = max(1, math.ceil(t_bound))
-    return Schedule(gamma=gamma, eta0=eta0, eta1=eta1, alpha=alpha, tau=tau,
-                    nu=nu, l_f=l_f, t_total=t_total, epsilon=float(epsilon))
+    try:
+        alpha = _alpha(parts, gamma, mode)
+        tau_terms = [g2 * alpha * alpha / 4.0]
+        for name, (_, mu, l_yx) in zip(("l_phi_yx", "l_psi_zx"), parts):
+            if mu is not None and l_yx is None:
+                raise ParameterError(f"{mode} mode needs {name} with its mu")
+            if mu is not None and l_yx > 0:
+                tau_terms.append(mu ** 1.5 * g2 * alpha ** 1.5 / (4.0 * l_yx))
+        tau = min(tau_terms)
+        nu = min(1.0, 2.0 * tau / (g2 * alpha))
+        l_f = smoothness_constant(gamma, *[d for d, _, _ in parts])
+        m2 = constants.m_bound * constants.m_bound
+        min_at = min(alpha, tau)
+        min_g = min(1.0, g2)
+        noise = min_g * min_at * nu * alpha * epsilon * epsilon
+        eta1 = min([g2 * _rate(gamma, delta) / 2.0 for delta, _, _ in parts]
+                   + [1.0 / (2.0 * l_f * tau),
+                      noise / (noise_coef * tau * m2)])
+        t_terms = ([2.0 / (g2 * _rate(gamma, delta)) for delta, _, _ in parts]
+                   + [2.0 * l_f * tau, noise_coef * tau * m2 / noise])
+        min_ig = min(1.0, 1.0 / g2)
+        t_bound = (16.0 * gap_plus_p0
+                   / (min_ig * min_at * nu * epsilon * epsilon)
+                   * max(t_terms))
+    except (OverflowError, ZeroDivisionError):
+        raise ParameterError(
+            f"the {mode} schedule of these constants leaves the float "
+            "range") from None
+    if not (0.0 < eta1 < math.inf and 0.0 < t_bound < math.inf):
+        raise ParameterError(
+            f"the prescribed step size {eta1} or iteration count {t_bound} "
+            "is not a finite positive number")
+    return Schedule(gamma=gamma, eta0=tau * eta1, eta1=eta1, alpha=alpha,
+                    tau=tau, nu=nu, l_f=l_f,
+                    t_total=max(1, math.ceil(t_bound)),
+                    epsilon=float(epsilon))
 
 
 def validate_schedule(sched: Schedule, constants: ProblemConstants,
@@ -266,9 +257,9 @@ def validate_schedule(sched: Schedule, constants: ProblemConstants,
     s = sched
     if s.gamma <= 0:
         raise ParameterError("gamma must be positive")
-    _rate(s.gamma, constants.delta_phi)
-    if mode != "minmax":
-        _rate(s.gamma, constants.delta_psi)
+    g2 = s.gamma * s.gamma
+    cap = min(g2 * _rate(s.gamma, delta) / 2.0
+              for delta, _, _ in _parts(constants, mode))
     if s.eta0 <= 0 or s.eta1 <= 0:
         raise ParameterError("step sizes must be positive")
     if s.eta0 != s.tau * s.eta1:
@@ -277,10 +268,6 @@ def validate_schedule(sched: Schedule, constants: ProblemConstants,
         raise ParameterError("nu must lie in (0, 1]")
     if s.t_total < 1:
         raise ParameterError("t_total must be >= 1")
-    g2 = s.gamma * s.gamma
-    cap = g2 * _rate(s.gamma, constants.delta_phi) / 2.0
-    if mode != "minmax":
-        cap = min(cap, g2 * _rate(s.gamma, constants.delta_psi) / 2.0)
     if s.eta1 > cap * (1.0 + 1e-12):
         raise ParameterError(
             f"eta1={s.eta1} exceeds the strong-convexity cap {cap}")
@@ -493,17 +480,18 @@ def _one_step(kernel, state, rng: RngStream, oracles, shared_sample: bool):
 # the step kernel
 
 
-def _smag_oracles(problem: DMaxProblem, state: SmagState, mode: Mode):
-    """The oracle of each of the four token slots that ``mode`` calls on
-    ``problem``, ``None`` for a part it does not step: a dual the mode
-    drops or the state lacks, and Psi in minmax mode."""
+def _smag_oracles(problem: DMaxProblem, mode: Mode):
+    """The oracle of each of the four token slots that a run in ``mode``
+    steps on ``problem``, ``None`` for a part it does not step: a dual the
+    mode drops or the problem lacks, and Psi in minmax mode.  The step and
+    the trace rows read what a run steps from these slots."""
     p = problem
     if mode != "minmax" and p.psi_subgrad_x is None:
         raise CapabilityError(f"mode {mode!r} needs a psi_subgrad_x oracle")
     return [p.phi_subgrad_x,
-            p.phi_grad_y if mode != "dwc" and state.y is not None else None,
+            p.phi_grad_y if mode != "dwc" and p.set_y is not None else None,
             p.psi_subgrad_x if mode != "minmax" else None,
-            p.psi_grad_z if mode == "dmax" and state.z is not None else None]
+            p.psi_grad_z if mode == "dmax" and p.set_z is not None else None]
 
 
 def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
@@ -557,7 +545,7 @@ def step(problem: DMaxProblem, state: SmagState, sched: Schedule,
     return _one_step(
         lambda st, feed: _smag_kernel(problem, st, sched, mode, lr_scale,
                                       feed),
-        state, rng, _smag_oracles(problem, state, mode), shared_sample)
+        state, rng, _smag_oracles(problem, mode), shared_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +556,13 @@ def step(problem: DMaxProblem, state: SmagState, sched: Schedule,
 class RunResult:
     """Everything a run produces.
 
-    ``t_bar`` is the uniformly drawn output index; ``returned`` is the
-    mode-appropriate output iterate (the phi prox estimate at ``t_bar`` for
-    dmax/dwc, the anchor at ``t_bar`` for minmax).  ``x_bar`` is the anchor
-    the output certificate should be checked against, and ``candidate`` the
-    matching near-prox candidate point.
+    Every mode draws ``s`` uniformly from ``{0..T-1}``.  ``x_bar`` is the
+    anchor after ``s`` steps, the one the output certificate should be
+    checked against, and ``candidate`` and ``x_psi_bar`` are the inner
+    iterates after ``s + 1`` steps, the matching near-prox points; a run
+    that stops before step ``s + 1`` keeps its final iterates instead.
+    dmax/dwc return ``candidate`` and report ``t_bar = s + 1``; minmax
+    returns ``x_bar``, reports ``t_bar = s`` and has no ``x_psi_bar``.
     """
 
     records: list
@@ -587,20 +577,17 @@ class RunResult:
     states: Optional[list] = None
 
 
-def _missing_maps(problem: DMaxProblem, mode: Mode,
+def _missing_maps(aux: Optional[ExactAux], oracles: list,
                   potential: bool = False) -> list:
-    """Names of the ``exact_aux`` maps that exact stationarity in ``mode``
-    (and, with ``potential``, the potential) needs but ``problem`` lacks.
-    Psi is identically zero in minmax mode, so its prox is never needed
-    there, and a best response is needed only for a dual set the problem
-    has."""
-    names = ["prox_phi"] if mode == "minmax" else ["prox_phi", "prox_psi"]
-    if potential and mode != "dwc" and problem.set_y is not None:
-        names.append("best_response_y")
-    if potential and mode == "dmax" and problem.set_z is not None:
-        names.append("best_response_z")
-    aux = problem.exact_aux
-    return [n for n in names if getattr(aux, n, None) is None]
+    """Names of the ``exact_aux`` maps that exact stationarity (and, with
+    ``potential``, the potential) needs but ``aux`` lacks, for a run that
+    steps the parts of :func:`_smag_oracles` ``oracles``: the prox of each
+    component it steps and the best response of each dual."""
+    needs = [("prox_phi", True), ("prox_psi", oracles[2] is not None),
+             ("best_response_y", potential and oracles[1] is not None),
+             ("best_response_z", potential and oracles[3] is not None)]
+    return [n for n, needed in needs
+            if needed and getattr(aux, n, None) is None]
 
 
 def _shaped(value, shape: tuple, name: str) -> np.ndarray:
@@ -629,32 +616,33 @@ def _sq(d: np.ndarray):
     return np.add.reduce(d ** 2, axis=-1)
 
 
-def _prox_pair(aux: ExactAux, x: np.ndarray, gamma: float, mode: Mode):
+def _prox_pair(aux: ExactAux, x: np.ndarray, gamma: float, oracles: list):
     """``(prox_phi(x), prox_psi(x))`` at a point or at each row of a stack;
-    Psi is identically zero in minmax mode, so its prox is ``x`` itself."""
+    a run that does not step Psi reads it as zero, whose prox is ``x``."""
     p_phi = _shaped(aux.prox_phi(x, gamma), x.shape, "exact_aux.prox_phi")
-    if mode == "minmax":
+    if oracles[2] is None:
         return p_phi, x
     return p_phi, _shaped(aux.prox_psi(x, gamma), x.shape,
                           "exact_aux.prox_psi")
 
 
 def _potential_terms(aux: ExactAux, p_phi: np.ndarray, p_psi: np.ndarray,
-                     s_next: SmagState, mode: Mode):
-    """Unscaled sum of squared tracking errors for the potential at the
-    anchor whose prox points are ``p_phi`` and ``p_psi``: a float64 for a
-    1-D ``s_next``, one entry per row for a stacked one."""
+                     s_next: SmagState, oracles: list):
+    """Unscaled sum of squared tracking errors of the parts ``oracles``
+    steps, for the potential at the anchor whose prox points are ``p_phi``
+    and ``p_psi``: a float64 for a 1-D ``s_next``, one entry per row for a
+    stacked one."""
     total = _sq(s_next.x_phi - p_phi)
-    if mode != "dwc" and s_next.y is not None:
+    if oracles[1] is not None:
         total += _sq(s_next.y - _shaped(aux.best_response_y(p_phi),
                                         s_next.y.shape,
                                         "exact_aux.best_response_y"))
-    if mode != "minmax":
+    if oracles[2] is not None:
         total += _sq(s_next.x_psi - p_psi)
-        if mode == "dmax" and s_next.z is not None:
-            total += _sq(s_next.z - _shaped(aux.best_response_z(p_psi),
-                                            s_next.z.shape,
-                                            "exact_aux.best_response_z"))
+    if oracles[3] is not None:
+        total += _sq(s_next.z - _shaped(aux.best_response_z(p_psi),
+                                        s_next.z.shape,
+                                        "exact_aux.best_response_z"))
     return total
 
 
@@ -665,11 +653,9 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
         collect_states: bool = False):
     """Run ``sched.t_total`` steps and return traces plus the output iterate.
 
-    The output index ``t_bar`` is drawn up front from a child stream of
-    ``rng`` (uniform over ``{1..T}`` for dmax/dwc where the output is an
-    inner iterate, uniform over ``{0..T-1}`` for minmax where it is an
-    anchor).  A non-finite oracle value aborts the run; the partial trace
-    is kept and the result flagged rather than raised.
+    The output index is drawn up front from a child stream of ``rng`` (see
+    :class:`RunResult`).  A non-finite oracle value aborts the run; the
+    partial trace is kept and the result flagged rather than raised.
 
     With a sequence of streams for ``rng`` (and of labels for
     ``seed_label``, or one int label for all) the seeds step in lockstep
@@ -686,92 +672,70 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     """
     rngs, labels = _streams(rng, seed_label)
     _check_mode(mode)
-    missing = _missing_maps(problem, mode)
+    oracles = _smag_oracles(problem, mode)
+    aux = problem.exact_aux
+    missing = _missing_maps(aux, oracles)
     if exact_metrics is None:
         exact_metrics = not missing
     if exact_metrics and missing:
         raise CapabilityError(
             f"exact metrics in {mode} mode need exact_aux.{missing[0]}")
-    trace_potential = exact_metrics and not _missing_maps(problem, mode,
+    trace_potential = exact_metrics and not _missing_maps(aux, oracles,
                                                           potential=True)
     pot_coef = 2.0 * sched.eta0 / (sched.eta1 * sched.gamma ** 2 * sched.alpha)
 
     t_total = sched.t_total
-    n = len(rngs)
-    low = 0 if mode == "minmax" else 1
-    t_bar = [int(r.child(1).integers(low, t_total + low)) for r in rngs]
-
+    # Each seed keeps the anchor after s steps and the inner iterates after
+    # s + 1, for s uniform over {0..T-1}.
+    s_out = [int(r.child(1).integers(0, t_total)) for r in rngs]
     start = initial_state(problem, x0)
     states = [[start] for _ in rngs] if collect_states else None
-    x_bar: list = [None] * n
-    candidate: list = [None] * n
-    x_psi_bar: list = [None] * n
-    # Steps at which some seed takes its output iterates.
-    marks: dict = {}
-    for i, tb in enumerate(t_bar):
-        if mode == "minmax" and tb == 0:
-            x_bar[i] = start.x.copy()
-        marks.setdefault(tb, []).append(i)
-        if mode == "minmax":
-            marks.setdefault(tb + 1, []).append(i)
+    kept: dict = {}  # seed -> (x_bar, candidate, x_psi_bar)
+    marks: dict = {}  # step -> the seeds that keep their iterates there
+    for i, s in enumerate(s_out):
+        marks.setdefault(s + 1, []).append(i)
 
     def on_step(prev: SmagState, nxt: SmagState, rows: list) -> None:
         if states is not None:
             for j, i in enumerate(rows):
                 states[i].append(_pick(nxt, j))
         for i in marks.get(nxt.t, ()):
-            if i not in rows:
-                continue
-            j = rows.index(i)
-            if mode != "minmax":
-                x_bar[i] = prev.x[j].copy()
-                candidate[i] = nxt.x_phi[j].copy()
-                x_psi_bar[i] = nxt.x_psi[j].copy()
-            elif nxt.t == t_bar[i]:
-                x_bar[i] = nxt.x[j].copy()
-            else:
-                candidate[i] = nxt.x_phi[j].copy()
-
-    aux = problem.exact_aux
+            if i in rows:
+                j = rows.index(i)
+                kept[i] = (prev.x[j].copy(), nxt.x_phi[j].copy(),
+                           nxt.x_psi[j].copy())
 
     def rows(prev_x: np.ndarray, cur: SmagState):
         if trace_potential:
             p_t = (pot_coef * _potential_terms(
-                aux, *_prox_pair(aux, prev_x, sched.gamma, mode), cur,
-                mode)).tolist()
+                aux, *_prox_pair(aux, prev_x, sched.gamma, oracles), cur,
+                oracles)).tolist()
         else:
             p_t = [math.nan] * cur.x.shape[0]
         if exact_metrics:
-            p_phi, p_psi = _prox_pair(aux, cur.x, sched.gamma, mode)
+            p_phi, p_psi = _prox_pair(aux, cur.x, sched.gamma, oracles)
             return [s / sched.gamma for s in _norms(p_psi - p_phi)], p_t
         return _norms(cur.last_g), p_t
 
-    feed = _Feed(rngs, _smag_oracles(problem, start, mode), shared_sample)
+    feed = _Feed(rngs, oracles, shared_sample)
     finals, records, reasons = _drive(
-        problem, _stack(start, n), t_total,
+        problem, _stack(start, len(rngs)), t_total,
         lambda st, scale: _smag_kernel(problem, st, sched, mode, scale, feed),
         feed, rows, on_step=on_step, trace_every=trace_every,
         seed_labels=labels, decay_milestones=decay_milestones,
         decay_factor=decay_factor)
 
+    # A seed that stops before step s + 1 keeps its final iterates.
+    anchor_out = mode == "minmax"
     results = []
     for i, state in enumerate(finals):
-        xb, cand, xpb = x_bar[i], candidate[i], x_psi_bar[i]
-        if mode == "minmax":
-            returned = xb if xb is not None else state.x.copy()
-            if cand is None:
-                cand = state.x_phi.copy()
-        else:
-            returned = cand if cand is not None else state.x_phi.copy()
-            if xb is None:
-                xb = state.x.copy()
-            if cand is None:
-                cand = state.x_phi.copy()
-            if xpb is None:
-                xpb = state.x_psi.copy()
+        xb, cand, xpb = kept.get(i) or (state.x.copy(), state.x_phi.copy(),
+                                        state.x_psi.copy())
         results.append(RunResult(
-            records=records[i], final_state=state, t_bar=t_bar[i], x_bar=xb,
-            candidate=cand, returned=returned, x_psi_bar=xpb,
+            records=records[i], final_state=state,
+            t_bar=s_out[i] + (0 if anchor_out else 1), x_bar=xb,
+            candidate=cand, returned=xb if anchor_out else cand,
+            x_psi_bar=None if anchor_out else xpb,
             aborted=reasons[i] is not None, abort_reason=reasons[i] or "",
             states=None if states is None else states[i]))
     return results[0] if isinstance(rng, RngStream) else results
@@ -893,20 +857,21 @@ def potential_diagnostic(problem: DMaxProblem, states: Sequence[SmagState],
     measures how far the inner iterates at ``t+1`` sit from the exact
     proximal points of the anchor ``x_t`` (and the duals from the exact
     best responses at those proximal points), scaled by
-    ``2 eta0 / (eta1 gamma^2 alpha)``.  Modes drop the terms their
-    reduction does not carry.
+    ``2 eta0 / (eta1 gamma^2 alpha)``.  It has the terms of the parts a
+    run in ``mode`` steps on ``problem``.
     """
     _check_mode(mode)
     if len(states) < 2:
         raise ParameterError("need at least two consecutive states")
     gamma = sched.gamma
     coef = 2.0 * sched.eta0 / (sched.eta1 * gamma * gamma * sched.alpha)
-    missing = _missing_maps(problem, mode, potential=True)
+    oracles = _smag_oracles(problem, mode)
+    aux = problem.exact_aux
+    missing = _missing_maps(aux, oracles, potential=True)
     if missing:
         raise CapabilityError(
             f"potential diagnostic needs exact_aux.{missing[0]}")
-    aux = problem.exact_aux
-    with_psi = mode != "minmax"
+    with_psi = oracles[2] is not None
     have_values = aux.value_phi is not None and (
         not with_psi or aux.value_psi is not None)
 
@@ -915,7 +880,8 @@ def potential_diagnostic(problem: DMaxProblem, states: Sequence[SmagState],
     for i in range(len(states) - 1):
         x_t = states[i].x
         p_vals[i] = coef * _potential_terms(
-            aux, *_prox_pair(aux, x_t, gamma, mode), states[i + 1], mode)
+            aux, *_prox_pair(aux, x_t, gamma, oracles), states[i + 1],
+            oracles)
         if f_vals is not None:
             f_vals[i] = smoothed_objective(problem, x_t, gamma, with_psi)
     return PotentialTrace(p_t=p_vals, f_gamma=f_vals, coefficient=coef)

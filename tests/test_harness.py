@@ -532,16 +532,19 @@ def test_cli_run_abort_exit_code(tmp_path, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+# The schedule config of the README.
+_SCHEDULE_CFG = {
+    "constants": {"delta_phi": 1.0, "delta_psi": 1.0, "mu_phi": 1.0,
+                  "mu_psi": 1.0, "l_phi_yx": 1.0, "l_psi_zx": 1.0,
+                  "m_bound": 1.0},
+    "gamma": 0.5,
+    "epsilon": 0.1,
+    "mode": "dmax",
+}
+
+
 def test_cli_schedule_frozen_example(tmp_path, capsys):
-    cfg = {
-        "constants": {"delta_phi": 1.0, "delta_psi": 1.0, "mu_phi": 1.0,
-                      "mu_psi": 1.0, "l_phi_yx": 1.0, "l_psi_zx": 1.0,
-                      "m_bound": 1.0},
-        "gamma": 0.5,
-        "epsilon": 0.1,
-        "mode": "dmax",
-    }
-    path = _write_cfg(tmp_path, cfg)
+    path = _write_cfg(tmp_path, _SCHEDULE_CFG)
     assert main(["schedule", path]) == 0
     out = capsys.readouterr().out
     assert "alpha = 0.25" in out
@@ -551,6 +554,31 @@ def test_cli_schedule_frozen_example(tmp_path, capsys):
     assert payload["tau"] == 0.00390625
     missing = _write_cfg(tmp_path, {"gamma": 0.5}, name="missing.json")
     assert main(["schedule", missing]) == 2
+
+
+@pytest.mark.parametrize("override, message", [
+    ("constants.m_bound=1e200", "is not a finite positive number"),
+    ("constants.m_bound=Infinity", "m_bound must be finite"),
+    ("epsilon=1e-200", "leaves the float range"),
+    ("constants.delta_phi=NaN", "delta_phi must be finite")])
+def test_cli_schedule_out_of_the_float_range_is_a_config_error(
+        tmp_path, capsys, override, message):
+    path = _write_cfg(tmp_path, _SCHEDULE_CFG)
+    assert main(["schedule", path, "--set", override]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["quadratic-minmax", "onedim-dwc"])
+def test_cli_run_smag_dmax(tmp_path, capsys, kind):
+    path = _write_cfg(tmp_path, _good_cfg(problem={"kind": kind},
+                                          algorithm="smag-dmax"))
+    code = main(["run", path, "--output-root", str(tmp_path / "out"),
+                 "--set", "t_total=5", "--set", "seeds=[3]"])
+    assert code == 0, capsys.readouterr().err
+    meta, records = read_trace(os.path.join(str(tmp_path / "out"), "toy",
+                                            "trace_seed3.csv"))
+    assert meta["algorithm"] == "smag-dmax"
+    assert [r.t for r in records] == [1, 2, 3, 4, 5]
 
 
 def test_cli_grad_check(tmp_path, capsys):

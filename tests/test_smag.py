@@ -117,14 +117,33 @@ def test_theory_schedule_skips_zero_coupling_terms():
 
 
 def test_theory_schedule_missing_constants():
-    c = ProblemConstants(delta_phi=1.0, delta_psi=1.0, m_bound=1.0)
-    with pytest.raises(ParameterError):
-        schedule_from_theory(c, 0.5, 0.1, "dmax")  # needs mu's
-    schedule_from_theory(c, 0.5, 0.1, "dwc")       # dwc does not
+    # without a mu the dual is absent and its terms drop: dual-less dmax
+    # keeps only the strong-convexity rates, each quartered
+    c = ProblemConstants(delta_phi=1.0, delta_psi=0.5, m_bound=1.0)
+    s = schedule_from_theory(c, 0.5, 0.1, "dmax")
+    rate_phi, rate_psi = 1.0 / 0.5 - 1.0, 1.0 / 0.5 - 0.5
+    assert s.alpha == min(rate_phi, rate_psi) / 4.0
+    assert s.tau == 0.5 ** 2 * s.alpha ** 2 / 4.0
+    validate_schedule(s, c, "dmax")
+    schedule_from_theory(c, 0.5, 0.1, "dwc")
     c2 = ProblemConstants(delta_phi=1.0, delta_psi=1.0, mu_phi=1.0,
                           mu_psi=1.0, m_bound=1.0)
     with pytest.raises(ParameterError):
         schedule_from_theory(c2, 0.5, 0.1, "dmax")  # needs coupling L's
+
+
+def test_dmax_schedules_build_on_every_two_component_problem():
+    # the schedule reads the duals a problem declares, as the step does:
+    # the quadratic problem's mu_phi enters, the absent duals drop out
+    pos, unl = synth_gaussian_pu(20, 40, 3, 1.0, 0.4, seed=1)
+    for prob in (make_onedim_dwc(1.0, 0.5), make_quadratic_minmax(dim=3),
+                 make_pu_problem(pos, unl, PuParams(pi_p=0.4))):
+        c = prob.constants
+        manual = Schedule.from_manual(0.5, 0.005, 0.01, 100, c, mode="dmax")
+        theory = schedule_from_theory(c, 0.5, 0.1, "dmax")
+        validate_schedule(theory, c, "dmax")
+        alpha = min([2.0 / 4.0] + ([c.mu_phi] if c.mu_phi else []))
+        assert manual.alpha == theory.alpha == alpha, prob.name
 
 
 def test_theory_schedule_rejects_bad_inputs():
@@ -403,31 +422,66 @@ def test_oracle_shape_is_validated():
 # the driver
 
 
-def test_run_output_index_relationships_dwc():
-    prob = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
-    sched = Schedule.from_manual(0.5, 0.005, 0.01, 50, prob.constants,
-                                 mode="dwc")
-    res = run(prob, "dwc", sched, RngStream(11), x0=2.0, collect_states=True)
-    assert 1 <= res.t_bar <= 50
-    assert len(res.states) == 51
-    assert np.array_equal(res.x_bar, res.states[res.t_bar - 1].x)
-    assert np.array_equal(res.candidate, res.states[res.t_bar].x_phi)
-    assert np.array_equal(res.x_psi_bar, res.states[res.t_bar].x_psi)
-    assert np.array_equal(res.returned, res.candidate)
-    assert not res.aborted
-    assert res.final_state.t == 50
+@pytest.mark.parametrize("abort", ["none", "before", "at"])
+@pytest.mark.parametrize("mode", ["dmax", "dwc", "minmax"])
+def test_run_output_index_relationships(mode, abort):
+    # every mode draws s from {0..T-1} and keeps the anchor after s steps
+    # and the inner iterates after s + 1; a run that stops first keeps its
+    # final ones.  The seed aborts before step s + 1, at it, or not at all.
+    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
+    seed, t_total = 13, 40
+    s = int(RngStream(seed).child(1).integers(0, t_total))
+    assert 1 <= s < t_total - 1
+    fail_at = {"none": None, "before": s, "at": s + 1}[abort]
+    calls = {"n": 0}
 
+    def phi(x, y, tok):
+        calls["n"] += 1
+        g = quad.phi_subgrad_x(x, y, tok)
+        return np.full(3, math.nan) if calls["n"] == fail_at else g
 
-def test_run_output_index_relationships_minmax():
-    prob = make_quadratic_minmax(dim=3, noise_sigma=0.1)
-    sched = Schedule.from_manual(0.5, 0.01, 0.05, 40, prob.constants,
-                                 mode="minmax")
-    res = run(prob, "minmax", sched, RngStream(13), x0=np.full(3, 1.0),
+    prob = dataclasses.replace(quad, phi_subgrad_x=phi)
+    sched = Schedule.from_manual(0.5, 0.01, 0.05, t_total, prob.constants,
+                                 mode=mode)
+    res = run(prob, mode, sched, RngStream(seed), x0=np.full(3, 1.0),
               collect_states=True)
-    assert 0 <= res.t_bar <= 39
-    assert np.array_equal(res.x_bar, res.states[res.t_bar].x)
-    assert np.array_equal(res.candidate, res.states[res.t_bar + 1].x_phi)
-    assert np.array_equal(res.returned, res.x_bar)
+    last = len(res.states) - 1
+    assert res.aborted == (fail_at is not None)
+    assert res.final_state.t == last == (t_total if fail_at is None
+                                         else fail_at - 1)
+    assert res.t_bar == (s if mode == "minmax" else s + 1)
+    assert np.array_equal(res.x_bar, res.states[min(s, last)].x)
+    inner = res.states[min(s + 1, last)]
+    assert np.array_equal(res.candidate, inner.x_phi)
+    if mode == "minmax":
+        assert res.x_psi_bar is None
+        assert np.array_equal(res.returned, res.x_bar)
+    else:
+        assert np.array_equal(res.x_psi_bar, inner.x_psi)
+        assert np.array_equal(res.returned, res.candidate)
+
+
+def test_dmax_on_its_own_schedule_steps_as_on_a_dwc_schedule():
+    # the golden dmax run on the quadratic problem takes a dwc schedule;
+    # its own dmax schedule has the same step sizes, so only the potential
+    # differs, by the ratio of the two alphas
+    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
+    golden = _golden_runs()["dmax-quadratic"]()
+    own, dwc = (Schedule.from_manual(0.5, 0.01, 0.05, 300, quad.constants,
+                                     mode=mode) for mode in ("dmax", "dwc"))
+    assert own.alpha != dwc.alpha
+    res = run(quad, "dmax", own, RngStream(10), x0=np.full(3, 1.5),
+              trace_every=1)
+    for name in ("x", "x_phi", "x_psi", "y"):
+        assert np.array_equal(getattr(res.final_state, name),
+                              getattr(golden.final_state, name)), name
+    assert res.t_bar == golden.t_bar
+    assert np.array_equal(res.returned, golden.returned)
+    assert [(r.t, r.objective, r.stationarity) for r in res.records] == \
+           [(r.t, r.objective, r.stationarity) for r in golden.records]
+    ratio = dwc.alpha / own.alpha
+    assert [r.p_t for r in res.records] == pytest.approx(
+        [r.p_t * ratio for r in golden.records], rel=1e-15)
 
 
 def test_run_is_deterministic_in_the_seed():
@@ -1032,18 +1086,20 @@ def test_stacked_trace_reductions_equal_their_rows_bit_for_bit(dim):
         assert _norms(v)[j] == float(np.linalg.norm(v[j]))
         assert _sq(v)[j] == float(np.sum(v[j] ** 2))
     # the potential of a stacked state, against each row's own; the
-    # quadratic problem has no second dual, so z gets a test-local one
+    # quadratic problem has no second dual, so z gets a test-local one.
+    # The terms read only which token slots have an oracle: these are the
+    # slots of dmax on a problem with both duals, of dwc and of minmax.
     aux = dataclasses.replace(make_quadratic_minmax(dim=dim).exact_aux,
                               best_response_z=lambda p: np.clip(p, -0.5, 0.5))
     x, x_phi, x_psi, y, z = 2.0 * gen.standard_normal((5, 3, dim))
     st = SmagState(x=x, x_phi=x_phi, x_psi=x_psi, y=y, z=z, last_g=v, t=1)
-    for mode in ("dmax", "dwc", "minmax"):
-        stacked = _potential_terms(aux, *_prox_pair(aux, st.x, 0.5, mode),
-                                   st, mode)
+    for slots in ([1, 1, 1, 1], [1, None, 1, None], [1, 1, None, None]):
+        stacked = _potential_terms(aux, *_prox_pair(aux, st.x, 0.5, slots),
+                                   st, slots)
         for j in range(3):
             row = _pick(st, j)
             assert stacked[j] == _potential_terms(
-                aux, *_prox_pair(aux, row.x, 0.5, mode), row, mode)
+                aux, *_prox_pair(aux, row.x, 0.5, slots), row, slots)
 
 
 def test_run_of_a_list_of_one_stream_is_run():

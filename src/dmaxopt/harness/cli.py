@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from ..core import (
     ProblemConstants,
 )
 from ..smag import schedule_from_theory, validate_schedule
+from .config import _REQUIRED, _SCHEDULES, _read
 from .config import apply_overrides, build_problem, config_hash, load_config
 from .fairness import fairness_metrics
 from .gradcheck import grad_check
@@ -55,47 +57,45 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+_GRAD_CHECK = {
+    "problem": (dict, _REQUIRED), "gamma": (float, _REQUIRED),
+    "n_points": (int, 20), "h": (float, 1e-5), "tol": (float, 1e-10),
+    "sample_box": ([float], [-3.0, 3.0]),
+    "min_kink_gap": ((float, None), None), "seed": (int, 0),
+    "max_rel_err": ((float, None), None),
+}
+
+
 def _cmd_grad_check(args) -> int:
     cfg = _load(args)
-    if "problem" not in cfg or "gamma" not in cfg:
-        raise ParameterError("grad-check config needs 'problem' and 'gamma'")
-    problem = build_problem(cfg["problem"])
-    report = grad_check(
-        problem, float(cfg["gamma"]),
-        n_points=int(cfg.get("n_points", 20)),
-        h=float(cfg.get("h", 1e-5)),
-        tol=float(cfg.get("tol", 1e-10)),
-        sample_box=tuple(cfg.get("sample_box", (-3.0, 3.0))),
-        min_kink_gap=cfg.get("min_kink_gap"),
-        seed=int(cfg.get("seed", 0)))
+    g = _read(cfg, _GRAD_CHECK, "config")
+    threshold = g.pop("max_rel_err")
+    report = grad_check(build_problem(g.pop("problem")), **g)
     print(f"config_hash {config_hash(cfg)}")
     print(f"max_rel_err = {report.max_rel_err:.6e}")
     print(f"n_checked = {report.n_checked}")
     print(f"n_rejected = {report.n_rejected}")
-    threshold = cfg.get("max_rel_err")
-    if threshold is not None and report.max_rel_err > float(threshold):
-        print(f"FAIL: max_rel_err above {float(threshold):.6e}")
+    if threshold is not None and report.max_rel_err > threshold:
+        print(f"FAIL: max_rel_err above {threshold:.6e}")
         return EXIT_RUNTIME
     return EXIT_OK
 
 
+# The keys of a theory schedule block, plus the constants and the mode.
+_SCHEDULE = {"constants": (dict, _REQUIRED), "mode": (str, "dmax"),
+             **_SCHEDULES["theory"]}
+# The keys and defaults of ProblemConstants; a constant that defaults to
+# None (an absent dual) may be null.
+_CONSTANTS = {f.name: (float if f.default is not None else (float, None),
+                       f.default) for f in fields(ProblemConstants)}
+
+
 def _cmd_schedule(args) -> int:
-    cfg = _load(args)
-    for key in ("constants", "gamma", "epsilon"):
-        if key not in cfg:
-            raise ParameterError(f"schedule config needs {key!r}")
-    c = cfg["constants"]
-    constants = ProblemConstants(
-        delta_phi=float(c.get("delta_phi", 0.0)),
-        delta_psi=float(c.get("delta_psi", 0.0)),
-        mu_phi=c.get("mu_phi"), mu_psi=c.get("mu_psi"),
-        l_phi_yx=c.get("l_phi_yx"), l_psi_zx=c.get("l_psi_zx"),
-        m_bound=float(c.get("m_bound", 1.0)))
-    mode = cfg.get("mode", "dmax")
-    sched = schedule_from_theory(constants, float(cfg["gamma"]),
-                                 float(cfg["epsilon"]), mode=mode,
-                                 gap_plus_p0=float(cfg.get("gap_plus_p0",
-                                                           1.0)))
+    cfg = _read(_load(args), _SCHEDULE, "config")
+    constants = ProblemConstants(**_read(cfg.pop("constants"), _CONSTANTS,
+                                         "constants"))
+    mode = cfg.pop("mode")
+    sched = schedule_from_theory(constants, mode=mode, **cfg)
     validate_schedule(sched, constants, mode)
     for name in ("alpha", "tau", "nu", "l_f", "eta1", "eta0", "t_total",
                  "gamma", "epsilon"):
@@ -144,14 +144,13 @@ def _is_float(s: str) -> bool:
         return False
 
 
+_FAIRNESS = {"scores_csv": (str, _REQUIRED), "threshold": (float, 0.0),
+             "rho": (float, 0.3)}
+
+
 def _cmd_fairness(args) -> int:
-    cfg = _load(args)
-    if "scores_csv" not in cfg:
-        raise ParameterError("fairness config needs 'scores_csv'")
-    scores, labels, attrs = _read_scores_csv(cfg["scores_csv"])
-    report = fairness_metrics(scores, labels, attrs,
-                              threshold=float(cfg.get("threshold", 0.0)),
-                              rho=float(cfg.get("rho", 0.3)))
+    cfg = _read(_load(args), _FAIRNESS, "config")
+    report = fairness_metrics(*_read_scores_csv(cfg.pop("scores_csv")), **cfg)
     for name in ("dp", "eop", "eod", "pauc"):
         print(f"{name} = {getattr(report, name):.6f}")
     return EXIT_OK

@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..core import DMaxProblem, ParameterError, ProblemConstants
+from ..core import DMaxProblem, ParameterError
 from ..smag import Mode, Schedule, schedule_from_theory
 from ..problems import (
     LabeledDataset,
@@ -85,117 +85,119 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _is_int(v) -> bool:
-    """An integer in JSON's sense: ``true`` and ``1.5`` are not."""
-    return isinstance(v, int) and not isinstance(v, bool)
+# The default of a key a block must give.  A spec maps each key of a
+# block to ``(kind, default)``; see :func:`_typed` for the kinds.
+_REQUIRED = object()
+
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a string", list: "a list", dict: "an object", None: "null"}
 
 
-def _is_positive(v) -> bool:
-    """A finite positive number: ``true``, ``"0.1"``, NaN and infinities
-    are not."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) and v > 0)
+def _typed(v, kind, name: str):
+    """``v`` as a value of ``kind``: a key of :data:`_KINDS`, ``[k]`` for a
+    list of ``k``, or a tuple of these alternatives.  Types match exactly,
+    so an integer is never a bool; a float is a finite int or float that
+    is not a bool, returned as ``float(v)``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for k in kinds:
+        if isinstance(k, list) and isinstance(v, list):
+            return [_typed(e, k[0], f"{name}[{i}]") for i, e in enumerate(v)]
+        if k is float and type(v) in (int, float):
+            if not math.isfinite(v):
+                raise ParameterError(f"{name} must be finite, got {v!r}")
+            return float(v)
+        if type(v) is k or (k is None and v is None):
+            return v
+    raise ParameterError(f"{name} must be " + " or ".join(
+        _KINDS[list if isinstance(k, list) else k] for k in kinds)
+        + f", got {v!r}")
 
 
-def _int(section: dict, key: str, default) -> int:
-    """The integer ``problem.key`` of a config (``default`` when absent):
-    ``true`` and ``2.7`` are refused rather than read as 1 and 2."""
-    v = section.get(key, default)
-    if not _is_int(v):
-        raise ParameterError(f"problem.{key} must be an integer, got {v!r}")
-    return v
+def _read(block, spec: dict, where: str) -> dict:
+    """The values of config block ``where`` by ``spec``, defaults filled
+    in.  A block that is not an object, an unknown or missing key and a
+    value of the wrong kind raise ParameterError."""
+    if not isinstance(block, dict):
+        raise ParameterError(f"{where} must be an object, got {block!r}")
+    unknown = [k for k in block if k not in spec]
+    if unknown:
+        raise ParameterError(f"unknown {where} keys: {unknown}")
+    missing = [k for k, (_, d) in spec.items()
+               if d is _REQUIRED and k not in block]
+    if missing:
+        raise ParameterError(f"{where} is missing keys: {missing}")
+    return {k: _typed(block[k], kind, f"{where}.{k}") if k in block
+            else copy.deepcopy(default) for k, (kind, default) in spec.items()}
 
 
-def _flag(section: dict, key: str, block: str) -> bool:
-    """The boolean ``block.key`` of a config (false when absent): the
-    string ``"false"`` is refused rather than read as true."""
-    v = section.get(key, False)
-    if not isinstance(v, bool):
-        raise ParameterError(
-            f"{block}.{key} must be true or false, got {v!r}")
-    return v
+_RUN = {
+    "problem": (dict, _REQUIRED), "algorithm": (str, _REQUIRED),
+    "seeds": ([int], _REQUIRED), "t_total": (int, _REQUIRED),
+    "schedule": (dict, {}), "output_dir": (str, "experiment"),
+    "trace_every": (int, 1), "x0": ((float, [float], None), None),
+    "decay_milestones": ([int], []), "decay_factor": (float, 10.0),
+    "shared_sample": (bool, False),
+    # Accepted and hashed for existing configs; seeds run in lockstep in
+    # one process whatever it says.
+    "workers": (int, 1),
+    "exact_metrics": ((bool, None), None),
+    "lr": ((float, None), None), "lr_y": ((float, None), None),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated view of a ``run`` config."""
+    """Validated view of a ``run`` config: one field per key of ``_RUN``."""
 
     problem: dict
     algorithm: str
     seeds: list
     t_total: int
-    schedule: dict = field(default_factory=dict)
-    output_dir: str = "experiment"
-    trace_every: int = 1
-    x0: Any = None
-    decay_milestones: list = field(default_factory=list)
-    decay_factor: float = 10.0
-    shared_sample: bool = False
-    # Accepted and hashed for existing configs; seeds run in lockstep in
-    # one process whatever it says.
-    workers: int = 1
-    exact_metrics: Optional[bool] = None
-    lr: Optional[float] = None
-    lr_y: Optional[float] = None
+    schedule: dict
+    output_dir: str
+    trace_every: int
+    x0: Any
+    decay_milestones: list
+    decay_factor: float
+    shared_sample: bool
+    workers: int
+    exact_metrics: Optional[bool]
+    lr: Optional[float]
+    lr_y: Optional[float]
     raw: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        known = {f for f in ExperimentConfig.__dataclass_fields__
-                 if f != "raw"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ParameterError(
-                f"unknown config keys: {sorted(unknown)}")
-        missing = [k for k in ("problem", "algorithm", "seeds", "t_total")
-                   if k not in cfg]
-        if missing:
-            raise ParameterError(f"config is missing keys: {missing}")
-        ec = ExperimentConfig(raw=copy.deepcopy(cfg), **cfg)
+        ec = ExperimentConfig(**_read(cfg, _RUN, "config"),
+                              raw=copy.deepcopy(cfg))
         ec.validate()
         return ec
 
     def validate(self) -> None:
+        """The ranges and cross-key rules the types leave open."""
         if self.algorithm not in _ALGORITHMS:
             raise ParameterError(
                 f"unknown algorithm {self.algorithm!r}; "
                 f"expected one of {_ALGORITHMS}")
-        if not isinstance(self.problem, dict) or "kind" not in self.problem:
+        if "kind" not in self.problem:
             raise ParameterError("problem must be an object with a 'kind'")
-        if (not isinstance(self.seeds, list) or not self.seeds
-                or not all(_is_int(s) and s >= 0 for s in self.seeds)):
+        if (not self.seeds or min(self.seeds) < 0
+                or len(set(self.seeds)) != len(self.seeds)):
             raise ParameterError("seeds must be a non-empty list of "
-                                 "nonnegative integers")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ParameterError("seeds must be distinct")
-        if not _is_int(self.t_total) or self.t_total < 0:
-            raise ParameterError("t_total must be a nonnegative integer")
-        if not _is_int(self.trace_every) or self.trace_every < 1:
-            raise ParameterError("trace_every must be an integer >= 1")
-        if not _is_int(self.workers) or self.workers < 0:
-            raise ParameterError("workers must be an integer >= 0")
-        if (not isinstance(self.decay_milestones, list)
-                or not all(_is_int(m) and m >= 0
-                           for m in self.decay_milestones)):
-            raise ParameterError("decay_milestones must be a list of "
-                                 "nonnegative integers")
-        if not _is_positive(self.decay_factor):
-            raise ParameterError(
-                "decay_factor must be a positive finite number")
-        if not isinstance(self.shared_sample, bool):
-            raise ParameterError("shared_sample must be true or false")
-        if self.exact_metrics is not None and not isinstance(
-                self.exact_metrics, bool):
-            raise ParameterError("exact_metrics must be true, false or null")
-        if self.algorithm.startswith("smag"):
-            if not isinstance(self.schedule, dict) or not self.schedule:
-                raise ParameterError("smag algorithms need a schedule object")
-        else:
-            if not _is_positive(self.lr):
-                raise ParameterError(
-                    f"{self.algorithm} needs a positive finite lr")
-            if self.algorithm == "sgda" and not _is_positive(self.lr_y):
-                raise ParameterError("sgda needs a positive finite lr_y")
+                                 "distinct nonnegative integers")
+        for key, low in (("t_total", 0), ("trace_every", 1), ("workers", 0)):
+            if getattr(self, key) < low:
+                raise ParameterError(f"{key} must be >= {low}")
+        if min(self.decay_milestones, default=0) < 0:
+            raise ParameterError("decay_milestones must be nonnegative")
+        if self.decay_factor <= 0:
+            raise ParameterError("decay_factor must be positive")
+        if self.algorithm.startswith("smag") and not self.schedule:
+            raise ParameterError("smag algorithms need a schedule object")
+        for key in {"sgd": ("lr",), "sgda": ("lr", "lr_y")}.get(
+                self.algorithm, ()):
+            if getattr(self, key) is None or getattr(self, key) <= 0:
+                raise ParameterError(f"{self.algorithm} needs a positive {key}")
 
 
 def mode_for_algorithm(algorithm: str) -> Optional[Mode]:
@@ -204,117 +206,104 @@ def mode_for_algorithm(algorithm: str) -> Optional[Mode]:
     return None
 
 
-def _pu_from_libsvm(section: dict) -> DMaxProblem:
-    data = load_libsvm(section["path"], dimension=section.get("dimension"),
-                       normalize=_flag(section, "normalize", "problem"))
-    if "pi_p" not in section:
-        raise ParameterError("pu-libsvm needs an explicit pi_p")
-    positives = data.subset(data.labels == 1)
-    # the whole file, labels hidden, forms the unlabeled pool
-    params = PuParams(pi_p=float(section["pi_p"]),
-                      batch_pos=_int(section, "batch_pos", 64),
-                      batch_unl=_int(section, "batch_unl", 64))
-    return make_pu_problem(positives, data, params,
-                           m_bound=section.get("m_bound"))
+# The keys of each problem kind, past ``kind`` and ``m_bound``; the keys
+# of ``PuParams``/``PaucParams`` and of a libsvm file are shared.
+_PU = {"pi_p": (float, _REQUIRED), "batch_pos": (int, 64),
+       "batch_unl": (int, 64)}
+_PAUC = {"rho": (float, 0.3), "c": (float, 1.0), "alpha_fair": (float, 0.0),
+         "lambda0": (float, 1.0), "batch_pos": (int, 64),
+         "batch_neg": (int, 64), "batch_attr": (int, 64)}
+_LIBSVM = {"path": (str, _REQUIRED), "dimension": ((int, None), None),
+           "normalize": (bool, False)}
+_PROBLEMS = {
+    "onedim-dwc": {
+        "a": (float, 1.0), "b": (float, 0.5), "kappa_phi": (float, 0.0),
+        "kappa_psi": (float, 0.0), "center_phi": (float, 0.0),
+        "center_psi": (float, 0.0), "noise_sigma": (float, 0.0),
+        "dim": (int, 1), "allow_unbounded": (bool, False)},
+    "quadratic-minmax": {"dim": (int, 1), "noise_sigma": (float, 0.0)},
+    "pu-synth": {**_PU, "n_pos": (int, 500), "n_unl": (int, 2000),
+                 "dim": (int, 10), "separation": (float, 1.5),
+                 "data_seed": (int, 0)},
+    "pu-libsvm": {**_PU, **_LIBSVM},
+    "pauc-synth": {**_PAUC, "n": (int, 4000), "dim": (int, 20),
+                   "data_seed": (int, 0), "sep_label": (float, 1.0),
+                   "sep_group": (float, 1.0), "skew": (float, 0.65)},
+    "pauc-libsvm": {**_PAUC, **_LIBSVM,
+                    "sensitive_feature": ((int, None), None)},
+}
 
 
-def _pauc_dataset(section: dict) -> LabeledDataset:
-    if section["kind"] == "pauc-synth":
-        return synth_biased_pauc(
-            _int(section, "n", 4000), _int(section, "dim", 20),
-            _int(section, "data_seed", 0),
-            sep_label=float(section.get("sep_label", 1.0)),
-            sep_group=float(section.get("sep_group", 1.0)),
-            skew=float(section.get("skew", 0.65)))
-    data = load_libsvm(section["path"], dimension=section.get("dimension"),
-                       normalize=_flag(section, "normalize", "problem"))
-    if section.get("sensitive_feature") is not None:
-        col = _int(section, "sensitive_feature", None)
+def build_problem(section: dict) -> DMaxProblem:
+    """Construct the problem object a config's ``problem`` block describes."""
+    kind = section.get("kind") if isinstance(section, dict) else None
+    if not isinstance(kind, str) or kind not in _PROBLEMS:
+        raise ParameterError(f"unknown problem kind {kind!r}; expected one "
+                             f"of {list(_PROBLEMS)}")
+    p = _read(section, {"kind": (str, _REQUIRED),
+                        "m_bound": ((float, None), None), **_PROBLEMS[kind]},
+              "problem")
+    del p["kind"]
+    m_bound = p.pop("m_bound")
+    if kind == "onedim-dwc":
+        return make_onedim_dwc(**p, m_bound=m_bound)
+    if kind == "quadratic-minmax":
+        return make_quadratic_minmax(**p, m_bound=m_bound)
+    if kind.endswith("-libsvm"):
+        data = load_libsvm(p.pop("path"), p.pop("dimension"),
+                           p.pop("normalize"))
+    if kind.startswith("pu-"):
+        params = PuParams(**{k: p.pop(k) for k in _PU})
+        if kind == "pu-synth":
+            pos, unl = synth_gaussian_pu(pi_p=params.pi_p,
+                                         seed=p.pop("data_seed"), **p)
+        else:
+            # the whole file, labels hidden, forms the unlabeled pool
+            pos, unl = data.subset(data.labels == 1), data
+        return make_pu_problem(pos, unl, params, m_bound=m_bound)
+    params = PaucParams(**{k: p.pop(k) for k in _PAUC})
+    if kind == "pauc-synth":
+        data = synth_biased_pauc(seed=p.pop("data_seed"), **p)
+    elif p["sensitive_feature"] is not None:
+        col = p["sensitive_feature"]
         if not 1 <= col <= data.dimension:
             raise ParameterError(
                 f"sensitive_feature {col} outside 1..{data.dimension}")
         attr = np.where(data.features[:, col - 1] > 0, 1, -1).astype(np.int8)
         data = LabeledDataset(data.features, data.labels, attr)
-    return data
+    return pauc_fair_problem(data, params, m_bound=m_bound)
 
 
-def _pauc_params(section: dict) -> PaucParams:
-    return PaucParams(
-        rho=float(section.get("rho", 0.3)),
-        c=float(section.get("c", 1.0)),
-        alpha_fair=float(section.get("alpha_fair", 0.0)),
-        lambda0=float(section.get("lambda0", 1.0)),
-        batch_pos=_int(section, "batch_pos", 64),
-        batch_neg=_int(section, "batch_neg", 64),
-        batch_attr=_int(section, "batch_attr", 64))
-
-
-def build_problem(section: dict) -> DMaxProblem:
-    """Construct the problem object a config's ``problem`` block describes."""
-    if "kind" not in section:
-        raise ParameterError("problem config needs a 'kind'")
-    kind = section["kind"]
-    if kind == "onedim-dwc":
-        return make_onedim_dwc(
-            float(section.get("a", 1.0)), float(section.get("b", 0.5)),
-            kappa_phi=float(section.get("kappa_phi", 0.0)),
-            kappa_psi=float(section.get("kappa_psi", 0.0)),
-            center_phi=float(section.get("center_phi", 0.0)),
-            center_psi=float(section.get("center_psi", 0.0)),
-            noise_sigma=float(section.get("noise_sigma", 0.0)),
-            dim=_int(section, "dim", 1),
-            m_bound=section.get("m_bound"),
-            allow_unbounded=_flag(section, "allow_unbounded",
-                                  "problem"))
-    if kind == "quadratic-minmax":
-        return make_quadratic_minmax(
-            dim=_int(section, "dim", 1),
-            noise_sigma=float(section.get("noise_sigma", 0.0)),
-            m_bound=section.get("m_bound"))
-    if kind == "pu-synth":
-        if "pi_p" not in section:
-            raise ParameterError("pu-synth needs an explicit pi_p")
-        pos, unl = synth_gaussian_pu(
-            _int(section, "n_pos", 500), _int(section, "n_unl", 2000),
-            _int(section, "dim", 10), float(section.get("separation", 1.5)),
-            float(section["pi_p"]), _int(section, "data_seed", 0))
-        params = PuParams(pi_p=float(section["pi_p"]),
-                          batch_pos=_int(section, "batch_pos", 64),
-                          batch_unl=_int(section, "batch_unl", 64))
-        return make_pu_problem(pos, unl, params, m_bound=section.get("m_bound"))
-    if kind == "pu-libsvm":
-        return _pu_from_libsvm(section)
-    if kind in ("pauc-synth", "pauc-libsvm"):
-        data = _pauc_dataset(section)
-        return pauc_fair_problem(data, _pauc_params(section),
-                                 m_bound=section.get("m_bound"))
-    raise ParameterError(f"unknown problem kind {kind!r}")
+_SCHEDULES = {
+    "manual": {"gamma": (float, _REQUIRED), "eta0": (float, _REQUIRED),
+               "eta1": (float, _REQUIRED), "epsilon": (float, 1.0),
+               "allow_infeasible": (bool, False)},
+    "theory": {"gamma": (float, _REQUIRED), "epsilon": (float, _REQUIRED),
+               "gap_plus_p0": (float, 1.0)},
+}
 
 
 def build_schedule(cfg: ExperimentConfig,
                    problem: DMaxProblem) -> Schedule:
     """Realize the schedule block against the problem's constants."""
-    section = cfg.schedule
     mode = mode_for_algorithm(cfg.algorithm)
     if mode is None:
         raise ParameterError("baselines do not take a schedule")
-    source = section.get("source", "manual")
+    source = _typed(cfg.schedule.get("source", "manual"), str,
+                    "schedule.source")
+    if source not in _SCHEDULES:
+        raise ParameterError(f"unknown schedule source {source!r}")
+    s = _read(cfg.schedule, {"source": (str, "manual"), **_SCHEDULES[source]},
+              "schedule")
     if source == "theory":
         sched = schedule_from_theory(
-            problem.constants, float(section["gamma"]), float(section["epsilon"]),
-            mode=mode, gap_plus_p0=float(section.get("gap_plus_p0", 1.0)))
+            problem.constants, s["gamma"], s["epsilon"], mode=mode,
+            gap_plus_p0=s["gap_plus_p0"])
         if cfg.t_total:
             # allow configs to cap the theoretical (often astronomical) T
             sched = replace(sched, t_total=cfg.t_total)
         return sched
-    if source == "manual":
-        for key in ("gamma", "eta0", "eta1"):
-            if key not in section:
-                raise ParameterError(f"manual schedule needs {key!r}")
-        return Schedule.from_manual(
-            float(section["gamma"]), float(section["eta0"]), float(section["eta1"]),
-            max(1, cfg.t_total), constants=problem.constants, mode=mode,
-            epsilon=float(section.get("epsilon", 1.0)),
-            check_feasible=not _flag(section, "allow_infeasible",
-                                     "schedule"))
-    raise ParameterError(f"unknown schedule source {source!r}")
+    return Schedule.from_manual(
+        s["gamma"], s["eta0"], s["eta1"], max(1, cfg.t_total),
+        constants=problem.constants, mode=mode, epsilon=s["epsilon"],
+        check_feasible=not s["allow_infeasible"])

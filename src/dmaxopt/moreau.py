@@ -251,11 +251,12 @@ def smoothed_objective(problem: DMaxProblem, x: np.ndarray, gamma: float,
     A component with both an exact prox and an exact value map in
     ``exact_aux`` gives ``value(p) + ||p - x||^2 / (2 gamma)`` at ``p =
     prox(x)``; any other gives :func:`envelope_value` of its function
-    oracle ``{phi,psi}_fn``.  With ``with_psi=False`` the second component
-    is identically zero (min-max mode) and is not read.
+    oracle ``{phi,psi}_fn``.  With ``with_psi=False`` (min-max mode), or on
+    a problem without a second component (no ``psi_subgrad_x``), Psi reads
+    as zero and is not evaluated.
     """
     val = _envelope(problem, "phi", x, gamma, tol)
-    if with_psi:
+    if with_psi and problem.psi_subgrad_x is not None:
         val -= _envelope(problem, "psi", x, gamma, tol)
     return val
 
@@ -316,9 +317,15 @@ def _component_prox(problem: DMaxProblem, which: str, x: np.ndarray,
 
 def envelope_prox_points(problem: DMaxProblem, x, gamma: float,
                          tol: float = 1e-8) -> Tuple[np.ndarray, np.ndarray]:
-    """Proximal points ``(prox_Phi(x), prox_Psi(x))`` of both components."""
+    """Proximal points ``(prox_Phi(x), prox_Psi(x))`` of both components.
+
+    On a problem without a second component (no ``psi_subgrad_x``) Psi is
+    zero, and its prox point is ``x`` itself.
+    """
     x = as_vector(x, dim=problem.dim_x, name="x")
     p_phi, _ = _component_prox(problem, "phi", x, gamma, tol)
+    if problem.psi_subgrad_x is None:
+        return p_phi, x.copy()
     p_psi, _ = _component_prox(problem, "psi", x, gamma, tol)
     return p_phi, p_psi
 

@@ -48,7 +48,11 @@ from .core import (
     as_vector,
     project,
 )
-from .moreau import _component_prox, smoothed_objective, smoothness_constant
+from .moreau import (
+    envelope_prox_points,
+    smoothed_objective,
+    smoothness_constant,
+)
 
 __all__ = [
     "Mode",
@@ -147,21 +151,34 @@ class Schedule:
         requested value) so the coupling invariant holds exactly.
         """
         _check_mode(mode)
-        if eta0 <= 0 or eta1 <= 0:
-            raise ParameterError("step sizes must be positive")
+        _check_positive(gamma=gamma, eta0=eta0, eta1=eta1)
         if t_total < 1:
             raise ParameterError("t_total must be >= 1")
         parts = _parts(constants, mode)
-        alpha = _alpha(parts, gamma, mode)
-        tau = eta0 / eta1
-        l_f = smoothness_constant(gamma, *[d for d, _, _ in parts])
-        nu = min(1.0, 2.0 * tau / (gamma * gamma * alpha))
+        try:
+            alpha = _alpha(parts, gamma, mode)
+            tau = eta0 / eta1
+            l_f = smoothness_constant(gamma, *[d for d, _, _ in parts])
+            nu = min(1.0, 2.0 * tau / (gamma * gamma * alpha))
+        except (OverflowError, ZeroDivisionError):
+            raise ParameterError(
+                "the manual schedule leaves the float range") from None
+        if not (0.0 < tau * eta1 < math.inf and 0.0 < nu):
+            raise ParameterError(
+                f"the manual schedule's eta0 {tau * eta1} or nu {nu} is not "
+                "a finite positive number")
         sched = Schedule(gamma=gamma, eta0=tau * eta1, eta1=eta1, alpha=alpha,
                          tau=tau, nu=nu, l_f=l_f, t_total=int(t_total),
                          epsilon=float(epsilon))
         if check_feasible:
             validate_schedule(sched, constants, mode)
         return sched
+
+
+def _check_positive(**values: float) -> None:
+    for name, v in values.items():
+        if not 0.0 < v < math.inf:
+            raise ParameterError(f"{name} must be positive and finite")
 
 
 def _rate(gamma: float, delta: float) -> float:
@@ -205,10 +222,7 @@ def schedule_from_theory(constants: ProblemConstants, gamma: float,
     iteration count leaves the float range raises ParameterError.
     """
     _check_mode(mode)
-    for name, v in (("epsilon", epsilon), ("gap_plus_p0", gap_plus_p0),
-                    ("gamma", gamma)):
-        if not 0.0 < v < math.inf:
-            raise ParameterError(f"{name} must be positive and finite")
+    _check_positive(epsilon=epsilon, gap_plus_p0=gap_plus_p0, gamma=gamma)
     parts = _parts(constants, mode)
     noise_coef = 384.0 * len(parts)
     g2 = gamma * gamma
@@ -255,13 +269,10 @@ def validate_schedule(sched: Schedule, constants: ProblemConstants,
     """Raise ParameterError if the schedule violates an analysis invariant."""
     _check_mode(mode)
     s = sched
-    if s.gamma <= 0:
-        raise ParameterError("gamma must be positive")
+    _check_positive(gamma=s.gamma, eta0=s.eta0, eta1=s.eta1)
     g2 = s.gamma * s.gamma
     cap = min(g2 * _rate(s.gamma, delta) / 2.0
               for delta, _, _ in _parts(constants, mode))
-    if s.eta0 <= 0 or s.eta1 <= 0:
-        raise ParameterError("step sizes must be positive")
     if s.eta0 != s.tau * s.eta1:
         raise ParameterError("eta0 must equal tau * eta1 exactly")
     if not (0.0 < s.nu <= 1.0):
@@ -903,16 +914,13 @@ def step_diagnostics(problem: DMaxProblem, before: SmagState,
     eta0 = sched.eta0
 
     x_t = before.x
-    with_psi = problem.psi_subgrad_x is not None
-    p_phi = _component_prox(problem, "phi", x_t, gamma, 1e-8)[0]
-    p_psi = (_component_prox(problem, "psi", x_t, gamma, 1e-8)[0]
-             if with_psi else x_t)
+    p_phi, p_psi = envelope_prox_points(problem, x_t, gamma)
     grad_env = (p_psi - p_phi) / gamma
     g_vec = after.last_g
     err_sq = float(np.sum((grad_env - g_vec) ** 2))
 
-    descent_lhs = smoothed_objective(problem, after.x, gamma, with_psi)
-    descent_rhs = (smoothed_objective(problem, x_t, gamma, with_psi)
+    descent_lhs = smoothed_objective(problem, after.x, gamma)
+    descent_rhs = (smoothed_objective(problem, x_t, gamma)
                    + 0.5 * eta0 * err_sq
                    - 0.5 * eta0 * float(np.sum(grad_env ** 2))
                    - 0.25 * eta0 * float(np.sum(g_vec ** 2)))

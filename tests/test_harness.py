@@ -618,3 +618,156 @@ def test_cli_fairness(tmp_path, capsys):
     path4 = _write_cfg(tmp_path, {"scores_csv": str(tmp_path / "ghost.csv")},
                        name="cfg4.json")
     assert main(["fairness", path4]) == 2
+
+
+# ---------------------------------------------------------------------------
+# config reader: every block refuses unknown keys and values of a wrong kind
+
+
+def _blocks(tmp_path):
+    """One valid config per block the reader checks, keyed by block name:
+    ``(subcommand, config, block path, one float key of the block)``; the
+    empty path is the config's top level."""
+    svm = tmp_path / "toy.libsvm"
+    svm.write_text("+1 1:1.0 2:0.5\n+1 1:0.8 2:-0.2\n-1 1:-1.0 2:0.3\n"
+                   "-1 1:-0.7 2:-0.6\n")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("2.0,1,1\n1.0,-1,1\n-1.0,1,-1\n0.5,-1,-1\n")
+    minmax = dict(algorithm="smag-minmax")
+    return {
+        "run": ("run", _good_cfg(), "", "x0"),
+        "onedim-dwc": ("run", _good_cfg(), "problem", "noise_sigma"),
+        "quadratic-minmax": ("run", _good_cfg(
+            problem={"kind": "quadratic-minmax"}, **minmax), "problem",
+            "noise_sigma"),
+        "pu-synth": ("run", _good_cfg(problem={
+            "kind": "pu-synth", "pi_p": 0.5, "n_pos": 20, "n_unl": 30,
+            "dim": 4}), "problem", "separation"),
+        "pu-libsvm": ("run", _good_cfg(problem={
+            "kind": "pu-libsvm", "path": str(svm), "pi_p": 0.5}),
+            "problem", "pi_p"),
+        "pauc-synth": ("run", _good_cfg(problem={
+            "kind": "pauc-synth", "n": 40, "dim": 3}, **minmax),
+            "problem", "rho"),
+        "pauc-libsvm": ("run", _good_cfg(problem={
+            "kind": "pauc-libsvm", "path": str(svm)}, **minmax),
+            "problem", "lambda0"),
+        "manual schedule": ("run", _good_cfg(), "schedule", "epsilon"),
+        "theory schedule": ("run", _good_cfg(schedule={
+            "source": "theory", "gamma": 0.5, "epsilon": 0.5}),
+            "schedule", "gap_plus_p0"),
+        "grad-check": ("grad-check", {
+            "problem": {"kind": "onedim-dwc"}, "gamma": 1.0, "n_points": 5,
+            "min_kink_gap": 0.1}, "", "h"),
+        "schedule": ("schedule", _SCHEDULE_CFG, "", "gap_plus_p0"),
+        "constants": ("schedule", _SCHEDULE_CFG, "constants", "mu_phi"),
+        "fairness": ("fairness", {"scores_csv": str(scores), "rho": 1.0},
+                     "", "threshold"),
+    }
+
+
+_BLOCK_NAMES = ("run", "onedim-dwc", "quadratic-minmax", "pu-synth",
+                "pu-libsvm", "pauc-synth", "pauc-libsvm", "manual schedule",
+                "theory schedule", "grad-check", "schedule", "constants",
+                "fairness")
+
+
+def _main(tmp_path, command, cfg, *overrides):
+    argv = [command, _write_cfg(tmp_path, cfg)]
+    if command == "run":
+        argv += ["--output-root", str(tmp_path / "out")]
+    for item in overrides:
+        argv += ["--set", item]
+    return main(argv)
+
+
+def test_reader_blocks_are_valid_configs(tmp_path, capsys):
+    blocks = _blocks(tmp_path)
+    assert sorted(blocks) == sorted(_BLOCK_NAMES)
+    for name in _BLOCK_NAMES:
+        command, cfg, _, _ = blocks[name]
+        assert _main(tmp_path, command, cfg) == 0, capsys.readouterr().err
+
+
+# The unknown key at the top of a run config was refused before the reader
+# (see test_cli_run_bad_config).
+@pytest.mark.parametrize("block, value", [
+    (block, value) for block in _BLOCK_NAMES
+    for value in ("bogus", "true", '"0.1"', "NaN", "Infinity")
+    if (block, value) != ("run", "bogus")])
+def test_reader_refuses_unknown_keys_and_non_numbers(tmp_path, capsys, block,
+                                                    value):
+    command, cfg, path, key = _blocks(tmp_path)[block]
+    prefix = f"{path}." if path else ""
+    where = path or "config"
+    if value == "bogus":
+        override, want = f"{prefix}bogus_key=1", f"unknown {where} keys"
+    else:
+        override, want = f"{prefix}{key}={value}", f"{where}.{key} must be"
+    assert _main(tmp_path, command, cfg, override) == 2
+    err = capsys.readouterr().err
+    assert want in err and (value != "bogus" or "bogus_key" in err), err
+
+
+@pytest.mark.parametrize("command, cfg, override, want", [
+    # a typo, a bool and a string: this ran without noise and from a = 1.0
+    ("run", _good_cfg(problem={"kind": "onedim-dwc", "noise_sgima": 0.1,
+                               "a": True, "b": "0.5"}), None,
+     "unknown problem keys: ['noise_sgima']"),
+    ("run", _good_cfg(), "problem.noise_sigma=NaN",
+     "problem.noise_sigma must be finite"),
+    # this checked 2 points
+    ("grad-check", {"problem": {"kind": "quadratic-minmax", "dim": 5},
+                    "gamma": 0.5, "n_points": 2.7}, None,
+     "config.n_points must be an integer"),
+    # this ran from x0 = 1.0
+    ("run", _good_cfg(x0=True), None, "config.x0 must be")])
+def test_reader_refuses_configs_that_used_to_run(tmp_path, capsys, command,
+                                                 cfg, override, want):
+    overrides = [override] if override else []
+    assert _main(tmp_path, command, cfg, *overrides) == 2
+    assert want in capsys.readouterr().err
+
+
+def _readme_configs():
+    """The JSON example of each ``### `dmaxopt <command>`` section of the
+    README, as (command, config)."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    out = []
+    for section in text.split("### `dmaxopt ")[1:]:
+        command = section.split()[0]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        out.append((command, json.loads(block)))
+    return out
+
+
+def test_readme_config_examples_run(tmp_path, capsys, monkeypatch):
+    examples = _readme_configs()
+    assert [c for c, _ in examples] == ["run", "grad-check", "schedule",
+                                        "fairness"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scores.csv").write_text(
+        "score,label,attr\n2.0,1,1\n1.0,-1,1\n-1.0,1,-1\n0.5,-1,-1\n")
+    for command, cfg in examples:
+        # the run example's keys as written, on a shorter budget
+        overrides = ["t_total=2000"] if command == "run" else []
+        assert _main(tmp_path, command, cfg, *overrides) == 0, \
+            capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["schedule.gamma=1e-200"],             # gamma ** 2 underflows to 0
+    ["schedule.eta0=1e300", "schedule.eta1=1e-300"],  # tau overflows
+    ["schedule.eta0=NaN"], ["schedule.eta1=Infinity"]])
+def test_cli_run_manual_schedule_out_of_the_float_range_is_a_config_error(
+        tmp_path, capsys, overrides):
+    cfg = _good_cfg(problem={"kind": "quadratic-minmax"},
+                    algorithm="smag-dmax",
+                    schedule={"source": "manual", "gamma": 0.5,
+                              "eta0": 0.005, "eta1": 0.01,
+                              "allow_infeasible": True})
+    assert _main(tmp_path, "run", cfg, *overrides) == 2
+    assert "error:" in capsys.readouterr().err

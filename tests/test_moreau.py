@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dmaxopt.core import CapabilityError, ParameterError
+from dmaxopt.core import CapabilityError, ParameterError, RngStream
 from dmaxopt.moreau import (
     check_nearly_critical,
     dmax_envelope_grad,
@@ -12,6 +12,7 @@ from dmaxopt.moreau import (
     envelope_prox_points,
     envelope_value,
     prox,
+    smoothed_objective,
     smoothness_constant,
 )
 from dmaxopt.problems import (
@@ -20,6 +21,7 @@ from dmaxopt.problems import (
     piecewise_quadratic,
     zero_function,
 )
+from dmaxopt.smag import Schedule, initial_state, step, step_diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,29 @@ def test_minmax_problem_envelope():
     # strictly inside the quadratic region: prox = v/(1+gamma)
     g2 = dmax_envelope_grad(prob, [0.5, -0.8], 1.0)
     assert np.allclose(g2, [0.25, -0.4], atol=1e-12)
+
+
+def test_a_problem_without_psi_reads_psi_as_zero():
+    # The quadratic minmax problem carries Psi = 0; without it every
+    # envelope quantity must come out the same, bit for bit.
+    zero_psi = make_quadratic_minmax(dim=3)
+    no_psi = dataclasses.replace(
+        zero_psi, psi_subgrad_x=None, psi_fn=None,
+        exact_aux=dataclasses.replace(zero_psi.exact_aux, prox_psi=None,
+                                      value_psi=None))
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 10, zero_psi.constants,
+                                 mode="minmax")
+    before = initial_state(zero_psi, [0.3, -2.0, 1.5])
+    after = step(zero_psi, before, sched, RngStream(0), "minmax")
+    x, cand = np.array([0.3, -2.0, 1.5]), np.array([0.2, -1.0, 1.0])
+    for f in (lambda p: envelope_prox_points(p, x, 0.5),
+              lambda p: dmax_envelope_grad(p, x, 0.5),
+              lambda p: check_nearly_critical(p, x, cand, 0.5, 0.1),
+              lambda p: smoothed_objective(p, x, 0.5),
+              lambda p: step_diagnostics(p, before, after, sched)):
+        want, got = f(zero_psi), f(no_psi)
+        assert np.array_equal(want, got) if isinstance(want, (
+            np.ndarray, tuple)) else want == got
 
 
 # ---------------------------------------------------------------------------

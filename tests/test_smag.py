@@ -193,6 +193,31 @@ def test_from_manual_rejects_bad_inputs():
                              mode="dwc")  # gamma beyond 1/delta
 
 
+@pytest.mark.parametrize("gamma, eta0, eta1", [
+    (1e-200, 0.005, 0.01),                # gamma ** 2 underflows to 0
+    (0.5, 1e300, 1e-300),                 # tau overflows
+    (0.5, 1e-300, 1e300),                 # tau underflows to 0
+    (math.nan, 0.005, 0.01), (math.inf, 0.005, 0.01),
+    (0.5, math.nan, 0.01), (0.5, math.inf, 0.01),
+    (0.5, 0.005, math.nan), (0.5, 0.005, math.inf)])
+@pytest.mark.parametrize("check_feasible", [True, False])
+def test_from_manual_refuses_non_finite_and_out_of_range_inputs(
+        gamma, eta0, eta1, check_feasible):
+    c = ProblemConstants(m_bound=1.0)
+    with pytest.raises(ParameterError):
+        Schedule.from_manual(gamma, eta0, eta1, 100, c, mode="dwc",
+                             check_feasible=check_feasible)
+
+
+@pytest.mark.parametrize("field", ["gamma", "eta0", "eta1"])
+def test_validate_schedule_refuses_non_finite_steps(field):
+    c = ProblemConstants(m_bound=1.0)
+    good = Schedule.from_manual(0.5, 0.005, 0.01, 10, c, mode="dwc")
+    with pytest.raises(ParameterError, match=f"{field} must be positive"):
+        validate_schedule(dataclasses.replace(good, **{field: math.nan}), c,
+                          "dwc")
+
+
 def test_validate_schedule_coupling_and_nu():
     c = ProblemConstants(m_bound=1.0)
     good = Schedule.from_manual(0.5, 0.005, 0.01, 10, c, mode="dwc")

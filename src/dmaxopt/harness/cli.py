@@ -130,10 +130,17 @@ def _read_scores_csv(path: str):
                 raise ParameterError(
                     f"{path}: line {lineno}: expected score,label,attr")
             scores.append(float(row[0]))
-            labels.append(int(float(row[1])))
-            attrs.append(int(float(row[2])))
+            labels.append(_sign(row[1], f"{path}: line {lineno}: label"))
+            attrs.append(_sign(row[2], f"{path}: line {lineno}: attr"))
     return (np.asarray(scores), np.asarray(labels, dtype=np.int8),
             np.asarray(attrs, dtype=np.int8))
+
+
+def _sign(s: str, what: str) -> int:
+    """``s`` as +1 or -1, which it must equal exactly."""
+    if not _is_float(s) or float(s) not in (1.0, -1.0):
+        raise ParameterError(f"{what} must be +1 or -1, got {s!r}")
+    return int(float(s))
 
 
 def _is_float(s: str) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..baselines import run_sgd, run_sgda
 from ..core import ParameterError, RngStream, RunRecord
-from ..smag import _missing_maps, _smag_oracles, run as smag_run
+from ..smag import run as smag_run
 from .config import (
     ExperimentConfig,
     build_problem,
@@ -137,10 +137,8 @@ def _run_seeds(cfg: ExperimentConfig, cfg_hash: str) -> list:
                 f"{cfg.t_total}")
         results = smag_run(problem, mode, sched, rngs,
                            exact_metrics=cfg.exact_metrics, **common)
-        # run() raised above if exact metrics were forced but unavailable.
-        exact = (cfg.exact_metrics is not False and not _missing_maps(
-            problem.exact_aux, _smag_oracles(problem, mode)))
-        stat_kind = "exact-envelope-grad" if exact else "step-estimate"
+        stat_kind = ("exact-envelope-grad" if results[0].exact_metrics
+                     else "step-estimate")
     elif cfg.algorithm == "sgd":
         results = run_sgd(problem, cfg.lr, cfg.t_total, rngs, **common)
         stat_kind = "step-direction-norm"

@@ -101,27 +101,21 @@ def piecewise_quadratic(a: float = 1.0, center: float = 0.0,
                           kink_gap=kink_gap)
 
 
-def _noisy(g: np.ndarray, sigma: float, token: int) -> np.ndarray:
-    if sigma == 0.0:
-        return g
-    return g + sigma * token_generator(token).standard_normal(g.shape[0])
-
-
 class _NoisyOracle:
     """The stochastic oracle ``g(x, dual) + sigma * N(0, I_dim)``, its
     noise realized from the sample token (none when ``sigma`` is 0).
 
-    It is called per seed as ``(x, dual, token)``.  For seeds in lockstep
-    it splits in two: ``sample(tokens)`` realizes the noise of many tokens
-    in bulk, and ``grad(x, dual, noise)`` is deterministic on ``(S, dim)``
-    stacks.  Both paths give the same bits.
+    Called as ``(x, dual, token)`` or in the batched form of
+    :class:`DMaxProblem`, whose batch is the noise, realized in bulk; both
+    give the same bits.
     """
 
     def __init__(self, g, sigma: float, dim: int):
         self.g, self.sigma, self.dim = g, sigma, dim
 
     def __call__(self, x, dual, token):
-        return _noisy(self.g(x, dual), self.sigma, token)
+        return self.grad(x, dual, None if self.sigma == 0.0 else
+                         token_generator(token).standard_normal(self.dim))
 
     def sample(self, tokens) -> Optional[np.ndarray]:
         return None if self.sigma == 0.0 else _normals(tokens, self.dim)

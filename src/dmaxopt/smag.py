@@ -337,14 +337,21 @@ def _concat(states: list):
         for k in _arrays(states[0])})
 
 
-def _oracle_vec(raw, dim: int, what: str) -> np.ndarray:
-    g = np.asarray(raw, dtype=np.float64)
-    if g.shape != (dim,):
-        raise ParameterError(
-            f"{what} returned shape {g.shape}, expected ({dim},)")
-    if not _finite(g):
-        raise NonFiniteError(f"{what} returned a non-finite value")
-    return g
+class _PerToken:
+    """A plain ``(x, dual, token)`` oracle in batched form: a batch is its
+    tokens (an ``(S, 1)`` column in ``grad``), and ``grad`` calls the
+    oracle once per row."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def sample(self, tokens):
+        return tokens
+
+    def grad(self, x, dual, tokens):
+        duals = [None] * len(x) if dual is None else dual
+        return np.array([self.oracle(x[j], duals[j], tok) for j, tok in
+                         enumerate(tokens[:, 0].tolist())], dtype=np.float64)
 
 
 class _Feed:
@@ -353,9 +360,8 @@ class _Feed:
     Each token slot of a step (four for SMAG, two for the baselines) has
     one oracle, or ``None`` when the run never calls it.  The feed draws
     every live seed's tokens for a chunk of steps at once, which are the
-    tokens per-step draws would give.  An oracle with ``sample`` /
-    ``grad`` gets the chunk's noise realized in bulk and is evaluated on
-    the stacked rows; any other oracle is called per seed with its token.
+    tokens per-step draws would give, and evaluates each oracle in the
+    batched form of :class:`DMaxProblem`, a plain callable wrapped to it.
 
     A row whose step fails is marked in ``failed`` with its first
     :class:`NonFiniteError`, and reads finite values for the rest of the
@@ -364,10 +370,9 @@ class _Feed:
 
     def __init__(self, rngs, oracles, shared_sample: bool):
         self.rngs = list(rngs)
-        self.oracles = oracles
+        self.oracles = [o if o is None or hasattr(o, "grad") else
+                        _PerToken(o) for o in oracles]
         self.slot = [0 if shared_sample else k for k in range(len(oracles))]
-        self.bulk = [hasattr(o, "sample") and hasattr(o, "grad")
-                     for o in oracles]
         self.rows = list(range(len(self.rngs)))  # live seeds, in row order
         self.failed: dict = {}  # row -> its error, within the step
         self.lost: dict = {}  # seed -> its error
@@ -383,16 +388,10 @@ class _Feed:
         toks = np.stack([self.rngs[i].draw_many(n * self.steps)
                          for i in live]).reshape(len(live), self.steps, n)
         self.inputs = []
-        for k, oracle in enumerate(self.oracles):
-            t = toks[:, :, self.slot[k]].T  # (steps, seeds)
-            if oracle is None:
-                self.inputs.append(None)
-            elif self.bulk[k]:
-                z = oracle.sample(t.reshape(-1))
-                self.inputs.append(
-                    None if z is None else z.reshape(*t.shape, -1))
-            else:
-                self.inputs.append(t.T.tolist())  # per seed, per step
+        for oracle, s in zip(self.oracles, self.slot):
+            t = toks[:, :, s].T  # (steps, seeds)
+            z = None if oracle is None else oracle.sample(t.reshape(-1))
+            self.inputs.append(z if z is None else z.reshape(*t.shape, -1))
 
     def drop(self, keep: np.ndarray) -> None:
         """Drop the rows marked in ``failed``, ``keep`` being the mask of
@@ -405,43 +404,45 @@ class _Feed:
             self.rngs[self.rows[j]]._put_back(give_back)
         self.failed = {}
         self.rows = [i for i, kept in zip(self.rows, keep.tolist()) if kept]
-        self.inputs = [
-            z if z is None else z[:, keep] if self.bulk[k]
-            else [toks for toks, kept in zip(z, keep.tolist()) if kept]
-            for k, z in enumerate(self.inputs)]
-
-    def _mark(self, bad: np.ndarray, err: NonFiniteError) -> None:
-        for j in np.flatnonzero(bad).tolist():
-            self.failed.setdefault(j, err)
+        self.inputs = [z if z is None else z[:, keep] for z in self.inputs]
 
     def grad(self, k: int, x: np.ndarray, dual, dim: int, what: str):
         """Oracle ``k`` at the rows of ``x`` and ``dual``, as ``(rows,
-        dim)`` values.  A row whose value is not finite fails and reads 0;
-        a per-seed oracle skips the rows that already failed."""
-        oracle, inputs = self.oracles[k], self.inputs[k]
-        if self.bulk[k]:
-            z = inputs if inputs is None else inputs[self.c]
-            g = np.asarray(oracle.grad(x, dual, z), dtype=np.float64)
-            if g.shape[1:] != (dim,):
-                raise ParameterError(f"{what} returned shape {g.shape[1:]}, "
-                                     f"expected ({dim},)")
-            if _finite(g):
-                return g
-            bad = ~np.isfinite(g).all(axis=1)
-            self._mark(bad, NonFiniteError(f"{what} returned a non-finite "
-                                           "value"))
-            return np.where(bad[:, None], 0.0, g)
+        dim)`` values.  Rows failed earlier in the step are not passed and
+        read 0, as do rows that fail here: a non-finite value, or a
+        :class:`NonFiniteError` raised on the row alone (a call that
+        raises is made again row by row)."""
+        z = self.inputs[k]
+        args = (x, dual, z if z is None else z[self.c])
+        if not self.failed:
+            return self._grad(k, args, range(x.shape[0]), dim, what)
+        live = [j for j in range(x.shape[0]) if j not in self.failed]
         g = np.zeros((x.shape[0], dim))
-        for j in range(x.shape[0]):
-            if j in self.failed:
-                continue
-            try:
-                g[j] = _oracle_vec(
-                    oracle(x[j], None if dual is None else dual[j],
-                           inputs[j][self.c]), dim, what)
-            except NonFiniteError as exc:
-                self.failed[j] = exc
+        if live:
+            g[live] = self._grad(k, [a if a is None else a[live]
+                                     for a in args], live, dim, what)
         return g
+
+    def _grad(self, k: int, args, rows, dim: int, what: str):
+        try:
+            g = np.asarray(self.oracles[k].grad(*args), dtype=np.float64)
+        except NonFiniteError as exc:
+            if len(rows) > 1:
+                return np.concatenate([
+                    self._grad(k, [a if a is None else a[[i]] for a in args],
+                               [j], dim, what) for i, j in enumerate(rows)])
+            self.failed[rows[0]] = exc
+            return np.zeros((1, dim))
+        if g.shape[1:] != (dim,):
+            raise ParameterError(f"{what} returned shape {g.shape[1:]}, "
+                                 f"expected ({dim},)")
+        if _finite(g):
+            return g
+        bad = ~np.isfinite(g).all(axis=1)
+        err = NonFiniteError(f"{what} returned a non-finite value")
+        for i in np.flatnonzero(bad).tolist():
+            self.failed.setdefault(rows[i], err)
+        return np.where(bad[:, None], 0.0, g)
 
     def project(self, proj, cset: ConstraintSet, v: np.ndarray,
                 old: np.ndarray) -> np.ndarray:
@@ -462,7 +463,8 @@ class _Feed:
     def check(self, x: np.ndarray, message: str) -> None:
         """Fail the rows of ``x`` with a non-finite entry."""
         if not _finite(x):
-            self._mark(~np.isfinite(x).all(axis=1), NonFiniteError(message))
+            for j in np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist():
+                self.failed.setdefault(j, NonFiniteError(message))
 
 
 def _streams(rng, seed_label):
@@ -574,6 +576,8 @@ class RunResult:
     that stops before step ``s + 1`` keeps its final iterates instead.
     dmax/dwc return ``candidate`` and report ``t_bar = s + 1``; minmax
     returns ``x_bar``, reports ``t_bar = s`` and has no ``x_psi_bar``.
+    ``exact_metrics`` tells whether the trace's stationarity is the exact
+    envelope-gradient norm, rather than the norm of the step's estimate.
     """
 
     records: list
@@ -586,6 +590,7 @@ class RunResult:
     aborted: bool = False
     abort_reason: str = ""
     states: Optional[list] = None
+    exact_metrics: bool = False
 
 
 def _missing_maps(aux: Optional[ExactAux], oracles: list,
@@ -672,14 +677,15 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     ``seed_label``, or one int label for all) the seeds step in lockstep
     as the rows of ``(S, dim)`` arrays, and one :class:`RunResult` per
     stream comes back, each equal bit for bit to a solo run of that
-    stream.  Oracles that can ``sample`` realize a chunk of steps' noise
-    in bulk and take one numpy step for all seeds; other oracles are
-    called per seed with its token.  Trace rows are computed on the stack
-    of a block of traced steps, one call of ``full_objective`` and of each
-    exact map per block, and reduced row by row.  ``t_bar``, finiteness
-    checks and aborts stay per seed: a seed that aborts stops there, and
-    the others go on.  ``elapsed_ms`` is the seeds' shared clock at the
-    traced step, net of the time spent computing trace rows.
+    stream.  Every oracle runs in the batched form of
+    :class:`DMaxProblem`: it samples a chunk of steps for all seeds at
+    once, and one ``grad`` call takes a step's stacked seeds (a plain
+    callable is called per seed inside it).  Trace rows are computed on
+    the stack of a block of traced steps, one call of ``full_objective``
+    and of each exact map per block, and reduced row by row.  ``t_bar``,
+    finiteness checks and aborts stay per seed: a seed that aborts stops
+    there, and the others go on.  ``elapsed_ms`` is the seeds' shared
+    clock at the traced step, net of the time spent computing trace rows.
     """
     rngs, labels = _streams(rng, seed_label)
     _check_mode(mode)
@@ -748,7 +754,8 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
             candidate=cand, returned=xb if anchor_out else cand,
             x_psi_bar=None if anchor_out else xpb,
             aborted=reasons[i] is not None, abort_reason=reasons[i] or "",
-            states=None if states is None else states[i]))
+            states=None if states is None else states[i],
+            exact_metrics=exact_metrics))
     return results[0] if isinstance(rng, RngStream) else results
 
 

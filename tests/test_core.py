@@ -397,6 +397,28 @@ def test_bulk_normals_are_token_map_v1(d, monkeypatch):
     assert _normals(toks[:0], d).shape == (0, d)
 
 
+def test_a_few_normals_take_the_scalar_generator(monkeypatch):
+    """Below ``_BULK_NORMALS`` tokens every token is realized by the
+    scalar generator, which a call of a few tokens runs faster; the bits
+    are the same."""
+    realized = []
+
+    def counted(token, salt=_TOKEN_SALT):
+        realized.append(token)
+        return token_generator(token, salt)
+
+    monkeypatch.setattr(core, "token_generator", counted)
+    toks = np.arange(7, 7 + core._BULK_NORMALS - 1, dtype=np.uint64)
+    out = _normals(toks, 10)
+    assert realized == toks.tolist()
+    want = np.stack([token_generator(t).standard_normal(10)
+                     for t in toks.tolist()])
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    realized.clear()
+    _normals(np.arange(7, 7 + core._BULK_NORMALS, dtype=np.uint64), 10)
+    assert len(realized) < core._BULK_NORMALS
+
+
 def test_import_leaves_numpy_random_unloaded():
     src = str(Path(dmaxopt.__file__).resolve().parent.parent)
     env = dict(os.environ)

@@ -620,6 +620,22 @@ def test_cli_fairness(tmp_path, capsys):
     assert main(["fairness", path4]) == 2
 
 
+@pytest.mark.parametrize("label, attr", [("1.9", "1"), ("1", "-1.7"),
+                                         ("0", "1"), ("1", "2"),
+                                         ("nan", "1"), ("yes", "1")])
+def test_cli_fairness_refuses_labels_and_attrs_other_than_plus_minus_one(
+        tmp_path, capsys, label, attr):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("score,label,attr\n2.0,1,1\n1.0,-1,1\n"
+                      f"-1.0,{label},{attr}\n0.5,-1.0,-1\n")
+    path = _write_cfg(tmp_path, {"scores_csv": str(scores), "rho": 1.0})
+    assert main(["fairness", path]) == 2
+    bad = "label" if label != "1" else "attr"
+    want = label if bad == "label" else attr
+    assert (f"line 4: {bad} must be +1 or -1, got '{want}'"
+            in capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # config reader: every block refuses unknown keys and values of a wrong kind
 

@@ -812,6 +812,33 @@ def test_non_finite_oracle_values_keep_their_error_and_message(bad):
                 step(prob, state, sched, RngStream(0), mode)
 
 
+class _OneTooLong:
+    """A batched oracle whose rows have one entry too many."""
+
+    def sample(self, tokens):
+        return None
+
+    def grad(self, x, dual, batch):
+        return np.ones((x.shape[0], x.shape[1] + 1))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["plain", "batched"])
+@pytest.mark.parametrize("name", ["phi_subgrad_x", "psi_subgrad_x"])
+def test_an_oracle_of_the_wrong_shape_is_named(name, batched):
+    dim = 3
+    plain = lambda x, dual, tok: np.ones(dim + 1)  # noqa: E731
+    prob = dataclasses.replace(_constant_oracle_problem(1.0, dim=dim), **{
+        name: _OneTooLong() if batched else plain})
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 5, ALL_ONES, mode="dwc")
+    want = rf"^{name} returned shape \({dim + 1},\), expected \({dim},\)$"
+    with pytest.raises(ParameterError, match=want):
+        step(prob, initial_state(prob, np.ones(dim)), sched, RngStream(0),
+             "dwc")
+    with pytest.raises(ParameterError, match=want):
+        run(prob, "dwc", sched, [RngStream(s) for s in (1, 2, 3)],
+            x0=np.ones(dim))
+
+
 @pytest.mark.parametrize("x0, g, scale", [(1e308, -1e308, 1e10),
                                           (-1e308, 1e308, 1e10),
                                           (1.0, 1.0, math.nan)],
@@ -1172,8 +1199,9 @@ def _token_of(seed, step_no, slot):
 
 def _one_seed_fails(slot, step_no, seed, kind, dim=3):
     """The quadratic problem, with the oracle of token slot ``slot``
-    failing on ``seed``'s token of step ``step_no``: NaN from a bulk or a
-    per-seed oracle, or a finite 1e308 whose dual ascent step overflows."""
+    failing on ``seed``'s token of step ``step_no``: NaN from a batched or
+    a plain oracle, a plain oracle that raises :class:`NonFiniteError`, or
+    a finite 1e308 whose dual ascent step overflows."""
     quad = make_quadratic_minmax(dim=dim, noise_sigma=0.1)
     bad = _token_of(seed, step_no, slot)
     field = ("phi_subgrad_x", "phi_grad_y")[slot]
@@ -1181,6 +1209,11 @@ def _one_seed_fails(slot, step_no, seed, kind, dim=3):
     if kind == "overflow":
         def oracle(x, y, tok):
             return np.full(dim, 1e308) if tok == bad else base(x, y, tok)
+    elif kind == "raise":
+        def oracle(x, y, tok):
+            if tok == bad:
+                raise NonFiniteError(f"{field} refused token {tok}")
+            return base(x, y, tok)
     else:
         oracle = (_BulkNanAt if kind == "bulk" else _NanAt)(base, bad)
     return dataclasses.replace(quad, **{field: oracle})
@@ -1191,10 +1224,13 @@ def _one_seed_fails(slot, step_no, seed, kind, dim=3):
     (0, "per-seed", "phi_subgrad_x returned a non-finite value"),
     (1, "bulk", "phi_grad_y returned a non-finite value"),
     (1, "per-seed", "phi_grad_y returned a non-finite value"),
-    (1, "overflow", "point contains non-finite entries")])
+    (1, "overflow", "point contains non-finite entries"),
+    (0, "raise", "phi_subgrad_x refused token {bad}"),
+    (1, "raise", "phi_grad_y refused token {bad}")])
 def test_a_seed_that_aborts_mid_chunk_stops_alone(slot, kind, why):
     seeds, failing, step_no = [31, 32, 33], 32, 40
     prob = _one_seed_fails(slot, step_no, failing, kind)
+    why = why.format(bad=_token_of(failing, step_no, slot))
     # eta1 = 2 lets a dual ascent step of 2e308 overflow
     sched = Schedule.from_manual(
         0.5, 0.01, 2.0 if kind == "overflow" else 0.05, 60, prob.constants,
@@ -1259,7 +1295,25 @@ def test_a_failed_row_reads_zeros_for_the_rest_of_its_step():
     assert lost.final_state.t == step_no - 1
 
 
+class _RecordRows:
+    """A batched ``oracle`` that records the token of every row its
+    ``grad`` is passed (carried bit for bit as a last column)."""
+
+    def __init__(self, oracle, calls):
+        self.oracle, self.calls = oracle, calls
+
+    def sample(self, tokens):
+        return np.column_stack([self.oracle.sample(tokens),
+                                tokens.view(np.float64)])
+
+    def grad(self, x, dual, z):
+        self.calls.extend(z[:, -1].copy().view(np.uint64).tolist())
+        return self.oracle.grad(x, dual, z[:, :-1])
+
+
 def test_a_failed_row_skips_the_per_seed_oracles_left_in_its_step():
+    # ... and the batched ones: psi, plain or batched, records the tokens
+    # of the rows it is passed
     seeds, failing, step_no = [31, 32, 33], 32, 40
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     calls = []
@@ -1268,19 +1322,34 @@ def test_a_failed_row_skips_the_per_seed_oracles_left_in_its_step():
         calls.append(tok)
         return dwc.psi_subgrad_x(x, z, tok)
 
-    prob = dataclasses.replace(
-        dwc, psi_subgrad_x=psi, phi_subgrad_x=_NanAt(
-            dwc.phi_subgrad_x, _token_of(failing, step_no, 0)))
-    sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, prob.constants,
-                                 mode="dwc")
-    for s in seeds:
-        run(prob, "dwc", sched, RngStream(s), x0=2.0)
-    solo_calls = sorted(calls)
-    calls.clear()
-    batch = run(prob, "dwc", sched, [RngStream(s) for s in seeds], x0=2.0)
-    assert sorted(calls) == solo_calls
-    assert _token_of(failing, step_no, 2) not in calls
-    assert [r.aborted for r in batch] == [s == failing for s in seeds]
+    for oracle in (psi, _RecordRows(dwc.psi_subgrad_x, calls)):
+        prob = dataclasses.replace(
+            dwc, psi_subgrad_x=oracle, phi_subgrad_x=_NanAt(
+                dwc.phi_subgrad_x, _token_of(failing, step_no, 0)))
+        sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, prob.constants,
+                                     mode="dwc")
+        calls.clear()
+        solo = [run(prob, "dwc", sched, RngStream(s), x0=2.0)
+                for s in seeds]
+        solo_calls = sorted(calls)
+        calls.clear()
+        batch = run(prob, "dwc", sched, [RngStream(s) for s in seeds],
+                    x0=2.0)
+        assert sorted(calls) == solo_calls
+        assert _token_of(failing, step_no, 2) not in calls
+        assert [r.aborted for r in batch] == [s == failing for s in seeds]
+        assert [_digest(r) for r in batch] == [_digest(r) for r in solo]
+
+
+def test_a_run_reports_whether_its_stationarity_is_exact():
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    sched = _manual_sched(0.5, 0.005, 0.01, dwc.constants, "dwc")
+    assert run(dwc, "dwc", sched, RngStream(1), x0=2.0).exact_metrics
+    assert not run(dwc, "dwc", sched, RngStream(1), x0=2.0,
+                   exact_metrics=False).exact_metrics
+    bare = _constant_oracle_problem(1.0)  # no exact maps
+    assert not any(r.exact_metrics for r in run(
+        bare, "dwc", sched, [RngStream(1), RngStream(2)], x0=1.0))
 
 
 def test_steps_take_a_one_dimensional_state():

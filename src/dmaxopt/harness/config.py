@@ -185,7 +185,7 @@ class ExperimentConfig:
                 or len(set(self.seeds)) != len(self.seeds)):
             raise ParameterError("seeds must be a non-empty list of "
                                  "distinct nonnegative integers")
-        for key, low in (("t_total", 0), ("trace_every", 1), ("workers", 0)):
+        for key, low in (("t_total", 1), ("trace_every", 1), ("workers", 0)):
             if getattr(self, key) < low:
                 raise ParameterError(f"{key} must be >= {low}")
         if min(self.decay_milestones, default=0) < 0:
@@ -296,14 +296,11 @@ def build_schedule(cfg: ExperimentConfig,
     s = _read(cfg.schedule, {"source": (str, "manual"), **_SCHEDULES[source]},
               "schedule")
     if source == "theory":
-        sched = schedule_from_theory(
+        # t_total replaces the theoretical (often astronomical) T
+        return replace(schedule_from_theory(
             problem.constants, s["gamma"], s["epsilon"], mode=mode,
-            gap_plus_p0=s["gap_plus_p0"])
-        if cfg.t_total:
-            # allow configs to cap the theoretical (often astronomical) T
-            sched = replace(sched, t_total=cfg.t_total)
-        return sched
+            gap_plus_p0=s["gap_plus_p0"]), t_total=cfg.t_total)
     return Schedule.from_manual(
-        s["gamma"], s["eta0"], s["eta1"], max(1, cfg.t_total),
+        s["gamma"], s["eta0"], s["eta1"], cfg.t_total,
         constants=problem.constants, mode=mode, epsilon=s["epsilon"],
         check_feasible=not s["allow_infeasible"])

@@ -61,9 +61,10 @@ def grad_check(problem: DMaxProblem, gamma: float, *, n_points: int = 20,
         raise ParameterError("h must be positive")
     if n_points < 1:
         raise ParameterError("n_points must be >= 1")
+    if len(sample_box) != 2 or not sample_box[0] < sample_box[1]:
+        raise ParameterError(
+            f"sample_box must be an increasing pair, got {sample_box!r}")
     lo, hi = float(sample_box[0]), float(sample_box[1])
-    if not lo < hi:
-        raise ParameterError("sample_box must be an increasing pair")
     if min_kink_gap is None:
         min_kink_gap = 10.0 * h
     gen = token_generator(int(seed), salt=_SAMPLE_SALT)

@@ -130,12 +130,7 @@ def _run_seeds(cfg: ExperimentConfig, cfg_hash: str) -> list:
                   decay_factor=cfg.decay_factor,
                   shared_sample=cfg.shared_sample)
     if mode is not None:
-        sched = build_schedule(cfg, problem)
-        if sched.t_total != cfg.t_total:
-            raise ParameterError(
-                f"schedule t_total {sched.t_total} != config t_total "
-                f"{cfg.t_total}")
-        results = smag_run(problem, mode, sched, rngs,
+        results = smag_run(problem, mode, build_schedule(cfg, problem), rngs,
                            exact_metrics=cfg.exact_metrics, **common)
         stat_kind = ("exact-envelope-grad" if results[0].exact_metrics
                      else "step-estimate")
@@ -193,27 +188,6 @@ def run_experiment(config, output_root: Optional[str] = None
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(output_root, out_dir)
     os.makedirs(out_dir, exist_ok=True)
-
-    # T = 0 is a degenerate but legal request: emit header-only traces.
-    if cfg.t_total == 0:
-        trace_paths = {}
-        meta = {"format": "dmaxopt-trace v1", "config_hash": cfg_hash,
-                "algorithm": cfg.algorithm,
-                "problem": cfg.problem.get("kind"),
-                "note": "zero iterations requested"}
-        for seed in cfg.seeds:
-            path = os.path.join(out_dir, f"trace_seed{seed}.csv")
-            _write_trace(path, {**meta, "seed": seed}, [])
-            trace_paths[seed] = path
-        summary_path = os.path.join(out_dir, "summary.csv")
-        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# config_hash: {cfg_hash}\n")
-            fh.write("# note: zero iterations requested\n")
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "mean", "std", "n"])
-        return ExperimentResult(output_dir=out_dir, summary_path=summary_path,
-                                trace_paths=trace_paths, finals={},
-                                aborted_seeds=[], cfg_hash=cfg_hash)
 
     trace_paths = {}
     finals = {}

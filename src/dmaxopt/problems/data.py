@@ -3,11 +3,13 @@
 The on-disk format is one example per line, ``<label> <index>:<value> ...``
 with 1-based feature indices, blank lines ignored, and full-line comments
 starting with ``#``.  Labels are mapped to {-1, +1} by sign.  Parse
-problems raise ``ValueError`` naming the offending line number.
+problems (also a non-finite label or value, or a feature index repeated
+on one line) raise ``ValueError`` naming the offending line number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,6 +67,10 @@ class LabeledDataset:
         return LabeledDataset(self.features[mask], self.labels[mask], sens)
 
 
+def _parse_error(path, lineno: int, what: str) -> ValueError:
+    return ValueError(f"{path}: parse error at line {lineno}: {what}")
+
+
 def load_libsvm(path, dimension: Optional[int] = None,
                 normalize: bool = False) -> LabeledDataset:
     """Read a LibSVM-format file into a dense :class:`LabeledDataset`.
@@ -85,27 +91,30 @@ def load_libsvm(path, dimension: Optional[int] = None,
             try:
                 raw_label = float(tokens[0])
             except ValueError:
-                raise ValueError(
-                    f"{path}: parse error at line {lineno}: "
-                    f"bad label {tokens[0]!r}") from None
+                raw_label = math.nan
+            if not math.isfinite(raw_label):
+                raise _parse_error(path, lineno, f"bad label {tokens[0]!r}")
             entries: dict = {}
             for tok in tokens[1:]:
                 idx_str, sep, val_str = tok.partition(":")
                 if not sep:
-                    raise ValueError(
-                        f"{path}: parse error at line {lineno}: "
-                        f"expected index:value, got {tok!r}")
+                    raise _parse_error(path, lineno,
+                                       f"expected index:value, got {tok!r}")
                 try:
                     idx = int(idx_str)
                     val = float(val_str)
                 except ValueError:
-                    raise ValueError(
-                        f"{path}: parse error at line {lineno}: "
-                        f"bad pair {tok!r}") from None
+                    raise _parse_error(path, lineno,
+                                       f"bad pair {tok!r}") from None
                 if idx < 1:
-                    raise ValueError(
-                        f"{path}: parse error at line {lineno}: "
-                        f"feature index {idx} is not >= 1")
+                    raise _parse_error(path, lineno,
+                                       f"feature index {idx} is not >= 1")
+                if not math.isfinite(val):
+                    raise _parse_error(path, lineno,
+                                       f"non-finite value in {tok!r}")
+                if idx in entries:
+                    raise _parse_error(path, lineno,
+                                       f"feature index {idx} repeated")
                 entries[idx] = val
                 max_index = max(max_index, idx)
             rows.append(entries)

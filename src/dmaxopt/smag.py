@@ -882,7 +882,7 @@ def potential_diagnostic(problem: DMaxProblem, states: Sequence[SmagState],
     if len(states) < 2:
         raise ParameterError("need at least two consecutive states")
     gamma = sched.gamma
-    coef = 2.0 * sched.eta0 / (sched.eta1 * gamma * gamma * sched.alpha)
+    coef = 2.0 * sched.eta0 / (sched.eta1 * gamma ** 2 * sched.alpha)
     oracles = _smag_oracles(problem, mode)
     aux = problem.exact_aux
     missing = _missing_maps(aux, oracles, potential=True)
@@ -893,15 +893,12 @@ def potential_diagnostic(problem: DMaxProblem, states: Sequence[SmagState],
     have_values = aux.value_phi is not None and (
         not with_psi or aux.value_psi is not None)
 
-    p_vals = np.empty(len(states) - 1)
-    f_vals = np.empty(len(states) - 1) if have_values else None
-    for i in range(len(states) - 1):
-        x_t = states[i].x
-        p_vals[i] = coef * _potential_terms(
-            aux, *_prox_pair(aux, x_t, gamma, oracles), states[i + 1],
-            oracles)
-        if f_vals is not None:
-            f_vals[i] = smoothed_objective(problem, x_t, gamma, with_psi)
+    x_t = np.array([s.x for s in states[:-1]])
+    p_vals = coef * _potential_terms(
+        aux, *_prox_pair(aux, x_t, gamma, oracles),
+        _concat([_pick(s, None) for s in states[1:]]), oracles)
+    f_vals = np.array([smoothed_objective(problem, x, gamma, with_psi)
+                       for x in x_t]) if have_values else None
     return PotentialTrace(p_t=p_vals, f_gamma=f_vals, coefficient=coef)
 
 

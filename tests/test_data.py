@@ -84,6 +84,14 @@ def test_load_libsvm_parse_errors_name_the_line(tmp_path):
         ("+1 nonsense\n", "line 1"),
         ("+1 1:x\n", "line 1"),
         ("# ok\n\n+1 0:1.0\n", "line 3"),
+        # a NaN label was read as -1, non-finite values were kept, and a
+        # repeated index kept its last value
+        ("+1 1:0.5\nnan 1:1\n", "line 2: bad label 'nan'"),
+        ("inf 1:1\n", "line 1: bad label"),
+        ("+1 1:inf\n", "line 1: non-finite value"),
+        ("+1 1:0.5\n-1 2:nan\n", "line 2: non-finite value"),
+        ("-1 1:-Infinity\n", "line 1: non-finite value"),
+        ("+1 1:0.5 2:1 1:0.7\n", "line 1: feature index 1 repeated"),
     ]
     for text, needle in cases:
         p = _write(tmp_path, text)

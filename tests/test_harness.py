@@ -92,8 +92,19 @@ def test_grad_check_validation():
         grad_check(prob, 1.0, h=0.0)
     with pytest.raises(ParameterError):
         grad_check(prob, 1.0, n_points=0)
-    with pytest.raises(ParameterError):
-        grad_check(prob, 1.0, sample_box=(3.0, -3.0))
+    for box in ((3.0, -3.0), (1.0,), (), (0.0, 1.0, 5.0), (0.0, math.nan)):
+        with pytest.raises(ParameterError, match="sample_box"):
+            grad_check(prob, 1.0, sample_box=box)
+
+
+@pytest.mark.parametrize("box", ["[1.0]", "[]", "[0, 1, 5]"])
+def test_cli_grad_check_refuses_a_box_that_is_not_a_pair(tmp_path, capsys,
+                                                          box):
+    # [1.0] and [] ended in an IndexError traceback; [0, 1, 5] ran on [0, 1]
+    cfg = {"problem": {"kind": "quadratic-minmax", "dim": 2}, "gamma": 0.5,
+           "n_points": 2}
+    assert _main(tmp_path, "grad-check", cfg, f"sample_box={box}") == 2
+    assert "sample_box must be an increasing pair" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +174,8 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict(_good_cfg(algorithm="sgd"))
     with pytest.raises(ParameterError, match="lr_y"):
         ExperimentConfig.from_dict(_good_cfg(algorithm="sgda", lr=0.1))
+    with pytest.raises(ParameterError, match="t_total must be >= 1"):
+        ExperimentConfig.from_dict(_good_cfg(t_total=0))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -384,15 +397,6 @@ def test_run_experiment_pool_matches_serial(tmp_path):
         for m in (meta_s, meta_p):
             m.pop("config_hash")
         assert meta_s == meta_p
-
-
-def test_run_experiment_zero_iterations(tmp_path):
-    res = run_experiment(_good_cfg(t_total=0), output_root=str(tmp_path))
-    meta, records = read_trace(res.trace_paths[0])
-    assert records == []
-    assert meta["note"] == "zero iterations requested"
-    with open(res.summary_path) as fh:
-        assert "zero iterations requested" in fh.read()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -743,6 +747,28 @@ def test_reader_refuses_configs_that_used_to_run(tmp_path, capsys, command,
     overrides = [override] if override else []
     assert _main(tmp_path, command, cfg, *overrides) == 2
     assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_total", [0, 3])
+@pytest.mark.parametrize("over, want", [
+    ({"problem": {"kind": "onedim-dwc", "noise_sgima": 0.1}},
+     "unknown problem keys: ['noise_sgima']"),
+    ({"schedule": {"source": "manual", "gamma": 0.5, "eta0": 0.005,
+                   "eta1": 10.0}}, "exceeds the strong-convexity cap"),
+    ({"problem": {"kind": "pu-libsvm", "pi_p": 0.5, "path": "absent.txt"}},
+     "No such file"),
+    ({"problem": {"kind": "pauc-synth", "n": 40, "dim": 3}},
+     "needs a psi_subgrad_x oracle"),
+    ({"algorithm": "sgda", "lr": 0.05, "lr_y": 0.05},
+     "needs a dual oracle and set")],
+    ids=["typo", "eta1-cap", "missing-file", "dwc-on-pauc", "sgda-no-dual"])
+def test_cli_run_bad_config_exits_2_at_any_t_total(tmp_path, capsys, over,
+                                                   want, t_total):
+    # a run of T = 0 has no output iterate, so it is refused like any
+    # other bad config rather than skipping the checks a run makes
+    assert _main(tmp_path, "run", _good_cfg(**over, t_total=t_total)) == 2
+    err = capsys.readouterr().err
+    assert ("t_total must be >= 1" if t_total == 0 else want) in err, err
 
 
 def _readme_configs():

@@ -681,7 +681,7 @@ def test_potential_diagnostic_shrinks_along_a_real_run():
                 collect_states=True)
     trace_n = potential_diagnostic(noisy, res_n.states, sched, mode="dwc")
     traced = np.array([r.p_t for r in res_n.records])
-    assert np.allclose(traced, trace_n.p_t, rtol=1e-12, atol=1e-15)
+    assert np.array_equal(traced, trace_n.p_t)
 
 
 def test_potential_diagnostic_capability_errors():

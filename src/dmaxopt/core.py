@@ -546,6 +546,7 @@ class DMaxProblem:
     # cost: a float for a point ``(dim,)``, an ``(S,)`` array for a stack
     # ``(S, dim)``, each entry equal bit for bit to F of its row alone.
     full_objective: Optional[Callable[[Points], "float | np.ndarray"]] = None
+    # Traces record it; a ``/N`` suffix versions a change of outputs.
     name: str = ""
 
     @property

@@ -3,10 +3,11 @@
 All seeds of a config run in one process, in lockstep: one batched call
 steps them together (see :func:`dmaxopt.smag.run`), and each seed's
 numbers are bit-identical to a solo run of that seed.  Trace files carry
-``#`` metadata lines (config hash, seed, algorithm, metric provenance)
-above a fixed CSV header; the ``elapsed_ms`` column is wall-clock (the
-batch's shared clock at the traced step, net of the time spent computing
-trace rows) and is the only column exempt from bit-identity guarantees.
+``#`` metadata lines (config hash, seed, algorithm, versioned problem name,
+metric provenance) above a fixed CSV header; the ``elapsed_ms`` column is
+wall-clock (the batch's shared clock at the traced step, net of the time
+spent computing trace rows) and is the only column exempt from bit-identity
+guarantees.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ def _run_seeds(cfg: ExperimentConfig, cfg_hash: str) -> list:
             "algorithm": cfg.algorithm,
             "seed": seed,
             "problem": cfg.problem.get("kind"),
+            "problem_name": problem.name,
             "stationarity": stat_kind,
             "objective": ("full-data" if problem.full_objective is not None
                           else "unavailable"),

@@ -97,79 +97,70 @@ def split_scorer(x: np.ndarray, dim: int, n_pos: int
     return x[:dim], x[dim:]
 
 
-# Leaves of the blocked pair sum hold at most this many pair losses (512 KB
-# of float64).  It must be at least 128, numpy's pairwise-sum leaf, so that
-# every node split here is split the same way by numpy.
-_PAIR_BLOCK = 1 << 16
+def _inactive_ends(hp: np.ndarray, h: np.ndarray, s: np.ndarray,
+                   c: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per positive ``i``, the ends of its inactive pairs in the sorted
+    negative scores ``h``: ``(c - (hp_i - h_j)) ** 2 - s_i <= 0`` exactly
+    for ``lo_i <= j < hi_i``.  Rounding is monotone, so the residual
+    ``c - (hp_i - h_j)`` does not fall as ``h_j`` rises, and "negative
+    residual and active" and "negative residual or inactive" each hold on a
+    prefix of ``h``.  One bisection over all positives finds both prefixes
+    with the dense formula's own float operations."""
+    bits = h.size.bit_length()
+    # the padding's residual is +inf: both prefixes end before it
+    h = np.concatenate([h, np.full((1 << bits) - h.size, np.inf)])
+    lo = np.zeros(hp.size, dtype=np.intp)
+    hi = lo.copy()
+    for step in (1 << b for b in reversed(range(bits))):
+        r = c - (hp - h[lo + (step - 1)])
+        lo += step * ((r < 0.0) & (r * r - s > 0.0))
+        r = c - (hp - h[hi + (step - 1)])
+        hi += step * ((r < 0.0) | (r * r - s <= 0.0))
+    return lo, hi
 
 
-def _hinged_pair_sum(hp: np.ndarray, hn: np.ndarray, s: np.ndarray,
-                     c: float) -> float:
-    """``np.maximum((c - (hp[:, None] - hn)) ** 2 - s[:, None], 0).sum()``,
-    bit for bit, without the ``n_pos x n_neg`` temporaries.
+def _sorted_pairs(x: np.ndarray, pos: np.ndarray, neg: np.ndarray, c: float):
+    """``s`` of ``x = [w, s]``, the sort order of the negative scores, their
+    sorted values minus their median ``m`` as ``g``, ``e = c - hp + m``
+    (pair ``(i, j)`` has residual ``e_i + g_j``) and the inactive ends."""
+    w, s = split_scorer(x, pos.shape[1], pos.shape[0])
+    hp = pos @ w
+    h = neg @ w
+    order = np.argsort(h)
+    h = h[order]
+    m = h[h.size // 2]
+    return (s, order, h - m, (c - hp) + m) + _inactive_ends(hp, h, s, c)
 
-    ``sum`` of a C-contiguous float64 array is numpy's pairwise sum over
-    the flattened array: a node of more than 128 elements splits at
-    ``n // 2`` rounded down to a multiple of 8.  This walks the same tree
-    down to nodes of at most ``_PAIR_BLOCK`` pairs, fills each node's flat
-    range into one reused buffer with the same ufuncs, sums it with numpy
-    and adds the halves in tree order.
-    """
-    n_neg = hn.size
-    buf = np.empty(min(hp.size * n_neg, _PAIR_BLOCK))
 
-    def fill(out, i0, i1, j0, j1):
-        # pairs (rows i0:i1, columns j0:j1) into the flat buffer slice ``out``
-        out = out.reshape(i1 - i0, j1 - j0)
-        np.subtract(hp[i0:i1, None], hn[j0:j1], out=out)
-        np.subtract(c, out, out=out)
-        np.square(out, out=out)
-        np.subtract(out, s[i0:i1, None], out=out)
-        np.maximum(out, 0.0, out=out)
-
-    def node(lo: int, n: int) -> float:
-        if n > _PAIR_BLOCK:
-            half = n // 2
-            half -= half % 8
-            return node(lo, half) + node(lo + half, n - half)
-        i0, j0 = divmod(lo, n_neg)
-        i1, j1 = divmod(lo + n, n_neg)
-        out = buf[:n]
-        if i0 == i1:
-            fill(out, i0, i0 + 1, j0, j1)
-        else:
-            # first row's tail, the full rows, then the last row's head
-            head = n_neg - j0
-            fill(out[:head], i0, i0 + 1, j0, n_neg)
-            fill(out[head:n - j1], i0 + 1, i1, 0, n_neg)
-            if j1:
-                fill(out[n - j1:], i1, i1 + 1, 0, j1)
-        return out.sum()
-
-    try:
-        return float(node(0, hp.size * n_neg))
-    finally:
-        del node  # ``node`` refers to itself through its closure cell
+def _active_sums(v: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Per positive, the sum of ``v`` (sorted positions on the last axis)
+    over its active positions ``[0, lo)`` and ``[hi, n)``."""
+    zero = np.zeros(v.shape[:-1] + (1,))
+    head = np.concatenate([zero, v.cumsum(-1)], -1)
+    tail = np.concatenate([v[..., ::-1].cumsum(-1)[..., ::-1], zero], -1)
+    return head[..., lo] + tail[..., hi]
 
 
 def _objective(x: np.ndarray, pos: np.ndarray, neg: np.ndarray,
                params: PaucParams) -> float:
     n_pos, n_neg = pos.shape[0], neg.shape[0]
-    w, s = split_scorer(x, pos.shape[1], n_pos)
-    pair_sum = _hinged_pair_sum(pos @ w, neg @ w, s, params.c)
-    return float(np.mean(s)) + pair_sum / (n_pos * params.rho * n_neg)
+    s, _, g, e, lo, hi = _sorted_pairs(x, pos, neg, params.c)
+    s1, s2 = _active_sums(np.stack([g, g * g]), lo, hi)
+    # sum over the active pairs of (e_i + g_j)^2 - s_i
+    rows = (lo + (n_neg - hi)) * (e * e - s) + 2.0 * e * s1 + s2
+    return float(np.mean(s)) + float(rows.sum()) / (n_pos * params.rho * n_neg)
 
 
 def pauc_objective(x: np.ndarray, data: LabeledDataset,
                    params: PaucParams) -> float:
     """Full-data CVaR-thresholded partial-AUC surrogate at ``x = [w, s]``.
 
-    The pair losses are summed in blocks, in the order of numpy's own
-    ``sum`` over the dense ``n_pos x n_neg`` array, so the value is the
-    dense formula's to the bit.
+    The negative scores are sorted once; positive ``i``'s active pairs are
+    two runs of them, and its pair sum ``cnt (e_i^2 - s_i) + 2 e_i sum(g) +
+    sum(g^2)`` reads prefix sums (see :func:`_sorted_pairs`).  O(n log n)
+    time, O(n) memory; equal to the dense formula up to rounding.
     """
-    pos, neg = _split_counts(data)
-    return _objective(x, pos, neg, params)
+    return _objective(x, *_split_counts(data), params)
 
 
 def fairness_payoff(w_a: np.ndarray, data: LabeledDataset) -> float:
@@ -188,43 +179,25 @@ def fairness_payoff(w_a: np.ndarray, data: LabeledDataset) -> float:
 
 
 def _pair_subgrads(w, s_batch, pos_x, neg_x, rho, c):
-    """Per-batch subgradients of the hinged pair losses.
-
-    Returns (g_w, per_pos_s_grad) where the s entries are aligned with the
-    rows of ``pos_x``.  The hinge kink takes subgradient zero (strict
-    inequality activates a pair).
-
-    The ``bp x bn`` pair arrays are built a block of rows at a time, at
-    most ``_PAIR_BLOCK`` pairs each, and reduced as numpy reduces the dense
-    arrays, so the result is the dense formula's to the bit: each row is
-    summed on its own, and columns add the rows in order, from zero.  A
-    single column is one contiguous (pairwise) sum, so it stays one block.
-    """
+    """Subgradients (g_w, s entries aligned with the rows of ``pos_x``) of
+    the hinged pair losses of one mini-batch, from its whole ``bp x bn``
+    pair arrays.  A pair is active strictly above its hinge, so a kink
+    takes subgradient zero."""
     hp = pos_x @ w
     hn = neg_x @ w
     bp, bn = pos_x.shape[0], neg_x.shape[0]
-    row_coef = np.empty(bp)
-    n_active = np.empty(bp)
-    rows = bp if bn == 1 else max(1, _PAIR_BLOCK // bn)
-    for i0 in range(0, bp, rows):
-        i1 = min(i0 + rows, bp)
-        resid = np.subtract(hp[i0:i1, None], hn)
-        np.subtract(c, resid, out=resid)
-        margin = np.multiply(resid, resid)
-        np.subtract(margin, s_batch[i0:i1, None], out=margin)
-        active = np.greater(margin, 0.0)
-        # d/d(h_i - h_j) of (c - d)^2 on active pairs
-        coef = np.where(active, np.multiply(resid, -2.0, out=resid), 0.0)
-        np.add.reduce(coef, axis=1, out=row_coef[i0:i1])
-        # the float64 sum ``active.mean`` takes
-        np.add.reduce(active, axis=1, dtype=np.float64, out=n_active[i0:i1])
-        if i0 == 0:
-            col_coef = np.add.reduce(coef, axis=0)
-        else:
-            for row in coef:
-                np.add(col_coef, row, out=col_coef)
+    resid = np.subtract(hp[:, None], hn)
+    np.subtract(c, resid, out=resid)
+    margin = np.multiply(resid, resid)
+    np.subtract(margin, s_batch[:, None], out=margin)
+    active = np.greater(margin, 0.0)
+    # d/d(h_i - h_j) of (c - d)^2 on active pairs
+    coef = np.where(active, np.multiply(resid, -2.0, out=resid), 0.0)
+    # the float64 sum ``active.mean`` takes
+    n_active = np.add.reduce(active, axis=1, dtype=np.float64)
     scale = 1.0 / (bp * rho * bn)
-    g_w = scale * (pos_x.T @ row_coef - neg_x.T @ col_coef)
+    g_w = scale * (pos_x.T @ np.add.reduce(coef, axis=1)
+                   - neg_x.T @ np.add.reduce(coef, axis=0))
     g_s = (1.0 - n_active / bn / rho) / bp
     return g_w, g_s
 
@@ -233,14 +206,31 @@ def pauc_full_subgrads(x: np.ndarray, data: LabeledDataset,
                        params: PaucParams) -> np.ndarray:
     """Deterministic full-data subgradient of the task loss in ``[w, s]``.
 
-    Same pair formula as the batch oracle with the batches equal to the
-    whole populations, so the stochastic oracle's expectation can be
-    checked against it directly.  The pairs are processed in blocks, so
-    memory stays small at any population size.
+    The batch oracle's pair formula over the whole populations, so the
+    oracle's expectation can be checked against it; it shares no code with
+    the oracle.  As in :func:`pauc_objective`, positive ``i``'s coefficient
+    ``-2 sum(e_i + g_j)`` reads prefix sums of ``g``.  Negative ``j``'s is
+    ``-2 (E_j + m_j g_j)``, where ``E_j`` and ``m_j`` sum ``e_i`` and 1 over
+    the positives it is active for: range adds over sorted positions.  The
+    ``s`` entries (the active counts) equal the dense formula's bit for
+    bit, the ``w`` entries up to rounding.  O(n log n) time, O(n) memory.
     """
     pos, neg = _split_counts(data)
-    w, s = split_scorer(x, data.dimension, pos.shape[0])
-    g_w, g_s = _pair_subgrads(w, s, pos, neg, params.rho, params.c)
+    n_pos, n_neg = pos.shape[0], neg.shape[0]
+    _, order, g, e, lo, hi = _sorted_pairs(x, pos, neg, params.c)
+    cnt = lo + (n_neg - hi)
+    row_coef = -2.0 * (cnt * e + _active_sums(g, lo, hi))
+
+    def range_adds(v):
+        # position j sums v_i over the positives with lo_i > j or hi_i <= j
+        before = np.bincount(lo, v, n_neg + 1)[:0:-1].cumsum()[::-1]
+        return before + np.bincount(hi, v, n_neg + 1)[:-1].cumsum()
+
+    col_coef = np.empty(n_neg)
+    col_coef[order] = -2.0 * (range_adds(e) + range_adds(np.ones(n_pos)) * g)
+    scale = 1.0 / (n_pos * params.rho * n_neg)
+    g_w = scale * (pos.T @ row_coef - neg.T @ col_coef)
+    g_s = (1.0 - cnt / n_neg / params.rho) / n_pos
     return np.concatenate([g_w, g_s])
 
 
@@ -323,7 +313,8 @@ def pauc_fair_problem(data: LabeledDataset, params: PaucParams,
         set_y=ball(np.zeros(d), dual_radius),
         set_z=None,
         full_objective=full_objective,
-        name="pauc-fair",
+        # 2: sorted full-data maps; trace objectives moved by ulps from 1
+        name="pauc-fair/2",
     )
 
 

@@ -236,7 +236,7 @@ def test_build_problem_kinds(tmp_path):
         build_problem({"kind": "pu-synth"})
     pauc = build_problem({"kind": "pauc-synth", "n": 40, "dim": 3,
                           "alpha_fair": 0.5})
-    assert pauc.name == "pauc-fair"
+    assert pauc.name == "pauc-fair/2"
     with pytest.raises(ParameterError, match="kind"):
         build_problem({"kind": "nope"})
     with pytest.raises(ParameterError):
@@ -303,7 +303,7 @@ def test_build_problem_libsvm_kinds(tmp_path):
         build_problem({"kind": "pu-libsvm", "path": str(p)})
     pauc = build_problem({"kind": "pauc-libsvm", "path": str(p),
                           "sensitive_feature": 2, "alpha_fair": 0.1})
-    assert pauc.name == "pauc-fair"
+    assert pauc.name == "pauc-fair/2"
     with pytest.raises(ParameterError, match="sensitive_feature"):
         build_problem({"kind": "pauc-libsvm", "path": str(p),
                        "sensitive_feature": 9})

@@ -37,14 +37,31 @@ def _dense_objective(x, data, params):
     return float(np.mean(s)) + float(hinged.sum()) / (n_pos * params.rho * n_neg)
 
 
-def _bits(value):
-    return np.float64(value).view(np.uint64)
+# The sorted full-data maps sum in another order than the dense n_pos x
+# n_neg formulas: the objective and the w entries of the subgradient must
+# agree to this relative tolerance; the active sets, and so the s entries,
+# agree bit for bit.
+_DENSE_RTOL = 1e-12
 
 
 def _pauc_data(n_pos, n_neg, dim, seed):
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.repeat([1, -1], [n_pos, n_neg]))
     return LabeledDataset(rng.normal(size=(n_pos + n_neg, dim)), labels)
+
+
+def _assert_dense_active_sets(x, data, params):
+    """The inactive ends bound exactly the dense formula's inactive pairs
+    of the sorted negative scores."""
+    pos = data.features[data.labels == 1]
+    neg = data.features[data.labels == -1]
+    w, s = split_scorer(x, data.dimension, pos.shape[0])
+    h = np.sort(neg @ w)
+    resid = params.c - ((pos @ w)[:, None] - h)
+    active = resid * resid - s[:, None] > 0.0
+    lo, hi = pauc_module._inactive_ends(pos @ w, h, s, params.c)
+    j = np.arange(h.size)
+    assert np.array_equal(active, (j < lo[:, None]) | (j >= hi[:, None]))
 
 
 def _tiny():
@@ -160,7 +177,7 @@ def test_problem_wiring_and_constants():
     params = PaucParams(rho=0.4, alpha_fair=0.3, lambda0=1.2,
                         batch_pos=4, batch_neg=4, batch_attr=8)
     prob = pauc_fair_problem(data, params)
-    assert prob.name == "pauc-fair"
+    assert prob.name == "pauc-fair/2"
     assert prob.dim_x == 3 + data.n_pos
     assert prob.psi_subgrad_x is None and prob.psi_grad_z is None
     assert prob.constants.mu_phi == params.lambda0
@@ -178,7 +195,10 @@ def test_problem_wiring_and_constants():
         prob.full_objective(np.zeros(prob.dim_x + 1))
 
 
-# (n_pos, n_neg, threshold range); the pair block is 2**16 = 65536
+# (n_pos, n_neg, threshold range): shapes that once split the blocked pair
+# sum into one node, leaves ending inside rows, several tree levels and a
+# row wider than a leaf.  The sorted objective must match the dense formula
+# within ``_DENSE_RTOL``; its active pairs must match bit for bit.
 _BLOCKED_SHAPES = {
     "single-node": (40, 90, (0.2, 2.0)),
     "total-not-multiple-of-8": (37, 2003, (0.2, 2.0)),
@@ -194,31 +214,18 @@ def test_blocked_objective_matches_the_dense_formula_bit_for_bit(shape):
     n_pos, n_neg, (s_lo, s_hi) = _BLOCKED_SHAPES[shape]
     data = _pauc_data(n_pos, n_neg, 3, seed=n_pos + n_neg)
     params = PaucParams(rho=0.3, c=1.0)
+    prob = pauc_fair_problem(data, params)
     rng = np.random.default_rng(n_pos)
     for _ in range(3):
         x = np.concatenate([rng.normal(size=3),
                             rng.uniform(s_lo, s_hi, size=n_pos)])
+        _assert_dense_active_sets(x, data, params)
         want = _dense_objective(x, data, params)
-        assert _bits(pauc_objective(x, data, params)) == _bits(want)
-        assert _bits(pauc_fair_problem(data, params).full_objective(x)) \
-            == _bits(want)
+        got = pauc_objective(x, data, params)
+        assert abs(got - want) <= _DENSE_RTOL * abs(want)
+        assert _same_bits(prob.full_objective(x), got)
     if shape == "no-pair-active":
         assert pauc_objective(x, data, params) == float(np.mean(x[3:]))
-
-
-@pytest.mark.parametrize("block", [128, 129, 1000])
-def test_blocked_objective_is_exact_for_any_leaf_size(monkeypatch, block):
-    # small leaves start and end inside rows at many offsets
-    monkeypatch.setattr(pauc_module, "_PAIR_BLOCK", block)
-    rng = np.random.default_rng(block)
-    params = PaucParams(rho=0.4, c=1.5)
-    for n_pos, n_neg in [(1, 1), (1, 5000), (9, 7), (17, 301), (64, 128),
-                         (129, 3)]:
-        data = _pauc_data(n_pos, n_neg, 2, seed=n_pos * n_neg)
-        x = np.concatenate([rng.normal(size=2),
-                            rng.uniform(-0.5, 3.0, size=n_pos)])
-        assert _bits(pauc_objective(x, data, params)) == \
-            _bits(_dense_objective(x, data, params))
 
 
 def test_objective_memory_stays_blocked():
@@ -253,7 +260,6 @@ def test_objective_leaves_no_reference_cycle():
 
 def test_trace_rows_record_the_dense_objective_at_their_anchor():
     data = synth_biased_pauc(600, 4, seed=11)
-    assert data.n_pos * data.n_neg > pauc_module._PAIR_BLOCK
     params = PaucParams(rho=0.3, alpha_fair=0.5, batch_pos=8, batch_neg=8,
                         batch_attr=8)
     prob = pauc_fair_problem(data, params)
@@ -265,8 +271,8 @@ def test_trace_rows_record_the_dense_objective_at_their_anchor():
     for rec in res.records:
         anchor = res.states[rec.t].x
         assert res.states[rec.t].t == rec.t
-        assert _bits(rec.objective) == \
-            _bits(_dense_objective(anchor, data, params))
+        want = _dense_objective(anchor, data, params)
+        assert abs(rec.objective - want) <= _DENSE_RTOL * abs(want)
 
 
 def _dense_pair_subgrads(w, s_batch, pos_x, neg_x, rho, c):
@@ -338,13 +344,12 @@ def test_sigmoid_matches_the_masked_formula_bit_for_bit():
         assert _same_bits(pauc_module._sigmoid(t), _masked_sigmoid(t))
 
 
-@pytest.mark.parametrize("block", [128, 1000, 1 << 16])
-def test_full_subgrads_match_the_dense_formula_on_edge_shapes(monkeypatch,
-                                                              block):
-    # blocks of one row, of a few rows, and a single column of many rows
-    monkeypatch.setattr(pauc_module, "_PAIR_BLOCK", block)
+@pytest.mark.parametrize("seed", [128, 1000, 1 << 16])
+def test_full_subgrads_match_the_dense_formula_on_edge_shapes(seed):
+    # one pair, one row, one column, and rows and columns of many sizes,
+    # with some, every and no pair active
     params = PaucParams(rho=0.3, c=1.0)
-    rng = np.random.default_rng(block)
+    rng = np.random.default_rng(seed)
     for n_pos, n_neg in [(1, 1), (1, 3000), (3000, 1), (37, 2003),
                          (300, 129), (130, 1)]:
         data = _pauc_data(n_pos, n_neg, 3, seed=n_pos + n_neg)
@@ -355,8 +360,10 @@ def test_full_subgrads_match_the_dense_formula_on_edge_shapes(monkeypatch,
                                 rng.uniform(s_lo, s_hi, size=n_pos)])
             g_w, g_s = _dense_pair_subgrads(x[:3], x[3:], pos, neg,
                                             params.rho, params.c)
-            assert _same_bits(pauc_full_subgrads(x, data, params),
-                              np.concatenate([g_w, g_s]))
+            g = pauc_full_subgrads(x, data, params)
+            assert np.linalg.norm(g[:3] - g_w) <= \
+                _DENSE_RTOL * np.linalg.norm(g_w)
+            assert _same_bits(g[3:], g_s)
 
 
 def test_full_subgrads_memory_stays_blocked():
@@ -371,6 +378,116 @@ def test_full_subgrads_memory_stays_blocked():
         tracemalloc.stop()
     # the dense n_pos x n_neg temporaries took 133 MB here
     assert peak < 8 * 2 ** 20
+
+
+# (n_pos, n_neg, thresholds, tied scores)
+_DENSE_SHAPES = {
+    "random": (37, 53, "uniform", False),
+    "tied-scores": (41, 29, "uniform", True),
+    "negative-thresholds": (23, 31, "negative", False),
+    "zero-thresholds": (31, 23, "zero", True),
+    "mixed-sign-thresholds": (33, 35, "mixed", False),
+    "thresholds-on-pair-losses": (29, 37, "pair-loss", False),
+    "tied-thresholds-on-pair-losses": (29, 37, "pair-loss", True),
+    "no-pair-active": (17, 19, "huge", False),
+    "one-positive": (1, 60, "uniform", False),
+    "one-negative": (60, 1, "pair-loss", False),
+    "many-negatives": (7, 4001, "pair-loss", False),  # a 12-step bisection
+}
+
+
+def _dense_case(shape, scale, rng):
+    """A small dataset and a point ``[w, s]`` of one ``_DENSE_SHAPES`` kind."""
+    n_pos, n_neg, thresholds, tied = _DENSE_SHAPES[shape]
+    n = n_pos + n_neg
+    if tied:
+        # five distinct rows: many scores tie, within and across the classes
+        feats = rng.normal(size=(5, 3))[rng.integers(0, 5, size=n)]
+    else:
+        feats = rng.normal(size=(n, 3))
+    labels = rng.permutation(np.repeat([1, -1], [n_pos, n_neg]))
+    data = LabeledDataset(feats * scale, labels)
+    w = rng.normal(size=3)
+    pos = data.features[labels == 1]
+    neg = data.features[labels == -1]
+    loss = (1.0 - ((pos @ w)[:, None] - (neg @ w)[None, :])) ** 2
+    if thresholds == "negative":
+        s = -rng.uniform(0.1, 3.0, size=n_pos)
+    elif thresholds == "zero":
+        # a run's start: every pair whose residual is not 0 is active
+        s = np.zeros(n_pos)
+    elif thresholds == "mixed":
+        s = rng.normal(size=n_pos) * float(loss.mean())
+    elif thresholds == "huge":
+        s = rng.uniform(1e6, 2e6, size=n_pos) * max(scale, 1.0) ** 2
+    elif thresholds == "pair-loss":
+        # each threshold exactly on one of its pairs' losses: a hinge kink
+        s = loss[np.arange(n_pos), rng.integers(0, n_neg, size=n_pos)]
+    else:
+        s = rng.uniform(0.2, 2.0, size=n_pos) * float(loss.mean())
+    return data, pos, neg, np.concatenate([w, s])
+
+
+@pytest.mark.parametrize("shape", sorted(_DENSE_SHAPES))
+def test_sorted_maps_match_the_dense_formula(shape):
+    params = PaucParams(rho=0.3, c=1.0)
+    rng = np.random.default_rng(len(shape))
+    for scale in (0.1, 1.0, 30.0):
+        for _ in range(4):
+            data, pos, neg, x = _dense_case(shape, scale, rng)
+            w, s = x[:3], x[3:]
+            _assert_dense_active_sets(x, data, params)
+            want = _dense_objective(x, data, params)
+            got = pauc_objective(x, data, params)
+            assert abs(got - want) <= _DENSE_RTOL * abs(want)
+            g_w, g_s = _dense_pair_subgrads(w, s, pos, neg, params.rho,
+                                            params.c)
+            g = pauc_full_subgrads(x, data, params)
+            assert np.linalg.norm(g[:3] - g_w) <= \
+                _DENSE_RTOL * np.linalg.norm(g_w)
+            assert _same_bits(g[3:], g_s)
+            if shape == "no-pair-active":
+                assert got == float(np.mean(s))
+                assert np.all(g[:3] == 0.0)
+
+
+def test_sorted_maps_are_bit_reproducible():
+    data = synth_biased_pauc(600, 4, seed=12)
+    params = PaucParams(rho=0.3)
+    prob = pauc_fair_problem(data, params)
+    rng = np.random.default_rng(12)
+    xs = np.concatenate([rng.normal(size=(3, 4)),
+                         rng.uniform(0.0, 2.0, size=(3, data.n_pos))], axis=1)
+    # a fresh copy of the data holds no state of the first calls
+    again = LabeledDataset(data.features.copy(), data.labels.copy(),
+                           data.sensitive.copy())
+    stacked = prob.full_objective(xs)
+    for x, row in zip(xs, stacked):
+        value = pauc_objective(x, data, params)
+        assert _same_bits(value, pauc_objective(x, again, params))
+        assert _same_bits(value, prob.full_objective(x))
+        assert _same_bits(value, row)
+        assert _same_bits(pauc_full_subgrads(x, data, params),
+                          pauc_full_subgrads(x, again, params))
+
+
+def test_sorted_maps_scale_to_billions_of_pairs():
+    # about 2.5e9 pairs: the dense pair arrays would take 20 GB each
+    data = synth_biased_pauc(100_000, 20, seed=3)
+    params = PaucParams(rho=0.3)
+    rng = np.random.default_rng(3)
+    x = np.concatenate([0.3 * rng.normal(size=20),
+                        rng.uniform(0.0, 2.0, size=data.n_pos)])
+    for full_map in (pauc_objective, pauc_full_subgrads):
+        tracemalloc.start()
+        try:
+            first = full_map(x, data, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(first))
+        assert peak < 32 * 2 ** 20
+        assert _same_bits(first, full_map(x, data, params))
 
 
 def test_primal_oracle_reproduces_the_documented_sampling():
@@ -423,7 +540,7 @@ def test_alpha_without_attributes_is_rejected():
         pauc_fair_problem(data, PaucParams(alpha_fair=0.5))
     # alpha = 0 is fine without attributes
     prob = pauc_fair_problem(data, PaucParams(alpha_fair=0.0))
-    assert prob.name == "pauc-fair"
+    assert prob.name == "pauc-fair/2"
 
 
 def test_split_scorer_validates_shape():

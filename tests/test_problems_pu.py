@@ -63,6 +63,25 @@ def test_hinge_kink_uses_zero_subgradient():
     assert np.allclose(g_phi2, [-0.5 - 1.0])  # both phi hinges active
 
 
+def test_full_subgrads_match_central_differences_of_the_objective():
+    # criterion 10's PU point: phi - psi must be the derivative of the risk
+    positives, unlabeled = synth_gaussian_pu(60, 140, 5, 1.5, 0.5, seed=3)
+    params = PuParams(pi_p=0.5)
+    w = np.array([0.21, -0.13, 0.08, 0.33, -0.27])
+    mp = positives.features @ w
+    mu = unlabeled.features @ w
+    kink_gap = min(np.abs(mp - 1.0).min(), np.abs(mp + 1.0).min(),
+                   np.abs(mu + 1.0).min())
+    assert kink_gap > 1e-3, "test point accidentally sits near a kink"
+    g_phi, g_psi = pu_full_subgrads(w, positives, unlabeled, params)
+    h = 1e-6
+    fd = np.array([(pu_objective(w + h * e, positives, unlabeled, params)
+                    - pu_objective(w - h * e, positives, unlabeled, params))
+                   / (2 * h) for e in np.eye(5)])
+    g = g_phi - g_psi
+    assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0) < 1e-6
+
+
 def test_component_subgrads_share_the_positive_batch():
     gen_data = np.random.default_rng(0)
     positives = LabeledDataset(gen_data.normal(size=(50, 3)), np.ones(50))

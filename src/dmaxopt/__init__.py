@@ -39,10 +39,8 @@ from .smag import (
     Schedule,
     SmagState,
     initial_state,
-    potential_diagnostic,
     run,
     schedule_from_theory,
-    step,
     step_diagnostics,
     validate_schedule,
 )
@@ -80,10 +78,8 @@ __all__ = [
     "Schedule",
     "SmagState",
     "initial_state",
-    "potential_diagnostic",
     "run",
     "schedule_from_theory",
-    "step",
     "step_diagnostics",
     "validate_schedule",
     "BaselineResult",

@@ -27,7 +27,6 @@ from .smag import (
     _Feed,
     _drive,
     _norms,
-    _one_step,
     _stack,
     _streams,
     initial_state,
@@ -35,8 +34,6 @@ from .smag import (
 
 __all__ = [
     "BaselineState",
-    "sgd_step",
-    "sgda_step",
     "run_sgd",
     "run_sgda",
 ]
@@ -78,30 +75,10 @@ def _sgd_oracles(problem: DMaxProblem) -> list:
     return [problem.phi_subgrad_x, problem.psi_subgrad_x]
 
 
-def _sgda_oracles(problem: DMaxProblem, state: BaselineState) -> list:
+def _sgda_oracles(problem: DMaxProblem) -> list:
     if problem.phi_grad_y is None or problem.set_y is None:
         raise CapabilityError("sgda baseline needs a dual oracle and set")
-    if state.y is None:
-        raise ParameterError("sgda state has no dual iterate")
     return [problem.phi_subgrad_x, problem.phi_grad_y]
-
-
-def sgd_step(problem: DMaxProblem, state: BaselineState, lr: float,
-             rng, *, shared_sample: bool = False) -> BaselineState:
-    """One step of x <- x - lr (g_phi - g_psi) with independent samples per
-    component (or one shared sample when ``shared_sample`` is set)."""
-    return _one_step(lambda st, feed: _sgd_kernel(problem, st, lr, feed),
-                     state, rng, _sgd_oracles(problem), shared_sample)
-
-
-def sgda_step(problem: DMaxProblem, state: BaselineState, lr_x: float,
-              lr_y: float, rng,
-              *, shared_sample: bool = False) -> BaselineState:
-    """One simultaneous descent-ascent step; both gradients are evaluated at
-    the pre-update pair (x, y)."""
-    return _one_step(
-        lambda st, feed: _sgda_kernel(problem, st, lr_x, lr_y, feed),
-        state, rng, _sgda_oracles(problem, state), shared_sample)
 
 
 @dataclass
@@ -112,14 +89,15 @@ class BaselineResult:
     abort_reason: str = ""
 
 
-def _run(problem: DMaxProblem, oracles, kernel, t_total: int, rng, x0, *,
-         seed_label, shared_sample: bool, **loop):
-    """Drive ``kernel`` from ``x0`` and the projected dual origin, for one
-    stream or, in lockstep, for each stream of a sequence."""
+def _run(problem: DMaxProblem, oracles: list, kernel, t_total: int, rng, x0,
+         *, seed_label, shared_sample: bool, **loop):
+    """Drive ``kernel`` on the two token slots ``oracles`` from ``x0`` and
+    the projected dual origin, for one stream or, in lockstep, for each
+    stream of a sequence."""
     rngs, labels = _streams(rng, seed_label)
     start = initial_state(problem, x0)
     state = BaselineState(x=start.x, y=start.y, last_dir=start.last_g)
-    feed = _Feed(rngs, oracles(state), shared_sample)
+    feed = _Feed(rngs, oracles, shared_sample)
     finals, records, reasons = _drive(
         problem, _stack(state, len(rngs)), t_total,
         lambda st, scale: kernel(st, scale, feed), feed, _direction_norm,
@@ -146,7 +124,7 @@ def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
     """
     if not (lr > 0 and math.isfinite(lr)):
         raise ParameterError("lr must be positive and finite")
-    return _run(problem, lambda st: _sgd_oracles(problem),
+    return _run(problem, _sgd_oracles(problem),
                 lambda st, scale, feed: _sgd_kernel(problem, st, lr * scale,
                                                     feed),
                 t_total, rng, x0, seed_label=seed_label,
@@ -164,7 +142,7 @@ def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
     if not (lr_x > 0 and lr_y > 0 and math.isfinite(lr_x)
             and math.isfinite(lr_y)):
         raise ParameterError("step sizes must be positive and finite")
-    return _run(problem, lambda st: _sgda_oracles(problem, st),
+    return _run(problem, _sgda_oracles(problem),
                 lambda st, scale, feed: _sgda_kernel(
                     problem, st, lr_x * scale, lr_y * scale, feed),
                 t_total, rng, x0, seed_label=seed_label,

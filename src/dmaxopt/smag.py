@@ -61,13 +61,9 @@ __all__ = [
     "schedule_from_theory",
     "validate_schedule",
     "initial_state",
-    "step",
     "RunResult",
     "run",
-    "PotentialTrace",
-    "potential_diagnostic",
     "step_diagnostics",
-    "lr_scale_at",
 ]
 
 Mode = Literal["dmax", "dwc", "minmax"]
@@ -287,18 +283,6 @@ def validate_schedule(sched: Schedule, constants: ProblemConstants,
             f"eta0={s.eta0} exceeds the smoothness cap {0.5 / s.l_f}")
 
 
-def lr_scale_at(t: int, milestones: Sequence[int], factor: float) -> float:
-    """Multiplicative step-size scale at step ``t`` given decay milestones.
-
-    Each milestone ``m`` with ``m <= t`` divides both step sizes by
-    ``factor``.  An empty milestone list keeps the schedule constant.
-    """
-    if factor <= 0:
-        raise ParameterError("decay factor must be positive")
-    hits = sum(1 for m in milestones if m <= t)
-    return factor ** (-hits)
-
-
 # ---------------------------------------------------------------------------
 # lockstep seeds
 
@@ -476,19 +460,6 @@ def _streams(rng, seed_label):
     return rngs, list(seed_label)
 
 
-def _one_step(kernel, state, rng: RngStream, oracles, shared_sample: bool):
-    """``kernel(state, feed)`` for one step of the 1-D ``state`` on the
-    stream ``rng``; a failure raises its :class:`NonFiniteError`."""
-    if np.ndim(state.x) != 1:
-        raise ParameterError("a step takes one state with a 1-D x")
-    feed = _Feed([rng], oracles, shared_sample)
-    feed.next_step(1)
-    nxt = kernel(_pick(state, None), feed)
-    if feed.failed:
-        raise feed.failed[0]
-    return _pick(nxt, 0)
-
-
 # ---------------------------------------------------------------------------
 # the step kernel
 
@@ -542,23 +513,6 @@ def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
     feed.check(x_new, "anchor iterate became non-finite")
     return SmagState(x=x_new, x_phi=x_phi_new, x_psi=x_psi_new, y=y_new,
                      z=z_new, last_g=g_vec, t=st.t + 1)
-
-
-def step(problem: DMaxProblem, state: SmagState, sched: Schedule,
-         rng, mode: Mode, *, shared_sample: bool = False,
-         lr_scale: float = 1.0) -> SmagState:
-    """One step in ``mode``.
-
-    Draws four tokens from ``rng`` for the phi_x, phi_y, psi_x and psi_z
-    oracles, in that order, whatever the mode; ``shared_sample`` feeds the
-    first token to all four.  ``lr_scale`` multiplies both step sizes.
-    A non-finite value raises :class:`NonFiniteError`.
-    """
-    _check_mode(mode)
-    return _one_step(
-        lambda st, feed: _smag_kernel(problem, st, sched, mode, lr_scale,
-                                      feed),
-        state, rng, _smag_oracles(problem, mode), shared_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +626,16 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     The output index is drawn up front from a child stream of ``rng`` (see
     :class:`RunResult`).  A non-finite oracle value aborts the run; the
     partial trace is kept and the result flagged rather than raised.
+    Each step draws four tokens, for the phi_x, phi_y, psi_x and psi_z
+    oracles in that order whatever the mode; ``shared_sample`` feeds the
+    first to all four.  Each milestone ``m`` of ``decay_milestones``
+    divides both step sizes by ``decay_factor`` from step ``m`` (counted
+    from 0) on.  A row's ``p_t`` is the analysis potential of the step
+    into it: the squared distances of the inner iterates after the step
+    from the exact prox points of the anchor before it (and of each dual
+    from its best response there), times ``2 eta0 / (eta1 gamma^2
+    alpha)``; it is NaN unless exact metrics are on and ``exact_aux`` has
+    the best response of each dual the run steps.
 
     With a sequence of streams for ``rng`` (and of labels for
     ``seed_label``, or one int label for all) the seeds step in lockstep
@@ -769,6 +733,8 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
     marks the rows whose step failed in ``feed``; those rows are dropped
     here, their seeds keeping the state before the step.  ``on_step(prev,
     state, rows)`` then sees the surviving rows, whose seeds are ``rows``.
+    At step ``t`` (from 0) each milestone ``m <= t`` divides ``lr_scale``
+    by ``decay_factor``, which must be positive and finite.
 
     Every ``trace_every`` steps and at the last one each live seed gets a
     :class:`RunRecord`.  Such a step only reads the clock and holds its
@@ -788,8 +754,8 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
         raise ParameterError("t_total must be >= 1")
     if trace_every < 1:
         raise ParameterError("trace_every must be >= 1")
-    if decay_factor <= 0:
-        raise ParameterError("decay factor must be positive")
+    if not 0.0 < decay_factor < math.inf:
+        raise ParameterError("decay_factor must be positive and finite")
     if not feed.rngs or len(seed_labels) != len(feed.rngs):
         raise ParameterError(
             "need at least one stream and one seed label per stream")
@@ -820,7 +786,8 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
 
     start = time.perf_counter()
     for t in range(t_total):
-        scale = lr_scale_at(t, milestones, decay_factor) if milestones else 1.0
+        scale = (decay_factor ** -sum(m <= t for m in milestones)
+                 if milestones else 1.0)
         feed.next_step(t_total - t)
         prev = state
         state = kernel(prev, scale)
@@ -855,51 +822,6 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
 
 # ---------------------------------------------------------------------------
 # diagnostics
-
-
-@dataclass(frozen=True)
-class PotentialTrace:
-    """Per-step potential values and (when value oracles exist) the smoothed
-    objective along the anchors."""
-
-    p_t: np.ndarray
-    f_gamma: Optional[np.ndarray]
-    coefficient: float
-
-
-def potential_diagnostic(problem: DMaxProblem, states: Sequence[SmagState],
-                         sched: Schedule, mode: Mode = "dmax") -> PotentialTrace:
-    """Evaluate the analysis potential along a recorded trajectory.
-
-    For consecutive states ``(s_t, s_{t+1})`` the potential at step ``t``
-    measures how far the inner iterates at ``t+1`` sit from the exact
-    proximal points of the anchor ``x_t`` (and the duals from the exact
-    best responses at those proximal points), scaled by
-    ``2 eta0 / (eta1 gamma^2 alpha)``.  It has the terms of the parts a
-    run in ``mode`` steps on ``problem``.
-    """
-    _check_mode(mode)
-    if len(states) < 2:
-        raise ParameterError("need at least two consecutive states")
-    gamma = sched.gamma
-    coef = 2.0 * sched.eta0 / (sched.eta1 * gamma ** 2 * sched.alpha)
-    oracles = _smag_oracles(problem, mode)
-    aux = problem.exact_aux
-    missing = _missing_maps(aux, oracles, potential=True)
-    if missing:
-        raise CapabilityError(
-            f"potential diagnostic needs exact_aux.{missing[0]}")
-    with_psi = oracles[2] is not None
-    have_values = aux.value_phi is not None and (
-        not with_psi or aux.value_psi is not None)
-
-    x_t = np.array([s.x for s in states[:-1]])
-    p_vals = coef * _potential_terms(
-        aux, *_prox_pair(aux, x_t, gamma, oracles),
-        _concat([_pick(s, None) for s in states[1:]]), oracles)
-    f_vals = np.array([smoothed_objective(problem, x, gamma, with_psi)
-                       for x in x_t]) if have_values else None
-    return PotentialTrace(p_t=p_vals, f_gamma=f_vals, coefficient=coef)
 
 
 def step_diagnostics(problem: DMaxProblem, before: SmagState,

@@ -1,21 +1,15 @@
 """Tests for the plain subgradient baselines."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from dmaxopt.baselines import (
-    BaselineState,
-    run_sgd,
-    run_sgda,
-    sgd_step,
-    sgda_step,
-)
+from dmaxopt.baselines import run_sgd, run_sgda
 from dmaxopt.core import (
     CapabilityError,
     DMaxProblem,
-    NonFiniteError,
     ParameterError,
     ProblemConstants,
     RngStream,
@@ -30,11 +24,9 @@ from dmaxopt.problems import (
 )
 
 
-def test_sgd_step_algebra():
+def test_sgd_update_algebra():
     prob = make_onedim_dwc(1.0, 0.5)
-    state = BaselineState(x=np.array([2.0]), y=None,
-                          last_dir=np.zeros(1), t=0)
-    nxt = sgd_step(prob, state, 0.1, RngStream(0))
+    nxt = run_sgd(prob, 0.1, 1, RngStream(0), x0=2.0).final_state
     # direction = sign(2) - 0.5*sign(2) = 0.5
     assert np.allclose(nxt.x, [2.0 - 0.1 * 0.5], atol=1e-15)
     assert np.allclose(nxt.last_dir, [0.5], atol=1e-15)
@@ -47,9 +39,10 @@ def test_sgd_requires_both_components():
         constants=ProblemConstants(m_bound=1.0),
         phi_subgrad_x=lambda x, y, tok: np.zeros(1),
     )
-    state = BaselineState(x=np.zeros(1), y=None, last_dir=np.zeros(1), t=0)
+    rng = RngStream(0)
     with pytest.raises(CapabilityError):
-        sgd_step(prob, state, 0.1, RngStream(0))
+        run_sgd(prob, 0.1, 1, rng)
+    assert rng.counter == 0
 
 
 def test_sgd_token_usage():
@@ -62,49 +55,45 @@ def test_sgd_token_usage():
         psi_subgrad_x=lambda x, z, tok: seen.append(("psi", int(tok)))
         or np.zeros(1),
     )
-    state = BaselineState(x=np.zeros(1), y=None, last_dir=np.zeros(1), t=0)
     expect = [int(t) for t in RngStream(4).draw_many(2)]
-    sgd_step(prob, state, 0.1, RngStream(4))
+    run_sgd(prob, 0.1, 1, RngStream(4))
     assert seen == [("phi", expect[0]), ("psi", expect[1])]
     seen.clear()
-    sgd_step(prob, state, 0.1, RngStream(4), shared_sample=True)
+    run_sgd(prob, 0.1, 1, RngStream(4), shared_sample=True)
     assert seen == [("phi", expect[0]), ("psi", expect[0])]
 
 
-def test_sgda_step_is_simultaneous():
-    # phi(x, y) = <x, y> - |y|^2/2: both gradients must use the OLD pair
+def test_sgda_update_is_simultaneous():
+    # phi(x, y) = <x, y> - |y|^2/2: both gradients must use the OLD pair.
+    # Step 1 from (2, 0) gives (2, 0.4); step 2 gives x = 2 - 0.1 * 0.4
+    # (g_x = y_old) and y = 0.4 + 0.2 * (2 - 0.4) (g_y = x_old - y_old)
     prob = make_quadratic_minmax(dim=1)
-    state = BaselineState(x=np.array([2.0]), y=np.array([0.5]),
-                          last_dir=np.zeros(1), t=0)
-    nxt = sgda_step(prob, state, 0.1, 0.2, RngStream(0))
-    assert np.allclose(nxt.x, [2.0 - 0.1 * 0.5], atol=1e-15)   # g_x = y_old
-    assert np.allclose(nxt.y, [0.5 + 0.2 * 1.5], atol=1e-15)   # g_y = x_old-y_old
+    nxt = run_sgda(prob, 0.1, 0.2, 2, RngStream(0), x0=[2.0]).final_state
+    assert np.allclose(nxt.x, [1.96], atol=1e-15)
+    assert np.allclose(nxt.y, [0.72], atol=1e-15)
     # a sequential (non-simultaneous) update would have used x_new in g_y
-    assert not np.allclose(nxt.y, [0.5 + 0.2 * (float(nxt.x[0]) - 0.5)])
+    assert not np.allclose(nxt.y, [0.4 + 0.2 * (1.96 - 0.4)])  # 0.712
 
 
 def test_sgda_projects_dual():
     prob = make_quadratic_minmax(dim=1)
-    state = BaselineState(x=np.array([9.0]), y=np.array([0.9]),
-                          last_dir=np.zeros(1), t=0)
-    nxt = sgda_step(prob, state, 0.01, 1.0, RngStream(0))
-    assert nxt.y[0] == 1.0  # clipped to the box
+    nxt = run_sgda(prob, 0.01, 1.0, 1, RngStream(0), x0=[9.0]).final_state
+    assert nxt.y[0] == 1.0  # 0 + 1.0 * (9 - 0), clipped to the box
 
 
 def test_sgda_requires_dual_machinery():
-    prob = make_quadratic_minmax(dim=1)
-    state = BaselineState(x=np.zeros(1), y=None, last_dir=np.zeros(1), t=0)
-    with pytest.raises(ParameterError):
-        sgda_step(prob, state, 0.1, 0.1, RngStream(0))  # no dual iterate
     bare = DMaxProblem(
         dim_x=1,
         constants=ProblemConstants(m_bound=1.0),
         phi_subgrad_x=lambda x, y, tok: np.zeros(1),
     )
-    state2 = BaselineState(x=np.zeros(1), y=np.zeros(1),
-                           last_dir=np.zeros(1), t=0)
-    with pytest.raises(CapabilityError):
-        sgda_step(bare, state2, 0.1, 0.1, RngStream(0))
+    no_oracle = dataclasses.replace(make_quadratic_minmax(dim=1),
+                                    phi_grad_y=None)
+    for prob in (bare, no_oracle):
+        rng = RngStream(0)
+        with pytest.raises(CapabilityError, match="dual oracle and set"):
+            run_sgda(prob, 0.1, 0.1, 1, rng)
+        assert rng.counter == 0
 
 
 def test_run_sgda_refuses_a_problem_without_a_dual():
@@ -189,43 +178,45 @@ def _constant_problem(g_phi, g_psi=0.0):
         set_y=box([-1.0], [1.0]))
 
 
-@pytest.mark.parametrize("x, g, lr", [(1e308, -1e308, 1.0),
-                                      (-1e308, 1e308, 1.0),
-                                      (1.0, 1.0, math.nan)],
+@pytest.mark.parametrize("x, g, lr, factor", [(1e308, -1e308, 1.0, 1.0),
+                                              (-1e308, 1e308, 1.0, 1.0),
+                                              (1.0, 0.0, 1e300, 1e-300)],
                          ids=["+inf", "-inf", "nan"])
-def test_non_finite_iterates_keep_their_error_and_message(x, g, lr):
-    # +inf, -inf and NaN iterates from finite oracle values
+def test_non_finite_iterates_keep_their_error_and_message(x, g, lr, factor):
+    # +inf, -inf and NaN iterates from finite oracle values: the NaN comes
+    # from a step size that overflows (1e300 * 1e300) times a zero direction
     prob = _constant_problem(g)
-    state = BaselineState(x=np.array([x]), y=np.zeros(1),
-                          last_dir=np.zeros(1))
+    kw = dict(x0=[x], decay_milestones=(0,), decay_factor=factor)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError,
-                           match=r"^sgd iterate became non-finite$"):
-            sgd_step(prob, state, lr, RngStream(0))
-        with pytest.raises(NonFiniteError,
-                           match=r"^sgda iterate became non-finite$"):
-            sgda_step(prob, state, lr, 0.1, RngStream(0))
+        sgd = run_sgd(prob, lr, 1, RngStream(0), **kw)
+        sgda = run_sgda(prob, lr, 0.1, 1, RngStream(0), **kw)
+    assert (sgd.aborted, sgd.abort_reason) == (
+        True, "sgd iterate became non-finite")
+    assert (sgda.aborted, sgda.abort_reason) == (
+        True, "sgda iterate became non-finite")
+    assert sgd.final_state.x[0] == sgda.final_state.x[0] == x
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_oracle_values_stop_the_baselines(bad):
-    state = BaselineState(x=np.ones(1), y=np.zeros(1), last_dir=np.zeros(1))
     for prob, name in [(_constant_problem(bad), "phi_subgrad_x"),
                        (_constant_problem(1.0, bad), "psi_subgrad_x")]:
-        with pytest.raises(NonFiniteError,
-                           match=rf"^{name} returned a non-finite value$"):
-            sgd_step(prob, state, 0.1, RngStream(0))
+        res = run_sgd(prob, 0.1, 1, RngStream(0), x0=[1.0])
+        assert (res.aborted, res.abort_reason) == (
+            True, f"{name} returned a non-finite value")
+        assert res.final_state.t == 0
 
 
 def test_large_finite_iterates_are_accepted():
-    prob = _constant_problem(1e200, -1e200)
-    state = BaselineState(x=np.array([1e200]), y=np.zeros(1),
-                          last_dir=np.zeros(1))
+    # squares of iterates near 1e200 overflow; the runs must still take
+    # them (the traced direction norms, of 2e150 and 1e150, do not)
+    prob = _constant_problem(1e150, -1e150)
     with np.errstate(all="raise"):
-        assert sgd_step(prob, state, 0.1, RngStream(0)).x[0] == \
-            1e200 - 0.1 * 2e200
-        assert sgda_step(prob, state, 0.1, 0.1, RngStream(0)).x[0] == \
-            1e200 - 0.1 * 1e200
+        sgd = run_sgd(prob, 1e49, 1, RngStream(0), x0=[1e200])
+        sgda = run_sgda(prob, 1e49, 0.1, 1, RngStream(0), x0=[1e200])
+    assert not sgd.aborted and not sgda.aborted
+    assert sgd.final_state.x[0] == 1e200 - 1e49 * 2e150
+    assert sgda.final_state.x[0] == 1e200 - 1e49 * 1e150
 
 
 def test_run_validation():

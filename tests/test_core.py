@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -430,6 +432,17 @@ def test_import_leaves_numpy_random_unloaded():
                          capture_output=True, text=True, check=True,
                          timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_every_public_name_resolves_on_its_module():
+    # a stale __all__ entry breaks ``from <module> import *``
+    modules = [dmaxopt] + [
+        importlib.import_module(m.name)
+        for m in pkgutil.walk_packages(dmaxopt.__path__, "dmaxopt.")]
+    assert len(modules) > 10  # the subpackages' modules were found
+    assert [(mod.__name__, name) for mod in modules
+            for name in getattr(mod, "__all__", ())
+            if not hasattr(mod, name)] == []
 
 
 def test_rng_stream_rejects_negative_keys():

@@ -21,7 +21,7 @@ from dmaxopt.problems import (
     piecewise_quadratic,
     zero_function,
 )
-from dmaxopt.smag import Schedule, initial_state, step, step_diagnostics
+from dmaxopt.smag import Schedule, run, step_diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +222,10 @@ def test_a_problem_without_psi_reads_psi_as_zero():
         zero_psi, psi_subgrad_x=None, psi_fn=None,
         exact_aux=dataclasses.replace(zero_psi.exact_aux, prox_psi=None,
                                       value_psi=None))
-    sched = Schedule.from_manual(0.5, 0.005, 0.01, 10, zero_psi.constants,
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 1, zero_psi.constants,
                                  mode="minmax")
-    before = initial_state(zero_psi, [0.3, -2.0, 1.5])
-    after = step(zero_psi, before, sched, RngStream(0), "minmax")
+    before, after = run(zero_psi, "minmax", sched, RngStream(0),
+                        x0=[0.3, -2.0, 1.5], collect_states=True).states
     x, cand = np.array([0.3, -2.0, 1.5]), np.array([0.2, -1.0, 1.0])
     for f in (lambda p: envelope_prox_points(p, x, 0.5),
               lambda p: dmax_envelope_grad(p, x, 0.5),

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import dmaxopt.core as core
-from dmaxopt.baselines import BaselineState, run_sgd, run_sgda, sgda_step
+from dmaxopt.baselines import run_sgd, run_sgda
 from dmaxopt.core import (
     CapabilityError,
     DMaxProblem,
+    DimensionError,
     ExactAux,
     NonFiniteError,
     ParameterError,
@@ -22,6 +23,7 @@ from dmaxopt.core import (
     RngStream,
     box,
 )
+from dmaxopt.moreau import smoothed_objective
 from dmaxopt.problems import (
     PaucParams,
     PuParams,
@@ -29,7 +31,6 @@ from dmaxopt.problems import (
     make_pu_problem,
     make_quadratic_minmax,
     pauc_fair_problem,
-    piecewise_quadratic,
     synth_biased_pauc,
     synth_gaussian_pu,
 )
@@ -39,11 +40,8 @@ from dmaxopt.smag import (
     Schedule,
     SmagState,
     initial_state,
-    lr_scale_at,
-    potential_diagnostic,
     run,
     schedule_from_theory,
-    step,
     step_diagnostics,
     validate_schedule,
 )
@@ -233,17 +231,6 @@ def test_validate_schedule_coupling_and_nu():
         validate_schedule(bad_nu, c, "dwc")
 
 
-def test_lr_scale_at():
-    assert lr_scale_at(100, (), 10.0) == 1.0
-    ms = (10, 20)
-    assert lr_scale_at(5, ms, 2.0) == 1.0
-    assert lr_scale_at(10, ms, 2.0) == 0.5
-    assert lr_scale_at(19, ms, 2.0) == 0.5
-    assert lr_scale_at(20, ms, 2.0) == 0.25
-    with pytest.raises(ParameterError):
-        lr_scale_at(5, ms, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # the step kernel
 
@@ -252,11 +239,18 @@ def _manual_sched(gamma, eta0, eta1, constants, mode):
     return Schedule.from_manual(gamma, eta0, eta1, 10, constants, mode=mode)
 
 
-def test_one_step_matches_hand_rolled_update():
+def _states(prob, mode, sched, rng, x0=None, t_total=2, **kw):
+    """The states of a run of ``t_total`` steps on ``sched``'s step sizes,
+    the start first: its steps take the tokens that steps taken one at a
+    time would, since the output index comes from a child stream."""
+    return run(prob, mode, dataclasses.replace(sched, t_total=t_total), rng,
+               x0=x0, collect_states=True, **kw).states
+
+
+def test_single_steps_match_hand_rolled_updates():
     prob = make_onedim_dwc(1.0, 0.5)  # deterministic
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
-    state = initial_state(prob, 2.0)
-    nxt = step(prob, state, sched, RngStream(0), "dwc")
+    _, nxt, nxt2 = _states(prob, "dwc", sched, RngStream(0), 2.0)
     # x_phi: 2 - 0.01*(1 + (2-2)/0.5) = 1.99 ; x_psi: 2 - 0.01*0.5 = 1.995
     assert np.allclose(nxt.x_phi, [1.99], atol=1e-15)
     assert np.allclose(nxt.x_psi, [1.995], atol=1e-15)
@@ -266,7 +260,6 @@ def test_one_step_matches_hand_rolled_update():
     assert nxt.t == 1
 
     # second step exercises the proximal pull (x_phi != x)
-    nxt2 = step(prob, nxt, sched, RngStream(0), "dwc")
     want_phi = 1.99 - 0.01 * (1.0 + (1.99 - 1.99995) / 0.5)
     want_psi = 1.995 - 0.01 * (0.5 + (1.995 - 1.99995) / 0.5)
     assert np.allclose(nxt2.x_phi, [want_phi], atol=1e-15)
@@ -278,56 +271,55 @@ def test_one_step_matches_hand_rolled_update():
 def test_dmax_step_equals_dwc_step_with_degenerate_duals():
     prob = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
-    a = initial_state(prob, 2.0)
-    b = initial_state(prob, 2.0)
-    sa = step(prob, a, sched, RngStream(42), "dmax")
-    sb = step(prob, b, sched, RngStream(42), "dwc")
-    assert np.array_equal(sa.x, sb.x)
-    assert np.array_equal(sa.x_phi, sb.x_phi)
-    assert np.array_equal(sa.x_psi, sb.x_psi)
+    for sa, sb in zip(_states(prob, "dmax", sched, RngStream(42), 2.0),
+                      _states(prob, "dwc", sched, RngStream(42), 2.0)):
+        assert np.array_equal(sa.x, sb.x)
+        assert np.array_equal(sa.x_phi, sb.x_phi)
+        assert np.array_equal(sa.x_psi, sb.x_psi)
 
 
 def test_lr_scale_shrinks_the_step():
     prob = make_onedim_dwc(1.0, 0.5)
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
-    state = initial_state(prob, 2.0)
-    half = step(prob, state, sched, RngStream(0), "dwc", lr_scale=0.5)
+    # a milestone at step 0 halves both step sizes from the first step on
+    _, half = _states(prob, "dwc", sched, RngStream(0), 2.0, t_total=1,
+                      decay_milestones=(0,), decay_factor=2.0)
     # eta1 -> 0.005: x_phi = 2 - 0.005*1
     assert np.allclose(half.x_phi, [1.995], atol=1e-15)
 
 
 def test_minmax_step_algebra_and_stale_dual_anchor():
+    # phi(x, y) = <x, y> - |y|^2/2 on the box [-1, 1]^2, deterministic: the
+    # first step moves only y, so from the third state on x_phi != x and
+    # y != 0, and every step is checked against the update written out
     prob = make_quadratic_minmax(dim=2)
     sched = _manual_sched(0.5, 0.01, 0.05, prob.constants, "minmax")
-    state = SmagState(x=np.array([1.0, -1.0]),
-                      x_phi=np.array([0.5, 0.2]),
-                      x_psi=np.array([7.0, 7.0]),   # must stay frozen
-                      y=np.array([0.3, -0.4]),
-                      z=None, last_g=np.zeros(2), t=0)
-    nxt = step(prob, state, sched, RngStream(1), "minmax")
-    want_phi = state.x_phi - 0.05 * (state.y + 2.0 * (state.x_phi - state.x))
-    assert np.allclose(nxt.x_phi, want_phi, atol=1e-15)
-    # dual ascent must use the PRE-update x_phi
-    want_y = state.y + 0.05 * (state.x_phi - state.y)
-    assert np.allclose(nxt.y, want_y, atol=1e-15)
-    stale_wrong = state.y + 0.05 * (nxt.x_phi - state.y)
-    assert not np.allclose(nxt.y, stale_wrong)
-    # anchor moves along (x_t - x_phi_new)/gamma
-    want_g = (state.x - want_phi) / 0.5
-    assert np.allclose(nxt.last_g, want_g, atol=1e-15)
-    assert np.allclose(nxt.x, state.x - 0.01 * want_g, atol=1e-15)
-    # the unused second component never moves
-    assert np.array_equal(nxt.x_psi, state.x_psi)
+    x0 = np.array([1.0, -1.0])
+    states = _states(prob, "minmax", sched, RngStream(1), x0, t_total=6)
+    assert not np.array_equal(states[2].x_phi, states[2].x)
+    assert np.all(states[2].y != 0.0)
+    for t, (s, nxt) in enumerate(zip(states[:-1], states[1:])):
+        want_phi = s.x_phi - 0.05 * (s.y + 2.0 * (s.x_phi - s.x))
+        assert np.allclose(nxt.x_phi, want_phi, atol=1e-15)
+        # dual ascent must use the PRE-update x_phi
+        want_y = np.clip(s.y + 0.05 * (s.x_phi - s.y), -1.0, 1.0)
+        assert np.allclose(nxt.y, want_y, atol=1e-15)
+        if t >= 1:
+            stale_wrong = s.y + 0.05 * (nxt.x_phi - s.y)
+            assert not np.allclose(nxt.y, stale_wrong)
+        # anchor moves along (x_t - x_phi_new)/gamma
+        want_g = (s.x - want_phi) / 0.5
+        assert np.allclose(nxt.last_g, want_g, atol=1e-15)
+        assert np.allclose(nxt.x, s.x - 0.01 * want_g, atol=1e-15)
+        # the unused second component never moves
+        assert np.array_equal(nxt.x_psi, x0)
 
 
 def test_dual_projection_clips_to_box():
     prob = make_quadratic_minmax(dim=1)
     sched = _manual_sched(0.5, 0.01, 0.2, prob.constants, "minmax")
-    state = SmagState(x=np.array([50.0]), x_phi=np.array([50.0]),
-                      x_psi=np.array([0.0]), y=np.array([0.9]),
-                      z=None, last_g=np.zeros(1), t=0)
-    nxt = step(prob, state, sched, RngStream(1), "minmax")
-    # unclipped: 0.9 + 0.2*(50-0.9) >> 1
+    _, nxt = _states(prob, "minmax", sched, RngStream(1), [50.0], t_total=1)
+    # unclipped: 0 + 0.2*(50-0) = 10 >> 1
     assert nxt.y[0] == 1.0
 
 
@@ -354,20 +346,19 @@ def test_step_token_order_and_shared_sample():
 
     rng = RngStream(3)
     expect = [int(t) for t in RngStream(3).draw_many(4)]
-    step(prob, initial_state(prob), sched, rng, "dmax")
+    _states(prob, "dmax", sched, rng, t_total=1)
     assert [name for name, _ in calls] == ["phi_x", "phi_y", "psi_x", "psi_z"]
     assert [tok for _, tok in calls] == expect
 
     calls.clear()
-    step(prob, initial_state(prob), sched, RngStream(3), "dmax",
-         shared_sample=True)
+    _states(prob, "dmax", sched, RngStream(3), t_total=1, shared_sample=True)
     assert [tok for _, tok in calls] == [expect[0]] * 4
 
     # dwc skips the dual oracles but still consumes four tokens,
     # feeding phi/psi the same tokens as dmax does
     calls.clear()
     rng2 = RngStream(3)
-    step(prob, initial_state(prob), sched, rng2, "dwc")
+    _states(prob, "dwc", sched, rng2, t_total=1)
     assert [(n, t) for n, t in calls] == [("phi_x", expect[0]),
                                           ("psi_x", expect[2])]
     assert int(rng2.draw()) == int(rng.draw())  # streams stay aligned
@@ -381,9 +372,9 @@ def test_dwc_step_requires_psi_oracle():
     )
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "minmax")
     with pytest.raises(CapabilityError):
-        step(prob, initial_state(prob), sched, RngStream(0), "dwc")
+        run(prob, "dwc", sched, RngStream(0))
     # minmax mode is fine without psi
-    step(prob, initial_state(prob), sched, RngStream(0), "minmax")
+    assert not run(prob, "minmax", sched, RngStream(0)).aborted
 
 
 def test_a_shipped_problem_has_each_dual_whole_or_not_at_all():
@@ -440,7 +431,7 @@ def test_oracle_shape_is_validated():
     )
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
     with pytest.raises(ParameterError):
-        step(prob, initial_state(prob), sched, RngStream(0), "dwc")
+        run(prob, "dwc", sched, RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +582,8 @@ def test_run_decay_milestones_match_hand_rolled_loop():
     res = run(prob, "dwc", sched, RngStream(1), x0=2.0,
               decay_milestones=(2, 4), decay_factor=2.0, collect_states=True)
     x = x_phi = x_psi = 2.0
-    for t in range(6):
-        scale = lr_scale_at(t, (2, 4), 2.0)
+    # milestones at steps 2 and 4 (from 0) each halve both step sizes
+    for scale in (1.0, 1.0, 0.5, 0.5, 0.25, 0.25):
         e1, e0 = 0.01 * scale, 0.005 * scale
         nphi = x_phi - e1 * (math.copysign(1.0, x_phi) + (x_phi - x) / 0.5)
         npsi = x_psi - e1 * (0.5 * math.copysign(1.0, x_psi)
@@ -601,6 +592,25 @@ def test_run_decay_milestones_match_hand_rolled_loop():
         x_phi, x_psi = nphi, npsi
     assert np.allclose(res.final_state.x, [x], atol=1e-14)
     assert np.allclose(res.final_state.x_phi, [x_phi], atol=1e-14)
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+def test_every_run_refuses_a_decay_factor_not_positive_and_finite(factor):
+    # NaN used to abort at the milestone as a non-finite anchor, and inf to
+    # freeze every iterate after it
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    quad = make_quadratic_minmax(dim=2, noise_sigma=0.1)
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 10, dwc.constants,
+                                 mode="dwc")
+    decay = dict(decay_milestones=(5,), decay_factor=factor)
+    for start in (lambda rng: run(dwc, "dwc", sched, rng, x0=2.0, **decay),
+                  lambda rng: run_sgd(dwc, 0.1, 10, rng, x0=2.0, **decay),
+                  lambda rng: run_sgda(quad, 0.1, 0.1, 10, rng, **decay)):
+        rng = RngStream(0)
+        with pytest.raises(ParameterError,
+                           match="^decay_factor must be positive and finite$"):
+            start(rng)
+        assert rng.counter == 0
 
 
 def test_run_aborts_on_non_finite_oracle():
@@ -638,29 +648,46 @@ def test_run_rejects_bad_mode_and_cadence():
 # diagnostics
 
 
-def test_potential_diagnostic_frozen_value():
-    prob = make_onedim_dwc(1.0, 0.5)
-    # coefficient = 2 eta0/(eta1 gamma^2 alpha) = 2*0.5/(1*1*0.25) = 4
-    sched = Schedule(gamma=1.0, eta0=0.5, eta1=1.0, alpha=0.25, tau=0.5,
+def _potential_reference(prob, mode, sched, states):
+    """The traced ``p_t`` column rebuilt from consecutive states ``(s_t,
+    s_{t+1})``, one point at a time: the squared distances of the inner
+    iterates of ``s_{t+1}`` from the exact prox points of the anchor of
+    ``s_t`` (in minmax mode, of the dual from its best response at the
+    Phi prox point), times ``2 eta0 / (eta1 gamma^2 alpha)``.  Minmax runs
+    Phi and its dual, dwc both components without duals."""
+    aux, gamma = prob.exact_aux, sched.gamma
+    coef = 2.0 * sched.eta0 / (sched.eta1 * gamma ** 2 * sched.alpha)
+    p_t = []
+    for before, after in zip(states[:-1], states[1:]):
+        p_phi = aux.prox_phi(before.x, gamma)
+        total = float(np.sum((after.x_phi - p_phi) ** 2))
+        if mode == "minmax":
+            total += float(np.sum((after.y - aux.best_response_y(p_phi))
+                                  ** 2))
+        else:
+            total += float(np.sum((after.x_psi
+                                   - aux.prox_psi(before.x, gamma)) ** 2))
+        p_t.append(coef * total)
+    return p_t
+
+
+def test_traced_potential_frozen_value():
+    prob = make_onedim_dwc(1.0, 0.5)  # deterministic
+    # coefficient = 2 eta0/(eta1 gamma^2 alpha) = 2*0.25/(0.5*1*0.25) = 4
+    sched = Schedule(gamma=1.0, eta0=0.25, eta1=0.5, alpha=0.25, tau=0.5,
                      nu=1.0, l_f=2.0, t_total=1)
-    x0 = np.array([3.0])
-    p_phi = prob.exact_aux.prox_phi(x0, 1.0)   # ST(3,1) = 2
-    p_psi = prob.exact_aux.prox_psi(x0, 1.0)   # ST(3,.5) = 2.5
-    s0 = SmagState(x=x0, x_phi=x0, x_psi=x0, y=None, z=None,
-                   last_g=np.zeros(1), t=0)
-    s1 = SmagState(x=np.array([2.9]), x_phi=p_phi + 0.1, x_psi=p_psi + 0.2,
-                   y=None, z=None, last_g=np.zeros(1), t=1)
-    trace = potential_diagnostic(prob, [s0, s1], sched, mode="dwc")
-    assert trace.coefficient == pytest.approx(4.0, rel=1e-15)
-    assert trace.p_t.shape == (1,)
-    assert trace.p_t[0] == pytest.approx(4.0 * (0.01 + 0.04), rel=1e-12)
+    res = run(prob, "dwc", sched, RngStream(0), x0=3.0)
+    # prox points of x0 = 3: ST(3, 1) = 2 and ST(3, .5) = 2.5; one step
+    # takes x_phi to 3 - 0.5*1 = 2.5 and x_psi to 3 - 0.5*0.5 = 2.75
+    assert [r.p_t for r in res.records] == [4.0 * (0.5 ** 2 + 0.25 ** 2)]
     # f_gamma at x0: phi_1(x0) - psi_1(x0) with the envelope closed forms
     f_phi = 2.0 + 0.5 * (2.0 - 3.0) ** 2
     f_psi = 0.5 * 2.5 + 0.5 * (2.5 - 3.0) ** 2
-    assert trace.f_gamma[0] == pytest.approx(f_phi - f_psi, rel=1e-12)
+    assert smoothed_objective(prob, np.array([3.0]), 1.0) == pytest.approx(
+        f_phi - f_psi, rel=1e-12)
 
 
-def test_potential_diagnostic_shrinks_along_a_real_run():
+def test_traced_potential_shrinks_along_a_real_run():
     # noiseless: while the anchor travels, the tracking error holds a
     # steady floor (target speed / contraction rate); once the anchor
     # parks in the flat region the inner iterates limit-cycle around the
@@ -668,42 +695,41 @@ def test_potential_diagnostic_shrinks_along_a_real_run():
     prob = make_onedim_dwc(1.0, 0.5)
     sched = Schedule.from_manual(0.5, 0.005, 0.01, 2500, prob.constants,
                                  mode="dwc")
-    res = run(prob, "dwc", sched, RngStream(3), x0=2.0, collect_states=True)
-    trace = potential_diagnostic(prob, res.states, sched, mode="dwc")
-    assert trace.p_t.shape == (2500,)
-    assert np.mean(trace.p_t[:50]) > 0.1
-    assert np.mean(trace.p_t[-50:]) < 2e-3  # ~ coef * 2 * (1.5 eta1)^2
+    res = run(prob, "dwc", sched, RngStream(3), x0=2.0)
+    p_t = np.array([r.p_t for r in res.records])
+    assert p_t.shape == (2500,)
+    assert np.mean(p_t[:50]) > 0.1
+    assert np.mean(p_t[-50:]) < 2e-3  # ~ coef * 2 * (1.5 eta1)^2
 
-    # with noise the potential only decays to a noise floor, but the offline
-    # recomputation must agree exactly with the column traced online
+    # with noise the potential only decays to a noise floor, but the
+    # column traced online must equal its recomputation from the states
     noisy = make_onedim_dwc(1.0, 0.5, noise_sigma=0.05)
     res_n = run(noisy, "dwc", sched, RngStream(3), x0=2.0,
                 collect_states=True)
-    trace_n = potential_diagnostic(noisy, res_n.states, sched, mode="dwc")
-    traced = np.array([r.p_t for r in res_n.records])
-    assert np.array_equal(traced, trace_n.p_t)
+    assert [r.p_t for r in res_n.records] == _potential_reference(
+        noisy, "dwc", sched, res_n.states)
 
 
-def test_potential_diagnostic_capability_errors():
-    phi = piecewise_quadratic(1.0)
-    prob = DMaxProblem(
-        dim_x=1,
-        constants=ProblemConstants(m_bound=1.0),
-        phi_subgrad_x=lambda x, y, tok: phi.subgrad(x),
-        psi_subgrad_x=lambda x, z, tok: np.zeros(1),
-        exact_aux=ExactAux(prox_phi=phi.prox),
-    )
-    sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
-    s = initial_state(prob, 1.0)
-    with pytest.raises(CapabilityError):
-        potential_diagnostic(prob, [s, s], sched, mode="dwc")  # no prox_psi
-    with pytest.raises(ParameterError):
-        potential_diagnostic(prob, [s], sched, mode="dwc")     # too short
+def test_traced_potential_needs_every_map_it_reads():
+    # without the dual's best response a minmax run keeps its exact
+    # stationarity and traces no potential (a dwc run without prox_psi has
+    # neither: see test_run_exact_metrics_requires_aux)
+    quad = make_quadratic_minmax(dim=2)
+    no_response = dataclasses.replace(quad, exact_aux=dataclasses.replace(
+        quad.exact_aux, best_response_y=None))
+    sched = _manual_sched(0.5, 0.01, 0.05, quad.constants, "minmax")
+    res = run(no_response, "minmax", sched, RngStream(0), x0=[1.0, -1.0])
+    full = run(quad, "minmax", sched, RngStream(0), x0=[1.0, -1.0])
+    assert res.exact_metrics
+    assert [r.stationarity for r in res.records] == \
+           [r.stationarity for r in full.records]
+    assert all(math.isnan(r.p_t) for r in res.records)
+    assert all(math.isfinite(r.p_t) for r in full.records)
 
 
-def test_potential_diagnostic_minmax_reads_no_psi_maps():
+def test_traced_potential_minmax_reads_no_psi_maps():
     # Psi is identically zero in minmax mode: a registered prox_psi without
-    # value_psi must not be read for the smoothed objective
+    # value_psi must not be read for the smoothed objective or the potential
     base = make_quadratic_minmax(dim=2)
     aux = base.exact_aux
     prob = DMaxProblem(
@@ -718,12 +744,14 @@ def test_potential_diagnostic_minmax_reads_no_psi_maps():
     )
     sched = Schedule.from_manual(0.5, 0.01, 0.05, 5, prob.constants,
                                  mode="minmax")
-    res = run(prob, "minmax", sched, RngStream(4), x0=np.array([1.5, -0.5]),
-              collect_states=True)
-    trace = potential_diagnostic(prob, res.states, sched, mode="minmax")
-    full = potential_diagnostic(base, res.states, sched, mode="minmax")
-    assert np.array_equal(trace.f_gamma, full.f_gamma)
-    assert np.array_equal(trace.p_t, full.p_t)
+    res, full = (run(p, "minmax", sched, RngStream(4),
+                     x0=np.array([1.5, -0.5]), collect_states=True)
+                 for p in (prob, base))
+    assert [r.p_t for r in res.records] == [r.p_t for r in full.records]
+    assert all(math.isfinite(r.p_t) for r in res.records)
+    for s in res.states[:-1]:
+        assert smoothed_objective(prob, s.x, 0.5, with_psi=False) == \
+               smoothed_objective(base, s.x, 0.5, with_psi=False)
 
 
 def test_step_diagnostics_inequalities_hold_deterministically():
@@ -763,8 +791,7 @@ def test_step_diagnostics_read_psi_from_its_function_oracle():
         prox_phi=aux.prox_phi, value_phi=aux.value_phi))
     sched = Schedule.from_manual(0.5, 0.005, 0.01, 1, full.constants,
                                  mode="dwc")
-    before = initial_state(full, 2.0)
-    after = step(full, before, sched, RngStream(0), "dwc")
+    before, after = _states(full, "dwc", sched, RngStream(0), 2.0, t_total=1)
     want = step_diagnostics(full, before, after, sched)
     assert want["grad_env_norm"] == pytest.approx(0.7818181818, rel=1e-9)
     got = step_diagnostics(phi_only, before, after, sched)
@@ -781,7 +808,6 @@ def test_initial_state_shapes_and_duals():
     vec = initial_state(prob, [1.0, 2.0, 3.0, 4.0])
     assert np.allclose(vec.x, [1.0, 2.0, 3.0, 4.0])
     # x0 must be explicitly shaped: no silent scalar broadcast
-    from dmaxopt.core import DimensionError
     with pytest.raises(DimensionError):
         initial_state(prob, 1.5)
 
@@ -806,10 +832,11 @@ def test_non_finite_oracle_values_keep_their_error_and_message(bad):
                  "psi_subgrad_x"),
                 ("minmax", _constant_oracle_problem(1.0, g_y=bad, dim=dim),
                  "phi_grad_y")]:
-            state = initial_state(prob, np.ones(dim))
-            with pytest.raises(NonFiniteError,
-                               match=rf"^{name} returned a non-finite value$"):
-                step(prob, state, sched, RngStream(0), mode)
+            res = run(prob, mode, dataclasses.replace(sched, t_total=1),
+                      RngStream(0), x0=np.ones(dim))
+            assert (res.aborted, res.abort_reason) == (
+                True, f"{name} returned a non-finite value")
+            assert res.final_state.t == 0 and res.records == []
 
 
 class _OneTooLong:
@@ -832,35 +859,40 @@ def test_an_oracle_of_the_wrong_shape_is_named(name, batched):
     sched = Schedule.from_manual(0.5, 0.005, 0.01, 5, ALL_ONES, mode="dwc")
     want = rf"^{name} returned shape \({dim + 1},\), expected \({dim},\)$"
     with pytest.raises(ParameterError, match=want):
-        step(prob, initial_state(prob, np.ones(dim)), sched, RngStream(0),
-             "dwc")
+        run(prob, "dwc", sched, RngStream(0), x0=np.ones(dim))
     with pytest.raises(ParameterError, match=want):
         run(prob, "dwc", sched, [RngStream(s) for s in (1, 2, 3)],
             x0=np.ones(dim))
 
 
-@pytest.mark.parametrize("x0, g, scale", [(1e308, -1e308, 1e10),
-                                          (-1e308, 1e308, 1e10),
-                                          (1.0, 1.0, math.nan)],
+@pytest.mark.parametrize("x0, g_psi", [(1e308, 0.0), (-1e308, 0.0),
+                                       (1e308, -1e308)],
                          ids=["+inf", "-inf", "nan"])
-def test_non_finite_anchor_keeps_its_error_and_message(x0, g, scale):
-    # +inf, -inf and NaN anchors from finite oracle values
-    prob = _constant_oracle_problem(g)
+def test_non_finite_anchor_keeps_its_error_and_message(x0, g_psi):
+    # +inf, -inf and NaN anchors from finite oracle values: step sizes
+    # scaled by 1e10 take x_phi (and, for NaN, x_psi too) to +-inf
+    prob = _constant_oracle_problem(-x0, g_psi)
     sched = _manual_sched(0.5, 0.005, 0.01, ALL_ONES, "dwc")
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NonFiniteError, match=r"^anchor iterate became non-finite$"):
-        step(prob, initial_state(prob, x0), sched, RngStream(0), "dwc",
-             lr_scale=scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run(prob, "dwc", dataclasses.replace(sched, t_total=1),
+                  RngStream(0), x0=x0, decay_milestones=(0,),
+                  decay_factor=1e-10)
+    assert (res.aborted, res.abort_reason) == (
+        True, "anchor iterate became non-finite")
+    assert res.final_state.x[0] == x0
 
 
 def test_large_finite_oracle_values_and_anchors_are_accepted():
-    # squares of 1e200 overflow; the step must still take them
-    prob = _constant_oracle_problem(1e200, -1e200, dim=2)
+    # squares of 1e200 overflow; the step must still take them.  Equal
+    # oracle values keep the traced step estimate (and its norm) at 0
+    prob = _constant_oracle_problem(1e200, 1e200, dim=2)
     sched = _manual_sched(0.5, 0.005, 0.01, ALL_ONES, "dwc")
     with np.errstate(all="raise"):
-        nxt = step(prob, initial_state(prob, [1e200, 0.0]), sched,
-                   RngStream(0), "dwc")
-    assert np.all(np.isfinite(nxt.x)) and abs(nxt.x[0]) > 1e199
+        _, nxt = _states(prob, "dwc", sched, RngStream(0), [1e200, 0.0],
+                         t_total=1)
+    assert np.array_equal(nxt.x, [1e200, 0.0])
+    assert np.array_equal(nxt.x_phi, [1e200 - 0.01 * 1e200, -0.01 * 1e200])
+    assert np.array_equal(nxt.x_psi, nxt.x_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -1356,12 +1388,17 @@ def test_a_run_reports_whether_its_stationarity_is_exact():
 
 
 def test_steps_take_a_one_dimensional_state():
+    # a run starts every seed from one 1-D x0; a stack of starts is refused
+    # before a token is drawn
     quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
     sched = _manual_sched(0.5, 0.01, 0.05, quad.constants, "minmax")
-    one = initial_state(quad, np.full(3, 1.5))
-    stacked = dataclasses.replace(one, x=np.stack([one.x, one.x]))
-    with pytest.raises(ParameterError, match="1-D"):
-        step(quad, stacked, sched, RngStream(1), "minmax")
+    stacked = np.stack([np.full(3, 1.5)] * 2)
+    for start in (lambda rng: run(quad, "minmax", sched, rng, x0=stacked),
+                  lambda rng: run_sgda(quad, 0.1, 0.1, 10, rng, x0=stacked)):
+        rng = RngStream(1)
+        with pytest.raises(DimensionError):
+            start(rng)
+        assert rng.counter == 0
 
 
 def test_run_needs_a_stream_and_a_label_per_stream():
@@ -1390,7 +1427,7 @@ def _smag_reference(prob, mode, sched, res, label):
     ``full_objective``, the prox maps and the potential each take one
     point."""
     aux, gamma, states = prob.exact_aux, sched.gamma, res.states
-    p_t = potential_diagnostic(prob, states, sched, mode).p_t
+    p_t = _potential_reference(prob, mode, sched, states)
     rows = []
     for t, s in enumerate(states[1:], start=1):
         p_phi = aux.prox_phi(s.x, gamma)
@@ -1402,14 +1439,19 @@ def _smag_reference(prob, mode, sched, res, label):
 
 
 def _sgda_reference(prob, lr_x, lr_y, t_total, seed, x0):
-    """An SGDA run's records rebuilt from single steps."""
-    start = initial_state(prob, x0)
-    st = BaselineState(x=start.x, y=start.y, last_dir=start.last_g)
-    rng, rows = RngStream(seed), []
+    """An SGDA run's records on the quadratic problem (dual box [-1, 1])
+    rebuilt from a loop of simultaneous updates written out, one point at a
+    time: step ``t`` feeds the oracles the tokens ``2 (t - 1)`` and
+    ``2 t - 1`` of the seed's stream."""
+    tokens = RngStream(seed).draw_many(2 * t_total).tolist()
+    x, y = np.asarray(x0, dtype=np.float64), np.zeros(prob.set_y.dim)
+    rows = []
     for t in range(1, t_total + 1):
-        st = sgda_step(prob, st, lr_x, lr_y, rng)
-        rows.append((t, _bits(prob.full_objective(st.x)),
-                     _bits(float(np.linalg.norm(st.last_dir))),
+        g_x = prob.phi_subgrad_x(x, y, tokens[2 * t - 2])
+        g_y = prob.phi_grad_y(x, y, tokens[2 * t - 1])
+        x, y = x - lr_x * g_x, np.clip(y + lr_y * g_y, -1.0, 1.0)
+        rows.append((t, _bits(prob.full_objective(x)),
+                     _bits(float(np.linalg.norm(g_x))),
                      _bits(math.nan), seed))
     return rows
 

@@ -312,7 +312,15 @@ _zig = None  # numpy's ziggurat tables (wi, ki), read on first use
 # Tokens from which one ``_normals`` call realizes the ziggurat fast path in
 # bulk: below it the scalar generator is faster (at d = 1 and d = 10, about
 # 4 us per token against a bulk call's 250-400 us setup; 2 CPUs, numpy 2.4).
+# Above ``_BULK_MAX_D`` draws per token the bulk path loses at any token
+# count: its Philox words grow with d, and a token with a rejection in any
+# of its d draws (1 - 0.985 ** d of them) is realized again by the scalar
+# generator.  Median of 9 calls on 1024 tokens, same box:
+#     d            10     20     28     37     50     100
+#     bulk (ms)    1.31   2.45   3.33   4.47   5.51   10.1
+#     scalar (ms)  2.98   3.08   3.34   3.62   3.83   4.81
 _BULK_NORMALS = 128
+_BULK_MAX_D = 28
 
 
 def _mulhilo(a: np.ndarray, m: int):
@@ -364,12 +372,12 @@ def _normals(tokens, d: int) -> np.ndarray:
     2000) reads one raw Philox word and returns ``+-rabs * wi[idx]`` when
     ``rabs < ki[idx]``.  That fast path is realized here for all tokens at
     once; a token with a rejection in any of its ``d`` draws, and every
-    token of a call with fewer than ``_BULK_NORMALS`` of them, is realized
-    whole by the scalar generator.
+    token of a call with fewer than ``_BULK_NORMALS`` of them or with ``d``
+    above ``_BULK_MAX_D``, is realized whole by the scalar generator.
     """
     global _zig
     keys = np.asarray(tokens, dtype=np.uint64).reshape(-1)
-    if keys.size < _BULK_NORMALS:
+    if keys.size < _BULK_NORMALS or d > _BULK_MAX_D:
         out, scalar = np.empty((keys.size, d)), range(keys.size)
     else:
         if _zig is None:

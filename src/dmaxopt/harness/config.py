@@ -19,7 +19,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..core import DMaxProblem, ParameterError
-from ..smag import Mode, Schedule, schedule_from_theory
+from ..smag import Mode, Schedule, _check_decay, schedule_from_theory
 from ..problems import (
     LabeledDataset,
     PaucParams,
@@ -190,8 +190,7 @@ class ExperimentConfig:
                 raise ParameterError(f"{key} must be >= {low}")
         if min(self.decay_milestones, default=0) < 0:
             raise ParameterError("decay_milestones must be nonnegative")
-        if self.decay_factor <= 0:
-            raise ParameterError("decay_factor must be positive")
+        _check_decay(self.decay_milestones, self.decay_factor, self.t_total)
         if self.algorithm.startswith("smag") and not self.schedule:
             raise ParameterError("smag algorithms need a schedule object")
         for key in {"sgd": ("lr",), "sgda": ("lr", "lr_y")}.get(

@@ -12,10 +12,11 @@ guarantees.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, methodcaller
 from typing import Optional
 
 import numpy as np
@@ -58,62 +59,84 @@ class ExperimentResult:
 
 
 def _fmt(v: float) -> str:
-    # v != v only for NaN
-    return "" if v is None or v != v else format(v, ".17g")
+    return "" if math.isnan(v) else format(v, ".17g")
+
+
+_ROW_BLOCK = 1 << 12  # rows per %-format: bounds the trace writer's memory
+_FIELDS = attrgetter(*TRACE_HEADER)
+_ONES = str.maketrans("0123456789", "1" * 10)
 
 
 def _write_trace(path: str, meta: dict, records) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, val in meta.items():
             fh.write(f"# {key}: {val}\n")
-        csv.writer(fh).writerow(TRACE_HEADER)
-        # The rows as csv.writer writes them: no field needs quoting.
-        fh.writelines(f"{r.t},{_fmt(r.objective)},{_fmt(r.stationarity)},"
-                      f"{_fmt(r.p_t)},{_fmt(r.elapsed_ms)},{r.seed}\r\n"
-                      for r in records)
+        # CSV as csv.writer writes it, no field needing quotes: '%.17g' % v
+        # is format(v, '.17g'), and a float column with a NaN takes _fmt's.
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        for i in range(0, len(records), _ROW_BLOCK):
+            vals = list(chain.from_iterable(
+                map(_FIELDS, records[i:i + _ROW_BLOCK])))
+            spec = ["%d", "%.17g", "%.17g", "%.17g", "%.17g", "%d"]
+            for j in range(1, 5):
+                if any(map(math.isnan, vals[j::6])):
+                    spec[j], vals[j::6] = "%s", list(map(_fmt, vals[j::6]))
+            fh.write((",".join(spec) + "\r\n") * (len(vals) // 6)
+                     % tuple(vals))
+
+
+def _columns(lines: list) -> list:
+    if set(map(methodcaller("count", ","), lines)) - {5}:
+        raise ValueError("a row needs 6 comma-separated fields")
+    flat = ",".join(lines).split(",") if lines else []
+    cols = [flat[j::6] for j in range(6)]
+    for col in cols[1:5]:
+        # float() takes a field exactly when it takes it with its ASCII
+        # digits made 1s: one field of each such shape is parsed
+        shapes = ",".join(col).translate(_ONES).split(",")
+        for v in dict(zip(shapes, col)).values():
+            if v:
+                float(v)
+    return [list(map(int, cols[0])), *cols[1:5], list(map(int, cols[5]))]
+
+
+def _rows(path: str):
+    """The metadata of a trace file and its columns, ``t`` and ``seed`` as
+    ints and the rest as written, once every float field has parsed (or
+    is blank).  Lines end in ``\\r\\n`` or ``\\n``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().replace("\r\n", "\n").split("\n")
+    n = next((i for i, ln in enumerate(lines) if ln and ln[0] != "#"), None)
+    if n is None:
+        raise ParameterError(f"{path}: no trace header found")
+    if tuple(lines[n].split(",")) != TRACE_HEADER:
+        raise ParameterError(f"{path}: unexpected trace header {lines[n]!r}")
+    meta = {key.strip(): val.strip() for key, _, val in
+            (ln[1:].partition(":") for ln in lines[:n] if ln)}
+    try:
+        return meta, _columns(list(filter(None, lines[n + 1:])))
+    except ValueError:
+        for k, line in enumerate(lines[n + 1:], n + 2):
+            try:
+                _columns([line] if line else [])
+            except ValueError as err:
+                raise ParameterError(f"{path}, line {k}: {err}") from None
 
 
 def read_trace(path: str):
     """Parse a trace CSV back into (metadata dict, list of RunRecord)."""
-    meta: dict = {}
-    records: list = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header_seen = False
-        for row in reader:
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                text = ",".join(row)[1:].strip()
-                key, _, val = text.partition(":")
-                meta[key.strip()] = val.strip()
-                continue
-            if not header_seen:
-                if tuple(row) != TRACE_HEADER:
-                    raise ParameterError(
-                        f"{path}: unexpected trace header {row}")
-                header_seen = True
-                continue
-            records.append(RunRecord(
-                t=int(row[0]),
-                objective=float(row[1]) if row[1] else math.nan,
-                stationarity=float(row[2]) if row[2] else math.nan,
-                p_t=float(row[3]) if row[3] else math.nan,
-                elapsed_ms=float(row[4]) if row[4] else math.nan,
-                seed=int(row[5])))
-    if not header_seen:
-        raise ParameterError(f"{path}: no trace header found")
-    return meta, records
+    meta, cols = _rows(path)
+    nums = ([float(v) if v else math.nan for v in col] for col in cols[1:5])
+    return meta, list(map(RunRecord, cols[0], *nums, cols[5]))
 
 
 def trace_payload(path: str):
     """Deterministic content of a trace: metadata minus timing, and every
-    column except ``elapsed_ms``.  Two runs of one (config, seed) must
-    produce equal payloads."""
-    meta, records = read_trace(path)
-    rows = [(r.t, _fmt(r.objective), _fmt(r.stationarity), _fmt(r.p_t),
-             r.seed) for r in records]
-    return meta, rows
+    column except ``elapsed_ms``, floats as written.  Two runs of one
+    (config, seed) must produce equal payloads: ``.17g`` round-trips, so
+    fields are equal text exactly when their floats are equal."""
+    meta, cols = _rows(path)
+    return meta, list(zip(cols[0], *cols[1:4], cols[5]))
 
 
 def _run_seeds(cfg: ExperimentConfig, cfg_hash: str) -> list:
@@ -130,6 +153,7 @@ def _run_seeds(cfg: ExperimentConfig, cfg_hash: str) -> list:
                   decay_milestones=tuple(cfg.decay_milestones),
                   decay_factor=cfg.decay_factor,
                   shared_sample=cfg.shared_sample)
+    stat_kind = "step-direction-norm"
     if mode is not None:
         results = smag_run(problem, mode, build_schedule(cfg, problem), rngs,
                            exact_metrics=cfg.exact_metrics, **common)
@@ -137,11 +161,9 @@ def _run_seeds(cfg: ExperimentConfig, cfg_hash: str) -> list:
                      else "step-estimate")
     elif cfg.algorithm == "sgd":
         results = run_sgd(problem, cfg.lr, cfg.t_total, rngs, **common)
-        stat_kind = "step-direction-norm"
     else:
         results = run_sgda(problem, cfg.lr, cfg.lr_y, cfg.t_total, rngs,
                            **common)
-        stat_kind = "step-direction-norm"
     out = []
     for seed, res in zip(cfg.seeds, results):
         last = res.records[-1] if res.records else None
@@ -176,19 +198,13 @@ def run_experiment(config, output_root: Optional[str] = None
     processes.  If any seed aborts on a non-finite value the traces are
     still written and :class:`RunAborted` is raised at the end.
     """
-    if isinstance(config, ExperimentConfig):
-        raw_cfg = config.raw
-        cfg = config
-    else:
-        raw_cfg = config
-        cfg = ExperimentConfig.from_dict(config)
-    cfg_hash = config_hash(raw_cfg)
-
-    out_dir = cfg.output_dir
+    cfg = (config if isinstance(config, ExperimentConfig)
+           else ExperimentConfig.from_dict(config))
+    cfg_hash = config_hash(cfg.raw)
     if output_root is None:
         output_root = os.environ.get("DMAXOPT_OUTPUT_ROOT", "runs")
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(output_root, out_dir)
+    # an absolute output_dir drops the root
+    out_dir = os.path.join(output_root, cfg.output_dir)
     os.makedirs(out_dir, exist_ok=True)
 
     trace_paths = {}
@@ -208,16 +224,13 @@ def run_experiment(config, output_root: Optional[str] = None
         fh.write(f"# config_hash: {cfg_hash}\n")
         if aborted_seeds:
             fh.write(f"# aborted_seeds: {aborted_seeds}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "std", "n"])
+        fh.write("metric,mean,std,n\r\n")
         for metric in ("objective", "stationarity"):
             vals = np.array([finals[s][metric] for s in cfg.seeds
                              if not math.isnan(finals[s][metric])])
-            if vals.size:
-                writer.writerow([f"final_{metric}", _fmt(float(vals.mean())),
-                                 _fmt(float(vals.std())), vals.size])
-            else:
-                writer.writerow([f"final_{metric}", "", "", 0])
+            mean, std = ((_fmt(float(vals.mean())), _fmt(float(vals.std())))
+                         if vals.size else ("", ""))
+            fh.write(f"final_{metric},{mean},{std},{vals.size}\r\n")
 
     result = ExperimentResult(output_dir=out_dir, summary_path=summary_path,
                               trace_paths=trace_paths, finals=finals,

@@ -575,9 +575,16 @@ def _norms(v: np.ndarray) -> list:
     """The Euclidean norm of each row of ``v``, as floats bit for bit
     ``np.linalg.norm`` of the row alone: numpy takes that as the square
     root of the row's ``dot`` with itself, and ``vecdot`` calls that dot
-    once per row."""
+    once per row.  A finite row whose squared sum overflows (entries above
+    ~1.3e154) takes the norm of the row scaled by its largest magnitude."""
     v = np.ascontiguousarray(v, dtype=np.float64)
-    return [math.sqrt(q) for q in np.vecdot(v, v).tolist()]
+    with np.errstate(over="ignore"):
+        out = [math.sqrt(q) for q in np.vecdot(v, v).tolist()]
+    if math.inf in out:
+        for i in np.flatnonzero(np.isinf(out) & np.isfinite(v).all(axis=-1)):
+            top = float(np.abs(v[i]).max())
+            out[i] = top * math.sqrt(float(np.vecdot(v[i] / top, v[i] / top)))
+    return out
 
 
 def _sq(d: np.ndarray):
@@ -723,6 +730,22 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     return results[0] if isinstance(rng, RngStream) else results
 
 
+def _check_decay(decay_milestones: Sequence[int], decay_factor: float,
+                 t_total: int) -> None:
+    """Refuse a decay factor that is not positive and finite, or whose
+    largest step-size scale overflows: ``decay_factor ** -k`` over the
+    ``k`` milestones below ``t_total``."""
+    if not 0.0 < decay_factor < math.inf:
+        raise ParameterError("decay_factor must be positive and finite")
+    k = sum(m < t_total for m in decay_milestones)
+    try:
+        decay_factor ** -k
+    except OverflowError:
+        raise ParameterError(f"decay_factor ** -{k} overflows: the step "
+                             "sizes after the milestones are out of "
+                             "float range") from None
+
+
 def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
            rows, *, on_step=None, trace_every: int, seed_labels: list,
            decay_milestones: Sequence[int], decay_factor: float):
@@ -734,7 +757,8 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
     here, their seeds keeping the state before the step.  ``on_step(prev,
     state, rows)`` then sees the surviving rows, whose seeds are ``rows``.
     At step ``t`` (from 0) each milestone ``m <= t`` divides ``lr_scale``
-    by ``decay_factor``, which must be positive and finite.
+    by ``decay_factor``, which must be positive and finite, with the
+    largest such scale in float range.
 
     Every ``trace_every`` steps and at the last one each live seed gets a
     :class:`RunRecord`.  Such a step only reads the clock and holds its
@@ -754,8 +778,7 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
         raise ParameterError("t_total must be >= 1")
     if trace_every < 1:
         raise ParameterError("trace_every must be >= 1")
-    if not 0.0 < decay_factor < math.inf:
-        raise ParameterError("decay_factor must be positive and finite")
+    _check_decay(decay_milestones, decay_factor, t_total)
     if not feed.rngs or len(seed_labels) != len(feed.rngs):
         raise ParameterError(
             "need at least one stream and one seed label per stream")

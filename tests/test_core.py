@@ -373,7 +373,7 @@ def test_philox_words_are_numpy_philox_raw_output():
             assert bg.random_raw(12).tolist() == w.tolist()
 
 
-@pytest.mark.parametrize("d", [1, 10, 37])
+@pytest.mark.parametrize("d", [1, 10, 27])
 def test_bulk_normals_are_token_map_v1(d, monkeypatch):
     """The ziggurat tables are pinned on 1e5 tokens: every bulk normal
     equals ``token_generator(t).standard_normal(d)`` to the bit, and at
@@ -395,7 +395,7 @@ def test_bulk_normals_are_token_map_v1(d, monkeypatch):
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     share = len(fallbacks) / toks.shape[0]
     # a token falls back when any of its d draws misses the fast path
-    assert share < {1: 0.02, 10: 0.15, 37: 0.45}[d]
+    assert share < {1: 0.02, 10: 0.15, 27: 0.36}[d]
     assert _normals(toks[:0], d).shape == (0, d)
 
 
@@ -419,6 +419,30 @@ def test_a_few_normals_take_the_scalar_generator(monkeypatch):
     realized.clear()
     _normals(np.arange(7, 7 + core._BULK_NORMALS, dtype=np.uint64), 10)
     assert len(realized) < core._BULK_NORMALS
+
+
+def test_wide_normals_take_the_scalar_generator(monkeypatch):
+    """Above ``_BULK_MAX_D`` draws per token every token is realized by the
+    scalar generator, which is then faster at any token count; the bits
+    are the same."""
+    realized = []
+
+    def counted(token, salt=_TOKEN_SALT):
+        realized.append(token)
+        return token_generator(token, salt)
+
+    monkeypatch.setattr(core, "token_generator", counted)
+    toks = np.arange(7, 7 + 4 * core._BULK_NORMALS, dtype=np.uint64)
+    for d in (core._BULK_MAX_D + 1, 100):
+        realized.clear()
+        out = _normals(toks, d)
+        assert realized == toks.tolist()
+        want = np.stack([token_generator(t).standard_normal(d)
+                         for t in toks.tolist()])
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    realized.clear()
+    _normals(toks, core._BULK_MAX_D)
+    assert len(realized) < toks.size
 
 
 def test_import_leaves_numpy_random_unloaded():

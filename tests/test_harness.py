@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -204,6 +205,18 @@ def test_config_integers_reject_bools_and_fractions(key, value):
 def test_config_step_sizes_and_decay_must_be_finite_numbers(over, key):
     with pytest.raises(ParameterError, match=key):
         ExperimentConfig.from_dict(_good_cfg(**over))
+
+
+def test_config_refuses_a_decay_scale_that_overflows(tmp_path, capsys):
+    over = dict(decay_milestones=[0, 1], decay_factor=1e-200)
+    with pytest.raises(ParameterError, match=r"^decay_factor \*\* -2 "):
+        ExperimentConfig.from_dict(_good_cfg(**over))
+    # milestones at or past t_total do not count
+    ExperimentConfig.from_dict(_good_cfg(t_total=1, **over))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_good_cfg(**over)))
+    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 2
+    assert "decay_factor ** -2" in capsys.readouterr().err
 
 
 def test_importing_the_harness_leaves_concurrent_futures_unloaded():
@@ -466,6 +479,74 @@ def test_trace_rows_are_the_bytes_csv_writer_writes(tmp_path):
     assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
+def test_trace_blocks_are_the_bytes_csv_writer_writes(tmp_path,
+                                                      monkeypatch):
+    # blocks of 4 rows: the objective holds a NaN in the second block only,
+    # so one block writes that column with %.17g and the next with %s
+    from dmaxopt.core import RunRecord
+    from dmaxopt.harness import runner
+    monkeypatch.setattr(runner, "_ROW_BLOCK", 4)
+    records = [RunRecord(t, math.nan if t == 6 else t / 3.0,
+                         -0.0 if t % 2 else math.inf, math.nan, 0.1 * t, 7)
+               for t in range(1, 11)]
+    path = tmp_path / "trace.csv"
+    runner._write_trace(str(path), {"seed": 7}, records)
+    want = io.StringIO(newline="")
+    want.write("# seed: 7\n")
+    writer = csv.writer(want)
+    writer.writerow(runner.TRACE_HEADER)
+    for r in records:
+        writer.writerow([r.t] + ["" if math.isnan(v) else format(v, ".17g")
+                                 for v in (r.objective, r.stationarity,
+                                           r.p_t, r.elapsed_ms)] + [r.seed])
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_trace_payload_equals_the_reformatted_records(tmp_path):
+    """``trace_payload`` keeps the float fields as written; on traces of
+    the writer that equals reading them back and formatting each float
+    again with ``.17g`` (NaN blank), its definition before."""
+    def cell(v):
+        return "" if math.isnan(v) else format(v, ".17g")
+
+    quad = {"kind": "quadratic-minmax", "dim": 3, "noise_sigma": 0.1}
+    cfgs = [
+        _good_cfg(output_dir="dwc"),
+        _good_cfg(output_dir="minmax", problem=quad, algorithm="smag-minmax",
+                  x0=1.0),
+        _good_cfg(output_dir="sgd", algorithm="sgd", lr=0.05, schedule={}),
+        {"problem": {"kind": "quadratic-minmax", "dim": 1},
+         "algorithm": "smag-minmax", "seeds": [0], "t_total": 400,
+         "x0": 1.0, "output_dir": "boom",
+         "schedule": {"source": "manual", "gamma": 0.5, "eta0": 100.0,
+                      "eta1": 100.0, "allow_infeasible": True}},
+    ]
+    payloads = {}
+    for cfg in cfgs:
+        try:
+            res = run_experiment(cfg, output_root=str(tmp_path))
+        except RunAborted as exc:
+            res = exc.result
+        for path in res.trace_paths.values():
+            meta, records = read_trace(path)
+            want = (meta, [(r.t, cell(r.objective), cell(r.stationarity),
+                            cell(r.p_t), r.seed) for r in records])
+            assert trace_payload(path) == want
+            payloads[cfg["output_dir"], path] = want
+    assert len(payloads) == 7
+    for (name, _), (meta, rows) in payloads.items():
+        # sgd leaves p_t blank; the aborted run keeps its reason
+        assert all((r[3] == "") == (name == "sgd") for r in rows)
+        assert ("aborted" in meta) == (name == "boom")
+    # a trace rewritten with \n line ends reads the same
+    with open(path, newline="") as fh:
+        text = fh.read()
+    with open(path, "w", newline="") as fh:
+        fh.write(text.replace("\r\n", "\n"))
+    assert trace_payload(path) == want
+
+
 def test_read_trace_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
@@ -475,6 +556,45 @@ def test_read_trace_rejects_malformed(tmp_path):
     empty.write_text("# only: meta\n")
     with pytest.raises(ParameterError, match="no trace header"):
         read_trace(str(empty))
+    # a row with the wrong field count or a field that does not parse
+    # names the file and its line
+    head = "# seed: 0\nt,objective,stationarity,p_t,elapsed_ms,seed\r\n"
+    good = "1,0.5,0.25,,1.5,0\r\n"
+    rows = tmp_path / "rows.csv"
+    for body, line in [
+            (good + "2,0.5,0.25,1.5,0\r\n", 4),
+            (good + "\r\n" + "2,0.5,0.25,,1.5,0,9\r\n", 5),
+            ("1,0.5,x,,1.5,0\r\n", 3), (good + "2.0,0.5,0.25,,1.5,0\r\n", 4),
+            (good * 2 + "3,0.5,0.25,,1.5,\r\n", 5)]:
+        rows.write_text(head + body, newline="")
+        where = f"^{re.escape(str(rows))}, line {line}: "
+        for reader in (read_trace, trace_payload):
+            with pytest.raises(ParameterError, match=where):
+                reader(str(rows))
+    rows.write_text(head + "\r\n" + good + "\n", newline="")
+    assert trace_payload(str(rows))[1] == [(1, "0.5", "0.25", "", 0)]
+
+
+@pytest.mark.parametrize("field", [
+    "0.5", "-0", "1e999", "1e-999", "inf", "-Infinity", "NaN", " 1.5",
+    "1.5 ", "1_000.5", "\u0661\u0665", ".5", "5.", "+1", "1__0", "_1", "1_",
+    "1.2.3", "1e", "e1", "1e+", "--1", "0x10", "1.5x", "\u0661.\u0665e+\u0661"])
+def test_trace_float_fields_parse_as_float_does(field, tmp_path):
+    # the reader parses one field of each digit shape of a column; it must
+    # take and refuse exactly the fields float() does
+    path = tmp_path / "trace.csv"
+    path.write_text("t,objective,stationarity,p_t,elapsed_ms,seed\n"
+                    f"1,0.5,0.25,,1.5,0\n2,0.5,{field},,1.5,0\n",
+                    encoding="utf-8")
+    try:
+        float(field)
+    except ValueError:
+        with pytest.raises(ParameterError, match=", line 3: "):
+            trace_payload(str(path))
+        return
+    assert trace_payload(str(path))[1][1] == (2, "0.5", field, "", 0)
+    assert repr(read_trace(str(path))[1][1].stationarity) == \
+        repr(float(field))
 
 
 # ---------------------------------------------------------------------------

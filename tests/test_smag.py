@@ -36,6 +36,7 @@ from dmaxopt.problems import (
 )
 from dmaxopt.smag import (
     _TRACE_BLOCK,
+    _norms,
     RunResult,
     Schedule,
     SmagState,
@@ -613,6 +614,26 @@ def test_every_run_refuses_a_decay_factor_not_positive_and_finite(factor):
         assert rng.counter == 0
 
 
+def test_every_run_refuses_a_decay_scale_that_overflows():
+    # the scale after milestones 0 and 1 is 1e-200 ** -2: it used to end the
+    # run at step 1 in a bare OverflowError
+    dwc = make_onedim_dwc(1.0, 0.5)
+    quad = make_quadratic_minmax(dim=2)
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 10, dwc.constants,
+                                 mode="dwc")
+    decay = dict(decay_milestones=(0, 1), decay_factor=1e-200)
+    for start in (lambda rng: run(dwc, "dwc", sched, rng, x0=2.0, **decay),
+                  lambda rng: run_sgd(dwc, 0.1, 10, rng, x0=2.0, **decay),
+                  lambda rng: run_sgda(quad, 0.1, 0.1, 10, rng, **decay)):
+        rng = RngStream(0)
+        with pytest.raises(ParameterError, match=r"^decay_factor \*\* -2 "):
+            start(rng)
+        assert rng.counter == 0
+    # a milestone at or past t_total never scales a step
+    res = run_sgd(dwc, 1e-201, 1, RngStream(0), x0=2.0, **decay)
+    assert res.final_state.t == 1 and not res.aborted
+
+
 def test_run_aborts_on_non_finite_oracle():
     count = {"n": 0}
 
@@ -895,6 +916,23 @@ def test_large_finite_oracle_values_and_anchors_are_accepted():
     assert np.array_equal(nxt.x_psi, nxt.x_phi)
 
 
+def test_norms_of_large_finite_rows_stay_finite():
+    # squared sums above the float range: such a finite row takes the norm
+    # of the row scaled by its largest magnitude, with no warning
+    assert _norms(np.array([[3.66e199]])) == [3.66e199]
+    (norm,) = _norms(np.array([[3e200, 4e200]]))
+    assert abs(norm - 5e200) <= 1e-15 * 5e200
+    assert _norms(np.array([[3.0, 4.0], [math.inf, 1.0], [1e-200, 0.0]])
+                  ) == [5.0, math.inf, 0.0]
+    # a run's traced step estimate of that size, which read inf
+    prob = _constant_oracle_problem(1e200, -1e200)
+    sched = _manual_sched(0.5, 0.005, 0.01, ALL_ONES, "dwc")
+    res = run(prob, "dwc", dataclasses.replace(sched, t_total=10),
+              RngStream(0), x0=1e200)
+    assert res.records[-1].stationarity == abs(res.final_state.last_g[0])
+    assert 3.6e199 < res.records[-1].stationarity < 3.7e199
+
+
 # ---------------------------------------------------------------------------
 # golden digests: whole runs pinned to the bit
 
@@ -1006,10 +1044,13 @@ def _golden_runs():
 # and everything else hashed the same as before.  ``minmax-pauc`` was
 # re-recorded for ``pauc-fair/2``, whose full-data objective sums sorted
 # scores: its objective column moved by ulps, and with that column left
-# out the run hashed the same as before.
+# out the run hashed the same as before.  ``abort-anchor`` was re-recorded
+# when a step estimate whose squared sum overflows got a finite norm: its
+# one trace row read stationarity inf and now reads |last_g| = 8e307, and
+# everything else hashed the same as before.
 GOLDEN = {
     "abort-anchor":
-        "4ccc794f023af1c1ecb637d62582b46cc0717e3aa93e71e25d0dfe9d06be745b",
+        "b9926a1a13e1bf1e0ce087917a1f420da3531fc06f47067cf227fcbb5c786a80",
     "abort-oracle":
         "5a4fe189a9eef0ecc451a2250abd447947188198a35ac150d89a782cdc3a07a1",
     "dmax-onedim":

@@ -28,9 +28,7 @@ from .moreau import (
     ProxResult,
     check_nearly_critical,
     dmax_envelope_grad,
-    envelope_grad,
     envelope_prox_points,
-    envelope_value,
     prox,
     smoothness_constant,
 )
@@ -69,9 +67,7 @@ __all__ = [
     "ProxResult",
     "check_nearly_critical",
     "dmax_envelope_grad",
-    "envelope_grad",
     "envelope_prox_points",
-    "envelope_value",
     "prox",
     "smoothness_constant",
     "RunResult",

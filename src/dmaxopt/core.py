@@ -114,9 +114,6 @@ class ConstraintSet:
     center: Optional[np.ndarray] = None
     radius: float = 0.0
 
-    def is_bounded(self) -> bool:
-        return self.kind != "whole-space"
-
 
 def whole_space(dim: int) -> ConstraintSet:
     if dim < 1:
@@ -218,12 +215,13 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise ParameterError("seed and stream_id must be nonnegative")
+        # a Philox key word holds 64 bits: 2**64 would alias key 0
+        if not (0 <= seed < 2 ** 64 and 0 <= stream_id < 2 ** 64):
+            raise ParameterError(
+                "seed and stream_id must be nonnegative and below 2**64")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
-                        self.stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.counter = 0
         # The generator state before the latest ``draw_many``, and its size.
@@ -536,6 +534,10 @@ class DMaxProblem:
     ``exact_aux.best_response_y`` are ``None`` (likewise the ``z`` parts
     for Psi), and runs neither step nor trace it.  Without a second
     component ``psi_subgrad_x`` is ``None`` too, and only minmax mode runs.
+    The maps it registers decide what reads them: runs trace exact
+    metrics from ``exact_aux`` (see :func:`dmaxopt.smag.run`), and the
+    envelope quantities of :mod:`dmaxopt.moreau` read each component's
+    prox and value maps from ``exact_aux``, else from ``phi_fn``/``psi_fn``.
     """
 
     dim_x: int
@@ -557,14 +559,6 @@ class DMaxProblem:
     # Traces record it; a ``/N`` suffix versions a change of outputs.
     name: str = ""
 
-    @property
-    def dim_y(self) -> int:
-        return self.set_y.dim if self.set_y is not None else 0
-
-    @property
-    def dim_z(self) -> int:
-        return self.set_z.dim if self.set_z is not None else 0
-
 
 # ---------------------------------------------------------------------------
 # Trace rows
@@ -576,10 +570,11 @@ class RunRecord:
     """One trace row emitted by a run.
 
     ``objective`` and ``p_t`` are NaN when the problem cannot supply them
-    (no full objective / no exact auxiliaries); the CSV layer writes NaN as
-    an empty field.  ``stationarity`` is the exact envelope-gradient norm
-    on problems with exact auxiliaries and the algorithm's own gradient
-    estimate norm otherwise; the harness records which one applies in the
+    (no full objective / no exact best responses); the CSV layer writes NaN
+    as an empty field.  ``stationarity`` is the exact envelope-gradient
+    norm when the problem's ``exact_aux`` has the prox map of each
+    component the run steps, and the norm of the algorithm's own gradient
+    estimate otherwise; the harness records which one applies in the
     trace metadata.
     """
 

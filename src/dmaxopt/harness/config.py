@@ -140,7 +140,6 @@ _RUN = {
     # Accepted and hashed for existing configs; seeds run in lockstep in
     # one process whatever it says.
     "workers": (int, 1),
-    "exact_metrics": ((bool, None), None),
     "lr": ((float, None), None), "lr_y": ((float, None), None),
 }
 
@@ -161,7 +160,6 @@ class ExperimentConfig:
     decay_factor: float
     shared_sample: bool
     workers: int
-    exact_metrics: Optional[bool]
     lr: Optional[float]
     lr_y: Optional[float]
     raw: dict = field(default_factory=dict, repr=False)
@@ -219,7 +217,7 @@ _PROBLEMS = {
         "a": (float, 1.0), "b": (float, 0.5), "kappa_phi": (float, 0.0),
         "kappa_psi": (float, 0.0), "center_phi": (float, 0.0),
         "center_psi": (float, 0.0), "noise_sigma": (float, 0.0),
-        "dim": (int, 1), "allow_unbounded": (bool, False)},
+        "dim": (int, 1)},
     "quadratic-minmax": {"dim": (int, 1), "noise_sigma": (float, 0.0)},
     "pu-synth": {**_PU, "n_pos": (int, 500), "n_unl": (int, 2000),
                  "dim": (int, 10), "separation": (float, 1.5),

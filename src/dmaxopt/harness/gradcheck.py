@@ -97,6 +97,8 @@ def grad_check(problem: DMaxProblem, gamma: float, *, n_points: int = 20,
                      - smoothed_objective(problem, x - e, gamma, tol=tol)
                      ) / (2 * h)
         denom = max(float(np.linalg.norm(g)), float(np.linalg.norm(fd)), 1.0)
-        worst = max(worst, float(np.linalg.norm(fd - g)) / denom)
+        err = float(np.linalg.norm(fd - g)) / denom
+        # a non-finite g or fd makes err NaN or inf, and max() drops a NaN
+        worst = max(worst, err if math.isfinite(err) else math.inf)
     return GradCheckReport(max_rel_err=worst, n_checked=len(accepted),
                            n_rejected=rejected, h=h, gamma=gamma)

@@ -85,25 +85,30 @@ def _write_trace(path: str, meta: dict, records) -> None:
                      % tuple(vals))
 
 
-def _columns(lines: list) -> list:
+def _as_written(col: list) -> list:
+    """A float column as written, once every field would parse (or is
+    blank).  float() takes a field exactly when it takes it with its ASCII
+    digits made 1s: one field of each such shape is parsed."""
+    shapes = ",".join(col).translate(_ONES).split(",")
+    for v in dict(zip(shapes, col)).values():
+        if v:
+            float(v)
+    return col
+
+
+def _columns(lines: list, floats) -> list:
     if set(map(methodcaller("count", ","), lines)) - {5}:
         raise ValueError("a row needs 6 comma-separated fields")
     flat = ",".join(lines).split(",") if lines else []
     cols = [flat[j::6] for j in range(6)]
-    for col in cols[1:5]:
-        # float() takes a field exactly when it takes it with its ASCII
-        # digits made 1s: one field of each such shape is parsed
-        shapes = ",".join(col).translate(_ONES).split(",")
-        for v in dict(zip(shapes, col)).values():
-            if v:
-                float(v)
-    return [list(map(int, cols[0])), *cols[1:5], list(map(int, cols[5]))]
+    return [list(map(int, cols[0])), *map(floats, cols[1:5]),
+            list(map(int, cols[5]))]
 
 
-def _rows(path: str):
+def _rows(path: str, floats):
     """The metadata of a trace file and its columns, ``t`` and ``seed`` as
-    ints and the rest as written, once every float field has parsed (or
-    is blank).  Lines end in ``\\r\\n`` or ``\\n``."""
+    ints and each float column through ``floats``, which checks each field
+    once.  Lines end in ``\\r\\n`` or ``\\n``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().replace("\r\n", "\n").split("\n")
     n = next((i for i, ln in enumerate(lines) if ln and ln[0] != "#"), None)
@@ -114,20 +119,20 @@ def _rows(path: str):
     meta = {key.strip(): val.strip() for key, _, val in
             (ln[1:].partition(":") for ln in lines[:n] if ln)}
     try:
-        return meta, _columns(list(filter(None, lines[n + 1:])))
+        return meta, _columns(list(filter(None, lines[n + 1:])), floats)
     except ValueError:
         for k, line in enumerate(lines[n + 1:], n + 2):
             try:
-                _columns([line] if line else [])
+                _columns([line] if line else [], floats)
             except ValueError as err:
                 raise ParameterError(f"{path}, line {k}: {err}") from None
 
 
 def read_trace(path: str):
     """Parse a trace CSV back into (metadata dict, list of RunRecord)."""
-    meta, cols = _rows(path)
-    nums = ([float(v) if v else math.nan for v in col] for col in cols[1:5])
-    return meta, list(map(RunRecord, cols[0], *nums, cols[5]))
+    meta, cols = _rows(path, lambda col: [float(v) if v else math.nan
+                                          for v in col])
+    return meta, list(map(RunRecord, *cols))
 
 
 def trace_payload(path: str):
@@ -135,7 +140,7 @@ def trace_payload(path: str):
     column except ``elapsed_ms``, floats as written.  Two runs of one
     (config, seed) must produce equal payloads: ``.17g`` round-trips, so
     fields are equal text exactly when their floats are equal."""
-    meta, cols = _rows(path)
+    meta, cols = _rows(path, _as_written)
     return meta, list(zip(cols[0], *cols[1:4], cols[5]))
 
 
@@ -156,7 +161,7 @@ def _run_seeds(cfg: ExperimentConfig, cfg_hash: str) -> list:
     stat_kind = "step-direction-norm"
     if mode is not None:
         results = smag_run(problem, mode, build_schedule(cfg, problem), rngs,
-                           exact_metrics=cfg.exact_metrics, **common)
+                           **common)
         stat_kind = ("exact-envelope-grad" if results[0].exact_metrics
                      else "step-estimate")
     elif cfg.algorithm == "sgd":

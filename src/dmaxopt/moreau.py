@@ -5,7 +5,7 @@ envelope ``f_gamma(x) = min_u f(u) + ||u - x||^2 / (2 gamma)`` is smooth even
 when ``f`` is not, and its gradient ``(x - prox(x)) / gamma`` measures how far
 ``x`` is from criticality.  This module computes proximal points (closed form
 when a problem registers one, otherwise by projected subgradient descent on
-the strongly convex subproblem), envelope values and gradients, the envelope
+the strongly convex subproblem), the smoothed objective and the envelope
 gradient of a difference of components, and the certificate that a candidate
 point is nearly critical.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .core import (
 __all__ = [
     "ProxResult",
     "prox",
-    "envelope_value",
-    "envelope_grad",
     "smoothed_objective",
     "smoothness_constant",
     "dmax_envelope_grad",
@@ -227,55 +225,20 @@ def prox(f: FunctionOracle, x, gamma: float, tol: float = 1e-8,
                       inner_iters=k, exact=False)
 
 
-def envelope_value(f: FunctionOracle, x, gamma: float, tol: float = 1e-8,
-                   **kwargs) -> float:
-    """Moreau envelope value ``f_gamma(x)``."""
-    x = as_vector(x, name="x")
-    r = prox(f, x, gamma, tol=tol, **kwargs)
-    d = r.point - x
-    return float(f.value(r.point)) + float(d @ d) / (2.0 * gamma)
-
-
-def envelope_grad(f: FunctionOracle, x, gamma: float, tol: float = 1e-8,
-                  **kwargs) -> np.ndarray:
-    """Envelope gradient ``(x - prox(x)) / gamma``."""
-    x = as_vector(x, name="x")
-    r = prox(f, x, gamma, tol=tol, **kwargs)
-    return (x - r.point) / gamma
-
-
-def smoothed_objective(problem: DMaxProblem, x: np.ndarray, gamma: float,
-                       with_psi: bool = True, tol: float = 1e-8) -> float:
+def smoothed_objective(problem: DMaxProblem, x, gamma: float,
+                       tol: float = 1e-8) -> float:
     """Smoothed objective ``F_gamma(x) = Phi_gamma(x) - Psi_gamma(x)``.
 
-    A component with both an exact prox and an exact value map in
-    ``exact_aux`` gives ``value(p) + ||p - x||^2 / (2 gamma)`` at ``p =
-    prox(x)``; any other gives :func:`envelope_value` of its function
-    oracle ``{phi,psi}_fn``.  With ``with_psi=False`` (min-max mode), or on
-    a problem without a second component (no ``psi_subgrad_x``), Psi reads
-    as zero and is not evaluated.
+    Each component gives ``value(p) + ||p - x||^2 / (2 gamma)`` at ``p =
+    prox(x)``, with its maps resolved as in :func:`envelope_prox_points`.
     """
-    val = _envelope(problem, "phi", x, gamma, tol)
-    if with_psi and problem.psi_subgrad_x is not None:
-        val -= _envelope(problem, "psi", x, gamma, tol)
-    return val
+    x = as_vector(x, dim=problem.dim_x, name="x")
 
+    def envelope(which: str) -> float:
+        p, value = _component(problem, which, x, gamma, tol)
+        return float(value(p)) + float(np.sum((p - x) ** 2)) / (2.0 * gamma)
 
-def _envelope(problem: DMaxProblem, which: str, x: np.ndarray, gamma: float,
-              tol: float) -> float:
-    """Envelope value of Phi or Psi at ``x``: see :func:`smoothed_objective`."""
-    aux = problem.exact_aux
-    prox_map = getattr(aux, f"prox_{which}", None)
-    value_map = getattr(aux, f"value_{which}", None)
-    if prox_map is not None and value_map is not None:
-        p = prox_map(x, gamma)
-        return value_map(p) + float(np.sum((p - x) ** 2)) / (2.0 * gamma)
-    fn = getattr(problem, f"{which}_fn")
-    if fn is None:
-        raise CapabilityError(
-            f"the smoothed objective needs exact_aux prox_{which} and "
-            f"value_{which}, or {which}_fn")
-    return envelope_value(fn, x, gamma, tol=tol)
+    return envelope("phi") - envelope("psi")
 
 
 def smoothness_constant(gamma: float, delta_phi: float,
@@ -299,35 +262,42 @@ def smoothness_constant(gamma: float, delta_phi: float,
     return 2.0 / denom
 
 
-def _component_prox(problem: DMaxProblem, which: str, x: np.ndarray,
-                    gamma: float, tol: float) -> Tuple[np.ndarray, bool]:
-    """Proximal point of one component (Phi or Psi), preferring exact forms."""
+def _component(problem: DMaxProblem, which: str, x: np.ndarray,
+               gamma: float, tol: float) -> Tuple[np.ndarray, Callable]:
+    """Proximal point of one component (``which`` is ``"phi"`` or
+    ``"psi"``) at ``x``, and the component's value map.  Each comes from
+    ``exact_aux`` when it registers the map and from the function oracle
+    ``{which}_fn`` otherwise.  Without a second component (no
+    ``psi_subgrad_x``) Psi is zero: its prox point is ``x`` itself."""
+    if which == "psi" and problem.psi_subgrad_x is None:
+        return x.copy(), lambda p: 0.0
     aux = problem.exact_aux
-    closed = getattr(aux, f"prox_{which}", None) if aux is not None else None
-    if closed is not None:
-        return as_vector(closed(x, gamma), dim=x.shape[0],
-                         name=f"prox_{which}"), True
     fn = getattr(problem, f"{which}_fn")
-    if fn is not None:
-        return prox(fn, x, gamma, tol=tol).point, False
-    raise CapabilityError(
-        f"problem registers neither exact_aux.prox_{which} nor {which}_fn; "
-        "cannot compute envelope quantities")
+    prox_map = getattr(aux, f"prox_{which}", None)
+    value = getattr(aux, f"value_{which}", None) or getattr(fn, "value", None)
+    if value is None or (prox_map is None and fn is None):
+        raise CapabilityError(
+            f"{which} lacks a prox or a value map: register exact_aux "
+            f"prox_{which} and value_{which}, or {which}_fn")
+    if prox_map is None:
+        return prox(fn, x, gamma, tol=tol).point, value
+    return as_vector(prox_map(x, gamma), dim=x.shape[0],
+                     name=f"prox_{which}"), value
 
 
 def envelope_prox_points(problem: DMaxProblem, x, gamma: float,
                          tol: float = 1e-8) -> Tuple[np.ndarray, np.ndarray]:
     """Proximal points ``(prox_Phi(x), prox_Psi(x))`` of both components.
 
-    On a problem without a second component (no ``psi_subgrad_x``) Psi is
+    A component's prox and value maps come from ``exact_aux`` when it
+    registers them and from its function oracle ``{phi,psi}_fn``
+    otherwise; a component with neither raises ``CapabilityError``.  On a
+    problem without a second component (no ``psi_subgrad_x``) Psi is
     zero, and its prox point is ``x`` itself.
     """
     x = as_vector(x, dim=problem.dim_x, name="x")
-    p_phi, _ = _component_prox(problem, "phi", x, gamma, tol)
-    if problem.psi_subgrad_x is None:
-        return p_phi, x.copy()
-    p_psi, _ = _component_prox(problem, "psi", x, gamma, tol)
-    return p_phi, p_psi
+    return (_component(problem, "phi", x, gamma, tol)[0],
+            _component(problem, "psi", x, gamma, tol)[0])
 
 
 def dmax_envelope_grad(problem: DMaxProblem, x, gamma: float,

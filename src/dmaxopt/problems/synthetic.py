@@ -128,8 +128,8 @@ class _NoisyOracle:
 def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
                     kappa_psi: float = 0.0, center_phi: float = 0.0,
                     center_psi: float = 0.0, noise_sigma: float = 0.0,
-                    dim: int = 1, m_bound: Optional[float] = None,
-                    allow_unbounded: bool = False) -> DMaxProblem:
+                    dim: int = 1, m_bound: Optional[float] = None
+                    ) -> DMaxProblem:
     """Difference of shifted scaled |.| functions with optional curvature.
 
     ``phi(x) = a |x - c1| + (kappa_phi/2) x^2`` and
@@ -138,7 +138,7 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
     no duals.  Exact soft-threshold prox maps and component values are
     registered in ``exact_aux``.  Combinations that make ``phi - psi``
     unbounded below (dominating psi curvature, or equal curvature with
-    ``b > a``) are rejected unless ``allow_unbounded=True``.
+    ``b > a``) are rejected.
     """
     if a < 0 or b < 0:
         raise ParameterError("a and b must be nonnegative")
@@ -146,11 +146,9 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
         raise ParameterError("noise_sigma must be nonnegative")
     if dim < 1:
         raise ParameterError("dim must be >= 1")
-    unbounded = kappa_phi < kappa_psi or (kappa_phi == kappa_psi and b > a)
-    if unbounded and not allow_unbounded:
+    if kappa_phi < kappa_psi or (kappa_phi == kappa_psi and b > a):
         raise ParameterError(
-            "phi - psi is unbounded below for these parameters; "
-            "pass allow_unbounded=True to build it anyway")
+            "phi - psi is unbounded below for these parameters")
 
     phi = piecewise_quadratic(a, center_phi, kappa_phi)
     psi = piecewise_quadratic(b, center_psi, kappa_psi)

@@ -531,7 +531,8 @@ class RunResult:
     dmax/dwc return ``candidate`` and report ``t_bar = s + 1``; minmax
     returns ``x_bar``, reports ``t_bar = s`` and has no ``x_psi_bar``.
     ``exact_metrics`` tells whether the trace's stationarity is the exact
-    envelope-gradient norm, rather than the norm of the step's estimate.
+    envelope-gradient norm, rather than the norm of the step's estimate:
+    what the problem's maps gave (see :func:`run`).
     """
 
     records: list
@@ -547,17 +548,17 @@ class RunResult:
     exact_metrics: bool = False
 
 
-def _missing_maps(aux: Optional[ExactAux], oracles: list,
-                  potential: bool = False) -> list:
-    """Names of the ``exact_aux`` maps that exact stationarity (and, with
-    ``potential``, the potential) needs but ``aux`` lacks, for a run that
-    steps the parts of :func:`_smag_oracles` ``oracles``: the prox of each
-    component it steps and the best response of each dual."""
+def _has_maps(aux: Optional[ExactAux], oracles: list,
+              potential: bool = False) -> bool:
+    """Whether ``aux`` has every map that exact stationarity (and, with
+    ``potential``, the potential) reads in a run that steps the parts of
+    :func:`_smag_oracles` ``oracles``: the prox of each component it
+    steps and the best response of each dual."""
     needs = [("prox_phi", True), ("prox_psi", oracles[2] is not None),
              ("best_response_y", potential and oracles[1] is not None),
              ("best_response_z", potential and oracles[3] is not None)]
-    return [n for n, needed in needs
-            if needed and getattr(aux, n, None) is None]
+    return all(getattr(aux, n, None) is not None for n, needed in needs
+               if needed)
 
 
 def _shaped(value, shape: tuple, name: str) -> np.ndarray:
@@ -626,8 +627,7 @@ def _potential_terms(aux: ExactAux, p_phi: np.ndarray, p_psi: np.ndarray,
 def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
         x0=None, *, trace_every: int = 1, seed_label=0,
         decay_milestones: Sequence[int] = (), decay_factor: float = 10.0,
-        shared_sample: bool = False, exact_metrics: Optional[bool] = None,
-        collect_states: bool = False):
+        shared_sample: bool = False, collect_states: bool = False):
     """Run ``sched.t_total`` steps and return traces plus the output iterate.
 
     The output index is drawn up front from a child stream of ``rng`` (see
@@ -641,8 +641,10 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     into it: the squared distances of the inner iterates after the step
     from the exact prox points of the anchor before it (and of each dual
     from its best response there), times ``2 eta0 / (eta1 gamma^2
-    alpha)``; it is NaN unless exact metrics are on and ``exact_aux`` has
-    the best response of each dual the run steps.
+    alpha)``.  The problem's maps decide each row: its stationarity is the
+    exact envelope-gradient norm when ``exact_aux`` has the prox map of
+    each component the mode steps (else the step estimate's norm), and
+    ``p_t`` needs also each stepped dual's best response (else NaN).
 
     With a sequence of streams for ``rng`` (and of labels for
     ``seed_label``, or one int label for all) the seeds step in lockstep
@@ -662,14 +664,8 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     _check_mode(mode)
     oracles = _smag_oracles(problem, mode)
     aux = problem.exact_aux
-    missing = _missing_maps(aux, oracles)
-    if exact_metrics is None:
-        exact_metrics = not missing
-    if exact_metrics and missing:
-        raise CapabilityError(
-            f"exact metrics in {mode} mode need exact_aux.{missing[0]}")
-    trace_potential = exact_metrics and not _missing_maps(aux, oracles,
-                                                          potential=True)
+    exact_metrics = _has_maps(aux, oracles)
+    trace_potential = exact_metrics and _has_maps(aux, oracles, True)
     pot_coef = 2.0 * sched.eta0 / (sched.eta1 * sched.gamma ** 2 * sched.alpha)
 
     t_total = sched.t_total

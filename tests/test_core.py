@@ -116,7 +116,7 @@ def test_whole_space_projection_is_identity():
     cset = whole_space(4)
     v = np.array([1.0, -2.0, 3.0, 0.0])
     assert project(cset, v).tolist() == v.tolist()
-    assert not cset.is_bounded()
+    assert cset.kind == "whole-space"
 
 
 def test_projection_properties_random():
@@ -474,6 +474,12 @@ def test_rng_stream_rejects_negative_keys():
         RngStream(-1)
     with pytest.raises(ParameterError):
         RngStream(0, -2)
+    # the Philox key holds 64 bits: 2**64 would draw seed 0's tokens
+    for seed, stream_id in ((2 ** 64, 0), (0, 2 ** 64), (2 ** 65 + 3, 0)):
+        with pytest.raises(ParameterError, match="below 2\\*\\*64"):
+            RngStream(seed, stream_id)
+    top = RngStream(2 ** 64 - 1, 2 ** 64 - 1)
+    assert top.draw() != RngStream(0).draw()
     with pytest.raises(ParameterError):
         RngStream(0).draw_many(-1)
 

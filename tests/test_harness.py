@@ -87,6 +87,15 @@ def test_grad_check_needs_envelope_machinery():
         grad_check(prob, 1.0, n_points=2)
 
 
+def test_grad_check_fails_on_non_finite_differences():
+    # at |x| ~ 1e160 Phi's curvature term overflows, so every difference
+    # is inf - inf: a NaN error must fail the check, not be dropped
+    prob = make_onedim_dwc(1.0, 0.5, kappa_phi=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = grad_check(prob, 0.5, n_points=5, sample_box=(1e160, 2e160))
+    assert rep.max_rel_err == math.inf and rep.n_checked == 5
+
+
 def test_grad_check_validation():
     prob = make_onedim_dwc(1.0, 0.5)
     with pytest.raises(ParameterError):
@@ -186,7 +195,9 @@ def test_experiment_config_validation():
     ("decay_milestones", [10, 2.5]), ("decay_milestones", [True]),
     ("decay_milestones", [-1]), ("decay_factor", True),
     ("decay_factor", "2"), ("decay_factor", 0), ("shared_sample", "false"),
-    ("shared_sample", 0), ("exact_metrics", "true"), ("exact_metrics", 1)])
+    ("shared_sample", 0),
+    # no longer a key: refused as unknown, naming the key
+    ("exact_metrics", "true"), ("exact_metrics", 1)])
 def test_config_integers_reject_bools_and_fractions(key, value):
     with pytest.raises(ParameterError, match=key):
         ExperimentConfig.from_dict(_good_cfg(**{key: value}))
@@ -257,6 +268,7 @@ def test_build_problem_kinds(tmp_path):
 
 
 @pytest.mark.parametrize("section, key", [
+    # no longer a key: refused as unknown, naming the key
     ({"kind": "onedim-dwc", "allow_unbounded": "false"}, "allow_unbounded"),
     ({"kind": "onedim-dwc", "allow_unbounded": 0}, "allow_unbounded"),
     ({"kind": "onedim-dwc", "dim": 2.7}, "dim"),
@@ -589,8 +601,9 @@ def test_trace_float_fields_parse_as_float_does(field, tmp_path):
     try:
         float(field)
     except ValueError:
-        with pytest.raises(ParameterError, match=", line 3: "):
-            trace_payload(str(path))
+        for reader in (trace_payload, read_trace):
+            with pytest.raises(ParameterError, match=", line 3: "):
+                reader(str(path))
         return
     assert trace_payload(str(path))[1][1] == (2, "0.5", field, "", 0)
     assert repr(read_trace(str(path))[1][1].stationarity) == \
@@ -715,6 +728,15 @@ def test_cli_grad_check(tmp_path, capsys):
     # an absurd threshold flips it to a runtime failure
     assert main(["grad-check", path, "--set", "max_rel_err=1e-30"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_grad_check_exits_3_on_non_finite_differences(tmp_path, capsys):
+    cfg = {"problem": {"kind": "onedim-dwc", "kappa_phi": 1.0}, "gamma": 0.5,
+           "n_points": 5, "sample_box": [1e160, 2e160], "max_rel_err": 1e-6}
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _main(tmp_path, "grad-check", cfg) == 3
+    out = capsys.readouterr().out
+    assert "max_rel_err = inf" in out and "FAIL" in out
 
 
 def test_cli_fairness(tmp_path, capsys):
@@ -861,7 +883,16 @@ def test_reader_refuses_unknown_keys_and_non_numbers(tmp_path, capsys, block,
                     "gamma": 0.5, "n_points": 2.7}, None,
      "config.n_points must be an integer"),
     # this ran from x0 = 1.0
-    ("run", _good_cfg(x0=True), None, "config.x0 must be")])
+    ("run", _good_cfg(x0=True), None, "config.x0 must be"),
+    # removed keys: the problem's maps decide the stationarity column, and
+    # unbounded onedim-dwc combinations are always refused
+    ("run", _good_cfg(exact_metrics=False), None,
+     "unknown config keys: ['exact_metrics']"),
+    ("run", _good_cfg(problem={"kind": "onedim-dwc",
+                               "allow_unbounded": False}), None,
+     "unknown problem keys: ['allow_unbounded']"),
+    # seed 2**64 drew seed 0's tokens as a second, distinct seed
+    ("run", _good_cfg(seeds=[0, 2 ** 64]), None, "below 2**64")])
 def test_reader_refuses_configs_that_used_to_run(tmp_path, capsys, command,
                                                  cfg, override, want):
     overrides = [override] if override else []

@@ -4,13 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from dmaxopt.core import CapabilityError, ParameterError, RngStream
+from dmaxopt.core import (
+    CapabilityError,
+    DMaxProblem,
+    ExactAux,
+    ParameterError,
+    ProblemConstants,
+    RngStream,
+)
 from dmaxopt.moreau import (
     check_nearly_critical,
     dmax_envelope_grad,
-    envelope_grad,
     envelope_prox_points,
-    envelope_value,
     prox,
     smoothed_objective,
     smoothness_constant,
@@ -45,14 +50,18 @@ def test_prox_quadratic_frozen():
     assert prox(f, [3.0], 0.5).point.tolist() == [1.5]
 
 
-def test_envelope_value_and_grad_frozen():
+def test_one_component_envelope_and_gradient_frozen():
+    # a problem whose only component is |.|, read from its function oracle
     f = piecewise_quadratic(1.0)
+    prob = DMaxProblem(dim_x=1, constants=ProblemConstants(m_bound=1.0),
+                       phi_subgrad_x=lambda x, y, tok: f.subgrad(x), phi_fn=f)
     # at x=2, gamma=1: prox=1, value = |1| + 1/2 = 1.5, grad = (2-1)/1 = 1
-    assert envelope_value(f, [2.0], 1.0) == pytest.approx(1.5, abs=1e-15)
-    assert envelope_grad(f, [2.0], 1.0).tolist() == [1.0]
+    assert smoothed_objective(prob, [2.0], 1.0) == pytest.approx(1.5, abs=1e-15)
+    assert dmax_envelope_grad(prob, [2.0], 1.0).tolist() == [1.0]
     # inside |x| <= gamma the envelope is x^2 / (2 gamma)
-    assert envelope_value(f, [0.5], 1.0) == pytest.approx(0.125, abs=1e-15)
-    assert envelope_grad(f, [0.5], 1.0).tolist() == [0.5]
+    assert smoothed_objective(prob, [0.5], 1.0) == pytest.approx(0.125,
+                                                                  abs=1e-15)
+    assert dmax_envelope_grad(prob, [0.5], 1.0).tolist() == [0.5]
 
 
 def test_prox_lipschitz_in_anchor():
@@ -188,8 +197,8 @@ def test_envelope_grad_matches_component_difference():
     for _ in range(20):
         x = rng.normal(scale=2.0, size=3)
         g = dmax_envelope_grad(prob, x, 0.6)
-        g_phi = envelope_grad(prob.phi_fn, x, 0.6)
-        g_psi = envelope_grad(prob.psi_fn, x, 0.6)
+        g_phi = (x - prox(prob.phi_fn, x, 0.6).point) / 0.6
+        g_psi = (x - prox(prob.psi_fn, x, 0.6).point) / 0.6
         assert np.allclose(g, g_phi - g_psi, atol=1e-12)
 
 
@@ -199,6 +208,34 @@ def test_envelope_prox_needs_some_oracle():
     prob.phi_fn = None
     with pytest.raises(CapabilityError):
         envelope_prox_points(prob, [1.0], 0.5)
+
+
+def test_each_map_comes_from_exact_aux_or_the_function_oracle():
+    # prox_phi alone in exact_aux: Phi's value and all of Psi come from the
+    # function oracles, which are the same maps, so nothing moves a bit
+    full = make_onedim_dwc(1.0, 0.5, kappa_phi=0.5, kappa_psi=0.2,
+                           center_phi=0.3, dim=2)
+    part = dataclasses.replace(full, exact_aux=ExactAux(
+        prox_phi=full.exact_aux.prox_phi))
+    x = np.array([1.7, -0.4])
+    assert smoothed_objective(part, x, 0.5) == smoothed_objective(full, x, 0.5)
+    for want, got in zip(envelope_prox_points(full, x, 0.5),
+                         envelope_prox_points(part, x, 0.5)):
+        assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("which", ["phi", "psi"])
+def test_a_component_without_a_value_map_is_refused(which):
+    full = make_onedim_dwc(1.0, 0.5)
+    aux = full.exact_aux
+    prob = dataclasses.replace(
+        full, exact_aux=ExactAux(prox_phi=aux.prox_phi, prox_psi=aux.prox_psi,
+                                 **{f"value_{o}": getattr(aux, f"value_{o}")
+                                    for o in ("phi", "psi") if o != which}),
+        **{f"{which}_fn": None})
+    for f in (smoothed_objective, envelope_prox_points, dmax_envelope_grad):
+        with pytest.raises(CapabilityError, match=f"value_{which}"):
+            f(prob, [1.0], 0.5)
 
 
 def test_minmax_problem_envelope():

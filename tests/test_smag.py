@@ -538,7 +538,8 @@ def test_run_stationarity_falls_back_to_step_estimate():
     prob = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     sched = Schedule.from_manual(0.5, 0.005, 0.01, 5, prob.constants,
                                  mode="dwc")
-    res = run(prob, "dwc", sched, RngStream(2), x0=2.0, exact_metrics=False)
+    res = run(dataclasses.replace(prob, exact_aux=None), "dwc", sched,
+              RngStream(2), x0=2.0)
     last = res.records[-1]
     assert last.stationarity == pytest.approx(
         float(np.linalg.norm(res.final_state.last_g)), rel=1e-12)
@@ -549,17 +550,19 @@ def test_run_exact_metrics_requires_aux():
     prob = DMaxProblem(
         dim_x=1,
         constants=ProblemConstants(m_bound=1.0),
-        phi_subgrad_x=lambda x, y, tok: np.zeros(1),
-        psi_subgrad_x=lambda x, z, tok: np.zeros(1),
+        phi_subgrad_x=lambda x, y, tok: np.full(1, 0.5),
+        psi_subgrad_x=lambda x, z, tok: np.full(1, 0.25),
     )
     sched = _manual_sched(0.5, 0.005, 0.01, prob.constants, "dwc")
-    with pytest.raises(CapabilityError):
-        run(prob, "dwc", sched, RngStream(0), exact_metrics=True)
-    res = run(prob, "dwc", sched, RngStream(0))  # auto-detects: no aux
-    assert not res.aborted
+    res = run(prob, "dwc", sched, RngStream(0))  # no exact_aux
+    assert not res.aborted and not res.exact_metrics
+    assert [r.stationarity for r in res.records] == [
+        float(np.linalg.norm(s.last_g)) for s in run(
+            prob, "dwc", sched, RngStream(0), collect_states=True).states[1:]]
+    assert all(math.isnan(r.p_t) for r in res.records)
 
     # prox_phi alone does not give the dwc envelope gradient: the run falls
-    # back to the step estimate, or refuses when exact metrics are forced
+    # back to the step estimate
     base = make_onedim_dwc(1.0, 0.5)
     phi_only = DMaxProblem(
         dim_x=1,
@@ -568,9 +571,8 @@ def test_run_exact_metrics_requires_aux():
         psi_subgrad_x=base.psi_subgrad_x,
         exact_aux=ExactAux(prox_phi=base.exact_aux.prox_phi),
     )
-    with pytest.raises(CapabilityError):
-        run(phi_only, "dwc", sched, RngStream(0), x0=2.0, exact_metrics=True)
     res = run(phi_only, "dwc", sched, RngStream(0), x0=2.0)
+    assert not res.exact_metrics
     assert res.records[-1].stationarity == pytest.approx(
         float(np.linalg.norm(res.final_state.last_g)), rel=1e-12)
     assert math.isnan(res.records[-1].p_t)
@@ -771,8 +773,8 @@ def test_traced_potential_minmax_reads_no_psi_maps():
     assert [r.p_t for r in res.records] == [r.p_t for r in full.records]
     assert all(math.isfinite(r.p_t) for r in res.records)
     for s in res.states[:-1]:
-        assert smoothed_objective(prob, s.x, 0.5, with_psi=False) == \
-               smoothed_objective(base, s.x, 0.5, with_psi=False)
+        assert smoothed_objective(prob, s.x, 0.5) == \
+               smoothed_objective(base, s.x, 0.5)
 
 
 def test_step_diagnostics_inequalities_hold_deterministically():
@@ -1005,12 +1007,12 @@ def _golden_runs():
     return {
         "dwc-exact-decay": lambda: run(
             dwc, "dwc", sched(dwc, "dwc", 400), RngStream(7), x0=2.0,
-            trace_every=1, decay_milestones=(100, 250), decay_factor=3.0,
-            exact_metrics=True),
+            trace_every=1, decay_milestones=(100, 250), decay_factor=3.0),
         "dwc-estimate-shared": lambda: run(
-            dwc3, "dwc", sched(dwc3, "dwc", 300), RngStream(8),
+            dataclasses.replace(dwc3, exact_aux=None), "dwc",
+            sched(dwc3, "dwc", 300), RngStream(8),
             x0=np.array([2.0, -1.0, 0.5]), trace_every=1,
-            exact_metrics=False, shared_sample=True),
+            shared_sample=True),
         "dmax-onedim": lambda: run(
             dwc3, "dmax", sched(dwc3, "dwc", 300), RngStream(9),
             x0=np.array([1.0, -2.0, 0.25]), trace_every=1,
@@ -1109,12 +1111,12 @@ def _lockstep_cases():
             decay_factor=3.0, collect_states=True),
         "dwc-exact-every-step": lambda rng, label: run(
             dwc3, "dwc", sched(dwc3, "dwc", 200), rng,
-            x0=np.array([2.0, -1.0, 0.5]), trace_every=1, seed_label=label,
-            exact_metrics=True),
+            x0=np.array([2.0, -1.0, 0.5]), trace_every=1, seed_label=label),
         "dwc-estimate-shared": lambda rng, label: run(
-            dwc3, "dwc", sched(dwc3, "dwc", 200), rng,
+            dataclasses.replace(dwc3, exact_aux=None), "dwc",
+            sched(dwc3, "dwc", 200), rng,
             x0=np.array([2.0, -1.0, 0.5]), seed_label=label,
-            exact_metrics=False, shared_sample=True),
+            shared_sample=True),
         "dmax-quadratic": lambda rng, label: run(
             quad, "dmax", sched(quad, "dwc", 200, 0.01, 0.05), rng,
             x0=np.full(3, 1.5), seed_label=label),
@@ -1236,7 +1238,7 @@ def test_run_of_a_list_of_one_stream_is_run():
     [a] = run(dwc, "dwc", Schedule.from_manual(
         0.5, 0.005, 0.01, 400, dwc.constants, mode="dwc"), [RngStream(7)],
         x0=2.0, trace_every=1, decay_milestones=(100, 250),
-        decay_factor=3.0, exact_metrics=True)
+        decay_factor=3.0)
     assert _digest(a) == GOLDEN["dwc-exact-decay"]
     [b] = run(quad, "minmax", Schedule.from_manual(
         0.5, 0.01, 0.05, 400, quad.constants, mode="minmax"),
@@ -1421,8 +1423,8 @@ def test_a_run_reports_whether_its_stationarity_is_exact():
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     sched = _manual_sched(0.5, 0.005, 0.01, dwc.constants, "dwc")
     assert run(dwc, "dwc", sched, RngStream(1), x0=2.0).exact_metrics
-    assert not run(dwc, "dwc", sched, RngStream(1), x0=2.0,
-                   exact_metrics=False).exact_metrics
+    assert not run(dataclasses.replace(dwc, exact_aux=None), "dwc", sched,
+                   RngStream(1), x0=2.0).exact_metrics
     bare = _constant_oracle_problem(1.0)  # no exact maps
     assert not any(r.exact_metrics for r in run(
         bare, "dwc", sched, [RngStream(1), RngStream(2)], x0=1.0))

@@ -112,9 +112,6 @@ def test_onedim_rejects_unbounded_combinations():
         make_onedim_dwc(1.0, 2.0)  # b > a, equal curvature
     with pytest.raises(ParameterError):
         make_onedim_dwc(1.0, 0.5, kappa_phi=0.0, kappa_psi=0.5)
-    # explicitly allowed when requested
-    prob = make_onedim_dwc(1.0, 2.0, allow_unbounded=True)
-    assert prob.name == "onedim-dwc"
 
 
 def test_onedim_accepts_bounded_combinations():
@@ -157,8 +154,7 @@ def test_onedim_exact_aux_matches_components():
 
 
 def test_onedim_constants():
-    prob = make_onedim_dwc(1.0, 0.5, kappa_phi=-0.2, kappa_psi=-0.3,
-                           allow_unbounded=True)
+    prob = make_onedim_dwc(1.0, 0.5, kappa_phi=-0.2, kappa_psi=-0.3)
     assert prob.constants.delta_phi == pytest.approx(0.2)
     assert prob.constants.delta_psi == pytest.approx(0.3)
     assert prob.constants.m_bound > 0
@@ -221,7 +217,7 @@ def test_quadratic_minmax_constants_and_sets():
     assert prob.constants.l_phi_yx == 1.0
     assert prob.constants.delta_phi == 0.0
     assert prob.set_y.kind == "box"
-    assert prob.dim_y == 5
+    assert prob.set_y.dim == 5
 
 
 def test_quadratic_minmax_huber_prox_continuity_at_boundary():

@@ -31,6 +31,7 @@ from ..core import (
     ParameterError,
     ProblemConstants,
     _each_row,
+    _indices,
     ball,
     token_generator,
 )
@@ -253,6 +254,75 @@ def fairness_dual_grad(w_a: np.ndarray, feats: np.ndarray,
     return params.alpha_fair * g - params.lambda0 * w_a
 
 
+class _PairOracle:
+    """``phi_subgrad_x`` of :func:`pauc_fair_problem`: the pair subgradient
+    of ``batch_pos`` positives and ``batch_neg`` negatives drawn with
+    replacement, positives first, with the threshold entries of the drawn
+    positives accumulated in batch order.
+
+    Called as ``(x, y, token)`` or in the batched form of
+    :class:`DMaxProblem`, whose batch is the token's indices, realized in
+    bulk; both give the same bits.
+    """
+
+    def __init__(self, pos: np.ndarray, neg: np.ndarray, params: PaucParams):
+        self.pos, self.neg, self.params = pos, neg, params
+        self.draws = ((pos.shape[0], params.batch_pos),
+                      (neg.shape[0], params.batch_neg))
+
+    def __call__(self, x, y, token):
+        gen = token_generator(int(token))
+        idx_p = gen.integers(0, *self.draws[0])
+        out = np.empty(x.shape)
+        self._row(out, x, idx_p, gen.integers(0, *self.draws[1]))
+        return out
+
+    def sample(self, tokens) -> np.ndarray:
+        return _indices(tokens, self.draws)
+
+    def grad(self, x, y, batch):
+        bp = self.params.batch_pos
+        out = np.empty(x.shape)
+        for row, xr, idx in zip(out, x, batch.astype(np.intp)):
+            self._row(row, xr, idx[:bp], idx[bp:])
+        return out
+
+    def _row(self, out, x, idx_p, idx_n):
+        pos, p = self.pos, self.params
+        d = pos.shape[1]
+        out[:d], g_s = _pair_subgrads(x[:d], x[d:][idx_p], pos[idx_p],
+                                      self.neg[idx_n], p.rho, p.c)
+        out[d:] = np.bincount(idx_p, weights=g_s, minlength=pos.shape[0])
+
+
+class _AdversaryOracle:
+    """``phi_grad_y`` of :func:`pauc_fair_problem`: the adversary gradient
+    on ``batch_attr`` examples drawn with replacement; it does not read
+    ``x``.  Called as ``(x, y, token)`` or in the batched form of
+    :class:`DMaxProblem`, whose batch is the token's indices; both give the
+    same bits."""
+
+    def __init__(self, feats: np.ndarray, attrs: np.ndarray,
+                 params: PaucParams):
+        self.feats, self.attrs, self.params = feats, attrs, params
+        self.draws = ((feats.shape[0], params.batch_attr),)
+
+    def __call__(self, x, y, token):
+        idx = token_generator(int(token)).integers(0, *self.draws[0])
+        return fairness_dual_grad(y, self.feats[idx], self.attrs[idx],
+                                  self.params)
+
+    def sample(self, tokens) -> np.ndarray:
+        return _indices(tokens, self.draws)
+
+    def grad(self, x, y, batch):
+        out = np.empty(y.shape)
+        for row, yr, idx in zip(out, y, batch.astype(np.intp)):
+            row[:] = fairness_dual_grad(yr, self.feats[idx], self.attrs[idx],
+                                        self.params)
+        return out
+
+
 def pauc_fair_problem(data: LabeledDataset, params: PaucParams,
                       m_bound: Optional[float] = None) -> DMaxProblem:
     """Wrap the fairness-regularized partial-AUC task as a min-max problem.
@@ -266,30 +336,12 @@ def pauc_fair_problem(data: LabeledDataset, params: PaucParams,
             "alpha_fair > 0 requires sensitive attributes on the dataset")
     pos, neg = _split_counts(data)
     d = data.dimension
-    n_pos, n_neg = pos.shape[0], neg.shape[0]
-    dim_x = d + n_pos
     rho, c = params.rho, params.c
 
     r_max = float(np.linalg.norm(data.features, axis=1).max())
     dual_radius = 2.0 * params.alpha_fair * r_max / params.lambda0 + 1.0
-    feats = data.features
     attrs = data.sensitive if data.sensitive is not None else np.ones(
         len(data), dtype=np.int8)
-
-    def phi_subgrad_x(x, y, token):
-        w, s = x[:d], x[d:]
-        gen = token_generator(int(token))
-        idx_p = gen.integers(0, n_pos, size=params.batch_pos)
-        idx_n = gen.integers(0, n_neg, size=params.batch_neg)
-        g_w, g_s_batch = _pair_subgrads(w, s[idx_p], pos[idx_p], neg[idx_n],
-                                        rho, c)
-        g_s = np.bincount(idx_p, weights=g_s_batch, minlength=n_pos)
-        return np.concatenate([g_w, g_s])
-
-    def phi_grad_y(x, y, token):
-        gen = token_generator(int(token))
-        idx = gen.integers(0, len(data), size=params.batch_attr)
-        return fairness_dual_grad(y, feats[idx], attrs[idx], params)
 
     def full_objective(x):
         return _each_row(lambda row: _objective(row, pos, neg, params), x)
@@ -302,12 +354,12 @@ def pauc_fair_problem(data: LabeledDataset, params: PaucParams,
         m_bound = math.sqrt(w_scale ** 2 + s_scale ** 2 + dual_scale ** 2)
 
     return DMaxProblem(
-        dim_x=dim_x,
+        dim_x=d + pos.shape[0],
         constants=ProblemConstants(delta_phi=0.0, delta_psi=0.0,
                                    mu_phi=params.lambda0, l_phi_yx=0.0,
                                    m_bound=float(m_bound)),
-        phi_subgrad_x=phi_subgrad_x,
-        phi_grad_y=phi_grad_y,
+        phi_subgrad_x=_PairOracle(pos, neg, params),
+        phi_grad_y=_AdversaryOracle(data.features, attrs, params),
         psi_subgrad_x=None,
         psi_grad_z=None,
         set_y=ball(np.zeros(d), dual_radius),

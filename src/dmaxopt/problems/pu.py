@@ -26,6 +26,7 @@ from ..core import (
     ParameterError,
     ProblemConstants,
     _each_row,
+    _indices,
     token_generator,
 )
 from .data import LabeledDataset
@@ -95,6 +96,59 @@ def pu_full_subgrads(w: np.ndarray, positives: LabeledDataset,
     return g_phi, g_psi
 
 
+class _PsiOracle:
+    """``psi_subgrad_x`` of :func:`make_pu_problem`: the psi subgradient on
+    ``batch_pos`` positives drawn with replacement.
+
+    Called as ``(x, z, token)`` or in the batched form of
+    :class:`DMaxProblem`, whose batch is the token's indices, realized in
+    bulk; both give the same bits.
+    """
+
+    def __init__(self, pos: np.ndarray, params: PuParams):
+        self.pos, self.pi_p = pos, params.pi_p
+        self.draws = ((pos.shape[0], params.batch_pos),)
+
+    def __call__(self, x, z, token):
+        idx_p = token_generator(int(token)).integers(0, *self.draws[0])
+        return _psi_batch_grad(x, self.pos[idx_p], self.pi_p)
+
+    def sample(self, tokens) -> np.ndarray:
+        return _indices(tokens, self.draws)
+
+    def grad(self, x, z, batch):
+        out = np.empty(x.shape)
+        for row, xr, idx in zip(out, x, batch.astype(np.intp)):
+            row[:] = self._row(xr, idx)
+        return out
+
+    def _row(self, x, idx):
+        return _psi_batch_grad(x, self.pos[idx], self.pi_p)
+
+
+class _PhiOracle(_PsiOracle):
+    """``phi_subgrad_x`` of :func:`make_pu_problem`: the phi subgradient on
+    ``batch_pos`` positives and then ``batch_unl`` unlabeled points drawn
+    with replacement, so that a token draws the positives the psi oracle
+    draws from it.  Called and batched as :class:`_PsiOracle`."""
+
+    def __init__(self, pos: np.ndarray, unl: np.ndarray, params: PuParams):
+        super().__init__(pos, params)
+        self.unl = unl
+        self.draws += ((unl.shape[0], params.batch_unl),)
+
+    def __call__(self, x, y, token):
+        gen = token_generator(int(token))
+        idx_p = gen.integers(0, *self.draws[0])
+        idx_u = gen.integers(0, *self.draws[1])
+        return _phi_batch_grad(x, self.pos[idx_p], self.unl[idx_u], self.pi_p)
+
+    def _row(self, x, idx):
+        bp = self.draws[0][1]
+        return _phi_batch_grad(x, self.pos[idx[:bp]], self.unl[idx[bp:]],
+                               self.pi_p)
+
+
 def make_pu_problem(positives: LabeledDataset, unlabeled: LabeledDataset,
                     params: PuParams,
                     m_bound: Optional[float] = None) -> DMaxProblem:
@@ -110,18 +164,6 @@ def make_pu_problem(positives: LabeledDataset, unlabeled: LabeledDataset,
         raise ParameterError("positive and unlabeled dimensions differ")
     dim = positives.dimension
     pi_p = params.pi_p
-
-    def phi_subgrad_x(x, y, token):
-        gen = token_generator(int(token))
-        idx_p = gen.integers(0, len(positives), size=params.batch_pos)
-        idx_u = gen.integers(0, len(unlabeled), size=params.batch_unl)
-        return _phi_batch_grad(x, positives.features[idx_p],
-                               unlabeled.features[idx_u], pi_p)
-
-    def psi_subgrad_x(x, z, token):
-        gen = token_generator(int(token))
-        idx_p = gen.integers(0, len(positives), size=params.batch_pos)
-        return _psi_batch_grad(x, positives.features[idx_p], pi_p)
 
     def phi_value(x):
         mp = positives.features @ x
@@ -152,8 +194,9 @@ def make_pu_problem(positives: LabeledDataset, unlabeled: LabeledDataset,
         dim_x=dim,
         constants=ProblemConstants(delta_phi=0.0, delta_psi=0.0,
                                    m_bound=float(m_bound)),
-        phi_subgrad_x=phi_subgrad_x,
-        psi_subgrad_x=psi_subgrad_x,
+        phi_subgrad_x=_PhiOracle(positives.features, unlabeled.features,
+                                 params),
+        psi_subgrad_x=_PsiOracle(positives.features, params),
         phi_fn=phi_fn,
         psi_fn=psi_fn,
         full_objective=lambda x: _each_row(

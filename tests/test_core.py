@@ -21,6 +21,7 @@ from dmaxopt.core import (
     ProblemConstants,
     RngStream,
     _finite,
+    _indices,
     _normals,
     _philox_words,
     as_vector,
@@ -183,6 +184,47 @@ def test_projection_of_a_stack_is_row_by_row():
         rows = np.stack([project(cset, r) for r in stack])
         assert np.array_equal(_bits(project(cset, stack)), _bits(rows))
         assert project(cset, stack[:0]).shape == (0, 4)
+
+
+def test_ball_projection_of_a_stack_keeps_each_rows_bits():
+    # rows inside, exactly on the sphere (a 3-4-5 offset), just outside,
+    # far outside, at the centre, and one whose squared norm overflows
+    cset = ball([0.5, -1.0, 2.0], 5.0)
+    c = cset.center
+    rng = np.random.default_rng(12)
+    stack = np.concatenate([
+        c + rng.normal(scale=0.5, size=(4, 3)),
+        c + np.array([[3.0, 4.0, 0.0], [0.0, -3.0, 4.0]]),
+        c + np.array([[3.0, 4.0, 1e-6], [0.0, 0.0, -5.000000000000001]]),
+        c + rng.normal(scale=40.0, size=(4, 3)),
+        c[None],
+        [[1e200, 1e200, 0.0]]])
+    rng.shuffle(stack)
+    with np.errstate(over="ignore"):
+        rows = np.stack([project(cset, r) for r in stack])
+        got = project(cset, stack)
+        keep = np.array([np.linalg.norm(r - c) <= 5.0 for r in stack])
+    assert np.array_equal(_bits(got), _bits(rows))
+    # a row on or inside the sphere is returned as it came
+    assert keep.sum() == 7
+    assert np.array_equal(_bits(got[keep]), _bits(stack[keep]))
+    assert not np.shares_memory(got, stack)
+    # a stack with no row outside
+    inside = stack[keep]
+    assert np.array_equal(_bits(project(cset, inside)), _bits(inside))
+    # a row exactly on a sphere whose centre does not round-trip it,
+    # c + (v - c) != v: it must come back unscaled
+    c = np.array([-0.006826779865523179, 1.0461432923049026,
+                  0.7415884212884828])
+    on = np.array([39.950546212680905, -0.8779154508152099,
+                   19.835202658568868])
+    assert not np.array_equal(c + (on - c), on)
+    sphere = ball(c, float(np.linalg.norm(on - c)))
+    stack = np.stack([on, c + 0.5, 2.0 * on])
+    got = project(sphere, stack)
+    assert np.array_equal(_bits(got), _bits(np.stack(
+        [project(sphere, r) for r in stack])))
+    assert np.array_equal(_bits(got[0]), _bits(on))
 
 
 def test_box_validation():
@@ -443,6 +485,75 @@ def test_wide_normals_take_the_scalar_generator(monkeypatch):
     realized.clear()
     _normals(toks, core._BULK_MAX_D)
     assert len(realized) < toks.size
+
+
+def _per_token_indices(tokens, draws):
+    """The documented sampling: one generator per token, its draws in
+    order."""
+    rows = []
+    for t in tokens:
+        gen = token_generator(t)
+        rows.append(np.concatenate(
+            [gen.integers(0, n, size=b) for n, b in draws]))
+        del gen
+    return np.array(rows, dtype=np.int64).reshape(
+        len(rows), sum(b for _, b in draws))
+
+
+@pytest.mark.parametrize("draws", [
+    ((1000, 64),),
+    # odd sizes: the next draw starts on the high half of a word
+    ((37, 7), (1000, 5), (3, 1), (60, 9)),
+    # a bound of 1 reads no words
+    ((5, 3), (1, 4), (7, 2), (1, 1)),
+    # Lemire rejects often near 2**32: most tokens take the fallback
+    ((3 * 2 ** 30, 1), (10, 8)),
+    ((2 ** 31, 3), (2 ** 32 - 1, 2)),
+])
+def test_bulk_indices_are_the_per_token_draws(draws, monkeypatch):
+    realized = []
+
+    def counted(token, salt=_TOKEN_SALT):
+        realized.append(token)
+        return token_generator(token, salt)
+
+    monkeypatch.setattr(core, "token_generator", counted)
+    toks = np.random.default_rng(len(draws)).integers(
+        0, 2 ** 64, size=2 * core._INDEX_BLOCK + 3, dtype=np.uint64)
+    toks[:2] = [0, 2 ** 64 - 1]
+    want = _per_token_indices(toks.tolist(), draws)
+    for n in (1, core._BULK_INDICES - 1, core._BULK_INDICES, toks.size):
+        realized.clear()
+        got = _indices(toks[:n], draws)
+        assert got.dtype == np.min_scalar_type(max(draws)[0] - 1)
+        assert np.array_equal(got, want[:n])
+        if n < core._BULK_INDICES:
+            assert realized == toks[:n].tolist()
+    # a token falls back when some m mod 2**32 < n: a superset of numpy's
+    # rejections, so fallbacks happen only where a bound is near 2**32
+    share = len(realized) / toks.size
+    if max(draws)[0] == 3 * 2 ** 30:
+        assert 0.6 < share < 0.9
+    elif max(draws)[0] < 2 ** 20:
+        assert share < 0.01
+    assert _indices(toks[:0], draws).shape == (0, sum(b for _, b in draws))
+
+
+def test_indices_of_bounds_from_2_to_the_32_take_the_scalar_generator(
+        monkeypatch):
+    realized = []
+
+    def counted(token, salt=_TOKEN_SALT):
+        realized.append(token)
+        return token_generator(token, salt)
+
+    monkeypatch.setattr(core, "token_generator", counted)
+    toks = np.arange(3, 3 + 2 * core._BULK_INDICES, dtype=np.uint64)
+    for draws in (((2 ** 32, 3),), ((10, 2), (2 ** 40, 1))):
+        realized.clear()
+        got = _indices(toks, draws)
+        assert realized == toks.tolist()
+        assert np.array_equal(got, _per_token_indices(toks.tolist(), draws))
 
 
 def test_import_leaves_numpy_random_unloaded():

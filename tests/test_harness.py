@@ -640,6 +640,24 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over", [
+    {"seeds": [0, 2 ** 64]},
+    {"problem": {"kind": "pu-libsvm", "path": "missing.libsvm",
+                 "pi_p": 0.5}},
+    {"problem": {"kind": "onedim-dwc", "a": 0.5, "b": 1.0}}])
+def test_cli_run_refused_at_build_leaves_no_output_dir(tmp_path, capsys,
+                                                       over):
+    # the config passes validation; building its streams or problem fails
+    if "problem" in over and "path" in over["problem"]:
+        over["problem"]["path"] = str(tmp_path / "missing.libsvm")
+    ExperimentConfig.from_dict(_good_cfg(**over))
+    path = _write_cfg(tmp_path, _good_cfg(**over))
+    root = tmp_path / "out"
+    assert main(["run", path, "--output-root", str(root)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not root.exists()
+
+
 @pytest.mark.parametrize("problem", [
     {"kind": "onedim-dwc"},
     {"kind": "pu-synth", "pi_p": 0.5, "n_pos": 20, "n_unl": 30, "dim": 4}])

@@ -534,6 +534,33 @@ def test_dual_oracle_reproduces_the_documented_sampling():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("batches", [(8, 8, 8), (7, 9, 5), (1, 1, 1)])
+def test_batched_oracles_equal_their_plain_calls(batches):
+    """Each row of ``grad`` on the ``sample`` of a token equals the plain
+    ``(x, y, token)`` call, bit for bit; the dual also takes ``x=None``."""
+    bp, bn, ba = batches
+    data = synth_biased_pauc(60, 4, seed=5)
+    prob = pauc_fair_problem(data, PaucParams(
+        alpha_fair=0.5, batch_pos=bp, batch_neg=bn, batch_attr=ba))
+    rng = np.random.default_rng(sum(batches))
+    seeds = 3
+    x = np.concatenate([rng.normal(size=(seeds, 4)),
+                        rng.uniform(0.2, 1.0, (seeds, prob.dim_x - 4))], 1)
+    y = rng.normal(scale=0.3, size=(seeds, 4))
+    tokens = rng.integers(0, 2 ** 64, size=(20, seeds), dtype=np.uint64)
+    for oracle, dim in ((prob.phi_subgrad_x, prob.dim_x),
+                        (prob.phi_grad_y, 4)):
+        batch = oracle.sample(tokens.reshape(-1)).reshape(20, seeds, -1)
+        for step, toks in enumerate(tokens.tolist()):
+            got = oracle.grad(x, y, batch[step])
+            assert got.shape == (seeds, dim)
+            want = np.stack([oracle(x[j], y[j], t)
+                             for j, t in enumerate(toks)])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(prob.phi_grad_y(None, y[0], 5),
+                          prob.phi_grad_y(x[0], y[0], 5))
+
+
 def test_alpha_without_attributes_is_rejected():
     data = LabeledDataset(np.eye(2), [1, -1])
     with pytest.raises(ParameterError):

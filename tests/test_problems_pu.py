@@ -101,6 +101,33 @@ def test_component_subgrads_share_the_positive_batch():
     assert np.array_equal(prob.psi_subgrad_x(w, None, token), pair[1])
 
 
+@pytest.mark.parametrize("sets", [(60, 140, 8, 8), (50, 80, 7, 3),
+                                  (1, 1, 4, 4)])
+def test_batched_oracles_equal_their_plain_calls(sets):
+    """Each row of ``grad`` on the ``sample`` of a token equals the plain
+    ``(x, None, token)`` call, bit for bit.  Under shared sampling phi and
+    psi get the same token, and psi's batch is phi's positives."""
+    n_pos, n_unl, bp, bu = sets
+    positives, unlabeled = synth_gaussian_pu(n_pos, n_unl, 5, 1.5, 0.5,
+                                             seed=3)
+    prob = make_pu_problem(positives, unlabeled,
+                           PuParams(pi_p=0.5, batch_pos=bp, batch_unl=bu))
+    rng = np.random.default_rng(n_pos)
+    seeds = 3
+    x = rng.normal(size=(seeds, 5))
+    tokens = rng.integers(0, 2 ** 64, size=(20, seeds), dtype=np.uint64)
+    batches = [o.sample(tokens.reshape(-1)).reshape(20, seeds, -1)
+               for o in (prob.phi_subgrad_x, prob.psi_subgrad_x)]
+    assert np.array_equal(batches[1], batches[0][:, :, :bp])
+    for oracle, batch in zip((prob.phi_subgrad_x, prob.psi_subgrad_x),
+                             batches):
+        for step, toks in enumerate(tokens.tolist()):
+            got = oracle.grad(x, None, batch[step])
+            want = np.stack([oracle(x[j], None, t)
+                             for j, t in enumerate(toks)])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_minibatch_matches_full_when_batch_covers_singleton():
     positives, unlabeled = _single_point_sets()
     params = PuParams(pi_p=0.7, batch_pos=4, batch_unl=4)

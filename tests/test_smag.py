@@ -1095,6 +1095,8 @@ def _lockstep_cases():
     quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
     pauc = pauc_fair_problem(synth_biased_pauc(60, 4, seed=5), PaucParams(
         alpha_fair=0.5, batch_pos=8, batch_neg=8, batch_attr=8))
+    pu = make_pu_problem(*synth_gaussian_pu(30, 50, 3, 1.5, 0.5, seed=2),
+                         PuParams(pi_p=0.5, batch_pos=7, batch_unl=5))
     blow_up = DMaxProblem(
         dim_x=1, constants=ProblemConstants(m_bound=1.0),
         phi_subgrad_x=lambda x, y, tok: np.full(1, -1e308),
@@ -1128,6 +1130,10 @@ def _lockstep_cases():
         "minmax-pauc": lambda rng, label: run(
             pauc, "minmax", sched(pauc, "minmax", 40, 0.005, 0.02), rng,
             seed_label=label),
+        "dwc-pu-shared": lambda rng, label: run(
+            pu, "dwc", sched(pu, "dwc", 60, 0.01, 0.05), rng,
+            x0=np.array([0.5, -0.5, 0.2]), seed_label=label,
+            shared_sample=True),
         "all-abort-anchor": lambda rng, label: run(
             blow_up, "dwc", sched(blow_up, "dwc", 10, 0.05, 0.2), rng,
             x0=1.5e308, seed_label=label),
@@ -1338,13 +1344,42 @@ def test_every_token_on_the_scalar_fallback_keeps_the_golden_digests(
     # would read 0
     monkeypatch.setattr(core, "_zig", (np.zeros(256),
                                        np.zeros(256, dtype=np.uint64)))
+    # no call reaches the bulk index cutoff: the pAUC run's chunks of 60
+    # tokens per oracle are realized token by token
+    monkeypatch.setattr(core, "_BULK_INDICES", 2 ** 62)
     realized = []
     plain = core.token_generator
     monkeypatch.setattr(core, "token_generator",
                         lambda t: realized.append(t) or plain(t))
     for case, make in _golden_runs().items():
+        n = len(realized)
         assert _digest(make()) == GOLDEN[case], case
+        if case == "minmax-pauc":
+            assert len(realized) - n == 2 * 60
     assert len(realized) > 1000
+
+
+def test_data_oracles_run_as_their_plain_calls():
+    """Runs on the batched pAUC and PU oracles equal runs on the same
+    oracles wrapped as plain callables, which a run calls token by
+    token."""
+    pauc = pauc_fair_problem(synth_biased_pauc(60, 4, seed=5), PaucParams(
+        alpha_fair=0.5, batch_pos=5, batch_neg=9, batch_attr=7))
+    pu = make_pu_problem(*synth_gaussian_pu(30, 50, 3, 1.5, 0.5, seed=2),
+                         PuParams(pi_p=0.5, batch_pos=7, batch_unl=5))
+    seeds = [41, 42]
+    for prob, mode in ((pauc, "minmax"), (pu, "dwc"), (pu, "dmax")):
+        plain = dataclasses.replace(prob, **{
+            name: (lambda o: lambda x, dual, tok: o(x, dual, tok))(o)
+            for name in ("phi_subgrad_x", "phi_grad_y", "psi_subgrad_x")
+            if (o := getattr(prob, name)) is not None})
+        sched = Schedule.from_manual(0.5, 0.01, 0.05, 50, prob.constants,
+                                     mode="dwc" if mode == "dmax" else mode)
+        for shared in (False, True):
+            got, want = (run(p, mode, sched, [RngStream(s) for s in seeds],
+                             x0=np.full(prob.dim_x, 0.1), seed_label=seeds,
+                             shared_sample=shared) for p in (prob, plain))
+            assert [_digest(r) for r in got] == [_digest(r) for r in want]
 
 
 def test_a_failed_row_reads_zeros_for_the_rest_of_its_step():

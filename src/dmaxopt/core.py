@@ -8,6 +8,7 @@ at module boundaries.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
@@ -158,21 +159,16 @@ def project(cset: ConstraintSet, v) -> np.ndarray:
     if cset.kind == "box":
         return _clip(v, cset.lo, cset.hi)
     if cset.kind == "ball":
-        u = v - cset.center
-        if v.ndim == 1:
-            nrm = float(np.linalg.norm(u))
-            if nrm <= cset.radius:
-                return v
-            return cset.center + u * (cset.radius / nrm)
-        # np.linalg.norm of one row is sqrt(u.dot(u)); vecdot calls that
-        # dot once per row, so each row keeps its bits from the 1-D path.
+        rows = v.reshape(-1, cset.dim)
+        u = rows - cset.center
+        # the norm np.linalg.norm gives a row: sqrt(u.dot(u)), one dot per row
         nrm = np.sqrt(np.vecdot(u, u))
         far = nrm > cset.radius
         if not np.count_nonzero(far):
             return v
-        out = v.copy()
+        out = rows.copy()
         out[far] = cset.center + u[far] * (cset.radius / nrm[far])[:, None]
-        return out
+        return out.reshape(v.shape)
     raise ParameterError(f"unknown constraint kind {cset.kind!r}")
 
 
@@ -473,6 +469,49 @@ def _indices(tokens, draws) -> np.ndarray:
                                  for n, b in draws])
         del gen  # so that the next token reuses the cached Philox
     return out
+
+
+class _IndexOracle:
+    """A data oracle whose sample for token ``t`` is
+    ``token_generator(t).integers(0, n, size=b)`` for each ``(n, b)`` of
+    ``draws``, in order.
+
+    Called as ``(x, dual, token)`` or in the batched form of
+    :class:`DMaxProblem`, whose batch is the tokens' indices realized in
+    bulk by :func:`_indices`; both give the same bits.  A subclass passes
+    ``draws`` and ``dim``, the length of its values, and returns one value
+    from ``_row(x, dual, idx)``, ``idx`` holding one index array per draw.
+    The plain call draws through the ``token_generator`` of the subclass's
+    module, so that a rebinding of that name is seen.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._module = sys.modules[cls.__module__]
+
+    def __init__(self, draws: tuple, dim: int):
+        self.draws, self.dim = draws, dim
+        ends = list(itertools.accumulate(b for _, b in draws))
+        self._cuts = [slice(a, b) for a, b in zip([0] + ends, ends)]
+
+    def __call__(self, x, dual, token):
+        draw = self._module.token_generator(int(token)).integers
+        return self._row(x, dual, [draw(0, n, size=b) for n, b in self.draws])
+
+    def sample(self, tokens) -> np.ndarray:
+        return _indices(tokens, self.draws)
+
+    def grad(self, x, dual, batch):
+        out = np.empty((batch.shape[0], self.dim))
+        duals = [None] * len(out) if dual is None else dual
+        batch = batch.astype(np.intp)
+        idx = zip(*[batch[:, c] for c in self._cuts])
+        for row, xr, dr, ix in zip(out, x, duals, idx):
+            row[:] = self._row(xr, dr, ix)
+        return out
+
+    def _row(self, x, dual, idx) -> np.ndarray:
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------

@@ -144,26 +144,24 @@ def trace_payload(path: str):
     return meta, list(zip(cols[0], *cols[1:4], cols[5]))
 
 
-def _run_seeds(cfg: ExperimentConfig, cfg_hash: str, out_dir: str) -> list:
+def _run_seeds(cfg: ExperimentConfig, cfg_hash: str) -> list:
     """Build the problem once and run every seed of the config in one
-    lockstep call.  ``out_dir`` is created once the problem, the schedule
-    and the streams are built, so a config refused there leaves none.
-    Returns, per seed, (records, final_metrics, aborted, meta)."""
+    lockstep call.  Returns, per seed, (records, final_metrics, aborted,
+    meta)."""
     problem = build_problem(cfg.problem)
     mode = mode_for_algorithm(cfg.algorithm)
-    sched = None if mode is None else build_schedule(cfg, problem)
     x0 = cfg.x0
     if isinstance(x0, (int, float)):
         x0 = np.full(problem.dim_x, float(x0))
     rngs = [RngStream(seed) for seed in cfg.seeds]
-    os.makedirs(out_dir, exist_ok=True)
     common = dict(x0=x0, trace_every=cfg.trace_every, seed_label=cfg.seeds,
                   decay_milestones=tuple(cfg.decay_milestones),
                   decay_factor=cfg.decay_factor,
                   shared_sample=cfg.shared_sample)
     stat_kind = "step-direction-norm"
     if mode is not None:
-        results = smag_run(problem, mode, sched, rngs, **common)
+        results = smag_run(problem, mode, build_schedule(cfg, problem), rngs,
+                           **common)
         stat_kind = ("exact-envelope-grad" if results[0].exact_metrics
                      else "step-estimate")
     elif cfg.algorithm == "sgd":
@@ -212,12 +210,14 @@ def run_experiment(config, output_root: Optional[str] = None
         output_root = os.environ.get("DMAXOPT_OUTPUT_ROOT", "runs")
     # an absolute output_dir drops the root
     out_dir = os.path.join(output_root, cfg.output_dir)
+    # made once the runs are done, so a config they refuse leaves none
+    runs = _run_seeds(cfg, cfg_hash)
+    os.makedirs(out_dir, exist_ok=True)
 
     trace_paths = {}
     finals = {}
     aborted_seeds = []
-    for seed, (records, final, aborted, meta) in zip(
-            cfg.seeds, _run_seeds(cfg, cfg_hash, out_dir)):
+    for seed, (records, final, aborted, meta) in zip(cfg.seeds, runs):
         path = os.path.join(out_dir, f"trace_seed{seed}.csv")
         _write_trace(path, meta, records)
         trace_paths[seed] = path

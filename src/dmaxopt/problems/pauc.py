@@ -30,8 +30,8 @@ from ..core import (
     DMaxProblem,
     ParameterError,
     ProblemConstants,
+    _IndexOracle,
     _each_row,
-    _indices,
     ball,
     token_generator,
 )
@@ -254,73 +254,43 @@ def fairness_dual_grad(w_a: np.ndarray, feats: np.ndarray,
     return params.alpha_fair * g - params.lambda0 * w_a
 
 
-class _PairOracle:
+class _PairOracle(_IndexOracle):
     """``phi_subgrad_x`` of :func:`pauc_fair_problem`: the pair subgradient
     of ``batch_pos`` positives and ``batch_neg`` negatives drawn with
     replacement, positives first, with the threshold entries of the drawn
-    positives accumulated in batch order.
-
-    Called as ``(x, y, token)`` or in the batched form of
-    :class:`DMaxProblem`, whose batch is the token's indices, realized in
-    bulk; both give the same bits.
-    """
+    positives accumulated in batch order."""
 
     def __init__(self, pos: np.ndarray, neg: np.ndarray, params: PaucParams):
+        super().__init__(((pos.shape[0], params.batch_pos),
+                          (neg.shape[0], params.batch_neg)),
+                         pos.shape[1] + pos.shape[0])
         self.pos, self.neg, self.params = pos, neg, params
-        self.draws = ((pos.shape[0], params.batch_pos),
-                      (neg.shape[0], params.batch_neg))
 
-    def __call__(self, x, y, token):
-        gen = token_generator(int(token))
-        idx_p = gen.integers(0, *self.draws[0])
-        out = np.empty(x.shape)
-        self._row(out, x, idx_p, gen.integers(0, *self.draws[1]))
-        return out
-
-    def sample(self, tokens) -> np.ndarray:
-        return _indices(tokens, self.draws)
-
-    def grad(self, x, y, batch):
-        bp = self.params.batch_pos
-        out = np.empty(x.shape)
-        for row, xr, idx in zip(out, x, batch.astype(np.intp)):
-            self._row(row, xr, idx[:bp], idx[bp:])
-        return out
-
-    def _row(self, out, x, idx_p, idx_n):
-        pos, p = self.pos, self.params
+    def _row(self, x, y, idx):
+        (idx_p, idx_n), pos, p = idx, self.pos, self.params
         d = pos.shape[1]
+        out = np.empty(self.dim)
         out[:d], g_s = _pair_subgrads(x[:d], x[d:][idx_p], pos[idx_p],
                                       self.neg[idx_n], p.rho, p.c)
         out[d:] = np.bincount(idx_p, weights=g_s, minlength=pos.shape[0])
+        return out
 
 
-class _AdversaryOracle:
+class _AdversaryOracle(_IndexOracle):
     """``phi_grad_y`` of :func:`pauc_fair_problem`: the adversary gradient
     on ``batch_attr`` examples drawn with replacement; it does not read
-    ``x``.  Called as ``(x, y, token)`` or in the batched form of
-    :class:`DMaxProblem`, whose batch is the token's indices; both give the
-    same bits."""
+    ``x``."""
 
     def __init__(self, feats: np.ndarray, attrs: np.ndarray,
                  params: PaucParams):
+        super().__init__(((feats.shape[0], params.batch_attr),),
+                         feats.shape[1])
         self.feats, self.attrs, self.params = feats, attrs, params
-        self.draws = ((feats.shape[0], params.batch_attr),)
 
-    def __call__(self, x, y, token):
-        idx = token_generator(int(token)).integers(0, *self.draws[0])
-        return fairness_dual_grad(y, self.feats[idx], self.attrs[idx],
+    def _row(self, x, y, idx):
+        (i,) = idx
+        return fairness_dual_grad(y, self.feats[i], self.attrs[i],
                                   self.params)
-
-    def sample(self, tokens) -> np.ndarray:
-        return _indices(tokens, self.draws)
-
-    def grad(self, x, y, batch):
-        out = np.empty(y.shape)
-        for row, yr, idx in zip(out, y, batch.astype(np.intp)):
-            row[:] = fairness_dual_grad(yr, self.feats[idx], self.attrs[idx],
-                                        self.params)
-        return out
 
 
 def pauc_fair_problem(data: LabeledDataset, params: PaucParams,

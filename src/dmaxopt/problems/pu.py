@@ -25,8 +25,8 @@ from ..core import (
     FunctionOracle,
     ParameterError,
     ProblemConstants,
+    _IndexOracle,
     _each_row,
-    _indices,
     token_generator,
 )
 from .data import LabeledDataset
@@ -96,56 +96,33 @@ def pu_full_subgrads(w: np.ndarray, positives: LabeledDataset,
     return g_phi, g_psi
 
 
-class _PsiOracle:
+class _PsiOracle(_IndexOracle):
     """``psi_subgrad_x`` of :func:`make_pu_problem`: the psi subgradient on
-    ``batch_pos`` positives drawn with replacement.
-
-    Called as ``(x, z, token)`` or in the batched form of
-    :class:`DMaxProblem`, whose batch is the token's indices, realized in
-    bulk; both give the same bits.
-    """
+    ``batch_pos`` positives drawn with replacement."""
 
     def __init__(self, pos: np.ndarray, params: PuParams):
+        super().__init__(((pos.shape[0], params.batch_pos),), pos.shape[1])
         self.pos, self.pi_p = pos, params.pi_p
-        self.draws = ((pos.shape[0], params.batch_pos),)
 
-    def __call__(self, x, z, token):
-        idx_p = token_generator(int(token)).integers(0, *self.draws[0])
+    def _row(self, x, z, idx):
+        (idx_p,) = idx
         return _psi_batch_grad(x, self.pos[idx_p], self.pi_p)
 
-    def sample(self, tokens) -> np.ndarray:
-        return _indices(tokens, self.draws)
 
-    def grad(self, x, z, batch):
-        out = np.empty(x.shape)
-        for row, xr, idx in zip(out, x, batch.astype(np.intp)):
-            row[:] = self._row(xr, idx)
-        return out
-
-    def _row(self, x, idx):
-        return _psi_batch_grad(x, self.pos[idx], self.pi_p)
-
-
-class _PhiOracle(_PsiOracle):
+class _PhiOracle(_IndexOracle):
     """``phi_subgrad_x`` of :func:`make_pu_problem`: the phi subgradient on
     ``batch_pos`` positives and then ``batch_unl`` unlabeled points drawn
     with replacement, so that a token draws the positives the psi oracle
-    draws from it.  Called and batched as :class:`_PsiOracle`."""
+    draws from it."""
 
     def __init__(self, pos: np.ndarray, unl: np.ndarray, params: PuParams):
-        super().__init__(pos, params)
-        self.unl = unl
-        self.draws += ((unl.shape[0], params.batch_unl),)
+        super().__init__(((pos.shape[0], params.batch_pos),
+                          (unl.shape[0], params.batch_unl)), pos.shape[1])
+        self.pos, self.unl, self.pi_p = pos, unl, params.pi_p
 
-    def __call__(self, x, y, token):
-        gen = token_generator(int(token))
-        idx_p = gen.integers(0, *self.draws[0])
-        idx_u = gen.integers(0, *self.draws[1])
-        return _phi_batch_grad(x, self.pos[idx_p], self.unl[idx_u], self.pi_p)
-
-    def _row(self, x, idx):
-        bp = self.draws[0][1]
-        return _phi_batch_grad(x, self.pos[idx[:bp]], self.unl[idx[bp:]],
+    def _row(self, x, y, idx):
+        idx_p, idx_u = idx
+        return _phi_batch_grad(x, self.pos[idx_p], self.unl[idx_u],
                                self.pi_p)
 
 

@@ -186,6 +186,12 @@ def test_projection_of_a_stack_is_row_by_row():
         assert project(cset, stack[:0]).shape == (0, 4)
 
 
+def _ball_row(center, radius, r):
+    # one point's projection, with the norm np.linalg.norm gives
+    nrm = float(np.linalg.norm(r - center))
+    return r if nrm <= radius else center + (r - center) * (radius / nrm)
+
+
 def test_ball_projection_of_a_stack_keeps_each_rows_bits():
     # rows inside, exactly on the sphere (a 3-4-5 offset), just outside,
     # far outside, at the centre, and one whose squared norm overflows
@@ -204,7 +210,9 @@ def test_ball_projection_of_a_stack_keeps_each_rows_bits():
         rows = np.stack([project(cset, r) for r in stack])
         got = project(cset, stack)
         keep = np.array([np.linalg.norm(r - c) <= 5.0 for r in stack])
-    assert np.array_equal(_bits(got), _bits(rows))
+        want = np.stack([_ball_row(c, 5.0, r) for r in stack])
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(rows), _bits(want))
     # a row on or inside the sphere is returned as it came
     assert keep.sum() == 7
     assert np.array_equal(_bits(got[keep]), _bits(stack[keep]))
@@ -223,8 +231,15 @@ def test_ball_projection_of_a_stack_keeps_each_rows_bits():
     stack = np.stack([on, c + 0.5, 2.0 * on])
     got = project(sphere, stack)
     assert np.array_equal(_bits(got), _bits(np.stack(
-        [project(sphere, r) for r in stack])))
+        [_ball_row(c, sphere.radius, r) for r in stack])))
     assert np.array_equal(_bits(got[0]), _bits(on))
+    assert np.array_equal(_bits(project(sphere, on)), _bits(on))
+    # a 20-dim head, as pAUC's adversary: a reduction along the rows need
+    # not round as np.linalg.norm of each row does
+    head = ball(np.zeros(20), 1.0)
+    stack = rng.normal(scale=2.0, size=(64, 20))
+    assert np.array_equal(_bits(project(head, stack)), _bits(np.stack(
+        [_ball_row(head.center, 1.0, r) for r in stack])))
 
 
 def test_box_validation():

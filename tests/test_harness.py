@@ -644,10 +644,12 @@ def test_cli_run_bad_config(tmp_path, capsys):
     {"seeds": [0, 2 ** 64]},
     {"problem": {"kind": "pu-libsvm", "path": "missing.libsvm",
                  "pi_p": 0.5}},
-    {"problem": {"kind": "onedim-dwc", "a": 0.5, "b": 1.0}}])
+    {"problem": {"kind": "onedim-dwc", "a": 0.5, "b": 1.0}},
+    {"x0": [1.0, 2.0]}])
 def test_cli_run_refused_at_build_leaves_no_output_dir(tmp_path, capsys,
                                                        over):
-    # the config passes validation; building its streams or problem fails
+    # the config passes validation; building its streams or problem, or
+    # starting its run, fails
     if "problem" in over and "path" in over["problem"]:
         over["problem"]["path"] = str(tmp_path / "missing.libsvm")
     ExperimentConfig.from_dict(_good_cfg(**over))

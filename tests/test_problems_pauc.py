@@ -561,6 +561,22 @@ def test_batched_oracles_equal_their_plain_calls(batches):
                           prob.phi_grad_y(x[0], y[0], 5))
 
 
+def test_plain_calls_draw_through_the_modules_token_generator(monkeypatch):
+    # the traced benchmark rebinds pauc.token_generator to count its calls
+    prob = pauc_fair_problem(synth_biased_pauc(60, 4, seed=5),
+                             PaucParams(alpha_fair=0.5))
+    calls = []
+
+    def counted(token, *args):
+        calls.append(token)
+        return token_generator(token, *args)
+
+    monkeypatch.setattr(pauc_module, "token_generator", counted)
+    prob.phi_subgrad_x(np.zeros(prob.dim_x), np.zeros(4), 7)
+    prob.phi_grad_y(None, np.zeros(4), 8)
+    assert calls == [7, 8]
+
+
 def test_alpha_without_attributes_is_rejected():
     data = LabeledDataset(np.eye(2), [1, -1])
     with pytest.raises(ParameterError):

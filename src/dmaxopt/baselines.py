@@ -51,7 +51,7 @@ def _sgd_kernel(problem: DMaxProblem, st: BaselineState, lr: float,
                 feed) -> BaselineState:
     dim = problem.dim_x
     g_phi = feed.grad(0, st.x, st.y, dim, "phi_subgrad_x")
-    g_psi = feed.grad(1, st.x, None, dim, "psi_subgrad_x")
+    g_psi = feed.grad(1, st.x, None, dim, "psi_subgrad_x", True)
     direction = g_phi - g_psi
     x_new = st.x - lr * direction
     feed.check(x_new, "sgd iterate became non-finite")
@@ -129,7 +129,8 @@ def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
                                                     feed),
                 t_total, rng, x0, seed_label=seed_label,
                 shared_sample=shared_sample, trace_every=trace_every,
-                decay_milestones=decay_milestones, decay_factor=decay_factor)
+                decay_milestones=decay_milestones, decay_factor=decay_factor,
+                steps={"lr": lr})
 
 
 def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
@@ -147,4 +148,5 @@ def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
                     problem, st, lr_x * scale, lr_y * scale, feed),
                 t_total, rng, x0, seed_label=seed_label,
                 shared_sample=shared_sample, trace_every=trace_every,
-                decay_milestones=decay_milestones, decay_factor=decay_factor)
+                decay_milestones=decay_milestones, decay_factor=decay_factor,
+                steps={"lr_x": lr_x, "lr_y": lr_y})

@@ -188,13 +188,15 @@ class ExperimentConfig:
                 raise ParameterError(f"{key} must be >= {low}")
         if min(self.decay_milestones, default=0) < 0:
             raise ParameterError("decay_milestones must be nonnegative")
-        _check_decay(self.decay_milestones, self.decay_factor, self.t_total)
         if self.algorithm.startswith("smag") and not self.schedule:
             raise ParameterError("smag algorithms need a schedule object")
-        for key in {"sgd": ("lr",), "sgda": ("lr", "lr_y")}.get(
-                self.algorithm, ()):
-            if getattr(self, key) is None or getattr(self, key) <= 0:
+        steps = {key: getattr(self, key) for key in {
+            "sgd": ("lr",), "sgda": ("lr", "lr_y")}.get(self.algorithm, ())}
+        for key, step in steps.items():
+            if step is None or step <= 0:
                 raise ParameterError(f"{self.algorithm} needs a positive {key}")
+        _check_decay(self.decay_milestones, self.decay_factor, self.t_total,
+                     **steps)
 
 
 def mode_for_algorithm(algorithm: str) -> Optional[Mode]:

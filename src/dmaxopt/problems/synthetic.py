@@ -77,9 +77,13 @@ def piecewise_quadratic(a: float = 1.0, center: float = 0.0,
     # u - (+0.0) is u to the bit (also for u = -0.0), so a centre at +0.0
     # needs no shift; a centre at -0.0 would turn u = -0.0 into +0.0.
     unshifted = c == 0.0 and math.copysign(1.0, c) > 0.0
+    # at kappa 0 a finite u makes kappa * u a signed zero, which leaves
+    # a * sign (+-a, or +0.0 as np.sign(-0.0) is +0.0) as it is when a > 0
+    flat = kappa == 0.0 and a > 0.0
 
     def subgrad(u: np.ndarray) -> np.ndarray:
-        return a * np.sign(u if unshifted else u - c) + kappa * u
+        s = a * np.sign(u if unshifted else u - c)
+        return s if flat else s + kappa * u
 
     def prox_map(v: np.ndarray, gamma: float) -> np.ndarray:
         big_a = kappa + 1.0 / gamma
@@ -106,23 +110,24 @@ class _NoisyOracle:
     noise realized from the sample token (none when ``sigma`` is 0).
 
     Called as ``(x, dual, token)`` or in the batched form of
-    :class:`DMaxProblem`, whose batch is the noise, realized in bulk; both
-    give the same bits.
+    :class:`DMaxProblem`, whose batch is the noise times ``sigma``,
+    realized in bulk; both give the same bits.
     """
 
     def __init__(self, g, sigma: float, dim: int):
         self.g, self.sigma, self.dim = g, sigma, dim
 
     def __call__(self, x, dual, token):
-        return self.grad(x, dual, None if self.sigma == 0.0 else
-                         token_generator(token).standard_normal(self.dim))
+        return self.grad(x, dual, None if self.sigma == 0.0 else self.sigma
+                         * token_generator(token).standard_normal(self.dim))
 
     def sample(self, tokens) -> Optional[np.ndarray]:
-        return None if self.sigma == 0.0 else _normals(tokens, self.dim)
+        return (None if self.sigma == 0.0
+                else self.sigma * _normals(tokens, self.dim))
 
     def grad(self, x, dual, noise):
         g = self.g(x, dual)
-        return g if noise is None else g + self.sigma * noise
+        return g if noise is None else g + noise
 
 
 def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,

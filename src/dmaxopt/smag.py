@@ -347,9 +347,13 @@ class _Feed:
     tokens per-step draws would give, and evaluates each oracle in the
     batched form of :class:`DMaxProblem`, a plain callable wrapped to it.
 
-    A row whose step fails is marked in ``failed`` with its first
-    :class:`NonFiniteError`, and reads finite values for the rest of the
-    step.  :meth:`drop` removes the marked rows at the end of the step.
+    A step checks only what it cannot catch later: the outputs its kernel
+    asks :meth:`grad` to check, each new dual (:meth:`project`) and the
+    new anchor (:meth:`check`).  Other outputs are kept to the end of the
+    step: a non-finite one reaches the anchor or a dual, whose check fails
+    its row.  :meth:`drop` removes the failed rows, each with its first
+    error in call order.  A row whose oracle raised reads 0 and skips the
+    step's later oracles.
     """
 
     def __init__(self, rngs, oracles, shared_sample: bool):
@@ -358,11 +362,13 @@ class _Feed:
                         _PerToken(o) for o in oracles]
         self.slot = [0 if shared_sample else k for k in range(len(oracles))]
         self.rows = list(range(len(self.rngs)))  # live seeds, in row order
-        self.failed: dict = {}  # row -> its error, within the step
+        self.failed: dict = {}  # row -> (outputs kept before, its error)
+        self.raised: set = set()  # rows whose oracle raised, in the step
         self.lost: dict = {}  # seed -> its error
         self.c = self.steps = 0  # step within the chunk, chunk length
 
     def next_step(self, remaining: int) -> None:
+        self.kept = []  # (name, value) of the step's unchecked outputs
         self.c += 1
         if self.c < self.steps:
             return
@@ -379,32 +385,42 @@ class _Feed:
 
     def drop(self, keep: np.ndarray) -> None:
         """Drop the rows marked in ``failed``, ``keep`` being the mask of
-        the others: their errors go to ``lost``, and the tokens drawn for
-        their later steps go back to their streams, so each stream ends
+        the others: their first errors go to ``lost``, and the tokens drawn
+        for their later steps go back to their streams, so each stream ends
         where a solo run would leave it."""
         give_back = len(self.oracles) * (self.steps - self.c - 1)
-        for j, err in self.failed.items():
-            self.lost[self.rows[j]] = err
+        for j, (n, err) in self.failed.items():
+            bad = [w for w, g in self.kept[:n] if not _finite(g[j])]
+            self.lost[self.rows[j]] = NonFiniteError(
+                f"{bad[0]} returned a non-finite value") if bad else err
             self.rngs[self.rows[j]]._put_back(give_back)
-        self.failed = {}
+        self.failed, self.raised = {}, set()
         self.rows = [i for i, kept in zip(self.rows, keep.tolist()) if kept]
         self.inputs = [z if z is None else z[:, keep] for z in self.inputs]
 
-    def grad(self, k: int, x: np.ndarray, dual, dim: int, what: str):
+    def grad(self, k: int, x: np.ndarray, dual, dim: int, what: str,
+             check: bool = False):
         """Oracle ``k`` at the rows of ``x`` and ``dual``, as ``(rows,
-        dim)`` values.  Rows failed earlier in the step are not passed and
-        read 0, as do rows that fail here: a non-finite value, or a
-        :class:`NonFiniteError` raised on the row alone (a call that
-        raises is made again row by row)."""
+        dim)`` values, kept for :meth:`drop` unless ``check``.  Rows whose
+        oracle raised earlier in the step are not passed and read 0, as do
+        rows that raise :class:`NonFiniteError` here (a call that raises is
+        made again row by row) and, with ``check``, rows whose value is not
+        finite."""
         z = self.inputs[k]
         args = (x, dual, z if z is None else z[self.c])
-        if not self.failed:
-            return self._grad(k, args, range(x.shape[0]), dim, what)
-        live = [j for j in range(x.shape[0]) if j not in self.failed]
-        g = np.zeros((x.shape[0], dim))
-        if live:
-            g[live] = self._grad(k, [a if a is None else a[live]
-                                     for a in args], live, dim, what)
+        if not self.raised:
+            g = self._grad(k, args, range(x.shape[0]), dim, what)
+        else:
+            live = [j for j in range(x.shape[0]) if j not in self.raised]
+            g = np.zeros((x.shape[0], dim))
+            if live:
+                g[live] = self._grad(k, [a if a is None else a[live]
+                                         for a in args], live, dim, what)
+        if not check:
+            self.kept.append((what, g))
+        elif not _finite(g):
+            self.check(g, f"{what} returned a non-finite value")
+            g = np.where(np.isfinite(g).all(axis=1)[:, None], g, 0.0)
         return g
 
     def _grad(self, k: int, args, rows, dim: int, what: str):
@@ -415,18 +431,13 @@ class _Feed:
                 return np.concatenate([
                     self._grad(k, [a if a is None else a[[i]] for a in args],
                                [j], dim, what) for i, j in enumerate(rows)])
-            self.failed[rows[0]] = exc
+            self.failed.setdefault(rows[0], (len(self.kept), exc))
+            self.raised.add(rows[0])
             return np.zeros((1, dim))
         if g.shape[1:] != (dim,):
             raise ParameterError(f"{what} returned shape {g.shape[1:]}, "
                                  f"expected ({dim},)")
-        if _finite(g):
-            return g
-        bad = ~np.isfinite(g).all(axis=1)
-        err = NonFiniteError(f"{what} returned a non-finite value")
-        for i in np.flatnonzero(bad).tolist():
-            self.failed.setdefault(rows[i], err)
-        return np.where(bad[:, None], 0.0, g)
+        return g
 
     def project(self, proj, cset: ConstraintSet, v: np.ndarray,
                 old: np.ndarray) -> np.ndarray:
@@ -441,14 +452,15 @@ class _Feed:
             try:
                 proj(cset, v[j])
             except NonFiniteError as exc:
-                self.failed.setdefault(j, exc)
+                self.failed.setdefault(j, (len(self.kept), exc))
         return proj(cset, np.where(bad[:, None], old, v))
 
     def check(self, x: np.ndarray, message: str) -> None:
         """Fail the rows of ``x`` with a non-finite entry."""
         if not _finite(x):
+            err = (len(self.kept), NonFiniteError(message))
             for j in np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist():
-                self.failed.setdefault(j, NonFiniteError(message))
+                self.failed.setdefault(j, err)
 
 
 def _streams(rng, seed_label):
@@ -502,7 +514,8 @@ def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
     if feed.oracles[2] is None:
         g_vec = (x_t - x_phi_new) * inv_gamma
     else:
-        g_psi = feed.grad(2, x_psi, z, dim, "psi_subgrad_x")
+        # checked: an infinity here and one in g_phi would meet in g_vec
+        g_psi = feed.grad(2, x_psi, z, dim, "psi_subgrad_x", True)
         x_psi_new = x_psi - eta1 * (g_psi + inv_gamma * (x_psi - x_t))
         if feed.oracles[3] is not None:
             g_z = feed.grad(3, x_psi, z, z.shape[1], "psi_grad_z")
@@ -631,20 +644,22 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     """Run ``sched.t_total`` steps and return traces plus the output iterate.
 
     The output index is drawn up front from a child stream of ``rng`` (see
-    :class:`RunResult`).  A non-finite oracle value aborts the run; the
-    partial trace is kept and the result flagged rather than raised.
-    Each step draws four tokens, for the phi_x, phi_y, psi_x and psi_z
-    oracles in that order whatever the mode; ``shared_sample`` feeds the
-    first to all four.  Each milestone ``m`` of ``decay_milestones``
-    divides both step sizes by ``decay_factor`` from step ``m`` (counted
-    from 0) on.  A row's ``p_t`` is the analysis potential of the step
-    into it: the squared distances of the inner iterates after the step
-    from the exact prox points of the anchor before it (and of each dual
-    from its best response there), times ``2 eta0 / (eta1 gamma^2
-    alpha)``.  The problem's maps decide each row: its stationarity is the
-    exact envelope-gradient norm when ``exact_aux`` has the prox map of
-    each component the mode steps (else the step estimate's norm), and
-    ``p_t`` needs also each stepped dual's best response (else NaN).
+    :class:`RunResult`).  A non-finite oracle value or iterate aborts the
+    run with the first such value's message; the partial trace is kept
+    and the result flagged rather than raised.  Each step draws four
+    tokens, for the phi_x, phi_y, psi_x and psi_z oracles in that order
+    whatever the mode; ``shared_sample`` feeds the first to all four.
+    Each milestone ``m`` of ``decay_milestones`` divides both step sizes
+    by ``decay_factor`` from step ``m`` (counted from 0) on; a factor
+    that takes one to 0.0 is refused.  A row's ``p_t`` is the analysis
+    potential of the step into it: the squared distances of the inner
+    iterates after the step from the exact prox points of the anchor
+    before it (and of each dual from its best response there), times
+    ``2 eta0 / (eta1 gamma^2 alpha)``.  The problem's maps decide each
+    row: its stationarity is the exact envelope-gradient norm when
+    ``exact_aux`` has the prox map of each component the mode steps (else
+    the step estimate's norm), and ``p_t`` needs also each stepped dual's
+    best response (else NaN).
 
     With a sequence of streams for ``rng`` (and of labels for
     ``seed_label``, or one int label for all) the seeds step in lockstep
@@ -655,9 +670,9 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     once, and one ``grad`` call takes a step's stacked seeds (a plain
     callable is called per seed inside it).  Trace rows are computed on
     the stack of a block of traced steps, one call of ``full_objective``
-    and of each exact map per block, and reduced row by row.  ``t_bar``,
-    finiteness checks and aborts stay per seed: a seed that aborts stops
-    there, and the others go on.  ``elapsed_ms`` is the seeds' shared
+    and of each exact map per block, and reduced row by row.  ``t_bar``
+    and aborts stay per seed: a seed that aborts stops at the end of that
+    step, and the others go on.  ``elapsed_ms`` is the seeds' shared
     clock at the traced step, net of the time spent computing trace rows.
     """
     rngs, labels = _streams(rng, seed_label)
@@ -707,7 +722,8 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
         lambda st, scale: _smag_kernel(problem, st, sched, mode, scale, feed),
         feed, rows, on_step=on_step, trace_every=trace_every,
         seed_labels=labels, decay_milestones=decay_milestones,
-        decay_factor=decay_factor)
+        decay_factor=decay_factor, steps={"eta0": sched.eta0,
+                                          "eta1": sched.eta1})
 
     # A seed that stops before step s + 1 keeps its final iterates.
     anchor_out = mode == "minmax"
@@ -727,24 +743,29 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
 
 
 def _check_decay(decay_milestones: Sequence[int], decay_factor: float,
-                 t_total: int) -> None:
-    """Refuse a decay factor that is not positive and finite, or whose
-    largest step-size scale overflows: ``decay_factor ** -k`` over the
-    ``k`` milestones below ``t_total``."""
+                 t_total: int, **steps: float) -> None:
+    """Refuse a decay factor that is not positive and finite, whose
+    largest scale ``decay_factor ** -k`` (``k`` milestones below
+    ``t_total``) overflows, or that takes a step of ``steps`` to 0.0."""
     if not 0.0 < decay_factor < math.inf:
         raise ParameterError("decay_factor must be positive and finite")
     k = sum(m < t_total for m in decay_milestones)
     try:
-        decay_factor ** -k
+        scale = decay_factor ** -k
     except OverflowError:
         raise ParameterError(f"decay_factor ** -{k} overflows: the step "
                              "sizes after the milestones are out of "
                              "float range") from None
+    for name, step in steps.items():
+        if step * scale == 0.0:
+            raise ParameterError(f"{name} * decay_factor ** -{k} underflows "
+                                 "to 0: the run would stop moving")
 
 
 def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
            rows, *, on_step=None, trace_every: int, seed_labels: list,
-           decay_milestones: Sequence[int], decay_factor: float):
+           decay_milestones: Sequence[int], decay_factor: float,
+           steps: dict):
     """The lockstep loop shared by :func:`run` and the baselines.
 
     ``state`` stacks one row per seed of ``feed`` (any state dataclass with
@@ -753,8 +774,8 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
     here, their seeds keeping the state before the step.  ``on_step(prev,
     state, rows)`` then sees the surviving rows, whose seeds are ``rows``.
     At step ``t`` (from 0) each milestone ``m <= t`` divides ``lr_scale``
-    by ``decay_factor``, which must be positive and finite, with the
-    largest such scale in float range.
+    by ``decay_factor``, which must be positive and finite; the largest
+    such scale stays in float range and keeps each of ``steps`` above 0.
 
     Every ``trace_every`` steps and at the last one each live seed gets a
     :class:`RunRecord`.  Such a step only reads the clock and holds its
@@ -774,7 +795,7 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
         raise ParameterError("t_total must be >= 1")
     if trace_every < 1:
         raise ParameterError("trace_every must be >= 1")
-    _check_decay(decay_milestones, decay_factor, t_total)
+    _check_decay(decay_milestones, decay_factor, t_total, **steps)
     if not feed.rngs or len(seed_labels) != len(feed.rngs):
         raise ParameterError(
             "need at least one stream and one seed label per stream")

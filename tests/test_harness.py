@@ -230,6 +230,24 @@ def test_config_refuses_a_decay_scale_that_overflows(tmp_path, capsys):
     assert "decay_factor ** -2" in capsys.readouterr().err
 
 
+def test_config_refuses_a_step_size_that_the_decay_takes_to_zero(
+        tmp_path, capsys):
+    over = dict(decay_milestones=[0, 1], decay_factor=1e200)
+    for algo, name in (({"algorithm": "sgd", "lr": 0.1}, "lr"),
+                       ({"algorithm": "sgda", "lr": 0.1, "lr_y": 0.1}, "lr")):
+        with pytest.raises(ParameterError,
+                           match=rf"^{name} \* decay_factor \*\* -2 "):
+            ExperimentConfig.from_dict(_good_cfg(**algo, **over))
+    # a smag schedule's step sizes are refused when its run starts, before
+    # the output directory is made
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_good_cfg(**over)))
+    assert main(["run", str(path), "--output-root", str(tmp_path / "out")]
+                ) == 2
+    assert "* decay_factor ** -2 underflows to 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_importing_the_harness_leaves_concurrent_futures_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(dmaxopt.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

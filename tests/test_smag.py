@@ -636,6 +636,36 @@ def test_every_run_refuses_a_decay_scale_that_overflows():
     assert res.final_state.t == 1 and not res.aborted
 
 
+def test_every_run_refuses_a_step_size_that_the_decay_takes_to_zero():
+    # 1e200 ** -2 is 0.0, and 1e161 ** -2 is a subnormal that takes a step
+    # of 0.01 to 0.0: such a run would freeze after the milestones, and an
+    # unchecked oracle's inf times the zero step would be NaN
+    dwc = make_onedim_dwc(1.0, 0.5)
+    quad = make_quadratic_minmax(dim=2)
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 10, dwc.constants,
+                                 mode="dwc")
+    for factor in (1e200, 1e161):
+        decay = dict(decay_milestones=(0, 1), decay_factor=factor)
+        for start, name in (
+                (lambda rng: run(dwc, "dwc", sched, rng, x0=2.0, **decay),
+                 "eta0"),
+                (lambda rng: run_sgd(dwc, 0.01, 10, rng, x0=2.0, **decay),
+                 "lr"),
+                (lambda rng: run_sgda(quad, 0.01, 0.01, 10, rng, **decay),
+                 "lr_x")):
+            rng = RngStream(0)
+            with pytest.raises(ParameterError, match=(
+                    rf"^{name} \* decay_factor \*\* -2 underflows to 0")):
+                start(rng)
+            assert rng.counter == 0
+    # a subnormal step (0.1 * 1e160 ** -2) is taken, and a milestone at or
+    # past t_total never scales a step
+    for factor, t_total in ((1e160, 10), (1e200, 1)):
+        res = run_sgd(dwc, 0.1, t_total, RngStream(0), x0=2.0,
+                      decay_milestones=(0, 1), decay_factor=factor)
+        assert res.final_state.t == t_total and not res.aborted
+
+
 def test_run_aborts_on_non_finite_oracle():
     count = {"n": 0}
 
@@ -1275,10 +1305,11 @@ class _BulkNanAt(_NanAt):
         return np.where(z[:, -1:] == 1.0, self.value, g)
 
 
-def _token_of(seed, step_no, slot):
-    """``seed``'s token for the oracle of ``slot`` at step ``step_no``."""
-    return int(RngStream(seed).draw_many(4 * step_no)[4 * (step_no - 1)
-                                                       + slot])
+def _token_of(seed, step_no, slot, per_step=4):
+    """``seed``'s token for the oracle of ``slot`` at step ``step_no`` of
+    a run that draws ``per_step`` tokens a step (four for SMAG)."""
+    return int(RngStream(seed).draw_many(per_step * step_no)[
+        per_step * (step_no - 1) + slot])
 
 
 def _one_seed_fails(slot, step_no, seed, kind, dim=3):
@@ -1383,8 +1414,8 @@ def test_data_oracles_run_as_their_plain_calls():
 
 
 def test_a_failed_row_reads_zeros_for_the_rest_of_its_step():
-    # phi and psi both return +inf for one seed in one step: unless the
-    # failed rows read 0, its anchor move takes inf - inf
+    # phi and psi both return +inf for one seed in one step: unless psi's
+    # checked row reads 0, its anchor move takes inf - inf
     seeds, failing, step_no = [31, 32, 33], 32, 40
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     prob = dataclasses.replace(dwc, **{
@@ -1424,34 +1455,130 @@ class _RecordRows:
         return self.oracle.grad(x, dual, z[:, :-1])
 
 
-def test_a_failed_row_skips_the_per_seed_oracles_left_in_its_step():
-    # ... and the batched ones: psi, plain or batched, records the tokens
-    # of the rows it is passed
+def test_only_a_row_whose_oracle_raised_skips_the_oracles_left_in_its_step():
+    # phi fails one seed at one step, by raising NonFiniteError or by
+    # returning NaN, which no check reads until the anchor; psi, plain or
+    # batched, records the tokens of the rows it is passed.  The raised row
+    # is not passed to psi, the NaN row is, and both are dropped at the end
+    # of the step with phi's error
     seeds, failing, step_no = [31, 32, 33], 32, 40
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    bad = _token_of(failing, step_no, 0)
     calls = []
 
     def psi(x, z, tok):
         calls.append(tok)
         return dwc.psi_subgrad_x(x, z, tok)
 
-    for oracle in (psi, _RecordRows(dwc.psi_subgrad_x, calls)):
-        prob = dataclasses.replace(
-            dwc, psi_subgrad_x=oracle, phi_subgrad_x=_NanAt(
-                dwc.phi_subgrad_x, _token_of(failing, step_no, 0)))
-        sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, prob.constants,
-                                     mode="dwc")
-        calls.clear()
-        solo = [run(prob, "dwc", sched, RngStream(s), x0=2.0)
+    def raising_phi(x, y, tok):
+        if tok == bad:
+            raise NonFiniteError("phi_subgrad_x refused its token")
+        return dwc.phi_subgrad_x(x, y, tok)
+
+    for phi, why, passed in (
+            (raising_phi, "phi_subgrad_x refused its token", False),
+            (_NanAt(dwc.phi_subgrad_x, bad),
+             "phi_subgrad_x returned a non-finite value", True)):
+        for oracle in (psi, _RecordRows(dwc.psi_subgrad_x, calls)):
+            prob = dataclasses.replace(dwc, psi_subgrad_x=oracle,
+                                       phi_subgrad_x=phi)
+            sched = Schedule.from_manual(0.5, 0.005, 0.01, 60,
+                                         prob.constants, mode="dwc")
+            calls.clear()
+            solo = [run(prob, "dwc", sched, RngStream(s), x0=2.0)
+                    for s in seeds]
+            solo_calls = sorted(calls)
+            calls.clear()
+            batch = run(prob, "dwc", sched, [RngStream(s) for s in seeds],
+                        x0=2.0)
+            assert sorted(calls) == solo_calls
+            assert (_token_of(failing, step_no, 2) in calls) == passed
+            assert [r.aborted for r in batch] == [s == failing for s in seeds]
+            assert [_digest(r) for r in batch] == [_digest(r) for r in solo]
+            lost = batch[seeds.index(failing)]
+            assert (lost.abort_reason, lost.final_state.t) == (
+                why, step_no - 1)
+
+
+# Each algorithm's oracles in token-slot order, so in call order.
+_SLOTS = {"dmax": ("phi_subgrad_x", "phi_grad_y", "psi_subgrad_x",
+                   "psi_grad_z"),
+          "dwc": ("phi_subgrad_x", None, "psi_subgrad_x", None),
+          "minmax": ("phi_subgrad_x", "phi_grad_y", None, None),
+          "sgd": ("phi_subgrad_x", "psi_subgrad_x"),
+          "sgda": ("phi_subgrad_x", "phi_grad_y")}
+
+
+def _four_part_problem(dim=2):
+    """Both components with a dual: the quadratic minmax oracles for Phi,
+    the 1-d dwc problem's Psi, and a dual ``z`` stepped as ``y`` is."""
+    quad = make_quadratic_minmax(dim=dim, noise_sigma=0.1)
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1, dim=dim)
+    return DMaxProblem(
+        dim_x=dim, constants=ALL_ONES, phi_subgrad_x=quad.phi_subgrad_x,
+        phi_grad_y=quad.phi_grad_y, psi_subgrad_x=dwc.psi_subgrad_x,
+        psi_grad_z=quad.phi_grad_y, set_y=quad.set_y, set_z=quad.set_y)
+
+
+def _run_algorithm(algorithm, prob, rng, label):
+    t_total, x0 = 60, np.full(prob.dim_x, 0.5)
+    if algorithm == "sgd":
+        return run_sgd(prob, 0.02, t_total, rng, x0=x0, seed_label=label)
+    if algorithm == "sgda":
+        return run_sgda(prob, 0.02, 0.05, t_total, rng, x0=x0,
+                        seed_label=label)
+    sched = Schedule.from_manual(
+        0.5, 0.01, 0.05, t_total, ALL_ONES,
+        mode="minmax" if algorithm == "minmax" else "dwc")
+    return run(prob, algorithm, sched, rng, x0=x0, seed_label=label)
+
+
+_VALUES = {"inf": {"phi": math.inf, "psi": math.inf},
+           "nan": {"phi": math.nan, "psi": math.nan},
+           "-inf+inf": {"phi": -math.inf, "psi": math.inf},
+           "y": {"phi_grad_y": math.inf}, "z": {"psi_grad_z": math.inf}}
+
+
+@pytest.mark.parametrize("algorithm, values", [
+    (a, v) for a in sorted(_SLOTS) for v in _VALUES
+    if any(n and n.startswith(c) for n in _SLOTS[a] for c in _VALUES[v])])
+def test_a_seed_whose_oracles_go_non_finite_aborts_alone_and_quietly(
+        algorithm, values):
+    # at one step every oracle of one seed returns its component's value
+    # (or, for "y" and "z", only that dual oracle returns inf): under
+    # errstate(all="raise") nothing is computed from two unchecked
+    # infinities, the seed stops with the first non-finite oracle in call
+    # order, never with project's message, and the others run as alone.
+    # As no oracle raised, the seed is passed to every oracle of its step
+    slots = _SLOTS[algorithm]
+    value = {n: next((v for c, v in _VALUES[values].items()
+                      if n.startswith(c)), None) for n in slots if n}
+    names = [n for n in slots if n and value[n] is not None]
+    seeds, failing, step_no = [51, 52, 53], 52, 30
+    bad = [_token_of(failing, step_no, k, len(slots))
+           for k in range(len(slots))]
+    prob = _four_part_problem()
+    calls = []
+
+    def recorded(oracle):
+        return lambda x, dual, tok: calls.append(tok) or oracle(x, dual, tok)
+
+    prob = dataclasses.replace(prob, **{n: recorded(
+        getattr(prob, n) if value[n] is None
+        else _NanAt(getattr(prob, n), bad[k], value[n]))
+        for k, n in enumerate(slots) if n})
+    with np.errstate(all="raise"):
+        solo = [_run_algorithm(algorithm, prob, RngStream(s), s)
                 for s in seeds]
-        solo_calls = sorted(calls)
-        calls.clear()
-        batch = run(prob, "dwc", sched, [RngStream(s) for s in seeds],
-                    x0=2.0)
-        assert sorted(calls) == solo_calls
-        assert _token_of(failing, step_no, 2) not in calls
-        assert [r.aborted for r in batch] == [s == failing for s in seeds]
-        assert [_digest(r) for r in batch] == [_digest(r) for r in solo]
+        batch = _run_algorithm(algorithm, prob,
+                               [RngStream(s) for s in seeds], seeds)
+    assert [_digest(r) for r in batch] == [_digest(r) for r in solo]
+    assert [r.aborted for r in batch] == [s == failing for s in seeds]
+    lost = batch[seeds.index(failing)]
+    assert (lost.abort_reason, lost.final_state.t) == (
+        f"{names[0]} returned a non-finite value", step_no - 1)
+    assert all(calls.count(tok) == 2 for tok, name in zip(bad, slots)
+               if name is not None)
 
 
 def test_a_run_reports_whether_its_stationarity_is_exact():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dmaxopt.core import ParameterError, token_generator
+from dmaxopt.core import ParameterError, RngStream, token_generator
 from dmaxopt.problems import (
     make_onedim_dwc,
     make_quadratic_minmax,
@@ -24,6 +24,23 @@ def test_piecewise_quadratic_value_and_subgrad():
     # 2*(|3-1| + |-1-1|) + 0.25*(9+1) = 8 + 2.5
     assert f.value(u) == pytest.approx(10.5)
     assert np.allclose(f.subgrad(u), [2.0 + 1.5, -2.0 - 0.5])
+
+
+@pytest.mark.parametrize("curvature", [0.0, -0.0])
+@pytest.mark.parametrize("center", [0.0, -0.0, 0.3])
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.0])
+def test_piecewise_quadratic_flat_subgrad_keeps_the_curvature_terms_bits(
+        a, center, curvature):
+    # without curvature the subgradient skips ``+ kappa * u``: for finite
+    # u that term is a signed zero, and np.sign(-0.0) is +0.0
+    up, down = np.nextafter(center, math.inf), np.nextafter(center, -math.inf)
+    u = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, up, down])
+    got = piecewise_quadratic(a, center, curvature).subgrad(u)
+    want = a * np.sign(u - center) + curvature * u
+    assert got.tobytes() == want.tobytes()
+    stack = u.reshape(2, 4)
+    assert piecewise_quadratic(a, center, curvature).subgrad(
+        stack).tobytes() == want.tobytes()
 
 
 def test_piecewise_quadratic_prox_is_shifted_soft_threshold():
@@ -140,6 +157,24 @@ def test_onedim_noise_is_token_keyed():
     assert not np.array_equal(a1, b)
     want = 1.0 + 0.3 * token_generator(7).standard_normal(1)
     assert np.allclose(a1, want)
+
+
+@pytest.mark.parametrize("dim", [1, 10])
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 1.0])
+def test_noisy_oracle_plain_call_equals_grad_on_its_sample(sigma, dim):
+    # the batch is the noise times sigma, and grad adds it; 200 tokens
+    # take the bulk noise path, and each plain call token_generator
+    oracle = make_onedim_dwc(1.0, 0.5, noise_sigma=sigma,
+                             dim=dim).phi_subgrad_x
+    tokens = RngStream(3).draw_many(200)
+    x = np.linspace(-2.0, 2.0, 200 * dim).reshape(200, dim)
+    batch = oracle.grad(x, None, oracle.sample(tokens))
+    plain = np.array([oracle(x[j], None, t)
+                      for j, t in enumerate(tokens.tolist())])
+    want = np.array([np.sign(x[j]) + sigma
+                     * token_generator(t).standard_normal(dim)
+                     for j, t in enumerate(tokens.tolist())])
+    assert batch.tobytes() == plain.tobytes() == want.tobytes()
 
 
 def test_onedim_exact_aux_matches_components():

@@ -48,25 +48,41 @@ class BaselineState:
 
 
 def _sgd_kernel(problem: DMaxProblem, st: BaselineState, lr: float,
-                feed) -> BaselineState:
-    dim = problem.dim_x
-    g_phi = feed.grad(0, st.x, st.y, dim, "phi_subgrad_x")
-    g_psi = feed.grad(1, st.x, None, dim, "psi_subgrad_x", True)
-    direction = g_phi - g_psi
-    x_new = st.x - lr * direction
-    feed.check(x_new, "sgd iterate became non-finite")
-    return BaselineState(x=x_new, y=st.y, last_dir=direction, t=st.t + 1)
+                feed, n: int):
+    """Up to ``n`` steps, run as :func:`smag._smag_kernel` runs them."""
+    dim, y, grad = problem.dim_x, st.y, feed.grad
+    x_new, direction = st.x, st.last_dir
+    for t in range(st.t, st.t + n):
+        x, last_dir = x_new, direction
+        feed.next_step(t)
+        g_phi = grad(0, x, y, dim, "phi_subgrad_x")
+        g_psi = grad(1, x, None, dim, "psi_subgrad_x", True)
+        direction = g_phi - g_psi
+        x_new = x - lr * direction
+        feed.check(x_new, "sgd iterate became non-finite")
+        if feed.failed:
+            break
+    prev = st if t == st.t else BaselineState(x, y, last_dir, t)
+    return prev, BaselineState(x_new, y, direction, t + 1)
 
 
 def _sgda_kernel(problem: DMaxProblem, st: BaselineState, lr_x: float,
-                 lr_y: float, feed) -> BaselineState:
-    x, y = st.x, st.y
-    g_x = feed.grad(0, x, y, problem.dim_x, "phi_subgrad_x")
-    g_y = feed.grad(1, x, y, y.shape[1], "phi_grad_y")
-    x_new = x - lr_x * g_x
-    y_new = feed.project(project, problem.set_y, y + lr_y * g_y, y)
-    feed.check(x_new, "sgda iterate became non-finite")
-    return BaselineState(x=x_new, y=y_new, last_dir=g_x, t=st.t + 1)
+                 lr_y: float, feed, n: int):
+    """Up to ``n`` steps, run as :func:`smag._smag_kernel` runs them."""
+    dim, set_y, grad = problem.dim_x, problem.set_y, feed.grad
+    x_new, y_new, g_x = st.x, st.y, st.last_dir
+    for t in range(st.t, st.t + n):
+        x, y, last_dir = x_new, y_new, g_x
+        feed.next_step(t)
+        g_x = grad(0, x, y, dim, "phi_subgrad_x")
+        g_y = grad(1, x, y, y.shape[1], "phi_grad_y")
+        x_new = x - lr_x * g_x
+        y_new = feed.project(project, set_y, y + lr_y * g_y, y)
+        feed.check(x_new, "sgda iterate became non-finite")
+        if feed.failed:
+            break
+    prev = st if t == st.t else BaselineState(x, y, last_dir, t)
+    return prev, BaselineState(x_new, y_new, g_x, t + 1)
 
 
 def _sgd_oracles(problem: DMaxProblem) -> list:
@@ -97,10 +113,10 @@ def _run(problem: DMaxProblem, oracles: list, kernel, t_total: int, rng, x0,
     rngs, labels = _streams(rng, seed_label)
     start = initial_state(problem, x0)
     state = BaselineState(x=start.x, y=start.y, last_dir=start.last_g)
-    feed = _Feed(rngs, oracles, shared_sample)
+    feed = _Feed(rngs, oracles, shared_sample, t_total)
     finals, records, reasons = _drive(
         problem, _stack(state, len(rngs)), t_total,
-        lambda st, scale: kernel(st, scale, feed), feed, _direction_norm,
+        lambda st, scale, n: kernel(st, scale, feed, n), feed, _direction_norm,
         seed_labels=labels, **loop)
     res = [BaselineResult(records=rec, final_state=fs,
                           aborted=why is not None, abort_reason=why or "")
@@ -125,8 +141,8 @@ def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
     if not (lr > 0 and math.isfinite(lr)):
         raise ParameterError("lr must be positive and finite")
     return _run(problem, _sgd_oracles(problem),
-                lambda st, scale, feed: _sgd_kernel(problem, st, lr * scale,
-                                                    feed),
+                lambda st, scale, feed, n: _sgd_kernel(
+                    problem, st, lr * scale, feed, n),
                 t_total, rng, x0, seed_label=seed_label,
                 shared_sample=shared_sample, trace_every=trace_every,
                 decay_milestones=decay_milestones, decay_factor=decay_factor,
@@ -144,8 +160,8 @@ def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
             and math.isfinite(lr_y)):
         raise ParameterError("step sizes must be positive and finite")
     return _run(problem, _sgda_oracles(problem),
-                lambda st, scale, feed: _sgda_kernel(
-                    problem, st, lr_x * scale, lr_y * scale, feed),
+                lambda st, scale, feed, n: _sgda_kernel(
+                    problem, st, lr_x * scale, lr_y * scale, feed, n),
                 t_total, rng, x0, seed_label=seed_label,
                 shared_sample=shared_sample, trace_every=trace_every,
                 decay_milestones=decay_milestones, decay_factor=decay_factor,

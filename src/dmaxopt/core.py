@@ -56,13 +56,19 @@ class NonFiniteError(FloatingPointError):
     """A vector contained NaN or infinity where finite values are required."""
 
 
+# numpy's clip ufunc and C count_nonzero, which ``np.clip`` and
+# ``np.count_nonzero`` reach through Python-level wrappers.
+_np_core = np._core if hasattr(np, "_core") else np.core
+_clip, _count_nonzero = _np_core.umath.clip, _np_core.multiarray.count_nonzero
+
+
 def _finite(v: np.ndarray) -> bool:
     """Whether every entry of ``v`` is finite.  Same answer as
-    ``np.isfinite(v).all()`` without that method's Python-level wrapper,
+    ``np.isfinite(v).all()`` with no Python-level wrapper on the way to C,
     and unlike a sum of squares it sets no overflow flag on large finite
     entries."""
     ok = np.isfinite(v)
-    return np.count_nonzero(ok) == ok.size
+    return _count_nonzero(ok) == ok.size
 
 
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
@@ -136,10 +142,6 @@ def ball(center, radius: float) -> ConstraintSet:
         raise ParameterError("ball radius must be positive and finite")
     return ConstraintSet(kind="ball", dim=center.shape[0], center=center,
                          radius=float(radius))
-
-
-# numpy's clip ufunc; ``np.clip`` reaches it through two Python wrappers.
-_clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 
 def project(cset: ConstraintSet, v) -> np.ndarray:

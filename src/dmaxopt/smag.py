@@ -343,9 +343,10 @@ class _Feed:
 
     Each token slot of a step (four for SMAG, two for the baselines) has
     one oracle, or ``None`` when the run never calls it.  The feed draws
-    every live seed's tokens for a chunk of steps at once, which are the
-    tokens per-step draws would give, and evaluates each oracle in the
-    batched form of :class:`DMaxProblem`, a plain callable wrapped to it.
+    every live seed's tokens for a chunk of steps at once (never past
+    ``t_total``), which are the tokens per-step draws would give, and
+    evaluates each oracle in the batched form of :class:`DMaxProblem`, a
+    plain callable wrapped to it.  Kernels call :meth:`next_step` per step.
 
     A step checks only what it cannot catch later: the outputs its kernel
     asks :meth:`grad` to check, each new dual (:meth:`project`) and the
@@ -356,8 +357,8 @@ class _Feed:
     step's later oracles.
     """
 
-    def __init__(self, rngs, oracles, shared_sample: bool):
-        self.rngs = list(rngs)
+    def __init__(self, rngs, oracles, shared_sample: bool, t_total: int):
+        self.rngs, self.t_total = list(rngs), t_total
         self.oracles = [o if o is None or hasattr(o, "grad") else
                         _PerToken(o) for o in oracles]
         self.slot = [0 if shared_sample else k for k in range(len(oracles))]
@@ -367,13 +368,13 @@ class _Feed:
         self.lost: dict = {}  # seed -> its error
         self.c = self.steps = 0  # step within the chunk, chunk length
 
-    def next_step(self, remaining: int) -> None:
+    def next_step(self, t: int) -> None:
         self.kept = []  # (name, value) of the step's unchecked outputs
         self.c += 1
         if self.c < self.steps:
             return
         n, live = len(self.oracles), self.rows
-        self.steps = min(remaining, max(1, _CHUNK // len(live)))
+        self.steps = min(self.t_total - t, max(1, _CHUNK // len(live)))
         self.c = 0
         toks = np.stack([self.rngs[i].draw_many(n * self.steps)
                          for i in live]).reshape(len(live), self.steps, n)
@@ -401,21 +402,23 @@ class _Feed:
     def grad(self, k: int, x: np.ndarray, dual, dim: int, what: str,
              check: bool = False):
         """Oracle ``k`` at the rows of ``x`` and ``dual``, as ``(rows,
-        dim)`` values, kept for :meth:`drop` unless ``check``.  Rows whose
-        oracle raised earlier in the step are not passed and read 0, as do
-        rows that raise :class:`NonFiniteError` here (a call that raises is
-        made again row by row) and, with ``check``, rows whose value is not
-        finite."""
+        dim)`` values, kept for :meth:`drop` unless ``check``.  One call
+        takes every row; after a row raised :class:`NonFiniteError`, in
+        this call or earlier in the step, the oracle is called row by row
+        (:meth:`_grad`).  Rows that raised read 0, as do, with ``check``,
+        rows whose value is not finite."""
         z = self.inputs[k]
         args = (x, dual, z if z is None else z[self.c])
-        if not self.raised:
-            g = self._grad(k, args, range(x.shape[0]), dim, what)
+        if self.raised:
+            g = self._grad(k, args, dim)
         else:
-            live = [j for j in range(x.shape[0]) if j not in self.raised]
-            g = np.zeros((x.shape[0], dim))
-            if live:
-                g[live] = self._grad(k, [a if a is None else a[live]
-                                         for a in args], live, dim, what)
+            try:
+                g = np.asarray(self.oracles[k].grad(*args), dtype=np.float64)
+            except NonFiniteError:
+                g = self._grad(k, args, dim)
+        if g.shape[1:] != (dim,):
+            raise ParameterError(f"{what} returned shape {g.shape[1:]}, "
+                                 f"expected ({dim},)")
         if not check:
             self.kept.append((what, g))
         elif not _finite(g):
@@ -423,20 +426,25 @@ class _Feed:
             g = np.where(np.isfinite(g).all(axis=1)[:, None], g, 0.0)
         return g
 
-    def _grad(self, k: int, args, rows, dim: int, what: str):
-        try:
-            g = np.asarray(self.oracles[k].grad(*args), dtype=np.float64)
-        except NonFiniteError as exc:
-            if len(rows) > 1:
-                return np.concatenate([
-                    self._grad(k, [a if a is None else a[[i]] for a in args],
-                               [j], dim, what) for i, j in enumerate(rows)])
-            self.failed.setdefault(rows[0], (len(self.kept), exc))
-            self.raised.add(rows[0])
-            return np.zeros((1, dim))
-        if g.shape[1:] != (dim,):
-            raise ParameterError(f"{what} returned shape {g.shape[1:]}, "
-                                 f"expected ({dim},)")
+    def _grad(self, k: int, args, dim: int):
+        """Oracle ``k`` called on each row of ``args`` not in ``raised``; a
+        row that raises :class:`NonFiniteError` fails with it.  A value of
+        the wrong shape is returned, for the caller's shape check."""
+        g = np.zeros((args[0].shape[0], dim))
+        for j in range(g.shape[0]):
+            if j in self.raised:
+                continue
+            try:
+                row = np.asarray(self.oracles[k].grad(
+                    *[a if a is None else a[[j]] for a in args]),
+                    dtype=np.float64)
+            except NonFiniteError as exc:
+                self.failed.setdefault(j, (len(self.kept), exc))
+                self.raised.add(j)
+                continue
+            if row.shape[1:] != (dim,):
+                return row
+            g[j] = row
         return g
 
     def project(self, proj, cset: ConstraintSet, v: np.ndarray,
@@ -491,41 +499,46 @@ def _smag_oracles(problem: DMaxProblem, mode: Mode):
 
 
 def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
-                 mode: Mode, lr_scale: float, feed: _Feed) -> SmagState:
-    """One step of the stacked seeds ``st``; rows that fail are marked in
-    ``feed``.  A part steps when ``feed`` has an oracle in its token slot
-    (see :func:`_smag_oracles`)."""
+                 lr_scale: float, feed: _Feed, n: int):
+    """Up to ``n`` steps of the stacked seeds ``st``, ended by a step whose
+    rows fail (marked in ``feed``): the states before and after the last.
+    A part steps when its token slot has an oracle (:func:`_smag_oracles`)."""
     eta1 = sched.eta1 * lr_scale
     eta0 = sched.eta0 * lr_scale
     inv_gamma = 1.0 / sched.gamma
-    dim = problem.dim_x
-    x_t, x_phi, x_psi, y, z = st.x, st.x_phi, st.x_psi, st.y, st.z
-
-    g_phi = feed.grad(0, x_phi, y, dim, "phi_subgrad_x")
-    x_phi_new = x_phi - eta1 * (g_phi + inv_gamma * (x_phi - x_t))
-
-    y_new = y
-    if feed.oracles[1] is not None:
-        # Dual ascent evaluates at the *previous* x_phi on purpose.
-        g_y = feed.grad(1, x_phi, y, y.shape[1], "phi_grad_y")
-        y_new = feed.project(project, problem.set_y, y + eta1 * g_y, y)
-
-    x_psi_new, z_new = x_psi, z
-    if feed.oracles[2] is None:
-        g_vec = (x_t - x_phi_new) * inv_gamma
-    else:
-        # checked: an infinity here and one in g_phi would meet in g_vec
-        g_psi = feed.grad(2, x_psi, z, dim, "psi_subgrad_x", True)
-        x_psi_new = x_psi - eta1 * (g_psi + inv_gamma * (x_psi - x_t))
-        if feed.oracles[3] is not None:
-            g_z = feed.grad(3, x_psi, z, z.shape[1], "psi_grad_z")
-            z_new = feed.project(project, problem.set_z, z + eta1 * g_z, z)
-        g_vec = (x_psi_new - x_phi_new) * inv_gamma
-
-    x_new = x_t - eta0 * g_vec
-    feed.check(x_new, "anchor iterate became non-finite")
-    return SmagState(x=x_new, x_phi=x_phi_new, x_psi=x_psi_new, y=y_new,
-                     z=z_new, last_g=g_vec, t=st.t + 1)
+    dim, set_y, set_z = problem.dim_x, problem.set_y, problem.set_z
+    grad, proj, check = feed.grad, feed.project, feed.check
+    _, oracle_y, oracle_psi, oracle_z = feed.oracles
+    x_new, x_phi_new, x_psi_new = st.x, st.x_phi, st.x_psi
+    y_new, z_new, g_vec = st.y, st.z, st.last_g
+    for t in range(st.t, st.t + n):
+        x_t, x_phi, x_psi, y, z, last_g = (x_new, x_phi_new, x_psi_new,
+                                           y_new, z_new, g_vec)
+        feed.next_step(t)
+        g_phi = grad(0, x_phi, y, dim, "phi_subgrad_x")
+        x_phi_new = x_phi - eta1 * (g_phi + inv_gamma * (x_phi - x_t))
+        if oracle_y is not None:
+            # Dual ascent evaluates at the *previous* x_phi on purpose.
+            g_y = grad(1, x_phi, y, y.shape[1], "phi_grad_y")
+            y_new = proj(project, set_y, y + eta1 * g_y, y)
+        if oracle_psi is None:
+            g_vec = (x_t - x_phi_new) * inv_gamma
+        else:
+            # checked: an infinity here and one in g_phi would meet in g_vec
+            g_psi = grad(2, x_psi, z, dim, "psi_subgrad_x", True)
+            x_psi_new = x_psi - eta1 * (g_psi + inv_gamma * (x_psi - x_t))
+            if oracle_z is not None:
+                g_z = grad(3, x_psi, z, z.shape[1], "psi_grad_z")
+                z_new = proj(project, set_z, z + eta1 * g_z, z)
+            g_vec = (x_psi_new - x_phi_new) * inv_gamma
+        x_new = x_t - eta0 * g_vec
+        check(x_new, "anchor iterate became non-finite")
+        if feed.failed:
+            break
+    prev = st if t == st.t else SmagState(
+        x=x_t, x_phi=x_phi, x_psi=x_psi, y=y, z=z, last_g=last_g, t=t)
+    return prev, SmagState(x=x_new, x_phi=x_phi_new, x_psi=x_psi_new,
+                           y=y_new, z=z_new, last_g=g_vec, t=t + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +664,9 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     whatever the mode; ``shared_sample`` feeds the first to all four.
     Each milestone ``m`` of ``decay_milestones`` divides both step sizes
     by ``decay_factor`` from step ``m`` (counted from 0) on; a factor
-    that takes one to 0.0 is refused.  A row's ``p_t`` is the analysis
-    potential of the step into it: the squared distances of the inner
-    iterates after the step from the exact prox points of the anchor
+    that takes one to 0.0 or inf is refused.  A row's ``p_t`` is the
+    analysis potential of the step into it: the squared distances of the
+    inner iterates after the step from the exact prox points of the anchor
     before it (and of each dual from its best response there), times
     ``2 eta0 / (eta1 gamma^2 alpha)``.  The problem's maps decide each
     row: its stationarity is the exact envelope-gradient norm when
@@ -716,11 +729,12 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
             return [s / sched.gamma for s in _norms(p_psi - p_phi)], p_t
         return _norms(cur.last_g), p_t
 
-    feed = _Feed(rngs, oracles, shared_sample)
+    feed = _Feed(rngs, oracles, shared_sample, t_total)
     finals, records, reasons = _drive(
         problem, _stack(start, len(rngs)), t_total,
-        lambda st, scale: _smag_kernel(problem, st, sched, mode, scale, feed),
+        lambda st, scale, n: _smag_kernel(problem, st, sched, scale, feed, n),
         feed, rows, on_step=on_step, trace_every=trace_every,
+        events=range(1, t_total) if collect_states else list(marks),
         seed_labels=labels, decay_milestones=decay_milestones,
         decay_factor=decay_factor, steps={"eta0": sched.eta0,
                                           "eta1": sched.eta1})
@@ -746,7 +760,7 @@ def _check_decay(decay_milestones: Sequence[int], decay_factor: float,
                  t_total: int, **steps: float) -> None:
     """Refuse a decay factor that is not positive and finite, whose
     largest scale ``decay_factor ** -k`` (``k`` milestones below
-    ``t_total``) overflows, or that takes a step of ``steps`` to 0.0."""
+    ``t_total``) overflows, or that takes a step of ``steps`` to 0 or inf."""
     if not 0.0 < decay_factor < math.inf:
         raise ParameterError("decay_factor must be positive and finite")
     k = sum(m < t_total for m in decay_milestones)
@@ -757,25 +771,28 @@ def _check_decay(decay_milestones: Sequence[int], decay_factor: float,
                              "sizes after the milestones are out of "
                              "float range") from None
     for name, step in steps.items():
-        if step * scale == 0.0:
-            raise ParameterError(f"{name} * decay_factor ** -{k} underflows "
-                                 "to 0: the run would stop moving")
+        if not 0.0 < step * scale < math.inf:
+            raise ParameterError(f"{name} * decay_factor ** -{k} " + (
+                "underflows to 0: the run would stop moving" if scale < 1
+                else "overflows to inf: the run would step by inf"))
 
 
 def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
-           rows, *, on_step=None, trace_every: int, seed_labels: list,
+           rows, *, on_step=None, events: Sequence[int] = (),
+           trace_every: int, seed_labels: list,
            decay_milestones: Sequence[int], decay_factor: float,
            steps: dict):
     """The lockstep loop shared by :func:`run` and the baselines.
 
     ``state`` stacks one row per seed of ``feed`` (any state dataclass with
-    ``x`` and ``t``).  Each step is ``kernel(state, lr_scale)``, which
-    marks the rows whose step failed in ``feed``; those rows are dropped
-    here, their seeds keeping the state before the step.  ``on_step(prev,
-    state, rows)`` then sees the surviving rows, whose seeds are ``rows``.
+    ``x`` and ``t``).  ``kernel(state, lr_scale, n)`` runs the ``n`` steps
+    to the next event (traced step, step count in ``events``, milestone or
+    ``t_total``), or to a step whose rows fail (marked in ``feed``), and
+    returns ``(prev, state)`` of its last step.  Failed rows are dropped,
+    keeping ``prev``; ``on_step(prev, state, rows)`` sees the seeds left.
     At step ``t`` (from 0) each milestone ``m <= t`` divides ``lr_scale``
     by ``decay_factor``, which must be positive and finite; the largest
-    such scale stays in float range and keeps each of ``steps`` above 0.
+    such scale stays in float range and keeps each of ``steps`` in (0, inf).
 
     Every ``trace_every`` steps and at the last one each live seed gets a
     :class:`RunRecord`.  Such a step only reads the clock and holds its
@@ -800,6 +817,9 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
         raise ParameterError(
             "need at least one stream and one seed label per stream")
     milestones = tuple(decay_milestones)
+    # the step counts that end a segment besides the traced ones
+    stops = sorted({*(e for e in (*events, *milestones) if 0 < e < t_total),
+                    t_total})
     finals: list = [None] * len(feed.rngs)
     records: list = [[] for _ in feed.rngs]
     objective = problem.full_objective
@@ -825,12 +845,13 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
         spent += time.perf_counter() - t0
 
     start = time.perf_counter()
-    for t in range(t_total):
+    t = ev = 0
+    while t < t_total:
+        ev += stops[ev] == t  # past the event that ended the last segment
         scale = (decay_factor ** -sum(m <= t for m in milestones)
                  if milestones else 1.0)
-        feed.next_step(t_total - t)
-        prev = state
-        state = kernel(prev, scale)
+        prev, state = kernel(state, scale, min(
+            stops[ev], (t // trace_every + 1) * trace_every) - t)
         if feed.failed:
             if pending:
                 flush()
@@ -842,6 +863,7 @@ def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
             if not feed.rows:
                 break
             prev, state = _pick(prev, keep), _pick(state, keep)
+        t = state.t
         if on_step is not None:
             on_step(prev, state, feed.rows)
         if state.t % trace_every == 0 or state.t == t_total:

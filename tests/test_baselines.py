@@ -179,15 +179,15 @@ def _constant_problem(g_phi, g_psi=0.0):
 
 
 @pytest.mark.parametrize("x, g, lr, factor", [(1e308, -1e308, 1.0, 1.0),
-                                              (-1e308, 1e308, 1.0, 1.0),
-                                              (1.0, 0.0, 1e300, 1e-300)],
-                         ids=["+inf", "-inf", "nan"])
+                                              (-1e308, 1e308, 1.0, 1.0)],
+                         ids=["+inf", "-inf"])
 def test_non_finite_iterates_keep_their_error_and_message(x, g, lr, factor):
-    # +inf, -inf and NaN iterates from finite oracle values: the NaN comes
-    # from a step size that overflows (1e300 * 1e300) times a zero direction
+    # +inf and -inf iterates from finite oracle values.  A NaN iterate
+    # needs a step size of inf (1e300 * 1e-300 ** -1), which every run now
+    # refuses up front
     prob = _constant_problem(g)
     kw = dict(x0=[x], decay_milestones=(0,), decay_factor=factor)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         sgd = run_sgd(prob, lr, 1, RngStream(0), **kw)
         sgda = run_sgda(prob, lr, 0.1, 1, RngStream(0), **kw)
     assert (sgd.aborted, sgd.abort_reason) == (

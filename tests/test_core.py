@@ -59,6 +59,19 @@ def test_non_finite_entries_keep_their_error_and_message(bad):
                 project(cset, v)
 
 
+@pytest.mark.parametrize("shape", ["1-D", "2-D"])
+@pytest.mark.parametrize("values", [
+    [], [0.0, -0.0], [5e-324, -2.2e-308], [1e308, -1e308], [1.0, math.inf],
+    [-math.inf, 1.0], [0.0, math.nan]],
+    ids=["empty", "zeros", "subnormal", "big", "+inf", "-inf", "nan"])
+def test_finite_agrees_with_isfinite_all(values, shape):
+    v = np.array(values, dtype=np.float64)
+    if shape == "2-D":
+        v = np.stack([np.zeros_like(v), v])  # the test values in row 2
+    assert bool(_finite(v)) == bool(np.isfinite(v).all())
+    assert bool(_finite(v)) == all(math.isfinite(e) for e in values)
+
+
 def test_large_finite_entries_pass_without_a_floating_point_flag():
     # squares of these overflow, so a sum-of-squares test would flag them
     big = [1e200, -1.7e308, 1e-300]

@@ -248,6 +248,21 @@ def test_config_refuses_a_step_size_that_the_decay_takes_to_zero(
     assert not (tmp_path / "out").exists()
 
 
+def test_config_refuses_a_step_size_that_the_decay_takes_to_inf(
+        tmp_path, capsys):
+    over = dict(algorithm="sgd", lr=1e300, decay_milestones=[0],
+                decay_factor=1e-300)
+    with pytest.raises(ParameterError,
+                       match=r"^lr \* decay_factor \*\* -1 overflows to inf"):
+        ExperimentConfig.from_dict(_good_cfg(**over))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_good_cfg(**over)))
+    assert main(["run", str(path), "--output-root", str(tmp_path / "out")]
+                ) == 2
+    assert "lr * decay_factor ** -1 overflows to inf" in (
+        capsys.readouterr().err)
+
+
 def test_importing_the_harness_leaves_concurrent_futures_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(dmaxopt.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

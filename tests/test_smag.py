@@ -35,6 +35,7 @@ from dmaxopt.problems import (
     synth_gaussian_pu,
 )
 from dmaxopt.smag import (
+    _CHUNK,
     _TRACE_BLOCK,
     _norms,
     RunResult,
@@ -664,6 +665,29 @@ def test_every_run_refuses_a_step_size_that_the_decay_takes_to_zero():
         res = run_sgd(dwc, 0.1, t_total, RngStream(0), x0=2.0,
                       decay_milestones=(0, 1), decay_factor=factor)
         assert res.final_state.t == t_total and not res.aborted
+
+
+def test_every_run_refuses_a_step_size_that_the_decay_takes_to_inf():
+    # 1e300 * 1e-300 ** -1 is inf: SGD on zero oracles used to step by inf
+    # * 0 = NaN, with numpy's "invalid value" warning
+    quad = make_quadratic_minmax(dim=2)
+    zero = DMaxProblem(dim_x=1, constants=ProblemConstants(m_bound=1.0),
+                       phi_subgrad_x=lambda x, y, tok: np.zeros(1),
+                       psi_subgrad_x=lambda x, z, tok: np.zeros(1))
+    sched = Schedule.from_manual(0.5, 1e299, 2e299, 10, quad.constants,
+                                 mode="minmax", check_feasible=False)
+    decay = dict(decay_milestones=(0,), decay_factor=1e-300)
+    for start, name in (
+            (lambda rng: run(quad, "minmax", sched, rng, **decay), "eta0"),
+            (lambda rng: run_sgd(zero, 1e300, 1, rng, x0=[1.0], **decay),
+             "lr"),
+            (lambda rng: run_sgda(quad, 0.1, 1e300, 10, rng, **decay),
+             "lr_y")):
+        rng = RngStream(0)
+        with pytest.raises(ParameterError, match=(
+                rf"^{name} \* decay_factor \*\* -1 overflows to inf")):
+            start(rng)
+        assert rng.counter == 0
 
 
 def test_run_aborts_on_non_finite_oracle():
@@ -1498,6 +1522,124 @@ def test_only_a_row_whose_oracle_raised_skips_the_oracles_left_in_its_step():
             lost = batch[seeds.index(failing)]
             assert (lost.abort_reason, lost.final_state.t) == (
                 why, step_no - 1)
+
+
+class _CallLog:
+    """A batched ``oracle`` that logs the tokens of each ``grad`` call as a
+    tuple.  A call passed token ``bad`` raises :class:`NonFiniteError`,
+    and one passed token ``wide`` returns rows one entry too long."""
+
+    def __init__(self, oracle, log, bad=None, wide=None):
+        self.oracle, self.log, self.bad, self.wide = oracle, log, bad, wide
+
+    def sample(self, tokens):
+        return np.column_stack([self.oracle.sample(tokens),
+                                tokens.view(np.float64)])
+
+    def grad(self, x, dual, z):
+        toks = tuple(z[:, -1].copy().view(np.uint64).tolist())
+        self.log.append(toks)
+        if self.bad in toks:
+            raise NonFiniteError("phi_subgrad_x refused its token")
+        g = self.oracle.grad(x, dual, z[:, :-1])
+        return np.hstack([g, g[:, :1]]) if self.wide in toks else g
+
+
+def test_a_batched_call_that_raises_is_made_again_once_per_row():
+    # phi raises for seed 32's row at step 40: the log reads the batched
+    # call, one call per row, then psi for the two rows left, row by row
+    seeds, step_no = [31, 32, 33], 40
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    phi = [_token_of(s, step_no, 0) for s in seeds]
+    psi = [_token_of(s, step_no, 2) for s in seeds]
+    log = []
+    prob = dataclasses.replace(
+        dwc, phi_subgrad_x=_CallLog(dwc.phi_subgrad_x, log, bad=phi[1]),
+        psi_subgrad_x=_CallLog(dwc.psi_subgrad_x, log))
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, prob.constants,
+                                 mode="dwc")
+    res = run(prob, "dwc", sched, [RngStream(s) for s in seeds], x0=2.0)
+    step = [c for c in log if set(c) & {*phi, *psi}]
+    assert step == [tuple(phi), (phi[0],), (phi[1],), (phi[2],),
+                    (psi[0],), (psi[2],)]
+    assert [r.aborted for r in res] == [False, True, False]
+    assert (res[1].abort_reason, res[1].final_state.t) == (
+        "phi_subgrad_x refused its token", step_no - 1)
+
+
+@pytest.mark.parametrize("retry", [False, True], ids=["batched", "retry"])
+def test_an_oracle_of_the_wrong_shape_stops_the_run_at_its_step(retry):
+    # at step 40 phi's row for seed 33 is one entry too long, in the
+    # batched call or, after seed 32's row raised, in the call by rows
+    seeds, step_no = [31, 32, 33], 40
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    phi = [_token_of(s, step_no, 0) for s in seeds]
+    log = []
+    prob = dataclasses.replace(dwc, phi_subgrad_x=_CallLog(
+        dwc.phi_subgrad_x, log, bad=phi[1] if retry else None, wide=phi[2]))
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, prob.constants,
+                                 mode="dwc")
+    with pytest.raises(ParameterError, match=(
+            r"^phi_subgrad_x returned shape \(2,\), expected \(1,\)$")):
+        run(prob, "dwc", sched, [RngStream(s) for s in seeds], x0=2.0)
+    assert log[-1] == ((phi[2],) if retry else tuple(phi))
+    assert sum(phi[0] in c for c in log) == (2 if retry else 1)
+
+
+@pytest.mark.parametrize("algorithm", ["dmax", "dwc", "minmax", "sgd",
+                                       "sgda"])
+def test_segment_boundaries_never_change_bits(algorithm):
+    # the default run steps in segments that end only at events; the cut
+    # run ends one at every step (collect_states, or trace_every=1 for the
+    # baselines).  T spans more than one chunk, milestones sit at 0, mid-run
+    # and T - 1, trace_every does not divide T, and seed 62's phi goes NaN
+    # at step 500, inside a segment of the default run
+    t_total, every, step_no = _CHUNK + 76, 400, 500
+    seeds, failing = [61, 62, 63], 62
+    baseline = algorithm.startswith("sgd")
+    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
+    base = {"dmax": _four_part_problem(3), "minmax": quad, "sgda": quad}.get(
+        algorithm) or make_onedim_dwc(1.0, 0.5, kappa_phi=0.2,
+                                      center_psi=0.3, noise_sigma=0.2, dim=3)
+    prob = dataclasses.replace(base, phi_subgrad_x=_BulkNanAt(
+        base.phi_subgrad_x,
+        _token_of(failing, step_no, 0, 2 if baseline else 4)))
+    sched = Schedule.from_manual(
+        0.5, 0.01, 0.05, t_total, ALL_ONES,
+        mode="minmax" if algorithm == "minmax" else "dwc")
+
+    def go(cut):
+        rngs = [RngStream(s) for s in seeds]
+        kw = dict(x0=np.full(3, 0.5), seed_label=seeds, decay_factor=2.0,
+                  decay_milestones=(0, t_total // 2, t_total - 1))
+        if algorithm == "sgd":
+            res = run_sgd(prob, 0.01, t_total, rngs,
+                          trace_every=1 if cut else every, **kw)
+        elif algorithm == "sgda":
+            res = run_sgda(prob, 0.02, 0.05, t_total, rngs,
+                           trace_every=1 if cut else every, **kw)
+        else:
+            res = run(prob, algorithm, sched, rngs, trace_every=every,
+                      collect_states=cut, **kw)
+        return res, [r.counter for r in rngs]
+
+    (want, want_counts), (got, got_counts) = go(False), go(True)
+    assert got_counts == want_counts
+    assert [r.aborted for r in want] == [s == failing for s in seeds]
+    assert want[1].final_state.t == step_no - 1
+    for a, b in zip(want, got):
+        assert (b.aborted, b.abort_reason) == (a.aborted, a.abort_reason)
+        assert _state_bits(b.final_state) == _state_bits(a.final_state)
+        assert [r.t for r in a.records] == [
+            t for t in (every, 2 * every, t_total) if t <= a.final_state.t]
+        assert _record_bits([r for r in b.records if r.t % every == 0
+                             or r.t == t_total]) == _record_bits(a.records)
+        if not baseline:
+            assert step_no not in (a.t_bar, a.t_bar + 1)
+            assert b.t_bar == a.t_bar
+            for name in ("returned", "x_bar"):
+                assert getattr(b, name).tobytes() == (
+                    getattr(a, name).tobytes())
 
 
 # Each algorithm's oracles in token-slot order, so in call order.

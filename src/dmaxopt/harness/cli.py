@@ -129,6 +129,9 @@ def _read_scores_csv(path: str):
             if len(row) < 3:
                 raise ParameterError(
                     f"{path}: line {lineno}: expected score,label,attr")
+            if not _is_float(row[0]):
+                raise ParameterError(f"{path}: line {lineno}: score must be "
+                                     f"a number, got {row[0]!r}")
             scores.append(float(row[0]))
             labels.append(_sign(row[1], f"{path}: line {lineno}: label"))
             attrs.append(_sign(row[2], f"{path}: line {lineno}: attr"))

@@ -275,7 +275,7 @@ def build_problem(section: dict) -> DMaxProblem:
 
 _SCHEDULES = {
     "manual": {"gamma": (float, _REQUIRED), "eta0": (float, _REQUIRED),
-               "eta1": (float, _REQUIRED), "epsilon": (float, 1.0),
+               "eta1": (float, _REQUIRED),
                "allow_infeasible": (bool, False)},
     "theory": {"gamma": (float, _REQUIRED), "epsilon": (float, _REQUIRED),
                "gap_plus_p0": (float, 1.0)},
@@ -301,5 +301,5 @@ def build_schedule(cfg: ExperimentConfig,
             gap_plus_p0=s["gap_plus_p0"]), t_total=cfg.t_total)
     return Schedule.from_manual(
         s["gamma"], s["eta0"], s["eta1"], cfg.t_total,
-        constants=problem.constants, mode=mode, epsilon=s["epsilon"],
+        constants=problem.constants, mode=mode,
         check_feasible=not s["allow_infeasible"])

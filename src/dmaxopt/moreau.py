@@ -172,28 +172,21 @@ def prox(f: FunctionOracle, x, gamma: float, tol: float = 1e-8,
 
     while k < max_inner:
         s = subgrad(u)
-        ns = float(np.linalg.norm(s))
-        if not math.isfinite(ns):
+        finite = math.isfinite(float(np.linalg.norm(s)))
+        if finite:
+            eta = min(2.0 / (mu * (k + 2)), eta_cap)
+            u = u - eta * s
+        k += 1
+        if not finite or float(np.linalg.norm(u - x)) > guard:
+            # A non-finite subgradient or a runaway step (curvature above
+            # what the schedule tolerates): restart at half the step cap.
             eta_cap *= 0.5
             u = x.copy()
             seg_sum[:] = 0.0
             seg_n = 0
-            k += 1
-            continue
-        ghat = max(ghat, ns)
-        eta = min(2.0 / (mu * (k + 2)), eta_cap)
-        u = u - eta * s
-        if float(np.linalg.norm(u - x)) > guard:
-            # Runaway step (curvature above what the schedule tolerates).
-            eta_cap *= 0.5
-            u = x.copy()
-            seg_sum[:] = 0.0
-            seg_n = 0
-            k += 1
             continue
         seg_sum += u
         seg_n += 1
-        k += 1
         if k >= next_check or k >= max_inner:
             if seg_n > 0:
                 consider(seg_sum / seg_n)

@@ -137,7 +137,6 @@ class Schedule:
     @staticmethod
     def from_manual(gamma: float, eta0: float, eta1: float, t_total: int,
                     constants: ProblemConstants, mode: Mode = "dwc",
-                    epsilon: float = 1.0,
                     check_feasible: bool = True) -> "Schedule":
         """Build a schedule from hand-picked step sizes.
 
@@ -164,8 +163,7 @@ class Schedule:
                 f"the manual schedule's eta0 {tau * eta1} or nu {nu} is not "
                 "a finite positive number")
         sched = Schedule(gamma=gamma, eta0=tau * eta1, eta1=eta1, alpha=alpha,
-                         tau=tau, nu=nu, l_f=l_f, t_total=int(t_total),
-                         epsilon=float(epsilon))
+                         tau=tau, nu=nu, l_f=l_f, t_total=int(t_total))
         if check_feasible:
             validate_schedule(sched, constants, mode)
         return sched
@@ -324,7 +322,7 @@ def _concat(states: list):
 class _PerToken:
     """A plain ``(x, dual, token)`` oracle in batched form: a batch is its
     tokens (an ``(S, 1)`` column in ``grad``), and ``grad`` calls the
-    oracle once per row."""
+    oracle once per row and returns the list of its values."""
 
     def __init__(self, oracle):
         self.oracle = oracle
@@ -334,8 +332,8 @@ class _PerToken:
 
     def grad(self, x, dual, tokens):
         duals = [None] * len(x) if dual is None else dual
-        return np.array([self.oracle(x[j], duals[j], tok) for j, tok in
-                         enumerate(tokens[:, 0].tolist())], dtype=np.float64)
+        return [self.oracle(x[j], duals[j], tok)
+                for j, tok in enumerate(tokens[:, 0].tolist())]
 
 
 class _Feed:
@@ -352,9 +350,9 @@ class _Feed:
     asks :meth:`grad` to check, each new dual (:meth:`project`) and the
     new anchor (:meth:`check`).  Other outputs are kept to the end of the
     step: a non-finite one reaches the anchor or a dual, whose check fails
-    its row.  :meth:`drop` removes the failed rows, each with its first
-    error in call order.  A row whose oracle raised reads 0 and skips the
-    step's later oracles.
+    its row.  A failed row stays in every batched call of its step, as a
+    solo run would make them, and :meth:`drop` removes it at the step's
+    end with its first error in call order.
     """
 
     def __init__(self, rngs, oracles, shared_sample: bool, t_total: int):
@@ -364,7 +362,6 @@ class _Feed:
         self.slot = [0 if shared_sample else k for k in range(len(oracles))]
         self.rows = list(range(len(self.rngs)))  # live seeds, in row order
         self.failed: dict = {}  # row -> (outputs kept before, its error)
-        self.raised: set = set()  # rows whose oracle raised, in the step
         self.lost: dict = {}  # seed -> its error
         self.c = self.steps = 0  # step within the chunk, chunk length
 
@@ -395,7 +392,7 @@ class _Feed:
             self.lost[self.rows[j]] = NonFiniteError(
                 f"{bad[0]} returned a non-finite value") if bad else err
             self.rngs[self.rows[j]]._put_back(give_back)
-        self.failed, self.raised = {}, set()
+        self.failed = {}
         self.rows = [i for i, kept in zip(self.rows, keep.tolist()) if kept]
         self.inputs = [z if z is None else z[:, keep] for z in self.inputs]
 
@@ -403,22 +400,27 @@ class _Feed:
              check: bool = False):
         """Oracle ``k`` at the rows of ``x`` and ``dual``, as ``(rows,
         dim)`` values, kept for :meth:`drop` unless ``check``.  One call
-        takes every row; after a row raised :class:`NonFiniteError`, in
-        this call or earlier in the step, the oracle is called row by row
-        (:meth:`_grad`).  Rows that raised read 0, as do, with ``check``,
-        rows whose value is not finite."""
+        takes every row; a call that raises :class:`NonFiniteError` is
+        made again once per row (:meth:`_grad`), and a row that raises
+        there fails with its error and reads 0, as do, with ``check``,
+        rows whose value is not finite.  An output of another shape than
+        ``(rows, dim)`` raises :class:`ParameterError`."""
         z = self.inputs[k]
         args = (x, dual, z if z is None else z[self.c])
-        if self.raised:
+        try:
+            g = self.oracles[k].grad(*args)
+        except NonFiniteError:
             g = self._grad(k, args, dim)
-        else:
-            try:
-                g = np.asarray(self.oracles[k].grad(*args), dtype=np.float64)
-            except NonFiniteError:
-                g = self._grad(k, args, dim)
-        if g.shape[1:] != (dim,):
-            raise ParameterError(f"{what} returned shape {g.shape[1:]}, "
-                                 f"expected ({dim},)")
+        try:
+            g = np.asarray(g, dtype=np.float64)
+        except ValueError:  # rows of unequal lengths: the first wrong one
+            g = np.asarray([next((r for r in g if np.shape(r) != (dim,)),
+                                 g)], dtype=np.float64)
+        if g.shape != (len(x), dim):
+            raise ParameterError(
+                f"{what} returned shape {g.shape[1:]}, expected ({dim},)"
+                if g.shape[1:] != (dim,) else
+                f"{what} returned shape {g.shape}, expected one row per point")
         if not check:
             self.kept.append((what, g))
         elif not _finite(g):
@@ -427,39 +429,34 @@ class _Feed:
         return g
 
     def _grad(self, k: int, args, dim: int):
-        """Oracle ``k`` called on each row of ``args`` not in ``raised``; a
-        row that raises :class:`NonFiniteError` fails with it.  A value of
-        the wrong shape is returned, for the caller's shape check."""
+        """Oracle ``k`` called on each row of ``args``; a row that raises
+        :class:`NonFiniteError` fails with it.  A value of another shape
+        than one row is returned, for the caller's shape check."""
         g = np.zeros((args[0].shape[0], dim))
         for j in range(g.shape[0]):
-            if j in self.raised:
-                continue
             try:
                 row = np.asarray(self.oracles[k].grad(
                     *[a if a is None else a[[j]] for a in args]),
                     dtype=np.float64)
             except NonFiniteError as exc:
                 self.failed.setdefault(j, (len(self.kept), exc))
-                self.raised.add(j)
                 continue
-            if row.shape[1:] != (dim,):
+            if row.shape != (1, dim):
                 return row
             g[j] = row
         return g
 
     def project(self, proj, cset: ConstraintSet, v: np.ndarray,
                 old: np.ndarray) -> np.ndarray:
-        """``proj(cset, v)`` on the rows of ``v``.  A row it refuses fails
-        with the error ``proj`` raises for it, and its old dual ``old`` is
-        projected in its place."""
+        """``proj(cset, v)`` on the rows of ``v``.  When ``proj`` refuses
+        the stack, each row with a non-finite entry fails with its error,
+        the one that row alone gets, and its old dual ``old`` is projected
+        in its place."""
         try:
             return proj(cset, v)
-        except NonFiniteError:
+        except NonFiniteError as exc:
             bad = ~np.isfinite(v).all(axis=1)
-        for j in np.flatnonzero(bad).tolist():
-            try:
-                proj(cset, v[j])
-            except NonFiniteError as exc:
+            for j in np.flatnonzero(bad).tolist():
                 self.failed.setdefault(j, (len(self.kept), exc))
         return proj(cset, np.where(bad[:, None], old, v))
 
@@ -659,7 +656,9 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     The output index is drawn up front from a child stream of ``rng`` (see
     :class:`RunResult`).  A non-finite oracle value or iterate aborts the
     run with the first such value's message; the partial trace is kept
-    and the result flagged rather than raised.  Each step draws four
+    and the result flagged rather than raised; an oracle value whose
+    shape is not one row of the part's dimension per point raises
+    ParameterError naming the oracle.  Each step draws four
     tokens, for the phi_x, phi_y, psi_x and psi_z oracles in that order
     whatever the mode; ``shared_sample`` feeds the first to all four.
     Each milestone ``m`` of ``decay_milestones`` divides both step sizes
@@ -684,9 +683,11 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     callable is called per seed inside it).  Trace rows are computed on
     the stack of a block of traced steps, one call of ``full_objective``
     and of each exact map per block, and reduced row by row.  ``t_bar``
-    and aborts stay per seed: a seed that aborts stops at the end of that
-    step, and the others go on.  ``elapsed_ms`` is the seeds' shared
-    clock at the traced step, net of the time spent computing trace rows.
+    and aborts stay per seed: a seed that aborts stays in the batched
+    calls of that step, as its solo run makes them, stops at the step's
+    end with its first error in call order, and the others go on.
+    ``elapsed_ms`` is the seeds' shared clock at the traced step, net of
+    the time spent computing trace rows.
     """
     rngs, labels = _streams(rng, seed_label)
     _check_mode(mode)

@@ -814,6 +814,14 @@ def test_cli_fairness(tmp_path, capsys):
     path3 = _write_cfg(tmp_path, {"scores_csv": str(bad)}, name="cfg3.json")
     assert main(["fairness", path3]) == 2
 
+    capsys.readouterr()
+    word = tmp_path / "word.csv"
+    word.write_text("2.0,1,1\nabc,-1,1\n")
+    path5 = _write_cfg(tmp_path, {"scores_csv": str(word)}, name="cfg5.json")
+    assert main(["fairness", path5]) == 2
+    assert (f"{word}: line 2: score must be a number, got 'abc'"
+            in capsys.readouterr().err)
+
     path4 = _write_cfg(tmp_path, {"scores_csv": str(tmp_path / "ghost.csv")},
                        name="cfg4.json")
     assert main(["fairness", path4]) == 2
@@ -867,7 +875,7 @@ def _blocks(tmp_path):
         "pauc-libsvm": ("run", _good_cfg(problem={
             "kind": "pauc-libsvm", "path": str(svm)}, **minmax),
             "problem", "lambda0"),
-        "manual schedule": ("run", _good_cfg(), "schedule", "epsilon"),
+        "manual schedule": ("run", _good_cfg(), "schedule", "eta1"),
         "theory schedule": ("run", _good_cfg(schedule={
             "source": "theory", "gamma": 0.5, "epsilon": 0.5}),
             "schedule", "gap_plus_p0"),
@@ -945,7 +953,10 @@ def test_reader_refuses_unknown_keys_and_non_numbers(tmp_path, capsys, block,
                                "allow_unbounded": False}), None,
      "unknown problem keys: ['allow_unbounded']"),
     # seed 2**64 drew seed 0's tokens as a second, distinct seed
-    ("run", _good_cfg(seeds=[0, 2 ** 64]), None, "below 2**64")])
+    ("run", _good_cfg(seeds=[0, 2 ** 64]), None, "below 2**64"),
+    # a manual schedule's epsilon was recorded and read by nothing
+    ("run", _good_cfg(), "schedule.epsilon=0.1",
+     "unknown schedule keys: ['epsilon']")])
 def test_reader_refuses_configs_that_used_to_run(tmp_path, capsys, command,
                                                  cfg, override, want):
     overrides = [override] if override else []

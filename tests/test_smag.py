@@ -1479,12 +1479,12 @@ class _RecordRows:
         return self.oracle.grad(x, dual, z[:, :-1])
 
 
-def test_only_a_row_whose_oracle_raised_skips_the_oracles_left_in_its_step():
+def test_a_failed_row_stays_in_the_oracles_left_in_its_step():
     # phi fails one seed at one step, by raising NonFiniteError or by
     # returning NaN, which no check reads until the anchor; psi, plain or
-    # batched, records the tokens of the rows it is passed.  The raised row
-    # is not passed to psi, the NaN row is, and both are dropped at the end
-    # of the step with phi's error
+    # batched, records the tokens of the rows it is passed.  Both the
+    # raised and the NaN row are passed to psi, as in their solo runs, and
+    # both are dropped at the end of the step with phi's error
     seeds, failing, step_no = [31, 32, 33], 32, 40
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     bad = _token_of(failing, step_no, 0)
@@ -1499,10 +1499,10 @@ def test_only_a_row_whose_oracle_raised_skips_the_oracles_left_in_its_step():
             raise NonFiniteError("phi_subgrad_x refused its token")
         return dwc.phi_subgrad_x(x, y, tok)
 
-    for phi, why, passed in (
-            (raising_phi, "phi_subgrad_x refused its token", False),
+    for phi, why in (
+            (raising_phi, "phi_subgrad_x refused its token"),
             (_NanAt(dwc.phi_subgrad_x, bad),
-             "phi_subgrad_x returned a non-finite value", True)):
+             "phi_subgrad_x returned a non-finite value")):
         for oracle in (psi, _RecordRows(dwc.psi_subgrad_x, calls)):
             prob = dataclasses.replace(dwc, psi_subgrad_x=oracle,
                                        phi_subgrad_x=phi)
@@ -1516,7 +1516,7 @@ def test_only_a_row_whose_oracle_raised_skips_the_oracles_left_in_its_step():
             batch = run(prob, "dwc", sched, [RngStream(s) for s in seeds],
                         x0=2.0)
             assert sorted(calls) == solo_calls
-            assert (_token_of(failing, step_no, 2) in calls) == passed
+            assert _token_of(failing, step_no, 2) in calls
             assert [r.aborted for r in batch] == [s == failing for s in seeds]
             assert [_digest(r) for r in batch] == [_digest(r) for r in solo]
             lost = batch[seeds.index(failing)]
@@ -1527,10 +1527,12 @@ def test_only_a_row_whose_oracle_raised_skips_the_oracles_left_in_its_step():
 class _CallLog:
     """A batched ``oracle`` that logs the tokens of each ``grad`` call as a
     tuple.  A call passed token ``bad`` raises :class:`NonFiniteError`,
-    and one passed token ``wide`` returns rows one entry too long."""
+    one passed token ``wide`` returns rows one entry too long and one
+    passed token ``tall`` returns one row too many."""
 
-    def __init__(self, oracle, log, bad=None, wide=None):
-        self.oracle, self.log, self.bad, self.wide = oracle, log, bad, wide
+    def __init__(self, oracle, log, bad=None, wide=None, tall=None):
+        self.oracle, self.log, self.bad = oracle, log, bad
+        self.wide, self.tall = wide, tall
 
     def sample(self, tokens):
         return np.column_stack([self.oracle.sample(tokens),
@@ -1542,12 +1544,15 @@ class _CallLog:
         if self.bad in toks:
             raise NonFiniteError("phi_subgrad_x refused its token")
         g = self.oracle.grad(x, dual, z[:, :-1])
+        if self.tall in toks:
+            return np.vstack([g, g[:1]])
         return np.hstack([g, g[:, :1]]) if self.wide in toks else g
 
 
 def test_a_batched_call_that_raises_is_made_again_once_per_row():
     # phi raises for seed 32's row at step 40: the log reads the batched
-    # call, one call per row, then psi for the two rows left, row by row
+    # call, one call per row, then one batched psi call that still takes
+    # seed 32's row, as its solo run does
     seeds, step_no = [31, 32, 33], 40
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     phi = [_token_of(s, step_no, 0) for s in seeds]
@@ -1560,8 +1565,7 @@ def test_a_batched_call_that_raises_is_made_again_once_per_row():
                                  mode="dwc")
     res = run(prob, "dwc", sched, [RngStream(s) for s in seeds], x0=2.0)
     step = [c for c in log if set(c) & {*phi, *psi}]
-    assert step == [tuple(phi), (phi[0],), (phi[1],), (phi[2],),
-                    (psi[0],), (psi[2],)]
+    assert step == [tuple(phi), (phi[0],), (phi[1],), (phi[2],), tuple(psi)]
     assert [r.aborted for r in res] == [False, True, False]
     assert (res[1].abort_reason, res[1].final_state.t) == (
         "phi_subgrad_x refused its token", step_no - 1)
@@ -1569,21 +1573,75 @@ def test_a_batched_call_that_raises_is_made_again_once_per_row():
 
 @pytest.mark.parametrize("retry", [False, True], ids=["batched", "retry"])
 def test_an_oracle_of_the_wrong_shape_stops_the_run_at_its_step(retry):
-    # at step 40 phi's row for seed 33 is one entry too long, in the
-    # batched call or, after seed 32's row raised, in the call by rows
+    # at step 40 phi's row for seed 33 is one entry too long, or comes
+    # with one row too many, in the batched call or, after seed 32's row
+    # raised, in the call by rows
     seeds, step_no = [31, 32, 33], 40
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     phi = [_token_of(s, step_no, 0) for s in seeds]
-    log = []
-    prob = dataclasses.replace(dwc, phi_subgrad_x=_CallLog(
-        dwc.phi_subgrad_x, log, bad=phi[1] if retry else None, wide=phi[2]))
-    sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, prob.constants,
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, dwc.constants,
                                  mode="dwc")
-    with pytest.raises(ParameterError, match=(
-            r"^phi_subgrad_x returned shape \(2,\), expected \(1,\)$")):
-        run(prob, "dwc", sched, [RngStream(s) for s in seeds], x0=2.0)
-    assert log[-1] == ((phi[2],) if retry else tuple(phi))
-    assert sum(phi[0] in c for c in log) == (2 if retry else 1)
+    # the batched call returns four rows for three, the retry two for one
+    tall = rf"\({2 if retry else 4}, 1\), expected one row per point"
+    for kind, want in (("wide", r"\(2,\), expected \(1,\)"),
+                       ("tall", tall)):
+        log = []
+        prob = dataclasses.replace(dwc, phi_subgrad_x=_CallLog(
+            dwc.phi_subgrad_x, log, bad=phi[1] if retry else None,
+            **{kind: phi[2]}))
+        with pytest.raises(ParameterError,
+                           match=rf"^phi_subgrad_x returned shape {want}$"):
+            run(prob, "dwc", sched, [RngStream(s) for s in seeds], x0=2.0)
+        assert log[-1] == ((phi[2],) if retry else tuple(phi))
+        assert sum(phi[0] in c for c in log) == (2 if retry else 1)
+
+
+def test_a_plain_oracle_with_one_row_of_the_wrong_length_is_named():
+    # seed 32's phi value at step 40 is one entry too long: the lockstep
+    # run raises the error of that seed's solo run
+    seeds, failing, step_no, dim = [31, 32, 33], 32, 40, 3
+    quad = make_quadratic_minmax(dim=dim, noise_sigma=0.1)
+    bad = _token_of(failing, step_no, 0)
+
+    def phi(x, y, tok):
+        g = quad.phi_subgrad_x(x, y, tok)
+        return np.append(g, 0.0) if tok == bad else g
+
+    prob = dataclasses.replace(quad, phi_subgrad_x=phi)
+    sched = Schedule.from_manual(0.5, 0.01, 0.05, 60, prob.constants,
+                                 mode="minmax")
+    want = (rf"^phi_subgrad_x returned shape \({dim + 1},\), "
+            rf"expected \({dim},\)$")
+    for rng in [RngStream(failing), [RngStream(s) for s in seeds]]:
+        with pytest.raises(ParameterError, match=want):
+            run(prob, "minmax", sched, rng, x0=np.full(dim, 0.5))
+
+
+def test_a_dual_refused_for_two_rows_gives_each_its_solo_error():
+    # phi_grad_y returns 1e308 for seeds 31 and 33 at step 40: the dual
+    # ascent step of eta1 = 2 overflows on both rows, and each stops with
+    # the error the projection gives that row alone
+    seeds, failing, step_no = [31, 32, 33], (31, 33), 40
+    quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
+    bad = {_token_of(s, step_no, 1) for s in failing}
+
+    def phi_grad_y(x, y, tok):
+        return np.full(3, 1e308) if tok in bad else quad.phi_grad_y(x, y, tok)
+
+    prob = dataclasses.replace(quad, phi_grad_y=phi_grad_y)
+    sched = Schedule.from_manual(0.5, 0.01, 2.0, 60, prob.constants,
+                                 mode="minmax", check_feasible=False)
+    with np.errstate(over="ignore"):
+        solo = [run(prob, "minmax", sched, RngStream(s), x0=np.full(3, 0.5),
+                    seed_label=s) for s in seeds]
+        batch = run(prob, "minmax", sched, [RngStream(s) for s in seeds],
+                    x0=np.full(3, 0.5), seed_label=seeds)
+    assert [_digest(r) for r in batch] == [_digest(r) for r in solo]
+    for s, res in zip(seeds, batch):
+        assert (res.aborted, res.abort_reason) == (
+            (True, "point contains non-finite entries") if s in failing
+            else (False, ""))
+        assert res.final_state.t == (step_no - 1 if s in failing else 60)
 
 
 @pytest.mark.parametrize("algorithm", ["dmax", "dwc", "minmax", "sgd",

@@ -34,6 +34,7 @@ from .smag import (
 
 __all__ = [
     "BaselineState",
+    "BaselineResult",
     "run_sgd",
     "run_sgda",
 ]

@@ -58,8 +58,7 @@ class NonFiniteError(FloatingPointError):
 
 # numpy's clip ufunc and C count_nonzero, which ``np.clip`` and
 # ``np.count_nonzero`` reach through Python-level wrappers.
-_np_core = np._core if hasattr(np, "_core") else np.core
-_clip, _count_nonzero = _np_core.umath.clip, _np_core.multiarray.count_nonzero
+_clip, _count_nonzero = np._core.umath.clip, np._core.multiarray.count_nonzero
 
 
 def _finite(v: np.ndarray) -> bool:
@@ -154,6 +153,9 @@ def project(cset: ConstraintSet, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 2 and v.shape[1] == cset.dim:
         check_finite(v, "point")
+    elif v.ndim > 1:
+        raise DimensionError(f"point must have shape ({cset.dim},) or "
+                             f"(S, {cset.dim}), got shape {v.shape}")
     else:
         v = as_vector(v, dim=cset.dim, name="point")
     if cset.kind == "whole-space":

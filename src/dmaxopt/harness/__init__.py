@@ -1,43 +1,12 @@
 """Experiment harness: configs, the deterministic runner, gradient
-checking, fairness metrics, and the command-line interface."""
+checking, fairness metrics, and the command-line interface (``cli``,
+which is not re-exported)."""
 
-from .config import (
-    ExperimentConfig,
-    apply_overrides,
-    build_problem,
-    build_schedule,
-    config_hash,
-    load_config,
-    mode_for_algorithm,
-)
-from .fairness import FairnessReport, fairness_metrics, partial_auc
-from .gradcheck import GradCheckReport, grad_check
-from .runner import (
-    TRACE_HEADER,
-    ExperimentResult,
-    RunAborted,
-    read_trace,
-    run_experiment,
-    trace_payload,
-)
+from . import config, fairness, gradcheck, runner
+from .config import *
+from .fairness import *
+from .gradcheck import *
+from .runner import *
 
-__all__ = [
-    "ExperimentConfig",
-    "apply_overrides",
-    "build_problem",
-    "build_schedule",
-    "config_hash",
-    "load_config",
-    "mode_for_algorithm",
-    "FairnessReport",
-    "fairness_metrics",
-    "partial_auc",
-    "GradCheckReport",
-    "grad_check",
-    "TRACE_HEADER",
-    "ExperimentResult",
-    "RunAborted",
-    "read_trace",
-    "run_experiment",
-    "trace_payload",
-]
+__all__ = [*config.__all__, *fairness.__all__, *gradcheck.__all__,
+           *runner.__all__]

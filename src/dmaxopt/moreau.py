@@ -188,8 +188,7 @@ def prox(f: FunctionOracle, x, gamma: float, tol: float = 1e-8,
         seg_sum += u
         seg_n += 1
         if k >= next_check or k >= max_inner:
-            if seg_n > 0:
-                consider(seg_sum / seg_n)
+            consider(seg_sum / seg_n)
             consider(u)
             residual = certify(best_pt)
             if residual <= tol:

@@ -46,6 +46,12 @@ def zero_function(dim: int = 1) -> FunctionOracle:
     )
 
 
+def _require_finite(**params: float) -> None:
+    for name, v in params.items():
+        if not math.isfinite(v):
+            raise ParameterError(f"{name} must be finite, got {v!r}")
+
+
 def _per_point(v):
     """A float for one point, the ``(S,)`` array for a stack of them."""
     return float(v) if v.ndim == 0 else v
@@ -62,6 +68,7 @@ def piecewise_quadratic(a: float = 1.0, center: float = 0.0,
     (where the prox crosses the |.| kink).  ``value`` and the prox map
     also take an ``(S, dim)`` stack, row by row.
     """
+    _require_finite(a=a, center=center, curvature=curvature)
     if a < 0:
         raise ParameterError("the |.| weight must be nonnegative")
     a = float(a)
@@ -143,8 +150,11 @@ def make_onedim_dwc(a: float, b: float, kappa_phi: float = 0.0,
     no duals.  Exact soft-threshold prox maps and component values are
     registered in ``exact_aux``.  Combinations that make ``phi - psi``
     unbounded below (dominating psi curvature, or equal curvature with
-    ``b > a``) are rejected.
+    ``b > a``) are rejected, and so is any non-finite parameter.
     """
+    _require_finite(a=a, b=b, kappa_phi=kappa_phi, kappa_psi=kappa_psi,
+                    center_phi=center_phi, center_psi=center_psi,
+                    noise_sigma=noise_sigma)
     if a < 0 or b < 0:
         raise ParameterError("a and b must be nonnegative")
     if noise_sigma < 0:
@@ -226,6 +236,7 @@ def make_quadratic_minmax(dim: int = 1, noise_sigma: float = 0.0,
     """
     if dim < 1:
         raise ParameterError("dim must be >= 1")
+    _require_finite(noise_sigma=noise_sigma)
     if noise_sigma < 0:
         raise ParameterError("noise_sigma must be nonnegative")
     sigma = float(noise_sigma)

@@ -2,6 +2,7 @@ import importlib
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -187,6 +188,17 @@ def test_projecting_a_non_finite_point_or_stack_raises(bad):
             project(cset, v)
     with pytest.raises(DimensionError):
         project(cset, np.zeros((2, 3)))
+
+
+def test_a_point_of_the_wrong_shape_names_the_shapes_project_accepts():
+    cset = ball(np.zeros(3), 1.0)
+    for v in (np.ones((4, 2)), np.ones((1, 4)), np.ones((2, 2, 3))):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"point must have shape (3,) or (S, 3), got shape {v.shape}")):
+            project(cset, v)
+    with pytest.raises(DimensionError,
+                       match=r"^point has length 2, expected 3$"):
+        project(cset, np.ones(2))
 
 
 def test_projection_of_a_stack_is_row_by_row():
@@ -606,6 +618,23 @@ def test_every_public_name_resolves_on_its_module():
     assert [(mod.__name__, name) for mod in modules
             for name in getattr(mod, "__all__", ())
             if not hasattr(mod, name)] == []
+    # A package re-exports exactly the ``__all__`` of each of its public
+    # modules (all but the CLI), and declares no public name of its own.
+    for pkg in (dmaxopt, dmaxopt.problems, dmaxopt.harness):
+        owners = {}
+        for m in pkgutil.iter_modules(pkg.__path__, pkg.__name__ + "."):
+            leaf = m.name.rpartition(".")[2]
+            if m.ispkg or leaf.startswith("_") or m.name.endswith(".cli"):
+                continue
+            mod = importlib.import_module(m.name)
+            for name in mod.__all__:
+                assert name not in owners, (name, owners.get(name), m.name)
+                owners[name] = mod
+        own = {"__version__"} if pkg is dmaxopt else set()
+        assert sorted(set(pkg.__all__) - own) == sorted(owners), pkg.__name__
+        assert len(pkg.__all__) == len(owners) + len(own)  # no duplicates
+        assert [name for name, mod in owners.items()
+                if getattr(pkg, name) is not getattr(mod, name)] == []
 
 
 def test_rng_stream_rejects_negative_keys():

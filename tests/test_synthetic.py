@@ -273,6 +273,22 @@ def test_quadratic_minmax_rejects_bad_args():
         make_quadratic_minmax(noise_sigma=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_builders_refuse_a_non_finite_parameter_by_name(bad):
+    cases = [(piecewise_quadratic, {}, name)
+             for name in ("a", "center", "curvature")]
+    cases += [(make_onedim_dwc, {"a": 1.0, "b": 0.5}, name)
+              for name in ("a", "b", "kappa_phi", "kappa_psi", "center_phi",
+                           "center_psi", "noise_sigma")]
+    # an explicit m_bound leaves no derived constant to trip over
+    cases += [(make_quadratic_minmax, {}, "noise_sigma"),
+              (make_quadratic_minmax, {"m_bound": 5.0}, "noise_sigma")]
+    for build, kwargs, name in cases:
+        with pytest.raises(ParameterError,
+                           match=rf"^{name} must be finite, got {bad!r}$"):
+            build(**{**kwargs, name: bad})
+
+
 # ---------------------------------------------------------------------------
 # trace maps on stacks of points
 

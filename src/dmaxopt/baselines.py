@@ -24,10 +24,8 @@ from .core import (
     project,
 )
 from .smag import (
-    _Feed,
     _drive,
     _norms,
-    _stack,
     _streams,
     initial_state,
 )
@@ -50,40 +48,31 @@ class BaselineState:
 
 def _sgd_kernel(problem: DMaxProblem, st: BaselineState, lr: float,
                 feed, n: int):
-    """Up to ``n`` steps, run as :func:`smag._smag_kernel` runs them."""
-    dim, y, grad = problem.dim_x, st.y, feed.grad
-    x_new, direction = st.x, st.last_dir
+    """``n`` steps, run as :func:`smag._smag_kernel` runs them."""
+    shape, y, grad = st.x.shape, st.y, feed.grad
+    x_new = st.x
     for t in range(st.t, st.t + n):
-        x, last_dir = x_new, direction
+        x = x_new
         feed.next_step(t)
-        g_phi = grad(0, x, y, dim, "phi_subgrad_x")
-        g_psi = grad(1, x, None, dim, "psi_subgrad_x", True)
-        direction = g_phi - g_psi
+        direction = (grad(0, x, y, shape, "phi_subgrad_x")
+                     - grad(1, x, None, shape, "psi_subgrad_x"))
         x_new = x - lr * direction
-        feed.check(x_new, "sgd iterate became non-finite")
-        if feed.failed:
-            break
-    prev = st if t == st.t else BaselineState(x, y, last_dir, t)
-    return prev, BaselineState(x_new, y, direction, t + 1)
+    return x, BaselineState(x_new, y, direction, t + 1)
 
 
 def _sgda_kernel(problem: DMaxProblem, st: BaselineState, lr_x: float,
                  lr_y: float, feed, n: int):
-    """Up to ``n`` steps, run as :func:`smag._smag_kernel` runs them."""
-    dim, set_y, grad = problem.dim_x, problem.set_y, feed.grad
-    x_new, y_new, g_x = st.x, st.y, st.last_dir
+    """``n`` steps, run as :func:`smag._smag_kernel` runs them."""
+    shape, set_y, grad = st.x.shape, problem.set_y, feed.grad
+    x_new, y_new = st.x, st.y
     for t in range(st.t, st.t + n):
-        x, y, last_dir = x_new, y_new, g_x
+        x, y = x_new, y_new
         feed.next_step(t)
-        g_x = grad(0, x, y, dim, "phi_subgrad_x")
-        g_y = grad(1, x, y, y.shape[1], "phi_grad_y")
+        g_x = grad(0, x, y, shape, "phi_subgrad_x")
+        g_y = grad(1, x, y, y.shape, "phi_grad_y")
         x_new = x - lr_x * g_x
-        y_new = feed.project(project, set_y, y + lr_y * g_y, y)
-        feed.check(x_new, "sgda iterate became non-finite")
-        if feed.failed:
-            break
-    prev = st if t == st.t else BaselineState(x, y, last_dir, t)
-    return prev, BaselineState(x_new, y_new, g_x, t + 1)
+        y_new = project(set_y, y + lr_y * g_y)
+    return x, BaselineState(x_new, y_new, g_x, t + 1)
 
 
 def _sgd_oracles(problem: DMaxProblem) -> list:
@@ -113,15 +102,13 @@ def _run(problem: DMaxProblem, oracles: list, kernel, t_total: int, rng, x0,
     stream of a sequence."""
     rngs, labels = _streams(rng, seed_label)
     start = initial_state(problem, x0)
-    state = BaselineState(x=start.x, y=start.y, last_dir=start.last_g)
-    feed = _Feed(rngs, oracles, shared_sample, t_total)
-    finals, records, reasons = _drive(
-        problem, _stack(state, len(rngs)), t_total,
-        lambda st, scale, n: kernel(st, scale, feed, n), feed, _direction_norm,
-        seed_labels=labels, **loop)
     res = [BaselineResult(records=rec, final_state=fs,
                           aborted=why is not None, abort_reason=why or "")
-           for fs, rec, why in zip(finals, records, reasons)]
+           for fs, rec, why in _drive(
+               problem, BaselineState(x=start.x, y=start.y,
+                                      last_dir=start.last_g),
+               t_total, rngs, oracles, kernel, _direction_norm,
+               shared_sample=shared_sample, seed_labels=labels, **loop)]
     return res[0] if isinstance(rng, RngStream) else res
 
 
@@ -137,7 +124,12 @@ def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
 
     With a sequence of streams for ``rng`` (and of labels for
     ``seed_label``) the seeds run in lockstep, as in
-    :func:`dmaxopt.smag.run`, and a list of results comes back.
+    :func:`dmaxopt.smag.run`, and a list of results comes back.  As
+    there, a run is an attempt that tests its iterates at each segment's
+    end, and one that fails is replayed seed by seed: a seed stops at its
+    first non-finite oracle value or iterate, with its solo run's message.
+    A failing run does its work up to twice, and the replay needs each
+    oracle to be a pure function of ``(x, dual, token)``.
     """
     if not (lr > 0 and math.isfinite(lr)):
         raise ParameterError("lr must be positive and finite")
@@ -145,9 +137,9 @@ def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
                 lambda st, scale, feed, n: _sgd_kernel(
                     problem, st, lr * scale, feed, n),
                 t_total, rng, x0, seed_label=seed_label,
-                shared_sample=shared_sample, trace_every=trace_every,
-                decay_milestones=decay_milestones, decay_factor=decay_factor,
-                steps={"lr": lr})
+                shared_sample=shared_sample, anchor="sgd iterate",
+                trace_every=trace_every, decay_milestones=decay_milestones,
+                decay_factor=decay_factor, steps={"lr": lr})
 
 
 def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
@@ -156,7 +148,9 @@ def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
              decay_factor: float = 10.0,
              shared_sample: bool = False):
     """Run simultaneous stochastic gradient descent-ascent; a sequence of
-    streams runs in lockstep as in :func:`run_sgd`."""
+    streams runs in lockstep, and a failing run is replayed seed by seed,
+    as in :func:`run_sgd` (a refused dual stops a seed with ``project``'s
+    message)."""
     if not (lr_x > 0 and lr_y > 0 and math.isfinite(lr_x)
             and math.isfinite(lr_y)):
         raise ParameterError("step sizes must be positive and finite")
@@ -164,6 +158,6 @@ def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
                 lambda st, scale, feed, n: _sgda_kernel(
                     problem, st, lr_x * scale, lr_y * scale, feed, n),
                 t_total, rng, x0, seed_label=seed_label,
-                shared_sample=shared_sample, trace_every=trace_every,
-                decay_milestones=decay_milestones, decay_factor=decay_factor,
-                steps={"lr_x": lr_x, "lr_y": lr_y})
+                shared_sample=shared_sample, anchor="sgda iterate",
+                trace_every=trace_every, decay_milestones=decay_milestones,
+                decay_factor=decay_factor, steps={"lr_x": lr_x, "lr_y": lr_y})

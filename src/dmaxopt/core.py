@@ -219,8 +219,8 @@ class RngStream:
 
     A full-range ``uint64`` draw consumes exactly one Philox output per
     token, so ``draw_many(n)`` holds the same bits as ``n`` single draws.
-    Runs draw a chunk of tokens per seed at a time, and a seed that stops
-    early hands the unused ones back (``_put_back``).
+    Runs draw a chunk of tokens per seed at a time; a run that replays a
+    seed first returns its stream to its start (``_tell``, ``_seek``).
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -233,8 +233,6 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.counter = 0
-        # The generator state before the latest ``draw_many``, and its size.
-        self._last = (None, 0)
 
     def draw(self) -> int:
         """Return the next 64-bit sample token."""
@@ -245,18 +243,18 @@ class RngStream:
         n = int(n)
         if n < 0:
             raise ParameterError("cannot draw a negative number of tokens")
-        self._last = (self._gen.bit_generator.state, n)
         self.counter += n
         return self._gen.integers(0, 2 ** 64, size=n, dtype=np.uint64)
 
-    def _put_back(self, k: int) -> None:
-        """Return the last ``k`` tokens of the latest ``draw_many`` to the
-        stream, as if they had never been drawn."""
-        state, n = self._last
-        self._gen.bit_generator.state = state
-        self._gen.integers(0, 2 ** 64, size=n - k, dtype=np.uint64)
-        self._last = (state, n - k)
-        self.counter -= k
+    def _tell(self):
+        """The stream's position, for :meth:`_seek`."""
+        return self._gen.bit_generator.state, self.counter
+
+    def _seek(self, pos, skip: int = 0) -> None:
+        """Return the stream to ``pos`` from :meth:`_tell`, then pass over
+        ``skip`` tokens as ``draw_many(skip)`` would."""
+        self._gen.bit_generator.state, self.counter = pos
+        self.draw_many(skip)
 
     def integers(self, low: int, high: int) -> int:
         """Draw one integer uniformly from ``[low, high)``, advancing the stream."""

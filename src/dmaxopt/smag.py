@@ -36,7 +36,6 @@ import numpy as np
 
 from .core import (
     CapabilityError,
-    ConstraintSet,
     DMaxProblem,
     ExactAux,
     NonFiniteError,
@@ -298,11 +297,9 @@ def _arrays(state) -> dict:
             if isinstance(getattr(state, f.name), np.ndarray)}
 
 
-def _pick(state, idx):
-    """``state`` with every array indexed by ``idx`` along the seed axis: a
-    row (1-D views), a boolean mask of rows, or ``None`` (a new seed axis of
-    length 1)."""
-    return replace(state, **{k: v[idx] for k, v in _arrays(state).items()})
+def _pick(state, j: int):
+    """Row ``j`` of the stacked ``state``, as 1-D views."""
+    return replace(state, **{k: v[j] for k, v in _arrays(state).items()})
 
 
 def _stack(state, n: int):
@@ -341,131 +338,61 @@ class _Feed:
 
     Each token slot of a step (four for SMAG, two for the baselines) has
     one oracle, or ``None`` when the run never calls it.  The feed draws
-    every live seed's tokens for a chunk of steps at once (never past
+    every seed's tokens for a chunk of steps at once (never past
     ``t_total``), which are the tokens per-step draws would give, and
     evaluates each oracle in the batched form of :class:`DMaxProblem`, a
     plain callable wrapped to it.  Kernels call :meth:`next_step` per step.
 
-    A step checks only what it cannot catch later: the outputs its kernel
-    asks :meth:`grad` to check, each new dual (:meth:`project`) and the
-    new anchor (:meth:`check`).  Other outputs are kept to the end of the
-    step: a non-finite one reaches the anchor or a dual, whose check fails
-    its row.  A failed row stays in every batched call of its step, as a
-    solo run would make them, and :meth:`drop` removes it at the step's
-    end with its first error in call order.
+    The feed of an attempt (see :func:`_drive`) tests no value: each
+    oracle output reaches the anchor, which :func:`_drive` tests at each
+    segment's end, or a dual, whose projection refuses a non-finite one,
+    within its own step.  A ``strict`` feed, a replay's, raises
+    :class:`NonFiniteError` on a non-finite output as it returns.
     """
 
-    def __init__(self, rngs, oracles, shared_sample: bool, t_total: int):
-        self.rngs, self.t_total = list(rngs), t_total
+    def __init__(self, rngs, oracles, shared_sample: bool, t_total: int,
+                 strict: bool):
+        self.rngs, self.t_total, self.strict = list(rngs), t_total, strict
         self.oracles = [o if o is None or hasattr(o, "grad") else
                         _PerToken(o) for o in oracles]
         self.slot = [0 if shared_sample else k for k in range(len(oracles))]
-        self.rows = list(range(len(self.rngs)))  # live seeds, in row order
-        self.failed: dict = {}  # row -> (outputs kept before, its error)
-        self.lost: dict = {}  # seed -> its error
         self.c = self.steps = 0  # step within the chunk, chunk length
 
     def next_step(self, t: int) -> None:
-        self.kept = []  # (name, value) of the step's unchecked outputs
         self.c += 1
         if self.c < self.steps:
             return
-        n, live = len(self.oracles), self.rows
-        self.steps = min(self.t_total - t, max(1, _CHUNK // len(live)))
+        n, rngs = len(self.oracles), self.rngs
+        self.steps = min(self.t_total - t, max(1, _CHUNK // len(rngs)))
         self.c = 0
-        toks = np.stack([self.rngs[i].draw_many(n * self.steps)
-                         for i in live]).reshape(len(live), self.steps, n)
+        toks = np.stack([r.draw_many(n * self.steps)
+                         for r in rngs]).reshape(len(rngs), self.steps, n)
         self.inputs = []
         for oracle, s in zip(self.oracles, self.slot):
             t = toks[:, :, s].T  # (steps, seeds)
             z = None if oracle is None else oracle.sample(t.reshape(-1))
             self.inputs.append(z if z is None else z.reshape(*t.shape, -1))
 
-    def drop(self, keep: np.ndarray) -> None:
-        """Drop the rows marked in ``failed``, ``keep`` being the mask of
-        the others: their first errors go to ``lost``, and the tokens drawn
-        for their later steps go back to their streams, so each stream ends
-        where a solo run would leave it."""
-        give_back = len(self.oracles) * (self.steps - self.c - 1)
-        for j, (n, err) in self.failed.items():
-            bad = [w for w, g in self.kept[:n] if not _finite(g[j])]
-            self.lost[self.rows[j]] = NonFiniteError(
-                f"{bad[0]} returned a non-finite value") if bad else err
-            self.rngs[self.rows[j]]._put_back(give_back)
-        self.failed = {}
-        self.rows = [i for i, kept in zip(self.rows, keep.tolist()) if kept]
-        self.inputs = [z if z is None else z[:, keep] for z in self.inputs]
-
-    def grad(self, k: int, x: np.ndarray, dual, dim: int, what: str,
-             check: bool = False):
-        """Oracle ``k`` at the rows of ``x`` and ``dual``, as ``(rows,
-        dim)`` values, kept for :meth:`drop` unless ``check``.  One call
-        takes every row; a call that raises :class:`NonFiniteError` is
-        made again once per row (:meth:`_grad`), and a row that raises
-        there fails with its error and reads 0, as do, with ``check``,
-        rows whose value is not finite.  An output of another shape than
-        ``(rows, dim)`` raises :class:`ParameterError`."""
+    def grad(self, k: int, x: np.ndarray, dual, shape: tuple, what: str):
+        """Oracle ``k`` at the rows of ``x`` and ``dual``, as float64
+        values of ``shape``, ``(rows, dim)``, in one call; a value of
+        another shape raises :class:`ParameterError`, and on a strict
+        feed a non-finite one raises :class:`NonFiniteError`."""
         z = self.inputs[k]
-        args = (x, dual, z if z is None else z[self.c])
-        try:
-            g = self.oracles[k].grad(*args)
-        except NonFiniteError:
-            g = self._grad(k, args, dim)
+        g = self.oracles[k].grad(x, dual, z if z is None else z[self.c])
         try:
             g = np.asarray(g, dtype=np.float64)
         except ValueError:  # rows of unequal lengths: the first wrong one
-            g = np.asarray([next((r for r in g if np.shape(r) != (dim,)),
+            g = np.asarray([next((r for r in g if np.shape(r) != shape[1:]),
                                  g)], dtype=np.float64)
-        if g.shape != (len(x), dim):
+        if g.shape != shape:
             raise ParameterError(
-                f"{what} returned shape {g.shape[1:]}, expected ({dim},)"
-                if g.shape[1:] != (dim,) else
+                f"{what} returned shape {g.shape[1:]}, expected {shape[1:]}"
+                if g.shape[1:] != shape[1:] else
                 f"{what} returned shape {g.shape}, expected one row per point")
-        if not check:
-            self.kept.append((what, g))
-        elif not _finite(g):
-            self.check(g, f"{what} returned a non-finite value")
-            g = np.where(np.isfinite(g).all(axis=1)[:, None], g, 0.0)
+        if self.strict and not _finite(g):
+            raise NonFiniteError(f"{what} returned a non-finite value")
         return g
-
-    def _grad(self, k: int, args, dim: int):
-        """Oracle ``k`` called on each row of ``args``; a row that raises
-        :class:`NonFiniteError` fails with it.  A value of another shape
-        than one row is returned, for the caller's shape check."""
-        g = np.zeros((args[0].shape[0], dim))
-        for j in range(g.shape[0]):
-            try:
-                row = np.asarray(self.oracles[k].grad(
-                    *[a if a is None else a[[j]] for a in args]),
-                    dtype=np.float64)
-            except NonFiniteError as exc:
-                self.failed.setdefault(j, (len(self.kept), exc))
-                continue
-            if row.shape != (1, dim):
-                return row
-            g[j] = row
-        return g
-
-    def project(self, proj, cset: ConstraintSet, v: np.ndarray,
-                old: np.ndarray) -> np.ndarray:
-        """``proj(cset, v)`` on the rows of ``v``.  When ``proj`` refuses
-        the stack, each row with a non-finite entry fails with its error,
-        the one that row alone gets, and its old dual ``old`` is projected
-        in its place."""
-        try:
-            return proj(cset, v)
-        except NonFiniteError as exc:
-            bad = ~np.isfinite(v).all(axis=1)
-            for j in np.flatnonzero(bad).tolist():
-                self.failed.setdefault(j, (len(self.kept), exc))
-        return proj(cset, np.where(bad[:, None], old, v))
-
-    def check(self, x: np.ndarray, message: str) -> None:
-        """Fail the rows of ``x`` with a non-finite entry."""
-        if not _finite(x):
-            err = (len(self.kept), NonFiniteError(message))
-            for j in np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist():
-                self.failed.setdefault(j, err)
 
 
 def _streams(rng, seed_label):
@@ -497,45 +424,50 @@ def _smag_oracles(problem: DMaxProblem, mode: Mode):
 
 def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
                  lr_scale: float, feed: _Feed, n: int):
-    """Up to ``n`` steps of the stacked seeds ``st``, ended by a step whose
-    rows fail (marked in ``feed``): the states before and after the last.
-    A part steps when its token slot has an oracle (:func:`_smag_oracles`)."""
+    """``n`` steps of the stacked seeds ``st``: the anchors before the last
+    and the state after it.  A part steps when its token slot has an
+    oracle (:func:`_smag_oracles`).  With Psi, ``x_phi`` and ``x_psi``
+    step as the two rows of one ``(2, S, dim)`` stack, and are its rows:
+    each number is the one their separate updates give."""
     eta1 = sched.eta1 * lr_scale
     eta0 = sched.eta0 * lr_scale
     inv_gamma = 1.0 / sched.gamma
-    dim, set_y, set_z = problem.dim_x, problem.set_y, problem.set_z
-    grad, proj, check = feed.grad, feed.project, feed.check
+    set_y, set_z, grad = problem.set_y, problem.set_z, feed.grad
     _, oracle_y, oracle_psi, oracle_z = feed.oracles
+    shape = st.x.shape
     x_new, x_phi_new, x_psi_new = st.x, st.x_phi, st.x_psi
     y_new, z_new, g_vec = st.y, st.z, st.last_g
+    if oracle_psi is not None:
+        inner = np.stack([x_phi_new, x_psi_new])
+        g_inner = np.empty_like(inner)
     for t in range(st.t, st.t + n):
-        x_t, x_phi, x_psi, y, z, last_g = (x_new, x_phi_new, x_psi_new,
-                                           y_new, z_new, g_vec)
+        x_t, x_phi, x_psi, y, z = x_new, x_phi_new, x_psi_new, y_new, z_new
         feed.next_step(t)
-        g_phi = grad(0, x_phi, y, dim, "phi_subgrad_x")
-        x_phi_new = x_phi - eta1 * (g_phi + inv_gamma * (x_phi - x_t))
+        g_phi = grad(0, x_phi, y, shape, "phi_subgrad_x")
         if oracle_y is not None:
             # Dual ascent evaluates at the *previous* x_phi on purpose.
-            g_y = grad(1, x_phi, y, y.shape[1], "phi_grad_y")
-            y_new = proj(project, set_y, y + eta1 * g_y, y)
+            y_new = project(set_y, y + eta1 * grad(1, x_phi, y, y.shape,
+                                                   "phi_grad_y"))
         if oracle_psi is None:
+            x_phi_new = x_phi - eta1 * (g_phi + inv_gamma * (x_phi - x_t))
             g_vec = (x_t - x_phi_new) * inv_gamma
         else:
-            # checked: an infinity here and one in g_phi would meet in g_vec
-            g_psi = grad(2, x_psi, z, dim, "psi_subgrad_x", True)
-            x_psi_new = x_psi - eta1 * (g_psi + inv_gamma * (x_psi - x_t))
+            g_inner[0] = g_phi
+            g_inner[1] = grad(2, x_psi, z, shape, "psi_subgrad_x")
             if oracle_z is not None:
-                g_z = grad(3, x_psi, z, z.shape[1], "psi_grad_z")
-                z_new = proj(project, set_z, z + eta1 * g_z, z)
+                z_new = project(set_z, z + eta1 * grad(3, x_psi, z, z.shape,
+                                                       "psi_grad_z"))
+            # eta1 * (g + inv_gamma * (v - x_t)) of each row, in place
+            d = inner - x_t
+            d *= inv_gamma
+            d += g_inner
+            d *= eta1
+            inner = inner - d
+            x_phi_new, x_psi_new = inner[0], inner[1]
             g_vec = (x_psi_new - x_phi_new) * inv_gamma
         x_new = x_t - eta0 * g_vec
-        check(x_new, "anchor iterate became non-finite")
-        if feed.failed:
-            break
-    prev = st if t == st.t else SmagState(
-        x=x_t, x_phi=x_phi, x_psi=x_psi, y=y, z=z, last_g=last_g, t=t)
-    return prev, SmagState(x=x_new, x_phi=x_phi_new, x_psi=x_psi_new,
-                           y=y_new, z=z_new, last_g=g_vec, t=t + 1)
+    return x_t, SmagState(x=x_new, x_phi=x_phi_new, x_psi=x_psi_new,
+                          y=y_new, z=z_new, last_g=g_vec, t=t + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +615,17 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     callable is called per seed inside it).  Trace rows are computed on
     the stack of a block of traced steps, one call of ``full_objective``
     and of each exact map per block, and reduced row by row.  ``t_bar``
-    and aborts stay per seed: a seed that aborts stays in the batched
-    calls of that step, as its solo run makes them, stops at the step's
-    end with its first error in call order, and the others go on.
-    ``elapsed_ms`` is the seeds' shared clock at the traced step, net of
-    the time spent computing trace rows.
+    and aborts stay per seed.  A run, of one stream or of many, is first
+    an attempt that tests the anchors only at the end of each segment of
+    steps (see :func:`_drive`).  A non-finite value, or a floating-point
+    warning or error, ends it, and every seed is then replayed alone,
+    testing each value as it comes: a seed stops at its first error in
+    call order, with its solo run's message, step, partial trace, final
+    state and stream position, and the others run as alone.  So a failing
+    run does its work up to twice, and the replay needs each oracle to be
+    a pure function of ``(x, dual, token)``.  ``elapsed_ms`` is the
+    seeds' shared clock at the traced step (a replayed seed's own), net
+    of the time spent computing trace rows.
     """
     rngs, labels = _streams(rng, seed_label)
     _check_mode(mode)
@@ -708,14 +646,15 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     for i, s in enumerate(s_out):
         marks.setdefault(s + 1, []).append(i)
 
-    def on_step(prev: SmagState, nxt: SmagState, rows: list) -> None:
+    def on_step(prev_x: np.ndarray, nxt: SmagState, seeds: list) -> None:
+        # a replay starts at step 1, so it writes over the attempt's states
         if states is not None:
-            for j, i in enumerate(rows):
-                states[i].append(_pick(nxt, j))
+            for j, i in enumerate(seeds):
+                states[i][nxt.t:] = [_pick(nxt, j)]
         for i in marks.get(nxt.t, ()):
-            if i in rows:
-                j = rows.index(i)
-                kept[i] = (prev.x[j].copy(), nxt.x_phi[j].copy(),
+            if i in seeds:
+                j = seeds.index(i)
+                kept[i] = (prev_x[j].copy(), nxt.x_phi[j].copy(),
                            nxt.x_psi[j].copy())
 
     def rows(prev_x: np.ndarray, cur: SmagState):
@@ -730,11 +669,12 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
             return [s / sched.gamma for s in _norms(p_psi - p_phi)], p_t
         return _norms(cur.last_g), p_t
 
-    feed = _Feed(rngs, oracles, shared_sample, t_total)
-    finals, records, reasons = _drive(
-        problem, _stack(start, len(rngs)), t_total,
-        lambda st, scale, n: _smag_kernel(problem, st, sched, scale, feed, n),
-        feed, rows, on_step=on_step, trace_every=trace_every,
+    ran = _drive(
+        problem, start, t_total, rngs, oracles,
+        lambda st, scale, feed, n: _smag_kernel(problem, st, sched, scale,
+                                                feed, n),
+        rows, anchor="anchor iterate", shared_sample=shared_sample,
+        on_step=on_step, trace_every=trace_every,
         events=range(1, t_total) if collect_states else list(marks),
         seed_labels=labels, decay_milestones=decay_milestones,
         decay_factor=decay_factor, steps={"eta0": sched.eta0,
@@ -743,15 +683,15 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     # A seed that stops before step s + 1 keeps its final iterates.
     anchor_out = mode == "minmax"
     results = []
-    for i, state in enumerate(finals):
-        xb, cand, xpb = kept.get(i) or (state.x.copy(), state.x_phi.copy(),
-                                        state.x_psi.copy())
+    for i, (state, records, why) in enumerate(ran):
+        xb, cand, xpb = kept[i] if state.t > s_out[i] else (
+            state.x.copy(), state.x_phi.copy(), state.x_psi.copy())
         results.append(RunResult(
-            records=records[i], final_state=state,
+            records=records, final_state=state,
             t_bar=s_out[i] + (0 if anchor_out else 1), x_bar=xb,
             candidate=cand, returned=xb if anchor_out else cand,
             x_psi_bar=None if anchor_out else xpb,
-            aborted=reasons[i] is not None, abort_reason=reasons[i] or "",
+            aborted=why is not None, abort_reason=why or "",
             states=None if states is None else states[i],
             exact_metrics=exact_metrics))
     return results[0] if isinstance(rng, RngStream) else results
@@ -778,109 +718,151 @@ def _check_decay(decay_milestones: Sequence[int], decay_factor: float,
                 else "overflows to inf: the run would step by inf"))
 
 
-def _drive(problem: DMaxProblem, state, t_total: int, kernel, feed: _Feed,
-           rows, *, on_step=None, events: Sequence[int] = (),
-           trace_every: int, seed_labels: list,
-           decay_milestones: Sequence[int], decay_factor: float,
-           steps: dict):
+def _drive(problem: DMaxProblem, start, t_total: int, rngs: list,
+           oracles: list, kernel, rows, *, anchor: str, shared_sample: bool,
+           on_step=None, events: Sequence[int] = (), trace_every: int,
+           seed_labels: list, decay_milestones: Sequence[int],
+           decay_factor: float, steps: dict):
     """The lockstep loop shared by :func:`run` and the baselines.
 
-    ``state`` stacks one row per seed of ``feed`` (any state dataclass with
-    ``x`` and ``t``).  ``kernel(state, lr_scale, n)`` runs the ``n`` steps
-    to the next event (traced step, step count in ``events``, milestone or
-    ``t_total``), or to a step whose rows fail (marked in ``feed``), and
-    returns ``(prev, state)`` of its last step.  Failed rows are dropped,
-    keeping ``prev``; ``on_step(prev, state, rows)`` sees the seeds left.
-    At step ``t`` (from 0) each milestone ``m <= t`` divides ``lr_scale``
-    by ``decay_factor``, which must be positive and finite; the largest
-    such scale stays in float range and keeps each of ``steps`` in (0, inf).
+    Every stream of ``rngs`` starts from the 1-D ``start`` (any state
+    dataclass with ``x`` and ``t``) and feeds the oracles of the token
+    slots ``oracles`` through a :class:`_Feed`.  ``kernel(state,
+    lr_scale, feed, n)`` runs ``n`` steps of a stacked state, one row per
+    seed, and returns the anchors before its last step and the state
+    after it.  At step ``t`` (from 0) each milestone ``m <= t`` divides
+    ``lr_scale`` by ``decay_factor``, which must be positive and finite;
+    the largest such scale stays in float range and keeps each of
+    ``steps`` in (0, inf).
 
-    Every ``trace_every`` steps and at the last one each live seed gets a
+    A run is first an attempt: all seeds step as one stack, a segment of
+    steps per kernel call, from one event to the next (traced step, step
+    count in ``events``, milestone or ``t_total``), and no value is
+    tested inside a segment.  It runs under one ``np.errstate`` that keeps
+    the caller's ``ignore`` and ``raise`` and records each floating-point
+    event the caller would otherwise see.  At each segment's end the
+    anchors are tested: every oracle output reaches them or a projected
+    dual within its step, and a non-finite anchor stays non-finite.  A
+    non-finite anchor, a recorded event or a ``FloatingPointError``
+    (``NonFiniteError`` included) ends the attempt, and each seed is then
+    replayed alone under the caller's errstate from its stream's start,
+    one step per segment, on a strict feed.  There the first non-finite
+    oracle output, dual refused by ``project`` or non-finite anchor
+    (``f"{anchor} became non-finite"``) stops the seed with its message,
+    keeping the state before its step, and its stream is set to its start
+    advanced by the tokens of its steps.  So a failing run does its work
+    up to twice, and the replay needs each oracle to be a pure function of
+    its inputs.  ``on_step(prev_x, state, seeds)`` sees the end of each
+    segment that passed, ``seeds`` being the indices of its rows.
+
+    Every ``trace_every`` steps and at the last one each seed gets a
     :class:`RunRecord`.  Such a step only reads the clock and holds its
-    previous anchors ``prev.x`` and its ``state``; the rows are computed a
-    block at a time, once the held anchors reach ``_TRACE_BLOCK`` floats,
-    before seeds are dropped and after the loop.  The first traced step is
-    a block of its own, so a map that cannot take a stack fails there.  A
-    block stacks its steps' states and previous anchors in step order,
-    ``full_objective`` takes the block's anchors once, and ``rows(prev_x,
-    state)`` gives the lists of the rows' stationarity and ``p_t``, as
-    floats.
-    ``elapsed_ms`` is the clock at the traced step, less the time spent
-    computing rows before it.  Returns per seed its final state (1-D), its
-    records and its abort reason (``None`` if it did not abort).
+    previous anchors and its state; the rows are computed a block at a
+    time, once the held anchors reach ``_TRACE_BLOCK`` floats and after
+    the loop.  The first traced step is a block of its own, so a map that
+    cannot take a stack fails there.  A block stacks its steps' states
+    and previous anchors in step order, ``full_objective`` takes the
+    block's anchors once, and ``rows(prev_x, state)`` gives the lists of
+    the rows' stationarity and ``p_t``, as floats.  ``elapsed_ms`` is the
+    clock at the traced step, less the time spent computing rows before
+    it.  Returns per seed its final state (1-D), its records and its abort
+    reason (``None`` if it did not abort), as a tuple.
     """
     if t_total < 1:
         raise ParameterError("t_total must be >= 1")
     if trace_every < 1:
         raise ParameterError("trace_every must be >= 1")
     _check_decay(decay_milestones, decay_factor, t_total, **steps)
-    if not feed.rngs or len(seed_labels) != len(feed.rngs):
+    if not rngs or len(seed_labels) != len(rngs):
         raise ParameterError(
             "need at least one stream and one seed label per stream")
     milestones = tuple(decay_milestones)
     # the step counts that end a segment besides the traced ones
     stops = sorted({*(e for e in (*events, *milestones) if 0 < e < t_total),
                     t_total})
-    finals: list = [None] * len(feed.rngs)
-    records: list = [[] for _ in feed.rngs]
     objective = problem.full_objective
-    pending: list = []  # (prev.x, state, elapsed_ms) of the traced steps
-    block = 0  # anchor floats that make a block: none for the first one
-    spent = 0.0  # seconds spent computing rows
 
-    def flush() -> None:
-        nonlocal spent
-        t0 = time.perf_counter()
-        cur = _concat([p[1] for p in pending])
-        n = cur.x.shape[0]
-        obj = ([math.nan] * n if objective is None
-               else _shaped(objective(cur.x), (n,), "full_objective").tolist())
-        stat, p_t = rows(np.concatenate([p[0] for p in pending]), cur)
-        k = 0
-        for _, st, elapsed_ms in pending:
-            for i in feed.rows:
-                records[i].append(RunRecord(st.t, obj[k], stat[k], p_t[k],
-                                            elapsed_ms, seed_labels[i]))
-                k += 1
-        pending.clear()
-        spent += time.perf_counter() - t0
+    def lockstep(seeds: list, strict: bool, warned) -> list:
+        feed = _Feed([rngs[i] for i in seeds], oracles, shared_sample,
+                     t_total, strict)
+        state = _stack(start, len(seeds))
+        records: list = [[] for _ in seeds]
+        reason = None
+        pending: list = []  # (prev_x, state, elapsed_ms) of the traced steps
+        block = 0  # anchor floats that make a block: none for the first one
+        spent = 0.0  # seconds spent computing rows
 
-    start = time.perf_counter()
-    t = ev = 0
-    while t < t_total:
-        ev += stops[ev] == t  # past the event that ended the last segment
-        scale = (decay_factor ** -sum(m <= t for m in milestones)
-                 if milestones else 1.0)
-        prev, state = kernel(state, scale, min(
-            stops[ev], (t // trace_every + 1) * trace_every) - t)
-        if feed.failed:
-            if pending:
-                flush()
-            keep = np.ones(len(feed.rows), dtype=bool)
-            keep[list(feed.failed)] = False
-            for j in feed.failed:
-                finals[feed.rows[j]] = _pick(prev, j)
-            feed.drop(keep)
-            if not feed.rows:
+        def flush() -> None:
+            nonlocal spent
+            t0 = time.perf_counter()
+            cur = _concat([p[1] for p in pending])
+            n = cur.x.shape[0]
+            obj = ([math.nan] * n if objective is None else _shaped(
+                objective(cur.x), (n,), "full_objective").tolist())
+            stat, p_t = rows(np.concatenate([p[0] for p in pending]), cur)
+            k = 0
+            for _, st, elapsed_ms in pending:
+                for j, i in enumerate(seeds):
+                    records[j].append(RunRecord(st.t, obj[k], stat[k], p_t[k],
+                                                elapsed_ms, seed_labels[i]))
+                    k += 1
+            pending.clear()
+            spent += time.perf_counter() - t0
+
+        began = time.perf_counter()
+        t = ev = 0
+        while t < t_total:
+            ev += stops[ev] == t  # past the event that ended the last segment
+            scale = (decay_factor ** -sum(m <= t for m in milestones)
+                     if milestones else 1.0)
+            n = 1 if strict else min(
+                stops[ev], (t // trace_every + 1) * trace_every) - t
+            try:
+                prev_x, nxt = kernel(state, scale, feed, n)
+                if not _finite(nxt.x):
+                    raise NonFiniteError(f"{anchor} became non-finite")
+            except NonFiniteError as exc:
+                if not strict:
+                    raise
+                reason = str(exc)
+                rngs[seeds[0]]._seek(starts[seeds[0]],
+                                     len(oracles) * (t + 1))
                 break
-            prev, state = _pick(prev, keep), _pick(state, keep)
-        t = state.t
-        if on_step is not None:
-            on_step(prev, state, feed.rows)
-        if state.t % trace_every == 0 or state.t == t_total:
-            pending.append((prev.x, state,
-                            (time.perf_counter() - start - spent) * 1e3))
-            # a block has one row set, so its anchors hold this many floats
-            if len(pending) * state.x.size >= block:
-                flush()
-                block = _TRACE_BLOCK
-    if pending:
-        flush()
-    for j, i in enumerate(feed.rows):
-        finals[i] = _pick(state, j)
-    reasons = [str(feed.lost[i]) if i in feed.lost else None
-               for i in range(len(feed.rngs))]
-    return finals, records, reasons
+            if warned:
+                raise FloatingPointError(warned[0])
+            state = nxt
+            t = state.t
+            if on_step is not None:
+                on_step(prev_x, state, seeds)
+            if t % trace_every == 0 or t == t_total:
+                pending.append((prev_x, state,
+                                (time.perf_counter() - began - spent) * 1e3))
+                # a block has one row set, so its anchors hold this many
+                if len(pending) * state.x.size >= block:
+                    flush()
+                    block = _TRACE_BLOCK
+        if pending:
+            flush()
+        if warned:
+            raise FloatingPointError(warned[0])
+        return [(_pick(state, j), records[j], reason)
+                for j in range(len(seeds))]
+
+    starts = [r._tell() for r in rngs]
+    warned: list = []
+    record = {k: "call" for k, v in np.geterr().items()
+              if v not in ("ignore", "raise")}
+    try:
+        with np.errstate(call=lambda kind, flag: warned.append(kind),
+                         **record):
+            return lockstep(list(range(len(rngs))), False, warned)
+    except FloatingPointError:
+        pass
+    replayed = []
+    for i, r in enumerate(rngs):
+        r._seek(starts[i])
+        replayed += lockstep([i], True, ())
+    return replayed
 
 
 # ---------------------------------------------------------------------------

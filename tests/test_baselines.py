@@ -151,11 +151,11 @@ def test_run_sgda_converges_on_minmax():
 
 
 def test_run_loop_aborts_on_non_finite():
-    calls = {"n": 0}
+    # the phi token of step 3: the fifth of the stream, at two a step
+    bad = int(RngStream(0).draw_many(6)[4])
 
     def phi(x, y, tok):
-        calls["n"] += 1
-        return np.array([math.inf]) if calls["n"] > 2 else np.ones(1)
+        return np.array([math.inf]) if tok == bad else np.ones(1)
 
     prob = DMaxProblem(
         dim_x=1,

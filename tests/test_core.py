@@ -358,11 +358,11 @@ def test_prefetched_tokens_match_single_draws_across_blocks():
 
 
 def test_stream_position_after_a_run_aborted_mid_block():
-    calls = {"n": 0}
+    # phi goes NaN on the phi token of step 300
+    bad = int(RngStream(3).draw_many(4 * 300)[4 * 299])
 
     def phi(xv, y, tok):
-        calls["n"] += 1
-        return np.array([math.nan]) if calls["n"] == 300 else np.ones(1)
+        return np.array([math.nan]) if tok == bad else np.ones(1)
 
     prob = DMaxProblem(
         dim_x=1,
@@ -375,8 +375,8 @@ def test_stream_position_after_a_run_aborted_mid_block():
     rng = RngStream(3)
     res = run(prob, "dwc", sched, rng, trace_every=100)
     assert res.aborted and res.final_state.t == 299
-    # 300 steps drew their four tokens; the feed drew a chunk of 4 * 1000
-    # and put back the tokens of the 700 steps not taken
+    # 300 steps drew their four tokens: the attempt drew a chunk of
+    # 4 * 1000, and the replay left the stream past the 300 steps taken
     assert rng.counter == 4 * 300
     ref = _fresh_philox(3, 0)
     _single_tokens(ref, 4 * 300)
@@ -389,12 +389,15 @@ def test_stream_position_after_a_run_aborted_mid_block():
 @pytest.mark.parametrize("integers_first", [False, True])
 def test_put_back_leaves_the_stream_where_fewer_draws_would(n,
                                                             integers_first):
+    # a replay returns a stream to its start and passes over the tokens
+    # of the steps it took: n drawn, k of them put back
     for k in sorted({0, 1, n - 1, n}):
         a, b = RngStream(21, 2), RngStream(21, 2)
         if integers_first:
             assert a.integers(0, 10 ** 9) == b.integers(0, 10 ** 9)
+        start = a._tell()
         assert a.draw_many(n)[:n - k].tolist() == b.draw_many(n - k).tolist()
-        a._put_back(k)
+        a._seek(start, n - k)
         assert a.counter == b.counter
         assert a.draw_many(7).tolist() == b.draw_many(7).tolist()
         assert a.draw() == b.draw()

@@ -6,6 +6,7 @@ import hashlib
 import math
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -451,14 +452,9 @@ def test_run_output_index_relationships(mode, abort):
     s = int(RngStream(seed).child(1).integers(0, t_total))
     assert 1 <= s < t_total - 1
     fail_at = {"none": None, "before": s, "at": s + 1}[abort]
-    calls = {"n": 0}
-
-    def phi(x, y, tok):
-        calls["n"] += 1
-        g = quad.phi_subgrad_x(x, y, tok)
-        return np.full(3, math.nan) if calls["n"] == fail_at else g
-
-    prob = dataclasses.replace(quad, phi_subgrad_x=phi)
+    bad = None if fail_at is None else _token_of(seed, fail_at, 0)
+    prob = dataclasses.replace(quad, phi_subgrad_x=_NanAt(
+        quad.phi_subgrad_x, bad))
     sched = Schedule.from_manual(0.5, 0.01, 0.05, t_total, prob.constants,
                                  mode=mode)
     res = run(prob, mode, sched, RngStream(seed), x0=np.full(3, 1.0),
@@ -691,11 +687,10 @@ def test_every_run_refuses_a_step_size_that_the_decay_takes_to_inf():
 
 
 def test_run_aborts_on_non_finite_oracle():
-    count = {"n": 0}
+    bad = _token_of(0, 4, 0)
 
     def bad_phi(xv, y, tok):
-        count["n"] += 1
-        return np.array([math.nan]) if count["n"] > 3 else np.ones(1)
+        return np.array([math.nan]) if tok == bad else np.ones(1)
 
     prob = DMaxProblem(
         dim_x=1,
@@ -1047,11 +1042,10 @@ def _golden_runs():
                        RngStream(0), x0=1.5e308)
 
     def oracle_goes_nan():
-        calls = {"n": 0}
+        bad = _token_of(4, 8, 0)
 
         def phi(x, y, tok):
-            calls["n"] += 1
-            return np.array([math.nan if calls["n"] > 7 else 1.0, 0.5])
+            return np.array([math.nan if tok == bad else 1.0, 0.5])
 
         prob = DMaxProblem(
             dim_x=2, constants=ProblemConstants(m_bound=1.0),
@@ -1437,9 +1431,10 @@ def test_data_oracles_run_as_their_plain_calls():
             assert [_digest(r) for r in got] == [_digest(r) for r in want]
 
 
-def test_a_failed_row_reads_zeros_for_the_rest_of_its_step():
-    # phi and psi both return +inf for one seed in one step: unless psi's
-    # checked row reads 0, its anchor move takes inf - inf
+def test_an_error_raised_in_the_attempt_reaches_no_caller():
+    # phi and psi both return +inf for one seed in one step: the attempt's
+    # move takes inf - inf, which raises under invalid="raise" and ends
+    # it, and the replay stops the seed at phi's value before any move
     seeds, failing, step_no = [31, 32, 33], 32, 40
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     prob = dataclasses.replace(dwc, **{
@@ -1479,12 +1474,12 @@ class _RecordRows:
         return self.oracle.grad(x, dual, z[:, :-1])
 
 
-def test_a_failed_row_stays_in_the_oracles_left_in_its_step():
+def test_a_failing_seed_is_replayed_with_its_solo_error():
     # phi fails one seed at one step, by raising NonFiniteError or by
-    # returning NaN, which no check reads until the anchor; psi, plain or
-    # batched, records the tokens of the rows it is passed.  Both the
-    # raised and the NaN row are passed to psi, as in their solo runs, and
-    # both are dropped at the end of the step with phi's error
+    # returning NaN, which nothing tests until the anchor; psi, plain or
+    # batched, records the tokens of the rows it is passed.  The failing
+    # seed stops with phi's error, its stream where its solo run leaves
+    # it, and psi is passed no token that the solo runs do not pass it
     seeds, failing, step_no = [31, 32, 33], 32, 40
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     bad = _token_of(failing, step_no, 0)
@@ -1509,16 +1504,20 @@ def test_a_failed_row_stays_in_the_oracles_left_in_its_step():
             sched = Schedule.from_manual(0.5, 0.005, 0.01, 60,
                                          prob.constants, mode="dwc")
             calls.clear()
-            solo = [run(prob, "dwc", sched, RngStream(s), x0=2.0)
-                    for s in seeds]
-            solo_calls = sorted(calls)
+            solo_rngs = [RngStream(s) for s in seeds]
+            solo = [run(prob, "dwc", sched, r, x0=2.0) for r in solo_rngs]
+            solo_calls = set(calls)
             calls.clear()
-            batch = run(prob, "dwc", sched, [RngStream(s) for s in seeds],
-                        x0=2.0)
-            assert sorted(calls) == solo_calls
-            assert _token_of(failing, step_no, 2) in calls
+            batch_rngs = [RngStream(s) for s in seeds]
+            batch = run(prob, "dwc", sched, batch_rngs, x0=2.0)
+            assert set(calls) == solo_calls
             assert [r.aborted for r in batch] == [s == failing for s in seeds]
             assert [_digest(r) for r in batch] == [_digest(r) for r in solo]
+            assert [r.counter for r in batch_rngs] == [
+                r.counter for r in solo_rngs] == [
+                4 * step_no if s == failing else 4 * 60 for s in seeds]
+            assert [r.draw() for r in batch_rngs] == [
+                r.draw() for r in solo_rngs]
             lost = batch[seeds.index(failing)]
             assert (lost.abort_reason, lost.final_state.t) == (
                 why, step_no - 1)
@@ -1549,10 +1548,10 @@ class _CallLog:
         return np.hstack([g, g[:, :1]]) if self.wide in toks else g
 
 
-def test_a_batched_call_that_raises_is_made_again_once_per_row():
-    # phi raises for seed 32's row at step 40: the log reads the batched
-    # call, one call per row, then one batched psi call that still takes
-    # seed 32's row, as its solo run does
+def test_a_batched_call_that_raises_ends_the_attempt():
+    # phi raises for seed 32's row at step 40: the log reads the attempt's
+    # batched call, then each seed's replay alone, where seed 32 stops at
+    # phi and the others call phi and psi
     seeds, step_no = [31, 32, 33], 40
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     phi = [_token_of(s, step_no, 0) for s in seeds]
@@ -1563,25 +1562,80 @@ def test_a_batched_call_that_raises_is_made_again_once_per_row():
         psi_subgrad_x=_CallLog(dwc.psi_subgrad_x, log))
     sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, prob.constants,
                                  mode="dwc")
-    res = run(prob, "dwc", sched, [RngStream(s) for s in seeds], x0=2.0)
+    rngs = [RngStream(s) for s in seeds]
+    res = run(prob, "dwc", sched, rngs, x0=2.0)
     step = [c for c in log if set(c) & {*phi, *psi}]
-    assert step == [tuple(phi), (phi[0],), (phi[1],), (phi[2],), tuple(psi)]
+    assert step == [tuple(phi), (phi[0],), (psi[0],), (phi[1],), (phi[2],),
+                    (psi[2],)]
     assert [r.aborted for r in res] == [False, True, False]
     assert (res[1].abort_reason, res[1].final_state.t) == (
         "phi_subgrad_x refused its token", step_no - 1)
+    assert [r.counter for r in rngs] == [4 * 60, 4 * step_no, 4 * 60]
+
+
+def test_the_attempt_adds_nothing_and_hides_nothing():
+    # a healthy run whose phi evaluates and discards log(0.0) on every
+    # call: the caller's "warn" becomes a replay that warns as the solo
+    # runs do, "ignore" stays ignored with nothing replayed, and "raise"
+    # reaches the caller
+    seeds, t_total = [71, 72, 73], 50
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    calls = []
+
+    def phi(x, y, tok):
+        calls.append(tok)
+        np.log(0.0)
+        return dwc.phi_subgrad_x(x, y, tok)
+
+    prob = dataclasses.replace(dwc, phi_subgrad_x=phi)
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, t_total, prob.constants,
+                                 mode="dwc")
+
+    def solo():
+        return [run(prob, "dwc", sched, RngStream(s), x0=2.0,
+                    trace_every=10, seed_label=s) for s in seeds]
+
+    def batch():
+        return run(prob, "dwc", sched, [RngStream(s) for s in seeds],
+                   x0=2.0, trace_every=10, seed_label=seeds)
+
+    digests, messages = [], []
+    for go in (solo, batch):
+        calls.clear()
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(divide="warn"):
+            warnings.simplefilter("always")
+            digests.append([_digest(r) for r in go()])
+        messages.append([str(w.message) for w in caught
+                         if w.category is RuntimeWarning])
+        # the recorded warning ends the attempt at its first segment's
+        # end, and the replay makes every call again
+        assert 3 * t_total < len(calls) < 2 * 3 * t_total
+    assert digests[0] == digests[1]
+    assert messages[0] == messages[1] == (
+        ["divide by zero encountered in log"] * 3 * t_total)
+    with np.errstate(divide="ignore"):
+        for go in (solo, batch):
+            calls.clear()
+            assert [_digest(r) for r in go()] == digests[0]
+            assert len(calls) == 3 * t_total
+    with np.errstate(divide="raise"), pytest.raises(
+            FloatingPointError, match="divide by zero") as err:
+        batch()
+    assert type(err.value) is FloatingPointError
 
 
 @pytest.mark.parametrize("retry", [False, True], ids=["batched", "retry"])
 def test_an_oracle_of_the_wrong_shape_stops_the_run_at_its_step(retry):
     # at step 40 phi's row for seed 33 is one entry too long, or comes
     # with one row too many, in the batched call or, after seed 32's row
-    # raised, in the call by rows
+    # raised there, in seed 33's replay
     seeds, step_no = [31, 32, 33], 40
     dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     phi = [_token_of(s, step_no, 0) for s in seeds]
     sched = Schedule.from_manual(0.5, 0.005, 0.01, 60, dwc.constants,
                                  mode="dwc")
-    # the batched call returns four rows for three, the retry two for one
+    # the batched call returns four rows for three, the replay two for one
     tall = rf"\({2 if retry else 4}, 1\), expected one row per point"
     for kind, want in (("wide", r"\(2,\), expected \(1,\)"),
                        ("tall", tall)):
@@ -1746,10 +1800,13 @@ def test_a_seed_whose_oracles_go_non_finite_aborts_alone_and_quietly(
         algorithm, values):
     # at one step every oracle of one seed returns its component's value
     # (or, for "y" and "z", only that dual oracle returns inf): under
-    # errstate(all="raise") nothing is computed from two unchecked
-    # infinities, the seed stops with the first non-finite oracle in call
-    # order, never with project's message, and the others run as alone.
-    # As no oracle raised, the seed is passed to every oracle of its step
+    # errstate(all="raise") no error reaches the caller, as the replay
+    # tests each value before a move reads it; the seed stops with the
+    # first non-finite oracle in call order, never with project's
+    # message, and the others run as alone.
+    # The attempt and the replay of each run pass the seed's token of that
+    # step to every oracle up to the first failing one; the replay passes
+    # it to no later one
     slots = _SLOTS[algorithm]
     value = {n: next((v for c, v in _VALUES[values].items()
                       if n.startswith(c)), None) for n in slots if n}
@@ -1777,8 +1834,11 @@ def test_a_seed_whose_oracles_go_non_finite_aborts_alone_and_quietly(
     lost = batch[seeds.index(failing)]
     assert (lost.abort_reason, lost.final_state.t) == (
         f"{names[0]} returned a non-finite value", step_no - 1)
-    assert all(calls.count(tok) == 2 for tok, name in zip(bad, slots)
-               if name is not None)
+    first = slots.index(names[0])
+    for k, name in enumerate(slots):
+        if name is not None:
+            count = calls.count(bad[k])
+            assert count == 4 if k <= first else count <= 2, name
 
 
 def test_a_run_reports_whether_its_stationarity_is_exact():

@@ -12,7 +12,7 @@ import itertools
 import math
 import sys
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -476,29 +476,25 @@ def _indices(tokens, draws) -> np.ndarray:
 class _IndexOracle:
     """A data oracle whose sample for token ``t`` is
     ``token_generator(t).integers(0, n, size=b)`` for each ``(n, b)`` of
-    ``draws``, in order.
+    ``draws``, in order, and whose value of length ``dim`` is
+    ``row(x, dual, idx)``, ``idx`` holding one index array per draw.
 
     Called as ``(x, dual, token)`` or in the batched form of
     :class:`DMaxProblem`, whose batch is the tokens' indices realized in
-    bulk by :func:`_indices`; both give the same bits.  A subclass passes
-    ``draws`` and ``dim``, the length of its values, and returns one value
-    from ``_row(x, dual, idx)``, ``idx`` holding one index array per draw.
-    The plain call draws through the ``token_generator`` of the subclass's
-    module, so that a rebinding of that name is seen.
+    bulk by :func:`_indices`; both give the same bits.  The plain call
+    draws through the ``token_generator`` of the module that defines
+    ``row``, so that a rebinding of that name is seen.
     """
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._module = sys.modules[cls.__module__]
-
-    def __init__(self, draws: tuple, dim: int):
-        self.draws, self.dim = draws, dim
+    def __init__(self, draws: tuple, dim: int, row):
+        self.draws, self.dim, self.row = draws, dim, row
         ends = list(itertools.accumulate(b for _, b in draws))
         self._cuts = [slice(a, b) for a, b in zip([0] + ends, ends)]
 
     def __call__(self, x, dual, token):
-        draw = self._module.token_generator(int(token)).integers
-        return self._row(x, dual, [draw(0, n, size=b) for n, b in self.draws])
+        draw = sys.modules[self.row.__module__].token_generator(
+            int(token)).integers
+        return self.row(x, dual, [draw(0, n, size=b) for n, b in self.draws])
 
     def sample(self, tokens) -> np.ndarray:
         return _indices(tokens, self.draws)
@@ -509,11 +505,8 @@ class _IndexOracle:
         batch = batch.astype(np.intp)
         idx = zip(*[batch[:, c] for c in self._cuts])
         for row, xr, dr, ix in zip(out, x, duals, idx):
-            row[:] = self._row(xr, dr, ix)
+            row[:] = self.row(xr, dr, ix)
         return out
-
-    def _row(self, x, dual, idx) -> np.ndarray:
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------

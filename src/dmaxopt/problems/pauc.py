@@ -254,45 +254,6 @@ def fairness_dual_grad(w_a: np.ndarray, feats: np.ndarray,
     return params.alpha_fair * g - params.lambda0 * w_a
 
 
-class _PairOracle(_IndexOracle):
-    """``phi_subgrad_x`` of :func:`pauc_fair_problem`: the pair subgradient
-    of ``batch_pos`` positives and ``batch_neg`` negatives drawn with
-    replacement, positives first, with the threshold entries of the drawn
-    positives accumulated in batch order."""
-
-    def __init__(self, pos: np.ndarray, neg: np.ndarray, params: PaucParams):
-        super().__init__(((pos.shape[0], params.batch_pos),
-                          (neg.shape[0], params.batch_neg)),
-                         pos.shape[1] + pos.shape[0])
-        self.pos, self.neg, self.params = pos, neg, params
-
-    def _row(self, x, y, idx):
-        (idx_p, idx_n), pos, p = idx, self.pos, self.params
-        d = pos.shape[1]
-        out = np.empty(self.dim)
-        out[:d], g_s = _pair_subgrads(x[:d], x[d:][idx_p], pos[idx_p],
-                                      self.neg[idx_n], p.rho, p.c)
-        out[d:] = np.bincount(idx_p, weights=g_s, minlength=pos.shape[0])
-        return out
-
-
-class _AdversaryOracle(_IndexOracle):
-    """``phi_grad_y`` of :func:`pauc_fair_problem`: the adversary gradient
-    on ``batch_attr`` examples drawn with replacement; it does not read
-    ``x``."""
-
-    def __init__(self, feats: np.ndarray, attrs: np.ndarray,
-                 params: PaucParams):
-        super().__init__(((feats.shape[0], params.batch_attr),),
-                         feats.shape[1])
-        self.feats, self.attrs, self.params = feats, attrs, params
-
-    def _row(self, x, y, idx):
-        (i,) = idx
-        return fairness_dual_grad(y, self.feats[i], self.attrs[i],
-                                  self.params)
-
-
 def pauc_fair_problem(data: LabeledDataset, params: PaucParams,
                       m_bound: Optional[float] = None) -> DMaxProblem:
     """Wrap the fairness-regularized partial-AUC task as a min-max problem.
@@ -306,12 +267,25 @@ def pauc_fair_problem(data: LabeledDataset, params: PaucParams,
             "alpha_fair > 0 requires sensitive attributes on the dataset")
     pos, neg = _split_counts(data)
     d = data.dimension
-    rho, c = params.rho, params.c
+    if d < 1:
+        raise ParameterError(f"dimension must be >= 1, got {d}")
+    n_pos, rho, c = pos.shape[0], params.rho, params.c
 
     r_max = float(np.linalg.norm(data.features, axis=1).max())
     dual_radius = 2.0 * params.alpha_fair * r_max / params.lambda0 + 1.0
     attrs = data.sensitive if data.sensitive is not None else np.ones(
         len(data), dtype=np.int8)
+
+    # the primal oracle draws ``batch_pos`` positives and then
+    # ``batch_neg`` negatives with replacement and accumulates the
+    # threshold entries of the drawn positives in batch order
+    def pair_row(x, y, idx):
+        idx_p, idx_n = idx
+        out = np.empty(d + n_pos)
+        out[:d], g_s = _pair_subgrads(x[:d], x[d:][idx_p], pos[idx_p],
+                                      neg[idx_n], rho, c)
+        out[d:] = np.bincount(idx_p, weights=g_s, minlength=n_pos)
+        return out
 
     def full_objective(x):
         return _each_row(lambda row: _objective(row, pos, neg, params), x)
@@ -324,12 +298,18 @@ def pauc_fair_problem(data: LabeledDataset, params: PaucParams,
         m_bound = math.sqrt(w_scale ** 2 + s_scale ** 2 + dual_scale ** 2)
 
     return DMaxProblem(
-        dim_x=d + pos.shape[0],
+        dim_x=d + n_pos,
         constants=ProblemConstants(delta_phi=0.0, delta_psi=0.0,
                                    mu_phi=params.lambda0, l_phi_yx=0.0,
                                    m_bound=float(m_bound)),
-        phi_subgrad_x=_PairOracle(pos, neg, params),
-        phi_grad_y=_AdversaryOracle(data.features, attrs, params),
+        phi_subgrad_x=_IndexOracle(((n_pos, params.batch_pos),
+                                    (len(neg), params.batch_neg)),
+                                   d + n_pos, pair_row),
+        # the adversary gradient on ``batch_attr`` examples; it reads no ``x``
+        phi_grad_y=_IndexOracle(
+            ((len(data), params.batch_attr),), d,
+            lambda x, y, idx: fairness_dual_grad(
+                y, data.features[idx[0]], attrs[idx[0]], params)),
         psi_subgrad_x=None,
         psi_grad_z=None,
         set_y=ball(np.zeros(d), dual_radius),

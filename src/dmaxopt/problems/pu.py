@@ -96,36 +96,6 @@ def pu_full_subgrads(w: np.ndarray, positives: LabeledDataset,
     return g_phi, g_psi
 
 
-class _PsiOracle(_IndexOracle):
-    """``psi_subgrad_x`` of :func:`make_pu_problem`: the psi subgradient on
-    ``batch_pos`` positives drawn with replacement."""
-
-    def __init__(self, pos: np.ndarray, params: PuParams):
-        super().__init__(((pos.shape[0], params.batch_pos),), pos.shape[1])
-        self.pos, self.pi_p = pos, params.pi_p
-
-    def _row(self, x, z, idx):
-        (idx_p,) = idx
-        return _psi_batch_grad(x, self.pos[idx_p], self.pi_p)
-
-
-class _PhiOracle(_IndexOracle):
-    """``phi_subgrad_x`` of :func:`make_pu_problem`: the phi subgradient on
-    ``batch_pos`` positives and then ``batch_unl`` unlabeled points drawn
-    with replacement, so that a token draws the positives the psi oracle
-    draws from it."""
-
-    def __init__(self, pos: np.ndarray, unl: np.ndarray, params: PuParams):
-        super().__init__(((pos.shape[0], params.batch_pos),
-                          (unl.shape[0], params.batch_unl)), pos.shape[1])
-        self.pos, self.unl, self.pi_p = pos, unl, params.pi_p
-
-    def _row(self, x, y, idx):
-        idx_p, idx_u = idx
-        return _phi_batch_grad(x, self.pos[idx_p], self.unl[idx_u],
-                               self.pi_p)
-
-
 def make_pu_problem(positives: LabeledDataset, unlabeled: LabeledDataset,
                     params: PuParams,
                     m_bound: Optional[float] = None) -> DMaxProblem:
@@ -140,7 +110,17 @@ def make_pu_problem(positives: LabeledDataset, unlabeled: LabeledDataset,
     if positives.dimension != unlabeled.dimension:
         raise ParameterError("positive and unlabeled dimensions differ")
     dim = positives.dimension
+    if dim < 1:
+        raise ParameterError(f"dimension must be >= 1, got {dim}")
     pi_p = params.pi_p
+    pos, unl = positives.features, unlabeled.features
+
+    # the phi oracle draws ``batch_pos`` positives and then ``batch_unl``
+    # unlabeled points with replacement, so that a token draws the
+    # positives the psi oracle draws from it
+    def phi_row(x, y, idx):
+        idx_p, idx_u = idx
+        return _phi_batch_grad(x, pos[idx_p], unl[idx_u], pi_p)
 
     def phi_value(x):
         mp = positives.features @ x
@@ -171,9 +151,12 @@ def make_pu_problem(positives: LabeledDataset, unlabeled: LabeledDataset,
         dim_x=dim,
         constants=ProblemConstants(delta_phi=0.0, delta_psi=0.0,
                                    m_bound=float(m_bound)),
-        phi_subgrad_x=_PhiOracle(positives.features, unlabeled.features,
-                                 params),
-        psi_subgrad_x=_PsiOracle(positives.features, params),
+        phi_subgrad_x=_IndexOracle(((len(pos), params.batch_pos),
+                                    (len(unl), params.batch_unl)), dim,
+                                   phi_row),
+        psi_subgrad_x=_IndexOracle(
+            ((len(pos), params.batch_pos),), dim,
+            lambda x, z, idx: _psi_batch_grad(x, pos[idx[0]], pi_p)),
         phi_fn=phi_fn,
         psi_fn=psi_fn,
         full_objective=lambda x: _each_row(

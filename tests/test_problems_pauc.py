@@ -13,6 +13,7 @@ from dmaxopt.problems import (
     PaucParams,
     fairness_dual_grad,
     fairness_payoff,
+    load_libsvm,
     pauc_fair_problem,
     pauc_full_subgrads,
     pauc_objective,
@@ -575,6 +576,16 @@ def test_plain_calls_draw_through_the_modules_token_generator(monkeypatch):
     prob.phi_subgrad_x(np.zeros(prob.dim_x), np.zeros(4), 7)
     prob.phi_grad_y(None, np.zeros(4), 8)
     assert calls == [7, 8]
+
+
+def test_data_without_feature_columns_is_refused_by_name(tmp_path):
+    # a LibSVM file of labels only reads as features of shape (3, 0)
+    path = tmp_path / "labels.svm"
+    path.write_text("1\n-1\n1\n")
+    data = load_libsvm(path)
+    assert data.features.shape == (3, 0)
+    with pytest.raises(ParameterError, match="dimension must be >= 1, got 0"):
+        pauc_fair_problem(data, PaucParams())
 
 
 def test_alpha_without_attributes_is_rejected():

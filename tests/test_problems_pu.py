@@ -12,6 +12,7 @@ from dmaxopt.problems import (
     pu_objective,
     synth_gaussian_pu,
 )
+from dmaxopt.problems import pu as pu_module
 
 
 def _single_point_sets():
@@ -167,6 +168,29 @@ def test_make_pu_problem_validation():
     with pytest.raises(ParameterError):
         make_pu_problem(positives, LabeledDataset(np.zeros((2, 3)),
                                                   [1, -1]), params)
+
+
+def test_data_without_feature_columns_is_refused_by_name():
+    positives = LabeledDataset(np.zeros((2, 0)), [1, 1])
+    unlabeled = LabeledDataset(np.zeros((3, 0)), [1, -1, -1])
+    with pytest.raises(ParameterError, match="dimension must be >= 1, got 0"):
+        make_pu_problem(positives, unlabeled, PuParams(pi_p=0.5))
+
+
+def test_plain_calls_draw_through_the_modules_token_generator(monkeypatch):
+    # as for pAUC: a rebinding of pu.token_generator is seen
+    prob = make_pu_problem(*synth_gaussian_pu(30, 50, 3, 1.5, 0.5, seed=2),
+                           PuParams(pi_p=0.5))
+    calls = []
+
+    def counted(token, *args):
+        calls.append(token)
+        return token_generator(token, *args)
+
+    monkeypatch.setattr(pu_module, "token_generator", counted)
+    prob.phi_subgrad_x(np.zeros(3), None, 7)
+    prob.psi_subgrad_x(np.zeros(3), None, 8)
+    assert calls == [7, 8]
 
 
 def test_pu_params_validation():

@@ -1411,23 +1411,35 @@ def test_every_token_on_the_scalar_fallback_keeps_the_golden_digests(
 def test_data_oracles_run_as_their_plain_calls():
     """Runs on the batched pAUC and PU oracles equal runs on the same
     oracles wrapped as plain callables, which a run calls token by
-    token."""
+    token: SMAG's runs, and the baselines' runs on their two token
+    slots (SGDA on pAUC, SGD on PU)."""
     pauc = pauc_fair_problem(synth_biased_pauc(60, 4, seed=5), PaucParams(
         alpha_fair=0.5, batch_pos=5, batch_neg=9, batch_attr=7))
     pu = make_pu_problem(*synth_gaussian_pu(30, 50, 3, 1.5, 0.5, seed=2),
                          PuParams(pi_p=0.5, batch_pos=7, batch_unl=5))
     seeds = [41, 42]
-    for prob, mode in ((pauc, "minmax"), (pu, "dwc"), (pu, "dmax")):
+
+    def smag(mode):
+        def go(p, **kw):
+            sched = Schedule.from_manual(
+                0.5, 0.01, 0.05, 50, p.constants,
+                mode="dwc" if mode == "dmax" else mode)
+            return run(p, mode, sched, **kw)
+        return go
+
+    for prob, go in ((pauc, smag("minmax")), (pu, smag("dwc")),
+                     (pu, smag("dmax")),
+                     (pauc, lambda p, **kw: run_sgda(p, 0.01, 0.05, 50,
+                                                     **kw)),
+                     (pu, lambda p, **kw: run_sgd(p, 0.01, 50, **kw))):
         plain = dataclasses.replace(prob, **{
             name: (lambda o: lambda x, dual, tok: o(x, dual, tok))(o)
             for name in ("phi_subgrad_x", "phi_grad_y", "psi_subgrad_x")
             if (o := getattr(prob, name)) is not None})
-        sched = Schedule.from_manual(0.5, 0.01, 0.05, 50, prob.constants,
-                                     mode="dwc" if mode == "dmax" else mode)
         for shared in (False, True):
-            got, want = (run(p, mode, sched, [RngStream(s) for s in seeds],
-                             x0=np.full(prob.dim_x, 0.1), seed_label=seeds,
-                             shared_sample=shared) for p in (prob, plain))
+            got, want = (go(p, rng=[RngStream(s) for s in seeds],
+                            x0=np.full(prob.dim_x, 0.1), seed_label=seeds,
+                            shared_sample=shared) for p in (prob, plain))
             assert [_digest(r) for r in got] == [_digest(r) for r in want]
 
 

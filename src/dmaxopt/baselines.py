@@ -50,6 +50,7 @@ def _sgd_kernel(problem: DMaxProblem, st: BaselineState, lr: float,
                 feed, n: int):
     """``n`` steps, run as :func:`smag._smag_kernel` runs them."""
     shape, y, grad = st.x.shape, st.y, feed.grad
+    lr = np.array(lr)  # 0-d, as smag._smag_kernel keeps its steps
     x_new = st.x
     for t in range(st.t, st.t + n):
         x = x_new
@@ -64,6 +65,7 @@ def _sgda_kernel(problem: DMaxProblem, st: BaselineState, lr_x: float,
                  lr_y: float, feed, n: int):
     """``n`` steps, run as :func:`smag._smag_kernel` runs them."""
     shape, set_y, grad = st.x.shape, problem.set_y, feed.grad
+    lr_x, lr_y = np.array(lr_x), np.array(lr_y)
     x_new, y_new = st.x, st.y
     for t in range(st.t, st.t + n):
         x, y = x_new, y_new
@@ -113,7 +115,7 @@ def _run(problem: DMaxProblem, oracles: list, kernel, t_total: int, rng, x0,
 
 
 def _direction_norm(prev_x: np.ndarray, state: BaselineState):
-    return _norms(state.last_dir), [math.nan] * state.x.shape[0]
+    return _norms(state.last_dir).tolist(), [math.nan] * state.x.shape[0]
 
 
 def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,

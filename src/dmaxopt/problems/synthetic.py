@@ -87,10 +87,13 @@ def piecewise_quadratic(a: float = 1.0, center: float = 0.0,
     # at kappa 0 a finite u makes kappa * u a signed zero, which leaves
     # a * sign (+-a, or +0.0 as np.sign(-0.0) is +0.0) as it is when a > 0
     flat = kappa == 0.0 and a > 0.0
+    # the step's operands as 0-d float64 arrays: a ufunc takes one at a
+    # lower call cost than a Python float, with the same bits
+    a0, c0, kappa0 = np.array(a), np.array(c), np.array(kappa)
 
     def subgrad(u: np.ndarray) -> np.ndarray:
-        s = a * np.sign(u if unshifted else u - c)
-        return s if flat else s + kappa * u
+        s = a0 * np.sign(u if unshifted else u - c0)
+        return s if flat else s + kappa0 * u
 
     def prox_map(v: np.ndarray, gamma: float) -> np.ndarray:
         big_a = kappa + 1.0 / gamma

@@ -283,12 +283,18 @@ def validate_schedule(sched: Schedule, constants: ProblemConstants,
 # ---------------------------------------------------------------------------
 # lockstep seeds
 
-# Tokens per oracle that one refill of a lockstep batch realizes at most;
-# bounds the memory of bulk-realized noise.
+# Tokens per oracle that one refill of a lockstep batch realizes (never
+# past ``t_total``): at least ``_CHUNK``, and up to ``_CHUNK_VALUES``
+# values when the widest batch row of the previous refill held fewer than
+# 4.  That bounds the memory of bulk-realized noise and index batches, and
+# 1-d noise spreads a bulk call's fixed cost (~350 ufunc calls) over 4096
+# tokens.
 _CHUNK = 1024
+_CHUNK_VALUES = 4 * _CHUNK
 # Anchor floats of the traced steps whose rows one call computes: bounds
 # the stacked states and temporaries of a block of trace rows.
 _TRACE_BLOCK = 1 << 12
+_F64 = np.dtype(np.float64)
 
 
 def _arrays(state) -> dict:
@@ -357,13 +363,15 @@ class _Feed:
                         _PerToken(o) for o in oracles]
         self.slot = [0 if shared_sample else k for k in range(len(oracles))]
         self.c = self.steps = 0  # step within the chunk, chunk length
+        self.width = math.inf  # widest batch row of the last refill
 
     def next_step(self, t: int) -> None:
         self.c += 1
         if self.c < self.steps:
             return
         n, rngs = len(self.oracles), self.rngs
-        self.steps = min(self.t_total - t, max(1, _CHUNK // len(rngs)))
+        per = max(_CHUNK, _CHUNK_VALUES // max(1, self.width))
+        self.steps = min(self.t_total - t, max(1, per // len(rngs)))
         self.c = 0
         toks = np.stack([r.draw_many(n * self.steps)
                          for r in rngs]).reshape(len(rngs), self.steps, n)
@@ -372,6 +380,8 @@ class _Feed:
             t = toks[:, :, s].T  # (steps, seeds)
             z = None if oracle is None else oracle.sample(t.reshape(-1))
             self.inputs.append(z if z is None else z.reshape(*t.shape, -1))
+        self.width = max([z.shape[-1] for z in self.inputs if z is not None],
+                         default=0)
 
     def grad(self, k: int, x: np.ndarray, dual, shape: tuple, what: str):
         """Oracle ``k`` at the rows of ``x`` and ``dual``, as float64
@@ -380,11 +390,14 @@ class _Feed:
         feed a non-finite one raises :class:`NonFiniteError`."""
         z = self.inputs[k]
         g = self.oracles[k].grad(x, dual, z if z is None else z[self.c])
-        try:
-            g = np.asarray(g, dtype=np.float64)
-        except ValueError:  # rows of unequal lengths: the first wrong one
-            g = np.asarray([next((r for r in g if np.shape(r) != shape[1:]),
-                                 g)], dtype=np.float64)
+        # np.asarray returns a float64 ndarray itself: no call needed
+        if type(g) is not np.ndarray or g.dtype is not _F64:
+            try:
+                g = np.asarray(g, dtype=np.float64)
+            except ValueError:  # rows of unequal lengths: the first wrong one
+                g = np.asarray([next((r for r in g
+                                      if np.shape(r) != shape[1:]), g)],
+                               dtype=np.float64)
         if g.shape != shape:
             raise ParameterError(
                 f"{what} returned shape {g.shape[1:]}, expected {shape[1:]}"
@@ -429,9 +442,11 @@ def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
     oracle (:func:`_smag_oracles`).  With Psi, ``x_phi`` and ``x_psi``
     step as the two rows of one ``(2, S, dim)`` stack, and are its rows:
     each number is the one their separate updates give."""
-    eta1 = sched.eta1 * lr_scale
-    eta0 = sched.eta0 * lr_scale
-    inv_gamma = 1.0 / sched.gamma
+    # 0-d float64 arrays: a ufunc takes one at a lower call cost than a
+    # Python float, with the same bits
+    eta1 = np.array(sched.eta1 * lr_scale)
+    eta0 = np.array(sched.eta0 * lr_scale)
+    inv_gamma = np.array(1.0 / sched.gamma)
     set_y, set_z, grad = problem.set_y, problem.set_z, feed.grad
     _, oracle_y, oracle_psi, oracle_z = feed.oracles
     shape = st.x.shape
@@ -527,15 +542,16 @@ def _shaped(value, shape: tuple, name: str) -> np.ndarray:
     return v
 
 
-def _norms(v: np.ndarray) -> list:
-    """The Euclidean norm of each row of ``v``, as floats bit for bit
-    ``np.linalg.norm`` of the row alone: numpy takes that as the square
-    root of the row's ``dot`` with itself, and ``vecdot`` calls that dot
-    once per row.  A finite row whose squared sum overflows (entries above
-    ~1.3e154) takes the norm of the row scaled by its largest magnitude."""
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``v``, as an array whose entries
+    are bit for bit ``np.linalg.norm`` of the row alone: numpy takes that
+    as the square root of the row's ``dot`` with itself, and ``vecdot``
+    calls that dot once per row.  A finite row whose squared sum overflows
+    (entries above ~1.3e154) takes the norm of the row scaled by its
+    largest magnitude."""
     v = np.ascontiguousarray(v, dtype=np.float64)
     with np.errstate(over="ignore"):
-        out = [math.sqrt(q) for q in np.vecdot(v, v).tolist()]
+        out = np.sqrt(np.vecdot(v, v))
     if math.inf in out:
         for i in np.flatnonzero(np.isinf(out) & np.isfinite(v).all(axis=-1)):
             top = float(np.abs(v[i]).max())
@@ -666,8 +682,10 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
             p_t = [math.nan] * cur.x.shape[0]
         if exact_metrics:
             p_phi, p_psi = _prox_pair(aux, cur.x, sched.gamma, oracles)
-            return [s / sched.gamma for s in _norms(p_psi - p_phi)], p_t
-        return _norms(cur.last_g), p_t
+            # as quiet on over- and underflow as a Python float division
+            with np.errstate(over="ignore", under="ignore"):
+                return (_norms(p_psi - p_phi) / sched.gamma).tolist(), p_t
+        return _norms(cur.last_g).tolist(), p_t
 
     ran = _drive(
         problem, start, t_total, rngs, oracles,

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from dmaxopt.problems import (
     make_onedim_dwc,
     make_quadratic_minmax,
     piecewise_quadratic,
-    zero_function,
 )
 from dmaxopt.smag import Schedule, run, step_diagnostics
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dmaxopt.core as core
+import dmaxopt.smag as smag
 from dmaxopt.baselines import run_sgd, run_sgda
 from dmaxopt.core import (
     CapabilityError,
@@ -970,11 +971,21 @@ def test_large_finite_oracle_values_and_anchors_are_accepted():
 def test_norms_of_large_finite_rows_stay_finite():
     # squared sums above the float range: such a finite row takes the norm
     # of the row scaled by its largest magnitude, with no warning
-    assert _norms(np.array([[3.66e199]])) == [3.66e199]
+    assert _norms(np.array([[3.66e199]])).tolist() == [3.66e199]
     (norm,) = _norms(np.array([[3e200, 4e200]]))
     assert abs(norm - 5e200) <= 1e-15 * 5e200
     assert _norms(np.array([[3.0, 4.0], [math.inf, 1.0], [1e-200, 0.0]])
-                  ) == [5.0, math.inf, 0.0]
+                  ).tolist() == [5.0, math.inf, 0.0]
+    # a random stack, over scales where the squared sums stay in range,
+    # against np.linalg.norm of each row alone, bit for bit
+    gen = np.random.default_rng(5)
+    for n, dim in ((1, 1), (7, 3), (64, 10), (5, 2005)):
+        v = gen.standard_normal((n, dim)) * 10.0 ** gen.uniform(
+            -150, 150, (n, 1))
+        got = _norms(v)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert got.tobytes() == np.array(
+            [np.linalg.norm(row) for row in v]).tobytes()
     # a run's traced step estimate of that size, which read inf
     prob = _constant_oracle_problem(1e200, -1e200)
     sched = _manual_sched(0.5, 0.005, 0.01, ALL_ONES, "dwc")
@@ -1764,6 +1775,67 @@ def test_segment_boundaries_never_change_bits(algorithm):
             for name in ("returned", "x_bar"):
                 assert getattr(b, name).tobytes() == (
                     getattr(a, name).tobytes())
+
+
+@pytest.mark.parametrize("case", ["dwc1", "dwc3", "minmax", "sgda"])
+def test_refill_width_never_changes_bits(case, monkeypatch):
+    # the default feed refills 1024 tokens per oracle, then up to 4096
+    # values for rows of 1 or 3; the cut feed refills one step at a time.
+    # T spans several refills of three seeds in lockstep
+    t_total, seeds = 2000, [71, 72, 73]
+    dim = 1 if case == "dwc1" else 3
+    mode = "minmax" if case == "minmax" else "dwc"
+    prob = (make_quadratic_minmax(dim=3, noise_sigma=0.1)
+            if case in ("minmax", "sgda") else
+            make_onedim_dwc(1.0, 0.5, kappa_phi=0.2, center_psi=0.3,
+                            noise_sigma=0.2, dim=dim))
+    sched = Schedule.from_manual(0.5, 0.01, 0.05, t_total, ALL_ONES,
+                                 mode=mode)
+
+    def go():
+        rngs = [RngStream(s) for s in seeds]
+        kw = dict(x0=np.full(dim, 0.5), seed_label=seeds, trace_every=300,
+                  decay_milestones=(900,), decay_factor=2.0)
+        res = (run_sgda(prob, 0.02, 0.05, t_total, rngs, **kw)
+               if case == "sgda" else
+               run(prob, mode, sched, rngs, **kw))
+        return res, [r.counter for r in rngs]
+
+    want, want_counts = go()
+    monkeypatch.setattr(smag, "_CHUNK", 1)
+    monkeypatch.setattr(smag, "_CHUNK_VALUES", 1)
+    got, got_counts = go()
+    assert got_counts == want_counts == [4 * t_total if case != "sgda"
+                                         else 2 * t_total] * 3
+    for a, b in zip(want, got):
+        assert _digest(b) == _digest(a)
+        assert _record_bits(b.records) == _record_bits(a.records)
+        assert len(a.records) == 7
+
+
+@pytest.mark.parametrize("seeds", [1, 2])
+def test_narrow_rows_refill_more_tokens(seeds):
+    # after the first refill of 1024 tokens per oracle, a feed whose widest
+    # batch row held fewer than 4 values refills 4096 values per oracle
+    # (so 4096 tokens of 1-d noise, or of an oracle with no batch), and
+    # one of width 10 keeps refilling 1024 tokens
+    narrow = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    wide = make_quadratic_minmax(dim=10, noise_sigma=0.1)
+    quiet = make_onedim_dwc(1.0, 0.5)
+    for oracles, tokens in (
+            ([narrow.phi_subgrad_x, None, narrow.psi_subgrad_x], 4096),
+            ([wide.phi_subgrad_x, wide.phi_grad_y, wide.psi_subgrad_x], 1024),
+            ([quiet.phi_subgrad_x, quiet.psi_subgrad_x], 4096)):
+        feed = smag._Feed([RngStream(s) for s in range(seeds)], oracles,
+                          False, 10 ** 6, False)
+        sizes = []
+        for t in range((1024 + 2 * tokens) // seeds):
+            feed.next_step(t)
+            if feed.c == 0:
+                sizes.append(feed.steps * seeds)
+                z = feed.inputs[0]
+                assert z is None or z.shape[:2] == (feed.steps, seeds)
+        assert sizes == [1024, tokens, tokens]
 
 
 # Each algorithm's oracles in token-slot order, so in call order.

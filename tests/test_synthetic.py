@@ -43,6 +43,26 @@ def test_piecewise_quadratic_flat_subgrad_keeps_the_curvature_terms_bits(
         stack).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("a, center, curvature", [
+    (1.0, 0.0, 0.0), (0.7, 0.3, 0.0), (2.0, -0.7, 0.3), (1.5, 0.2, -0.4)])
+def test_piecewise_quadratic_subgrad_keeps_the_python_float_formula(
+        a, center, curvature):
+    # the subgradient holds a, center and curvature as 0-d float64 arrays:
+    # flat, shifted and curved, on a point, a stack and a scalar, each
+    # value and its type are those of the formula on Python floats
+    f = piecewise_quadratic(a, center, curvature)
+    gen = np.random.default_rng(11)
+    for u in (3.0 * gen.standard_normal(5), 3.0 * gen.standard_normal((4, 3)),
+              np.float64(-1.25), np.float64(center)):
+        got = f.subgrad(u)
+        want = a * np.sign(u - center) + curvature * u
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # a float32 point now gives float64, as the run's iterates are
+    assert f.subgrad(np.ones(2, dtype=np.float32)).dtype == np.float64
+
+
 def test_piecewise_quadratic_prox_is_shifted_soft_threshold():
     f = piecewise_quadratic(1.0, 0.0, 0.0)
     v = np.array([2.0, -0.3, 0.75, -5.0])

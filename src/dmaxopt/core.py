@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import threading
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -230,8 +229,7 @@ class RngStream:
                 "seed and stream_id must be nonnegative and below 2**64")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = token_generator(self.seed, self.stream_id)
         self.counter = 0
 
     def draw(self) -> int:
@@ -269,47 +267,21 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
 
 
-# One Philox reused by ``token_generator`` while no Generator handed out
-# earlier still holds it; created on first use so that importing the
-# package does not import ``numpy.random``.
-_philox = None
-_philox_free_refs = 0
-_philox_lock = threading.Lock()
-# The state of a Philox keyed ``_PHILOX_KEY["key"]`` at counter 0, with
-# empty 64- and 32-bit buffers.  The key is set under ``_philox_lock``.
-_PHILOX_STATE = {"bit_generator": "Philox",
-                 "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
-                 "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-_PHILOX_KEY = _PHILOX_STATE["state"]
-
-
 def token_generator(token: int, salt: int = _TOKEN_SALT) -> np.random.Generator:
     """Deterministic generator for realizing one sample token.
 
     Every oracle call receives a fresh token and derives its mini-batch
     indices or noise through this map, so a trace is reproducible from the
-    seed alone.  The result draws exactly what
-    ``Generator(Philox(key=[token, salt]))`` draws.  It wraps a cached
-    Philox reset to that key (counter 0, empty buffer) when no earlier
-    result still references the cache, and a fresh Philox otherwise, so
-    generators held across calls stay independent.
+    seed alone.  The result is ``Generator(Philox(key=[token, salt]))``
+    (token map v1).  A Philox key word holds 64 bits, so a token or salt
+    outside ``[0, 2**64)`` raises :class:`ParameterError`.
     """
-    global _philox, _philox_free_refs
-    key = (int(token) & _MASK64, int(salt) & _MASK64)
-    with _philox_lock:
-        bg = _philox
-        # A count above the one taken when bg was made means a Generator
-        # (or anything else) still references it; a reference GC has not
-        # yet cleared only costs a fresh Philox.
-        if bg is not None and sys.getrefcount(bg) == _philox_free_refs:
-            _PHILOX_KEY["key"] = key
-            bg.state = _PHILOX_STATE
-        else:
-            bg = _philox = np.random.Philox(
-                key=np.array(key, dtype=np.uint64))
-            _philox_free_refs = sys.getrefcount(bg)
-        return np.random.Generator(bg)
+    token, salt = int(token), int(salt)
+    if not (0 <= token < 2 ** 64 and 0 <= salt < 2 ** 64):
+        raise ParameterError(
+            "token and salt must be nonnegative and below 2**64")
+    return np.random.Generator(np.random.Philox(
+        key=np.array([token, salt], dtype=np.uint64)))
 
 
 # Philox4x64-10 multipliers and key increments (Salmon et al., "Parallel
@@ -319,24 +291,25 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _zig = None  # numpy's ziggurat tables (wi, ki), read on first use
-# Tokens from which one ``_normals`` call realizes the ziggurat fast path in
-# bulk: below it the scalar generator is faster (at d = 1 and d = 10, about
-# 4 us per token against a bulk call's 250-400 us setup; 2 CPUs, numpy 2.4).
-# Above ``_BULK_MAX_D`` draws per token the bulk path loses at any token
-# count: its Philox words grow with d, and a token with a rejection in any
-# of its d draws (1 - 0.985 ** d of them) is realized again by the scalar
-# generator.  Median of 9 calls on 1024 tokens, same box:
+# Tokens from which one ``_normals`` or ``_indices`` call realizes its
+# draws in bulk.  A bulk call pays about 0.25 ms of ``_philox_words`` setup,
+# ``_scalar_rows`` 1.7 us per token of normals and 12 us per token of two
+# index draws of 64: normals break even at 150-250 tokens (d = 1 to 10),
+# index draws near 24 (2 CPUs, numpy 2.4).  A run refills at least 1024
+# tokens per oracle unless its steps times seeds are fewer, so one cutoff
+# serves both.  Above ``_BULK_MAX_D`` draws per token bulk normals lose at
+# any token count: their Philox words grow with d, and a token with a
+# rejection in any of its d draws (1 - 0.985 ** d of them) is realized
+# again per token.  Median of 15 calls on 1024 tokens, same box:
 #     d            10     20     28     37     50     100
-#     bulk (ms)    1.31   2.45   3.33   4.47   5.51   10.1
-#     scalar (ms)  2.98   3.08   3.34   3.62   3.83   4.81
-_BULK_NORMALS = 128
+#     bulk (ms)    1.07   1.70   2.37   3.09   4.61   9.02
+#     scalar (ms)  1.83   2.05   2.19   2.38   2.49   3.37
+# Bulk index draws take their words in blocks of at most ``_BLOCK_WORDS``:
+# a block's temporaries set the process's peak memory (on pAUC refills,
+# 2**16 words read 2 MB above per-token draws, 2**14 words 0.3 MB).
+_BULK = 128
 _BULK_MAX_D = 28
-# Tokens from which one ``_indices`` call realizes its draws in bulk: a bulk
-# call costs about 25 us plus 2 us per token, the scalar generator 11-14 us
-# per token for two draws of 8-64 indices (2 CPUs, numpy 2.4).  Bulk calls
-# work in blocks of ``_INDEX_BLOCK`` tokens, which bounds their temporaries.
-_BULK_INDICES = 4
-_INDEX_BLOCK = 256
+_BLOCK_WORDS = 2 ** 14
 
 
 def _mulhilo(a: np.ndarray, m: int):
@@ -380,6 +353,22 @@ def _philox_words(keys: np.ndarray, blocks: int,
         n, 4 * blocks)
 
 
+def _scalar_rows(out: np.ndarray, keys: np.ndarray, rows, draw) -> None:
+    """Set ``out[i]`` to ``draw(token_generator(keys[i]))`` for each ``i``
+    of ``rows``: one Philox per call, reset to each token's key with
+    counter 0 and empty buffers, draws what a fresh one would."""
+    bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bg)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for i in rows:
+        state["state"]["key"] = (int(keys[i]), _TOKEN_SALT)
+        bg.state = state
+        out[i] = draw(gen)
+
+
 def _normals(tokens, d: int) -> np.ndarray:
     """``token_generator(t).standard_normal(d)`` for every token ``t``,
     stacked as an ``(n, d)`` array, bit for bit.
@@ -388,12 +377,12 @@ def _normals(tokens, d: int) -> np.ndarray:
     2000) reads one raw Philox word and returns ``+-rabs * wi[idx]`` when
     ``rabs < ki[idx]``.  That fast path is realized here for all tokens at
     once; a token with a rejection in any of its ``d`` draws, and every
-    token of a call with fewer than ``_BULK_NORMALS`` of them or with ``d``
-    above ``_BULK_MAX_D``, is realized whole by the scalar generator.
+    token of a call with fewer than ``_BULK`` of them or with ``d`` above
+    ``_BULK_MAX_D``, is realized whole by :func:`_scalar_rows`.
     """
     global _zig
     keys = np.asarray(tokens, dtype=np.uint64).reshape(-1)
-    if keys.size < _BULK_NORMALS or d > _BULK_MAX_D:
+    if keys.size < _BULK or d > _BULK_MAX_D:
         out, scalar = np.empty((keys.size, d)), range(keys.size)
     else:
         if _zig is None:
@@ -406,9 +395,8 @@ def _normals(tokens, d: int) -> np.ndarray:
         out = rabs.astype(np.float64) * wi[idx]
         np.negative(out, out=out,
                     where=(raw & np.uint64(0x100)).astype(bool))
-        scalar = np.flatnonzero(~(rabs < ki[idx]).all(axis=1)).tolist()
-    for i in scalar:
-        out[i] = token_generator(int(keys[i])).standard_normal(d)
+        scalar = np.flatnonzero(~(rabs < ki[idx]).all(axis=1))
+    _scalar_rows(out, keys, scalar, lambda gen: gen.standard_normal(d))
     return out
 
 
@@ -422,11 +410,11 @@ def _indices(tokens, draws) -> np.ndarray:
     method (ACM TOMACS 2019) on 32-bit halves of the raw Philox words, low
     half first: ``m = u * n`` gives ``m >> 32`` unless ``m mod 2**32`` falls
     below a threshold under ``n``, which redraws.  A bound of 1 reads no
-    words.  Each token's words come from one reused Philox reset to its
-    key, and its draws are realized for all tokens at once.  A token with
-    some ``m mod 2**32 < n``, and every token of a call with fewer than
-    ``_BULK_INDICES`` of them or a bound of ``2**32`` or more, is realized
-    by the scalar generator.
+    words.  The words of all tokens come from :func:`_philox_words`, and
+    their draws are realized at once.  A token with some
+    ``m mod 2**32 < n``, and every token of a call with fewer than
+    ``_BULK`` of them or a bound of ``2**32`` or more, is realized by
+    :func:`_scalar_rows`.
     """
     keys = np.asarray(tokens, dtype=np.uint64).reshape(-1)
     top = max(n for n, _ in draws)
@@ -435,26 +423,19 @@ def _indices(tokens, draws) -> np.ndarray:
     out = np.empty((keys.size, sum(b for _, b in draws)),
                    np.min_scalar_type(top - 1) if top <= 2 ** 32
                    else np.int64)
-    if keys.size < _BULK_INDICES or top >= 2 ** 32:
+    if keys.size < _BULK or top >= 2 ** 32:
         scalar = range(keys.size)
     else:
         scalar = []
         halves = sum(b for n, b in draws if n > 1)
         words = -(-halves // 2)
-        bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        for lo in range(0, keys.size, _INDEX_BLOCK):
-            block = keys[lo:lo + _INDEX_BLOCK].tolist()
-            raw = np.empty((len(block), words), dtype=np.uint64)
-            with _philox_lock:
-                for i, t in enumerate(block):
-                    _PHILOX_KEY["key"] = (t, _TOKEN_SALT)
-                    bg.state = _PHILOX_STATE
-                    raw[i] = bg.random_raw(words)
-            u = np.empty((len(block), 2 * words), dtype=np.uint64)
-            np.bitwise_and(raw, _LOW32, out=u[:, 0::2])
-            np.right_shift(raw, _S32, out=u[:, 1::2])
-            rows, pos = out[lo:lo + len(block)], 0
-            reject = np.zeros(len(block), dtype=bool)
+        step = max(1, _BLOCK_WORDS // max(1, words))
+        for lo in range(0, keys.size, step):
+            raw = _philox_words(keys[lo:lo + step], -(-words // 4))
+            u = np.stack((raw & _LOW32, raw >> _S32), axis=2).reshape(
+                len(raw), -1)
+            rows, pos = out[lo:lo + step], 0
+            reject = np.zeros(len(rows), dtype=bool)
             for n, b in draws:
                 if n > 1:
                     m = u[:, :b] * np.uint64(n)
@@ -465,11 +446,8 @@ def _indices(tokens, draws) -> np.ndarray:
                     rows[:, pos:pos + b] = 0
                 pos += b
             scalar += (lo + np.flatnonzero(reject)).tolist()
-    for i in scalar:
-        gen = token_generator(int(keys[i]))
-        out[i] = np.concatenate([gen.integers(0, n, size=b)
-                                 for n, b in draws])
-        del gen  # so that the next token reuses the cached Philox
+    _scalar_rows(out, keys, scalar, lambda gen: np.concatenate(
+        [gen.integers(0, n, size=b) for n, b in draws]))
     return out
 
 
@@ -507,6 +485,23 @@ class _IndexOracle:
         for row, xr, dr, ix in zip(out, x, duals, idx):
             row[:] = self.row(xr, dr, ix)
         return out
+
+
+class _PerToken:
+    """A plain ``(x, dual, token)`` oracle in batched form: a batch is its
+    tokens (an ``(S, 1)`` column in ``grad``), and ``grad`` calls the
+    oracle once per row and returns the list of its values."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def sample(self, tokens):
+        return tokens
+
+    def grad(self, x, dual, tokens):
+        duals = [None] * len(x) if dual is None else dual
+        return [self.oracle(x[j], duals[j], tok)
+                for j, tok in enumerate(tokens[:, 0].tolist())]
 
 
 # ---------------------------------------------------------------------------

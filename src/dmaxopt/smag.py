@@ -44,6 +44,7 @@ from .core import (
     RngStream,
     RunRecord,
     _finite,
+    _PerToken,
     as_vector,
     project,
 )
@@ -320,23 +321,6 @@ def _concat(states: list):
     return replace(states[0], **{
         k: np.concatenate([getattr(s, k) for s in states])
         for k in _arrays(states[0])})
-
-
-class _PerToken:
-    """A plain ``(x, dual, token)`` oracle in batched form: a batch is its
-    tokens (an ``(S, 1)`` column in ``grad``), and ``grad`` calls the
-    oracle once per row and returns the list of its values."""
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-
-    def sample(self, tokens):
-        return tokens
-
-    def grad(self, x, dual, tokens):
-        duals = [None] * len(x) if dual is None else dual
-        return [self.oracle(x[j], duals[j], tok)
-                for j, tok in enumerate(tokens[:, 0].tolist())]
 
 
 class _Feed:

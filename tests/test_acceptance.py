@@ -4,7 +4,8 @@ Each test records ``[criterion NN] <label>: PASS/FAIL (<numbers>)`` in
 ``VERDICTS`` (re-emitted by conftest as a terminal summary section) and
 then enforces the same condition with an assert.  Thresholds and runtime
 budgets are pinned in the tests; nothing here is tunable from the
-outside.
+outside.  A last test pins criterion 10's batched bias reports to the
+per-token loop.
 """
 
 import dataclasses
@@ -314,35 +315,27 @@ def test_mode_equivalence_and_rerun_determinism():
 # 10. every stochastic oracle is unbiased (3 standard errors, componentwise)
 
 
-def test_stochastic_oracles_unbiased():
-    t0 = time.monotonic()
-    n = 100_000
-    reports = {}
-
+def _unbiasedness_cases() -> dict:
+    """Criterion 10's oracles: name -> (oracle, x, dual, exact mean)."""
+    cases = {}
     oned = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
     x1 = np.array([1.7])
-    reports["onedim phi"] = oracle_bias_report(
-        lambda t: oned.phi_subgrad_x(x1, None, t), np.array([1.0]), n=n)
-    reports["onedim psi"] = oracle_bias_report(
-        lambda t: oned.psi_subgrad_x(x1, None, t), np.array([0.5]), n=n)
+    cases["onedim phi"] = (oned.phi_subgrad_x, x1, None, np.array([1.0]))
+    cases["onedim psi"] = (oned.psi_subgrad_x, x1, None, np.array([0.5]))
 
     quad = make_quadratic_minmax(dim=3, noise_sigma=0.1)
     xq = np.array([0.3, -0.7, 1.2])
     yq = np.array([0.1, 0.2, -0.3])
-    reports["quadratic phi-x"] = oracle_bias_report(
-        lambda t: quad.phi_subgrad_x(xq, yq, t), yq, n=n)
-    reports["quadratic phi-y"] = oracle_bias_report(
-        lambda t: quad.phi_grad_y(xq, yq, t), xq - yq, n=n)
+    cases["quadratic phi-x"] = (quad.phi_subgrad_x, xq, yq, yq)
+    cases["quadratic phi-y"] = (quad.phi_grad_y, xq, yq, xq - yq)
 
     pos, unl = synth_gaussian_pu(60, 140, 5, 1.5, 0.5, seed=3)
     pu_params = PuParams(pi_p=0.5, batch_pos=8, batch_unl=8)
     pu = make_pu_problem(pos, unl, pu_params)
     w = np.array([0.21, -0.13, 0.08, 0.33, -0.27])
     g_phi_full, g_psi_full = pu_full_subgrads(w, pos, unl, pu_params)
-    reports["pu phi"] = oracle_bias_report(
-        lambda t: pu.phi_subgrad_x(w, None, t), g_phi_full, n=n)
-    reports["pu psi"] = oracle_bias_report(
-        lambda t: pu.psi_subgrad_x(w, None, t), g_psi_full, n=n)
+    cases["pu phi"] = (pu.phi_subgrad_x, w, None, g_phi_full)
+    cases["pu psi"] = (pu.psi_subgrad_x, w, None, g_psi_full)
 
     data = synth_biased_pauc(120, 5, seed=9)
     pa_params = PaucParams(rho=0.3, alpha_fair=0.5, lambda0=1.0,
@@ -352,19 +345,23 @@ def test_stochastic_oracles_unbiased():
     xp = np.concatenate([0.3 * gen.standard_normal(5),
                          0.2 + 0.1 * gen.standard_normal(pa.dim_x - 5)])
     yp = 0.05 * gen.standard_normal(5)
-    reports["pauc primal"] = oracle_bias_report(
-        lambda t: pa.phi_subgrad_x(xp, yp, t),
-        pauc_full_subgrads(xp, data, pa_params), n=n)
-    reports["pauc dual"] = oracle_bias_report(
-        lambda t: pa.phi_grad_y(xp, yp, t),
-        fairness_dual_grad(yp, data.features, data.sensitive, pa_params), n=n)
+    cases["pauc primal"] = (pa.phi_subgrad_x, xp, yp,
+                            pauc_full_subgrads(xp, data, pa_params))
+    cases["pauc dual"] = (pa.phi_grad_y, xp, yp, fairness_dual_grad(
+        yp, data.features, data.sensitive, pa_params))
 
     # alpha = 0 makes the dual oracle constant: the exact-equality branch
     pa0_params = PaucParams(rho=0.3, alpha_fair=0.0, lambda0=1.0,
                             batch_pos=8, batch_neg=8, batch_attr=8)
     pa0 = pauc_fair_problem(data, pa0_params)
-    reports["pauc dual alpha=0"] = oracle_bias_report(
-        lambda t: pa0.phi_grad_y(xp, yp, t), -1.0 * yp, n=n)
+    cases["pauc dual alpha=0"] = (pa0.phi_grad_y, xp, yp, -1.0 * yp)
+    return cases
+
+
+def test_stochastic_oracles_unbiased():
+    t0 = time.monotonic()
+    reports = {name: oracle_bias_report(*case, n=100_000)
+               for name, case in _unbiasedness_cases().items()}
 
     elapsed = time.monotonic() - t0
     failures = [k for k, rep in reports.items() if not rep.passed]
@@ -374,3 +371,42 @@ def test_stochastic_oracles_unbiased():
                     f"{len(reports)} oracles, worst {worst:.2f} sigma <= 3, "
                     f"failures {failures or 'none'}, {elapsed:.1f}s")
     assert ok, line
+
+
+def _per_token_report(oracle, x, dual, ref, n):
+    """The bias report's sums and extremes taken one token at a time."""
+    total, total_sq = np.zeros_like(ref), np.zeros_like(ref)
+    lo, hi = np.full_like(ref, np.inf), np.full_like(ref, -np.inf)
+    for token in range(n):
+        g = np.asarray(oracle(x, dual, token), dtype=np.float64)
+        total += g
+        total_sq += g * g
+        np.minimum(lo, g, out=lo)
+        np.maximum(hi, g, out=hi)
+    mean = total / n
+    se = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
+    constant = lo == hi
+    diff = np.abs(mean - ref)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigmas = np.where(diff == 0.0, 0.0, diff / se)[~constant]
+    return (mean, se, float(np.max(sigmas)) if sigmas.size else 0.0,
+            bool(np.array_equal(lo[constant], ref[constant])))
+
+
+def test_batched_bias_reports_are_the_per_token_reports():
+    # criterion 10's reports run its oracles batched, 1024 tokens a call;
+    # n spans a partial last chunk.  The onedim oracles return one column,
+    # whose sum a reduce would take pairwise; "pu plain" runs token by
+    # token through the batched form of a plain callable
+    cases = _unbiasedness_cases()
+    pu_phi = cases["pu phi"][0]
+    cases["pu plain"] = (lambda x, dual, t: pu_phi(x, dual, t),
+                         *cases["pu phi"][1:])
+    n = 2500
+    for name, case in cases.items():
+        rep = oracle_bias_report(*case, n=n)
+        mean, se, worst, constant_ok = _per_token_report(*case, n)
+        assert rep.mean.tobytes() == mean.tobytes(), name
+        assert rep.se.tobytes() == se.tobytes(), name
+        assert (rep.worst_sigmas, rep.constant_ok) == (worst, constant_ok)
+    assert not hasattr(cases["pu plain"][0], "grad")

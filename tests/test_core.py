@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import dmaxopt
 import dmaxopt.core as core
 from dmaxopt.core import (
     _TOKEN_SALT,
+    ConstraintSet,
     DMaxProblem,
     DimensionError,
     NonFiniteError,
@@ -132,6 +134,8 @@ def test_whole_space_projection_is_identity():
     v = np.array([1.0, -2.0, 3.0, 0.0])
     assert project(cset, v).tolist() == v.tolist()
     assert cset.kind == "whole-space"
+    with pytest.raises(ParameterError, match="dimension must be >= 1"):
+        whole_space(0)
 
 
 def test_projection_properties_random():
@@ -274,6 +278,11 @@ def test_box_validation():
         ball([0.0], 0.0)
     with pytest.raises(DimensionError):
         project(box([-1.0], [1.0]), [1.0, 2.0])
+    # a set built by hand of a kind neither map knows
+    odd = ConstraintSet(kind="simplex", dim=2)
+    for op in (project, contains):
+        with pytest.raises(ParameterError, match="unknown constraint kind"):
+            op(odd, [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +427,21 @@ def _same_draws(gen, ref):
 
 def test_token_generator_is_token_map_v1():
     """Token map v1: ``token_generator(t, salt)`` draws what a fresh
-    ``Philox(key=[t, salt])`` draws, whether it reuses its cached state
-    or not."""
+    ``Philox(key=[t, salt])`` draws."""
     for salt in (_TOKEN_SALT, _DATA_SALT):
         for token in (0, 1, 2 ** 63, 2 ** 64 - 1):
             _same_draws(token_generator(token, salt),
                         _fresh_philox(token, salt))
-    # a dropped generator's state is reused, a held one's is not
-    reused = id(token_generator(5).bit_generator)
-    assert id(token_generator(6).bit_generator) == reused
-    held = token_generator(7)
-    assert token_generator(8).bit_generator is not held.bit_generator
-    _same_draws(held, _fresh_philox(7, _TOKEN_SALT))
+
+
+def test_token_generator_refuses_keys_outside_64_bits():
+    # -1 would otherwise wrap to 2**64 - 1, and 2**64 to 0
+    for token, salt in ((-1, _TOKEN_SALT), (2 ** 64, _TOKEN_SALT),
+                        (0, -1), (0, 2 ** 64)):
+        with pytest.raises(ParameterError, match="below 2\\*\\*64"):
+            token_generator(token, salt)
+    _same_draws(token_generator(np.uint64(2 ** 64 - 1)),
+                _fresh_philox(2 ** 64 - 1, _TOKEN_SALT))
 
 
 def test_token_generators_held_together_stay_independent():
@@ -458,19 +470,27 @@ def test_philox_words_are_numpy_philox_raw_output():
             assert bg.random_raw(12).tolist() == w.tolist()
 
 
+def _count_scalar_rows(monkeypatch) -> list:
+    """The tokens that ``_scalar_rows`` realizes from now on, in order."""
+    realized = []
+    plain = core._scalar_rows
+
+    def counted(out, keys, rows, draw):
+        rows = list(rows)
+        realized.extend(int(keys[i]) for i in rows)
+        plain(out, keys, rows, draw)
+
+    monkeypatch.setattr(core, "_scalar_rows", counted)
+    return realized
+
+
 @pytest.mark.parametrize("d", [1, 10, 27])
 def test_bulk_normals_are_token_map_v1(d, monkeypatch):
     """The ziggurat tables are pinned on 1e5 tokens: every bulk normal
     equals ``token_generator(t).standard_normal(d)`` to the bit, and at
     d = 1 almost every token takes the fast path (each of the 256 layers
     about 390 times)."""
-    fallbacks = []
-
-    def counted(token, salt=_TOKEN_SALT):
-        fallbacks.append(token)
-        return token_generator(token, salt)
-
-    monkeypatch.setattr(core, "token_generator", counted)
+    fallbacks = _count_scalar_rows(monkeypatch)
     toks = np.random.default_rng(d).integers(0, 2 ** 64, size=100_000,
                                              dtype=np.uint64)
     out = _normals(toks, d)
@@ -480,44 +500,32 @@ def test_bulk_normals_are_token_map_v1(d, monkeypatch):
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     share = len(fallbacks) / toks.shape[0]
     # a token falls back when any of its d draws misses the fast path
-    assert share < {1: 0.02, 10: 0.15, 27: 0.36}[d]
+    assert 0 < share < {1: 0.02, 10: 0.15, 27: 0.36}[d]
     assert _normals(toks[:0], d).shape == (0, d)
 
 
 def test_a_few_normals_take_the_scalar_generator(monkeypatch):
-    """Below ``_BULK_NORMALS`` tokens every token is realized by the
-    scalar generator, which a call of a few tokens runs faster; the bits
-    are the same."""
-    realized = []
-
-    def counted(token, salt=_TOKEN_SALT):
-        realized.append(token)
-        return token_generator(token, salt)
-
-    monkeypatch.setattr(core, "token_generator", counted)
-    toks = np.arange(7, 7 + core._BULK_NORMALS - 1, dtype=np.uint64)
+    """Below ``_BULK`` tokens every token is realized by the scalar
+    generator, which a call of a few tokens runs faster; the bits are the
+    same."""
+    realized = _count_scalar_rows(monkeypatch)
+    toks = np.arange(7, 7 + core._BULK - 1, dtype=np.uint64)
     out = _normals(toks, 10)
     assert realized == toks.tolist()
     want = np.stack([token_generator(t).standard_normal(10)
                      for t in toks.tolist()])
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     realized.clear()
-    _normals(np.arange(7, 7 + core._BULK_NORMALS, dtype=np.uint64), 10)
-    assert len(realized) < core._BULK_NORMALS
+    _normals(np.arange(7, 7 + core._BULK, dtype=np.uint64), 10)
+    assert len(realized) < core._BULK
 
 
 def test_wide_normals_take_the_scalar_generator(monkeypatch):
     """Above ``_BULK_MAX_D`` draws per token every token is realized by the
     scalar generator, which is then faster at any token count; the bits
     are the same."""
-    realized = []
-
-    def counted(token, salt=_TOKEN_SALT):
-        realized.append(token)
-        return token_generator(token, salt)
-
-    monkeypatch.setattr(core, "token_generator", counted)
-    toks = np.arange(7, 7 + 4 * core._BULK_NORMALS, dtype=np.uint64)
+    realized = _count_scalar_rows(monkeypatch)
+    toks = np.arange(7, 7 + 4 * core._BULK, dtype=np.uint64)
     for d in (core._BULK_MAX_D + 1, 100):
         realized.clear()
         out = _normals(toks, d)
@@ -538,7 +546,6 @@ def _per_token_indices(tokens, draws):
         gen = token_generator(t)
         rows.append(np.concatenate(
             [gen.integers(0, n, size=b) for n, b in draws]))
-        del gen
     return np.array(rows, dtype=np.int64).reshape(
         len(rows), sum(b for _, b in draws))
 
@@ -554,24 +561,21 @@ def _per_token_indices(tokens, draws):
     ((2 ** 31, 3), (2 ** 32 - 1, 2)),
 ])
 def test_bulk_indices_are_the_per_token_draws(draws, monkeypatch):
-    realized = []
-
-    def counted(token, salt=_TOKEN_SALT):
-        realized.append(token)
-        return token_generator(token, salt)
-
-    monkeypatch.setattr(core, "token_generator", counted)
+    realized = _count_scalar_rows(monkeypatch)
     toks = np.random.default_rng(len(draws)).integers(
-        0, 2 ** 64, size=2 * core._INDEX_BLOCK + 3, dtype=np.uint64)
+        0, 2 ** 64, size=4 * core._BULK + 3, dtype=np.uint64)
     toks[:2] = [0, 2 ** 64 - 1]
     want = _per_token_indices(toks.tolist(), draws)
-    for n in (1, core._BULK_INDICES - 1, core._BULK_INDICES, toks.size):
-        realized.clear()
-        got = _indices(toks[:n], draws)
-        assert got.dtype == np.min_scalar_type(max(draws)[0] - 1)
-        assert np.array_equal(got, want[:n])
-        if n < core._BULK_INDICES:
-            assert realized == toks[:n].tolist()
+    # one block of words, then blocks of a few tokens each
+    for block_words in (core._BLOCK_WORDS, 40):
+        monkeypatch.setattr(core, "_BLOCK_WORDS", block_words)
+        for n in (1, core._BULK - 1, core._BULK, toks.size):
+            realized.clear()
+            got = _indices(toks[:n], draws)
+            assert got.dtype == np.min_scalar_type(max(draws)[0] - 1)
+            assert np.array_equal(got, want[:n])
+            if n < core._BULK:
+                assert realized == toks[:n].tolist()
     # a token falls back when some m mod 2**32 < n: a superset of numpy's
     # rejections, so fallbacks happen only where a bound is near 2**32
     share = len(realized) / toks.size
@@ -584,19 +588,40 @@ def test_bulk_indices_are_the_per_token_draws(draws, monkeypatch):
 
 def test_indices_of_bounds_from_2_to_the_32_take_the_scalar_generator(
         monkeypatch):
-    realized = []
-
-    def counted(token, salt=_TOKEN_SALT):
-        realized.append(token)
-        return token_generator(token, salt)
-
-    monkeypatch.setattr(core, "token_generator", counted)
-    toks = np.arange(3, 3 + 2 * core._BULK_INDICES, dtype=np.uint64)
+    realized = _count_scalar_rows(monkeypatch)
+    toks = np.arange(3, 3 + 2 * core._BULK, dtype=np.uint64)
     for draws in (((2 ** 32, 3),), ((10, 2), (2 ** 40, 1))):
         realized.clear()
         got = _indices(toks, draws)
         assert realized == toks.tolist()
         assert np.array_equal(got, _per_token_indices(toks.tolist(), draws))
+
+
+def test_threads_realize_the_same_bits_as_one_thread():
+    # no module state: four threads that realize tokens at once each get
+    # the bits that one thread alone gets
+    toks = np.random.default_rng(4).integers(0, 2 ** 64, size=600,
+                                             dtype=np.uint64)
+    draws = ((3 * 2 ** 30, 1), (1000, 9))
+
+    def work(k):
+        mine = toks[k::4]
+        return [_normals(mine, 10).tobytes(), _normals(mine[:9], 3).tobytes(),
+                _indices(mine, draws).tobytes(),
+                _indices(mine[:9], draws).tobytes(),
+                [token_generator(t).standard_normal(4).tobytes()
+                 for t in mine.tolist()]]
+
+    want = [work(k) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, k) for k in range(4)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_import_leaves_numpy_random_unloaded():
@@ -669,3 +694,7 @@ def test_constants_validation():
         ProblemConstants(l_phi_yx=-1.0)
     with pytest.raises(ParameterError):
         ProblemConstants(m_bound=0.0)
+    for field in ("delta_phi", "mu_psi", "l_phi_yx", "m_bound"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match=f"{field} must be finite"):
+                ProblemConstants(**{field: bad})

@@ -18,6 +18,8 @@ def test_dataset_validation():
         LabeledDataset(np.zeros(3), [1, -1, 1])  # not 2-D
     with pytest.raises(ParameterError):
         LabeledDataset(feats, [1, -1, 1], sensitive=[1, 2, 1])
+    with pytest.raises(ParameterError, match="sensitive length"):
+        LabeledDataset(feats, [1, -1, 1], sensitive=[1, -1])
 
 
 def test_dataset_counts_and_subset():

@@ -117,6 +117,18 @@ def test_cli_grad_check_refuses_a_box_that_is_not_a_pair(tmp_path, capsys,
     assert "sample_box must be an increasing pair" in capsys.readouterr().err
 
 
+def test_a_negative_sample_or_data_seed_exits_2(tmp_path, capsys):
+    # token_generator keys hold 64 bits: -1 drew what 2**64 - 1 draws
+    cfg = {"problem": {"kind": "onedim-dwc"}, "gamma": 1.0, "n_points": 2}
+    assert _main(tmp_path, "grad-check", cfg, "seed=-1") == 2
+    assert "below 2**64" in capsys.readouterr().err
+    pu = {"kind": "pu-synth", "pi_p": 0.5, "n_pos": 20, "n_unl": 30,
+          "dim": 4, "data_seed": -1}
+    assert _main(tmp_path, "run", _good_cfg(problem=pu)) == 2
+    assert "below 2**64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # configs
 
@@ -186,6 +198,10 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict(_good_cfg(algorithm="sgda", lr=0.1))
     with pytest.raises(ParameterError, match="t_total must be >= 1"):
         ExperimentConfig.from_dict(_good_cfg(t_total=0))
+    with pytest.raises(ParameterError, match="config must be an object"):
+        ExperimentConfig.from_dict([_good_cfg()])
+    with pytest.raises(ParameterError, match="object with a 'kind'"):
+        ExperimentConfig.from_dict(_good_cfg(problem={"dim": 3}))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -820,6 +836,12 @@ def test_cli_fairness(tmp_path, capsys):
     path5 = _write_cfg(tmp_path, {"scores_csv": str(word)}, name="cfg5.json")
     assert main(["fairness", path5]) == 2
     assert (f"{word}: line 2: score must be a number, got 'abc'"
+            in capsys.readouterr().err)
+    short = tmp_path / "short.csv"
+    short.write_text("2.0,1,1\n1.0,-1\n")
+    path6 = _write_cfg(tmp_path, {"scores_csv": str(short)}, name="cfg6.json")
+    assert main(["fairness", path6]) == 2
+    assert (f"{short}: line 2: expected score,label,attr"
             in capsys.readouterr().err)
 
     path4 = _write_cfg(tmp_path, {"scores_csv": str(tmp_path / "ghost.csv")},

@@ -7,6 +7,7 @@ from dmaxopt.core import (
     CapabilityError,
     DMaxProblem,
     ExactAux,
+    FunctionOracle,
     ParameterError,
     ProblemConstants,
     RngStream,
@@ -125,6 +126,19 @@ def test_iterative_prox_blind_oracle():
     x = np.array([1.9])
     r = prox(blind, x, 0.7)
     assert abs(r.point[0] - f.prox(x, 0.7)[0]) < 1e-6
+
+
+def test_prox_restarts_runaway_steps_and_still_converges():
+    # f = u**4 / 4 at x = 3: the first steps overshoot past the guard, and
+    # each restart halves the step cap until the steps settle
+    f = FunctionOracle(value=lambda u: float(np.sum(u ** 4)) / 4.0,
+                       subgrad=lambda u: u ** 3, differentiable=True)
+    r = prox(f, [3.0], 1.0)
+    # the prox point solves u**3 + u - 3 = 0
+    root = next(z.real for z in np.roots([1.0, 0.0, 1.0, -3.0])
+                if abs(z.imag) < 1e-12)
+    assert r.residual <= 1e-8 and not r.exact
+    assert abs(r.point[0] - root) < 1e-8
 
 
 def test_prox_nonconvergence_is_flagged_not_raised():

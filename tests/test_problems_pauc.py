@@ -548,10 +548,11 @@ def test_batched_oracles_equal_their_plain_calls(batches):
     x = np.concatenate([rng.normal(size=(seeds, 4)),
                         rng.uniform(0.2, 1.0, (seeds, prob.dim_x - 4))], 1)
     y = rng.normal(scale=0.3, size=(seeds, 4))
-    tokens = rng.integers(0, 2 ** 64, size=(20, seeds), dtype=np.uint64)
+    # 150 tokens: sample realizes them in bulk
+    tokens = rng.integers(0, 2 ** 64, size=(50, seeds), dtype=np.uint64)
     for oracle, dim in ((prob.phi_subgrad_x, prob.dim_x),
                         (prob.phi_grad_y, 4)):
-        batch = oracle.sample(tokens.reshape(-1)).reshape(20, seeds, -1)
+        batch = oracle.sample(tokens.reshape(-1)).reshape(50, seeds, -1)
         for step, toks in enumerate(tokens.tolist()):
             got = oracle.grad(x, y, batch[step])
             assert got.shape == (seeds, dim)
@@ -595,6 +596,11 @@ def test_alpha_without_attributes_is_rejected():
     # alpha = 0 is fine without attributes
     prob = pauc_fair_problem(data, PaucParams(alpha_fair=0.0))
     assert prob.name == "pauc-fair/2"
+    # and data of one class has no pairs to rank
+    for labels in ([1, 1], [-1, -1]):
+        with pytest.raises(ParameterError, match="one positive and one neg"):
+            pauc_fair_problem(LabeledDataset(np.eye(2), labels),
+                              PaucParams(alpha_fair=0.0))
 
 
 def test_split_scorer_validates_shape():

@@ -116,8 +116,9 @@ def test_batched_oracles_equal_their_plain_calls(sets):
     rng = np.random.default_rng(n_pos)
     seeds = 3
     x = rng.normal(size=(seeds, 5))
-    tokens = rng.integers(0, 2 ** 64, size=(20, seeds), dtype=np.uint64)
-    batches = [o.sample(tokens.reshape(-1)).reshape(20, seeds, -1)
+    # 150 tokens: sample realizes them in bulk
+    tokens = rng.integers(0, 2 ** 64, size=(50, seeds), dtype=np.uint64)
+    batches = [o.sample(tokens.reshape(-1)).reshape(50, seeds, -1)
                for o in (prob.phi_subgrad_x, prob.psi_subgrad_x)]
     assert np.array_equal(batches[1], batches[0][:, :, :bp])
     for oracle, batch in zip((prob.phi_subgrad_x, prob.psi_subgrad_x),
@@ -165,6 +166,9 @@ def test_make_pu_problem_validation():
     empty = LabeledDataset(np.zeros((0, 1)), [])
     with pytest.raises(ParameterError):
         make_pu_problem(empty, unlabeled, params)
+    for sets in ((empty, unlabeled), (positives, empty)):
+        with pytest.raises(ParameterError, match="must be non-empty"):
+            pu_objective(np.zeros(1), *sets, params)
     with pytest.raises(ParameterError):
         make_pu_problem(positives, LabeledDataset(np.zeros((2, 3)),
                                                   [1, -1]), params)

@@ -233,6 +233,8 @@ def test_validate_schedule_coupling_and_nu():
                       t_total=10)
     with pytest.raises(ParameterError):
         validate_schedule(bad_nu, c, "dwc")
+    with pytest.raises(ParameterError, match="t_total must be >= 1"):
+        validate_schedule(dataclasses.replace(good, t_total=0), c, "dwc")
 
 
 # ---------------------------------------------------------------------------
@@ -1404,13 +1406,17 @@ def test_every_token_on_the_scalar_fallback_keeps_the_golden_digests(
     # would read 0
     monkeypatch.setattr(core, "_zig", (np.zeros(256),
                                        np.zeros(256, dtype=np.uint64)))
-    # no call reaches the bulk index cutoff: the pAUC run's chunks of 60
-    # tokens per oracle are realized token by token
-    monkeypatch.setattr(core, "_BULK_INDICES", 2 ** 62)
+    # the pAUC run's chunks of 60 tokens per oracle are below the bulk
+    # cutoff: its indices are realized token by token
     realized = []
-    plain = core.token_generator
-    monkeypatch.setattr(core, "token_generator",
-                        lambda t: realized.append(t) or plain(t))
+    plain = core._scalar_rows
+
+    def counted(out, keys, rows, draw):
+        rows = list(rows)
+        realized.extend(rows)
+        plain(out, keys, rows, draw)
+
+    monkeypatch.setattr(core, "_scalar_rows", counted)
     for case, make in _golden_runs().items():
         n = len(realized)
         assert _digest(make()) == GOLDEN[case], case
@@ -2075,6 +2081,28 @@ def test_a_block_of_trace_rows_holds_a_bounded_number_of_floats(dim,
     assert max(seen) <= bound
     assert sum(seen) == t_total * n_seeds
     assert len(seen) == 1 + -(-(t_total - 1) * n_seeds // bound)
+
+
+def test_an_event_in_the_last_block_of_trace_rows_replays_the_run():
+    # the last block of rows is taken after the loop: a floating-point
+    # event there ends the attempt as one inside the loop would
+    prob = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    calls = []
+
+    def objective(x):
+        calls.append(len(x))
+        if len(calls) == 2:  # the attempt's rows of step 10
+            np.float64(1e308) * 10.0
+        return prob.full_objective(x)
+
+    sched = Schedule.from_manual(0.5, 0.005, 0.01, 10, prob.constants,
+                                 mode="dwc")
+    want = run(prob, "dwc", sched, RngStream(3), x0=2.0, trace_every=5)
+    got = run(dataclasses.replace(prob, full_objective=objective), "dwc",
+              sched, RngStream(3), x0=2.0, trace_every=5)
+    # the attempt's two blocks (steps 5 and 10), then the replay's
+    assert calls == [1, 1, 1, 1]
+    assert _digest(got) == _digest(want)
 
 
 def test_elapsed_ms_leaves_out_the_time_of_trace_rows():

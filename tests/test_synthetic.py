@@ -83,6 +83,9 @@ def test_piecewise_quadratic_prox_with_center_and_curvature():
     u = f.prox(v, 0.5)
     s = f.subgrad(u) + (u - v) / 0.5
     assert abs(float(s[0])) < 1e-12
+    # curvature -2 leaves 1/gamma - 2 <= 0 at gamma 0.5: no prox
+    with pytest.raises(ParameterError, match="prox undefined"):
+        piecewise_quadratic(1.0, 2.0, -2.0).prox(v, 0.5)
 
 
 def test_piecewise_quadratic_prox_stationarity_random():
@@ -115,6 +118,9 @@ def test_piecewise_quadratic_kink_gap():
     # with center+curvature the kink center shifts to c*(1 + gamma*kappa)
     g = piecewise_quadratic(1.0, 2.0, 1.0)
     assert g.kink_gap(np.array([3.0 + 0.5]), 0.5) == pytest.approx(0.0, abs=1e-15)
+    # without the |.| term the envelope has no kink
+    assert piecewise_quadratic(0.0, 2.0, 1.0).kink_gap(
+        np.array([3.5]), 0.5) == math.inf
 
 
 def test_piecewise_quadratic_weak_convexity_modulus():
@@ -241,6 +247,9 @@ def test_quadratic_minmax_best_response_is_clip():
     prob = make_quadratic_minmax(dim=3)
     x = np.array([0.5, 2.0, -3.0])
     assert np.allclose(prob.exact_aux.best_response_y(x), [0.5, 1.0, -1.0])
+    # Danskin: the gradient of Phi = huber is the best response
+    assert np.array_equal(prob.phi_fn.subgrad(x),
+                          prob.exact_aux.best_response_y(x))
 
 
 def test_quadratic_minmax_best_response_maximizes():

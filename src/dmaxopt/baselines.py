@@ -47,26 +47,32 @@ class BaselineState:
 
 
 def _sgd_kernel(problem: DMaxProblem, st: BaselineState, lr: float,
-                feed, n: int):
+                feed, n: int, held):
     """``n`` steps, run as :func:`smag._smag_kernel` runs them."""
     shape, y, grad = st.x.shape, st.y, feed.grad
     lr = np.array(lr)  # 0-d, as smag._smag_kernel keeps its steps
     x_new = st.x
+    hold, due = held.hold, held.due
     for t in range(st.t, st.t + n):
         x = x_new
         feed.next_step(t)
         direction = (grad(0, x, y, shape, "phi_subgrad_x")
                      - grad(1, x, None, shape, "psi_subgrad_x"))
         x_new = x - lr * direction
+        if t == due:
+            if not hold(t, (x, x_new, y, direction)):
+                break
+            due = held.due
     return x, BaselineState(x_new, y, direction, t + 1)
 
 
 def _sgda_kernel(problem: DMaxProblem, st: BaselineState, lr_x: float,
-                 lr_y: float, feed, n: int):
+                 lr_y: float, feed, n: int, held):
     """``n`` steps, run as :func:`smag._smag_kernel` runs them."""
     shape, set_y, grad = st.x.shape, problem.set_y, feed.grad
     lr_x, lr_y = np.array(lr_x), np.array(lr_y)
     x_new, y_new = st.x, st.y
+    hold, due = held.hold, held.due
     for t in range(st.t, st.t + n):
         x, y = x_new, y_new
         feed.next_step(t)
@@ -74,6 +80,10 @@ def _sgda_kernel(problem: DMaxProblem, st: BaselineState, lr_x: float,
         g_y = grad(1, x, y, y.shape, "phi_grad_y")
         x_new = x - lr_x * g_x
         y_new = project(set_y, y + lr_y * g_y)
+        if t == due:
+            if not hold(t, (x, x_new, y_new, g_x)):
+                break
+            due = held.due
     return x, BaselineState(x_new, y_new, g_x, t + 1)
 
 
@@ -114,8 +124,9 @@ def _run(problem: DMaxProblem, oracles: list, kernel, t_total: int, rng, x0,
     return res[0] if isinstance(rng, RngStream) else res
 
 
-def _direction_norm(prev_x: np.ndarray, state: BaselineState):
-    return _norms(state.last_dir).tolist(), [math.nan] * state.x.shape[0]
+def _direction_norm(block):
+    stat = _norms(block.last_dir).tolist()
+    return stat, [math.nan] * len(stat)
 
 
 def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
@@ -127,17 +138,18 @@ def run_sgd(problem: DMaxProblem, lr: float, t_total: int, rng,
     With a sequence of streams for ``rng`` (and of labels for
     ``seed_label``) the seeds run in lockstep, as in
     :func:`dmaxopt.smag.run`, and a list of results comes back.  As
-    there, a run is an attempt that tests its iterates at each segment's
-    end, and one that fails is replayed seed by seed: a seed stops at its
-    first non-finite oracle value or iterate, with its solo run's message.
+    there, a run is an attempt that tests its iterates at each traced step
+    and segment end, and one that fails is replayed seed by seed: a seed
+    stops at its first non-finite oracle value or iterate, with its solo
+    run's message.
     A failing run does its work up to twice, and the replay needs each
     oracle to be a pure function of ``(x, dual, token)``.
     """
     if not (lr > 0 and math.isfinite(lr)):
         raise ParameterError("lr must be positive and finite")
     return _run(problem, _sgd_oracles(problem),
-                lambda st, scale, feed, n: _sgd_kernel(
-                    problem, st, lr * scale, feed, n),
+                lambda st, scale, feed, n, held: _sgd_kernel(
+                    problem, st, lr * scale, feed, n, held),
                 t_total, rng, x0, seed_label=seed_label,
                 shared_sample=shared_sample, anchor="sgd iterate",
                 trace_every=trace_every, decay_milestones=decay_milestones,
@@ -157,8 +169,8 @@ def run_sgda(problem: DMaxProblem, lr_x: float, lr_y: float, t_total: int,
             and math.isfinite(lr_y)):
         raise ParameterError("step sizes must be positive and finite")
     return _run(problem, _sgda_oracles(problem),
-                lambda st, scale, feed, n: _sgda_kernel(
-                    problem, st, lr_x * scale, lr_y * scale, feed, n),
+                lambda st, scale, feed, n, held: _sgda_kernel(
+                    problem, st, lr_x * scale, lr_y * scale, feed, n, held),
                 t_total, rng, x0, seed_label=seed_label,
                 shared_sample=shared_sample, anchor="sgda iterate",
                 trace_every=trace_every, decay_milestones=decay_milestones,

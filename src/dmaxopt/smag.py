@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -315,12 +316,46 @@ def _stack(state, n: int):
                              for k, v in _arrays(state).items()})
 
 
-def _concat(states: list):
-    """The rows of the stacked ``states``, in order, as one stacked state
-    (whose ``t`` is the first one's)."""
-    return replace(states[0], **{
-        k: np.concatenate([getattr(s, k) for s in states])
-        for k in _arrays(states[0])})
+class _Held:
+    """The traced steps whose trace rows are not computed yet: per step
+    its count, its clock and its row, the previous anchors and then the
+    array fields of the state after the step, in their order.  A kernel
+    holds the arrays it built, with no copy: each step builds fresh ones.
+    ``due`` is the next traced step, counted from 0: every ``every``-th
+    step and the last of ``t_total``."""
+
+    def __init__(self, every: int, t_total: int):
+        self.every, self.last = every, t_total - 1
+        self.due = min(every, t_total) - 1
+        self.clear()
+
+    def clear(self) -> None:
+        self.t, self.clock, self.rows = [], [], []
+
+    def hold(self, t: int, row: tuple) -> bool:
+        """Hold step ``t`` (from 0) if its anchors, ``row[1]``, are
+        finite; tell whether they were."""
+        if not _finite(row[1]):
+            return False
+        self.t.append(t + 1)
+        self.clock.append(time.perf_counter())
+        self.rows.append(row)
+        self.due = min(t + self.every, self.last)
+        return True
+
+
+class _Block:
+    """Held rows as one stacked state with its ``prev_x``: a field is its
+    rows' arrays concatenated in step order, made when first read."""
+
+    def __init__(self, names: tuple, rows: list):
+        self._columns = dict(zip(names, zip(*rows)))
+
+    def __getattr__(self, name: str):
+        arrays = self._columns[name]
+        value = arrays[0] if arrays[0] is None else np.concatenate(arrays)
+        setattr(self, name, value)
+        return value
 
 
 class _Feed:
@@ -420,12 +455,14 @@ def _smag_oracles(problem: DMaxProblem, mode: Mode):
 
 
 def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
-                 lr_scale: float, feed: _Feed, n: int):
+                 lr_scale: float, feed: _Feed, n: int, held: _Held):
     """``n`` steps of the stacked seeds ``st``: the anchors before the last
-    and the state after it.  A part steps when its token slot has an
-    oracle (:func:`_smag_oracles`).  With Psi, ``x_phi`` and ``x_psi``
-    step as the two rows of one ``(2, S, dim)`` stack, and are its rows:
-    each number is the one their separate updates give."""
+    and the state after it.  Each traced step on the way goes to ``held``,
+    and the first whose anchors are not finite is the last step run.  A
+    part steps when its token slot has an oracle (:func:`_smag_oracles`).
+    With Psi, ``x_phi`` and ``x_psi`` step as the two rows of one ``(2,
+    S, dim)`` stack, and are its rows: each number is the one their
+    separate updates give."""
     # 0-d float64 arrays: a ufunc takes one at a lower call cost than a
     # Python float, with the same bits
     eta1 = np.array(sched.eta1 * lr_scale)
@@ -436,6 +473,7 @@ def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
     shape = st.x.shape
     x_new, x_phi_new, x_psi_new = st.x, st.x_phi, st.x_psi
     y_new, z_new, g_vec = st.y, st.z, st.last_g
+    hold, due = held.hold, held.due
     if oracle_psi is not None:
         inner = np.stack([x_phi_new, x_psi_new])
         g_inner = np.empty_like(inner)
@@ -465,6 +503,11 @@ def _smag_kernel(problem: DMaxProblem, st: SmagState, sched: Schedule,
             x_phi_new, x_psi_new = inner[0], inner[1]
             g_vec = (x_psi_new - x_phi_new) * inv_gamma
         x_new = x_t - eta0 * g_vec
+        if t == due:
+            if not hold(t, (x_t, x_new, x_phi_new, x_psi_new, y_new, z_new,
+                            g_vec)):
+                break
+            due = held.due
     return x_t, SmagState(x=x_new, x_phi=x_phi_new, x_psi=x_psi_new,
                           y=y_new, z=z_new, last_g=g_vec, t=t + 1)
 
@@ -616,14 +659,18 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     the stack of a block of traced steps, one call of ``full_objective``
     and of each exact map per block, and reduced row by row.  ``t_bar``
     and aborts stay per seed.  A run, of one stream or of many, is first
-    an attempt that tests the anchors only at the end of each segment of
-    steps (see :func:`_drive`).  A non-finite value, or a floating-point
-    warning or error, ends it, and every seed is then replayed alone,
-    testing each value as it comes: a seed stops at its first error in
-    call order, with its solo run's message, step, partial trace, final
-    state and stream position, and the others run as alone.  So a failing
-    run does its work up to twice, and the replay needs each oracle to be
-    a pure function of ``(x, dual, token)``.  ``elapsed_ms`` is the
+    an attempt that tests the anchors only at each traced step and at the
+    end of each segment of steps (see :func:`_drive`).  A non-finite
+    value, or a floating-point warning or error, ends it, and every seed
+    is then replayed alone, testing each value as it comes: a seed stops
+    at its first error in call order, with its solo run's message, step,
+    partial trace, final state and stream position, and the others run as
+    alone.  So a failing run does its work up to twice, and the replay
+    needs each oracle to be a pure function of ``(x, dual, token)``.  An
+    attempt whose anchors go non-finite stops at the first traced step or
+    segment end from there on, and passes the oracles no token of a later
+    step: a run traced rarely (say ``trace_every=t_total``) runs on to the
+    end of the segment that holds the failure.  ``elapsed_ms`` is the
     seeds' shared clock at the traced step (a replayed seed's own), net
     of the time spent computing trace rows.
     """
@@ -657,10 +704,10 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
                 kept[i] = (prev_x[j].copy(), nxt.x_phi[j].copy(),
                            nxt.x_psi[j].copy())
 
-    def rows(prev_x: np.ndarray, cur: SmagState):
+    def rows(cur):
         if trace_potential:
             p_t = (pot_coef * _potential_terms(
-                aux, *_prox_pair(aux, prev_x, sched.gamma, oracles), cur,
+                aux, *_prox_pair(aux, cur.prev_x, sched.gamma, oracles), cur,
                 oracles)).tolist()
         else:
             p_t = [math.nan] * cur.x.shape[0]
@@ -673,8 +720,8 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
 
     ran = _drive(
         problem, start, t_total, rngs, oracles,
-        lambda st, scale, feed, n: _smag_kernel(problem, st, sched, scale,
-                                                feed, n),
+        lambda st, scale, feed, n, held: _smag_kernel(
+            problem, st, sched, scale, feed, n, held),
         rows, anchor="anchor iterate", shared_sample=shared_sample,
         on_step=on_step, trace_every=trace_every,
         events=range(1, t_total) if collect_states else list(marks),
@@ -730,45 +777,52 @@ def _drive(problem: DMaxProblem, start, t_total: int, rngs: list,
     Every stream of ``rngs`` starts from the 1-D ``start`` (any state
     dataclass with ``x`` and ``t``) and feeds the oracles of the token
     slots ``oracles`` through a :class:`_Feed`.  ``kernel(state,
-    lr_scale, feed, n)`` runs ``n`` steps of a stacked state, one row per
-    seed, and returns the anchors before its last step and the state
-    after it.  At step ``t`` (from 0) each milestone ``m <= t`` divides
-    ``lr_scale`` by ``decay_factor``, which must be positive and finite;
-    the largest such scale stays in float range and keeps each of
-    ``steps`` in (0, inf).
+    lr_scale, feed, n, held)`` runs ``n`` steps of a stacked state, one
+    row per seed, and returns the anchors before its last step and the
+    state after it.  At each traced step (``held.due``, counted from 0)
+    it calls ``held.hold`` with the step's row, the previous anchors and
+    then the state's array fields in order, and it stops after the first
+    step whose anchors ``hold`` finds not finite.  At step ``t`` (from 0)
+    each milestone ``m <= t`` divides ``lr_scale`` by ``decay_factor``,
+    which must be positive and finite; the largest such scale stays in
+    float range and keeps each of ``steps`` in (0, inf).
 
     A run is first an attempt: all seeds step as one stack, a segment of
-    steps per kernel call, from one event to the next (traced step, step
-    count in ``events``, milestone or ``t_total``), and no value is
-    tested inside a segment.  It runs under one ``np.errstate`` that keeps
-    the caller's ``ignore`` and ``raise`` and records each floating-point
-    event the caller would otherwise see.  At each segment's end the
-    anchors are tested: every oracle output reaches them or a projected
-    dual within its step, and a non-finite anchor stays non-finite.  A
-    non-finite anchor, a recorded event or a ``FloatingPointError``
-    (``NonFiniteError`` included) ends the attempt, and each seed is then
-    replayed alone under the caller's errstate from its stream's start,
-    one step per segment, on a strict feed.  There the first non-finite
-    oracle output, dual refused by ``project`` or non-finite anchor
-    (``f"{anchor} became non-finite"``) stops the seed with its message,
-    keeping the state before its step, and its stream is set to its start
-    advanced by the tokens of its steps.  So a failing run does its work
-    up to twice, and the replay needs each oracle to be a pure function of
-    its inputs.  ``on_step(prev_x, state, seeds)`` sees the end of each
-    segment that passed, ``seeds`` being the indices of its rows.
+    steps per kernel call, from one stop to the next (a step count in
+    ``events``, a milestone, ``t_total``, or the traced step whose held
+    rows make a block), and no value is tested inside a segment but the
+    anchors of each traced step.  It runs under one ``np.errstate`` that
+    keeps the caller's ``ignore`` and ``raise`` and records each
+    floating-point event the caller would otherwise see.  At each
+    segment's end the anchors are tested: every oracle output reaches them
+    or a projected dual within its step, and a non-finite anchor stays
+    non-finite.  So an attempt stops at the first segment's end or traced
+    step whose anchors are not finite.  A non-finite anchor, a recorded
+    event or a ``FloatingPointError`` (``NonFiniteError`` included) ends
+    the attempt, and each seed is then replayed alone under the caller's
+    errstate from its stream's start, one step per segment, on a strict
+    feed.  There the first non-finite oracle output, dual refused by
+    ``project`` or non-finite anchor (``f"{anchor} became non-finite"``)
+    stops the seed with its message, keeping the state before its step,
+    and its stream is set to its start advanced by the tokens of its
+    steps.  So a failing run does its work up to twice, and the replay
+    needs each oracle to be a pure function of its inputs.
+    ``on_step(prev_x, state, seeds)`` sees the end of each segment that
+    passed, ``seeds`` being the indices of its rows.
 
     Every ``trace_every`` steps and at the last one each seed gets a
-    :class:`RunRecord`.  Such a step only reads the clock and holds its
-    previous anchors and its state; the rows are computed a block at a
-    time, once the held anchors reach ``_TRACE_BLOCK`` floats and after
-    the loop.  The first traced step is a block of its own, so a map that
-    cannot take a stack fails there.  A block stacks its steps' states
-    and previous anchors in step order, ``full_objective`` takes the
-    block's anchors once, and ``rows(prev_x, state)`` gives the lists of
-    the rows' stationarity and ``p_t``, as floats.  ``elapsed_ms`` is the
-    clock at the traced step, less the time spent computing rows before
-    it.  Returns per seed its final state (1-D), its records and its abort
-    reason (``None`` if it did not abort), as a tuple.
+    :class:`RunRecord`.  The kernel holds such a step's clock and row, and
+    the rows are computed a block at a time, once the held anchors reach
+    ``_TRACE_BLOCK`` floats and after the loop.  The first traced step is
+    a block of its own, so a map that cannot take a stack fails there.  A
+    block (:class:`_Block`) stacks its rows in step order, each field once,
+    ``full_objective`` takes the block's anchors once, and ``rows(block)``
+    gives the lists of the rows' stationarity and ``p_t``, as floats; each
+    seed's records are built from these columns in one pass.
+    ``elapsed_ms`` is the clock at the traced step, less the time spent
+    computing rows before it.  Returns per seed its final state (1-D), its
+    records and its abort reason (``None`` if it did not abort), as a
+    tuple.
     """
     if t_total < 1:
         raise ParameterError("t_total must be >= 1")
@@ -779,7 +833,7 @@ def _drive(problem: DMaxProblem, start, t_total: int, rngs: list,
         raise ParameterError(
             "need at least one stream and one seed label per stream")
     milestones = tuple(decay_milestones)
-    # the step counts that end a segment besides the traced ones
+    # the step counts that end a segment, besides a block's last traced step
     stops = sorted({*(e for e in (*events, *milestones) if 0 < e < t_total),
                     t_total})
     objective = problem.full_objective
@@ -790,25 +844,26 @@ def _drive(problem: DMaxProblem, start, t_total: int, rngs: list,
         state = _stack(start, len(seeds))
         records: list = [[] for _ in seeds]
         reason = None
-        pending: list = []  # (prev_x, state, elapsed_ms) of the traced steps
+        held = _Held(trace_every, t_total)
+        names = ("prev_x", *(f.name for f in fields(start) if f.name != "t"))
         block = 0  # anchor floats that make a block: none for the first one
         spent = 0.0  # seconds spent computing rows
+        size = state.x.size  # anchor floats of one traced step
 
         def flush() -> None:
             nonlocal spent
             t0 = time.perf_counter()
-            cur = _concat([p[1] for p in pending])
-            n = cur.x.shape[0]
+            cur = _Block(names, held.rows)
+            s = len(seeds)
+            n = len(held.rows) * s
             obj = ([math.nan] * n if objective is None else _shaped(
                 objective(cur.x), (n,), "full_objective").tolist())
-            stat, p_t = rows(np.concatenate([p[0] for p in pending]), cur)
-            k = 0
-            for _, st, elapsed_ms in pending:
-                for j, i in enumerate(seeds):
-                    records[j].append(RunRecord(st.t, obj[k], stat[k], p_t[k],
-                                                elapsed_ms, seed_labels[i]))
-                    k += 1
-            pending.clear()
+            stat, p_t = rows(cur)
+            ms = [(c - began - spent) * 1e3 for c in held.clock]
+            for j, i in enumerate(seeds):
+                records[j] += map(RunRecord, held.t, obj[j::s], stat[j::s],
+                                  p_t[j::s], ms, repeat(seed_labels[i]))
+            held.clear()
             spent += time.perf_counter() - t0
 
         began = time.perf_counter()
@@ -817,10 +872,13 @@ def _drive(problem: DMaxProblem, start, t_total: int, rngs: list,
             ev += stops[ev] == t  # past the event that ended the last segment
             scale = (decay_factor ** -sum(m <= t for m in milestones)
                      if milestones else 1.0)
+            # the segment ends at the next stop or where the held rows
+            # make a block, the k-th traced step from here
+            k = max(1, -(-block // size)) - len(held.t)
             n = 1 if strict else min(
-                stops[ev], (t // trace_every + 1) * trace_every) - t
+                stops[ev], held.due + 1 + (k - 1) * trace_every) - t
             try:
-                prev_x, nxt = kernel(state, scale, feed, n)
+                prev_x, nxt = kernel(state, scale, feed, n, held)
                 if not _finite(nxt.x):
                     raise NonFiniteError(f"{anchor} became non-finite")
             except NonFiniteError as exc:
@@ -836,14 +894,10 @@ def _drive(problem: DMaxProblem, start, t_total: int, rngs: list,
             t = state.t
             if on_step is not None:
                 on_step(prev_x, state, seeds)
-            if t % trace_every == 0 or t == t_total:
-                pending.append((prev_x, state,
-                                (time.perf_counter() - began - spent) * 1e3))
-                # a block has one row set, so its anchors hold this many
-                if len(pending) * state.x.size >= block:
-                    flush()
-                    block = _TRACE_BLOCK
-        if pending:
+            if held.t and len(held.t) * size >= block:
+                flush()
+                block = _TRACE_BLOCK
+        if held.t:
             flush()
         if warned:
             raise FloatingPointError(warned[0])

@@ -484,19 +484,39 @@ def _count_scalar_rows(monkeypatch) -> list:
     return realized
 
 
+def _reset_normals(tokens: list, d: int) -> np.ndarray:
+    """``token_generator(t).standard_normal(d)`` for each token ``t``, from
+    one Philox reset to each token's key (counter 0, empty buffers)."""
+    bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bg)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    rows = []
+    for t in tokens:
+        state["state"]["key"] = (t, core._TOKEN_SALT)
+        bg.state = state
+        rows.append(gen.standard_normal(d))
+    return np.stack(rows)
+
+
 @pytest.mark.parametrize("d", [1, 10, 27])
 def test_bulk_normals_are_token_map_v1(d, monkeypatch):
     """The ziggurat tables are pinned on 1e5 tokens: every bulk normal
     equals ``token_generator(t).standard_normal(d)`` to the bit, and at
     d = 1 almost every token takes the fast path (each of the 256 layers
-    about 390 times)."""
+    about 390 times).  The reference resets one Philox per token, which
+    equals a fresh ``token_generator`` on the first 1000 tokens."""
     fallbacks = _count_scalar_rows(monkeypatch)
     toks = np.random.default_rng(d).integers(0, 2 ** 64, size=100_000,
                                              dtype=np.uint64)
     out = _normals(toks, d)
     assert out.shape == (100_000, d)
-    want = np.stack([token_generator(t).standard_normal(d)
-                     for t in toks.tolist()])
+    want = _reset_normals(toks.tolist(), d)
+    fresh = np.stack([token_generator(t).standard_normal(d)
+                      for t in toks[:1000].tolist()])
+    assert np.array_equal(want[:1000].view(np.uint64), fresh.view(np.uint64))
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     share = len(fallbacks) / toks.shape[0]
     # a token falls back when any of its d draws misses the fast path

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dmaxopt.baselines as baselines
 import dmaxopt.core as core
 import dmaxopt.smag as smag
 from dmaxopt.baselines import run_sgd, run_sgda
@@ -1552,6 +1553,58 @@ def test_a_failing_seed_is_replayed_with_its_solo_error():
                 why, step_no - 1)
 
 
+def test_an_attempt_passes_no_token_past_its_first_non_finite_trace_row():
+    # as above, traced every 5 steps, with phi failing seed 32 at step 37
+    # and no event from there to step 40: a NaN from phi reaches the
+    # anchor, which the attempt tests at its next traced step, 40, so psi
+    # is passed the failing seed's tokens of steps 37 to 40 and none later;
+    # a raised error ends the attempt at once
+    seeds, failing, step_no, every, t_total = [31, 32, 33], 32, 37, 5, 60
+    dwc = make_onedim_dwc(1.0, 0.5, noise_sigma=0.1)
+    bad = _token_of(failing, step_no, 0)
+    tokens = RngStream(failing).draw_many(4 * t_total).tolist()
+    step_of = {tok: k // 4 + 1 for k, tok in enumerate(tokens) if k % 4 == 2}
+    calls = []
+
+    def psi(x, z, tok):
+        calls.append(tok)
+        return dwc.psi_subgrad_x(x, z, tok)
+
+    def raising_phi(x, y, tok):
+        if tok == bad:
+            raise NonFiniteError("phi_subgrad_x refused its token")
+        return dwc.phi_subgrad_x(x, y, tok)
+
+    for phi, why, last in (
+            (raising_phi, "phi_subgrad_x refused its token", step_no - 1),
+            (_NanAt(dwc.phi_subgrad_x, bad),
+             "phi_subgrad_x returned a non-finite value", 40)):
+        for oracle in (psi, _RecordRows(dwc.psi_subgrad_x, calls)):
+            prob = dataclasses.replace(dwc, psi_subgrad_x=oracle,
+                                       phi_subgrad_x=phi)
+            sched = Schedule.from_manual(0.5, 0.005, 0.01, t_total,
+                                         prob.constants, mode="dwc")
+            calls.clear()
+            solo = [run(prob, "dwc", sched, RngStream(s), x0=2.0,
+                        trace_every=every) for s in seeds]
+            solo_calls = set(calls)
+            calls.clear()
+            batch_rngs = [RngStream(s) for s in seeds]
+            batch = run(prob, "dwc", sched, batch_rngs, x0=2.0,
+                        trace_every=every)
+            assert set(calls) == solo_calls
+            assert {step_of[t] for t in calls if t in step_of} == set(
+                range(1, last + 1))
+            assert [r.aborted for r in batch] == [s == failing for s in seeds]
+            assert [_digest(r) for r in batch] == [_digest(r) for r in solo]
+            assert [r.counter for r in batch_rngs] == [
+                4 * step_no if s == failing else 4 * t_total for s in seeds]
+            lost = batch[seeds.index(failing)]
+            assert (lost.abort_reason, lost.final_state.t) == (
+                why, step_no - 1)
+            assert [r.t for r in lost.records] == list(range(5, 37, 5))
+
+
 class _CallLog:
     """A batched ``oracle`` that logs the tokens of each ``grad`` call as a
     tuple.  A call passed token ``bad`` raises :class:`NonFiniteError`,
@@ -1729,12 +1782,13 @@ def test_a_dual_refused_for_two_rows_gives_each_its_solo_error():
 
 @pytest.mark.parametrize("algorithm", ["dmax", "dwc", "minmax", "sgd",
                                        "sgda"])
-def test_segment_boundaries_never_change_bits(algorithm):
+def test_segment_boundaries_never_change_bits(algorithm, monkeypatch):
     # the default run steps in segments that end only at events; the cut
-    # run ends one at every step (collect_states, or trace_every=1 for the
-    # baselines).  T spans more than one chunk, milestones sit at 0, mid-run
-    # and T - 1, trace_every does not divide T, and seed 62's phi goes NaN
-    # at step 500, inside a segment of the default run
+    # run ends one at every step: it traces every step, and a block of
+    # trace rows is one traced step (with collect_states too for SMAG).
+    # T spans more than one chunk, milestones sit at 0, mid-run and T - 1,
+    # trace_every does not divide T, and seed 62's phi goes NaN at step
+    # 500, inside a segment of the default run
     t_total, every, step_no = _CHUNK + 76, 400, 500
     seeds, failing = [61, 62, 63], 62
     baseline = algorithm.startswith("sgd")
@@ -1752,19 +1806,19 @@ def test_segment_boundaries_never_change_bits(algorithm):
     def go(cut):
         rngs = [RngStream(s) for s in seeds]
         kw = dict(x0=np.full(3, 0.5), seed_label=seeds, decay_factor=2.0,
-                  decay_milestones=(0, t_total // 2, t_total - 1))
+                  decay_milestones=(0, t_total // 2, t_total - 1),
+                  trace_every=1 if cut else every)
         if algorithm == "sgd":
-            res = run_sgd(prob, 0.01, t_total, rngs,
-                          trace_every=1 if cut else every, **kw)
+            res = run_sgd(prob, 0.01, t_total, rngs, **kw)
         elif algorithm == "sgda":
-            res = run_sgda(prob, 0.02, 0.05, t_total, rngs,
-                           trace_every=1 if cut else every, **kw)
+            res = run_sgda(prob, 0.02, 0.05, t_total, rngs, **kw)
         else:
-            res = run(prob, algorithm, sched, rngs, trace_every=every,
-                      collect_states=cut, **kw)
+            res = run(prob, algorithm, sched, rngs, collect_states=cut, **kw)
         return res, [r.counter for r in rngs]
 
-    (want, want_counts), (got, got_counts) = go(False), go(True)
+    want, want_counts = go(False)
+    monkeypatch.setattr(smag, "_TRACE_BLOCK", 1)
+    got, got_counts = go(True)
     assert got_counts == want_counts
     assert [r.aborted for r in want] == [s == failing for s in seeds]
     assert want[1].final_state.t == step_no - 1
@@ -1781,6 +1835,40 @@ def test_segment_boundaries_never_change_bits(algorithm):
             for name in ("returned", "x_bar"):
                 assert getattr(b, name).tobytes() == (
                     getattr(a, name).tobytes())
+
+
+@pytest.mark.parametrize("algorithm", ["smag", "sgda"])
+def test_traced_steps_stay_inside_their_segment(algorithm, monkeypatch):
+    # four seeds traced at every step of T = 2000: a kernel call ends at an
+    # event (SMAG's output steps), at a full block of trace rows or at T,
+    # not at each traced step
+    t_total, seeds, dim = 2000, [0, 1, 2, 3], 10
+    quad = make_quadratic_minmax(dim=dim, noise_sigma=0.1)
+    module, name = ((smag, "_smag_kernel") if algorithm == "smag"
+                    else (baselines, "_sgda_kernel"))
+    kernel, steps = getattr(module, name), []
+
+    def counted(*args):
+        steps.append(args[-2])  # n, the steps of the call
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    rngs, x0 = [RngStream(s) for s in seeds], np.full(dim, 0.5)
+    if algorithm == "smag":
+        sched = Schedule.from_manual(0.5, 0.01, 0.05, t_total,
+                                     quad.constants, mode="minmax")
+        res = run(quad, "minmax", sched, rngs, x0=x0, seed_label=seeds)
+        events = len({r.t_bar + 1 for r in res})  # each seed's s + 1
+    else:
+        res = run_sgda(quad, 0.02, 0.05, t_total, rngs, x0=x0,
+                       seed_label=seeds)
+        events = 0
+    per_block = -(-_TRACE_BLOCK // (len(seeds) * dim))
+    blocks = 1 + -(-(t_total - 1) // per_block)
+    assert [len(r.records) for r in res] == [t_total] * len(seeds)
+    assert not any(r.aborted for r in res)
+    assert sum(steps) == t_total
+    assert len(steps) <= events + blocks + 1 < t_total // 50
 
 
 @pytest.mark.parametrize("case", ["dwc1", "dwc3", "minmax", "sgda"])

@@ -28,7 +28,6 @@ __all__ = [
     "box",
     "ball",
     "project",
-    "contains",
     "RngStream",
     "token_generator",
     "ProblemConstants",
@@ -169,22 +168,26 @@ def project(cset: ConstraintSet, v) -> np.ndarray:
         far = nrm > cset.radius
         if not np.count_nonzero(far):
             return v
+        u = u[far]
         out = rows.copy()
-        out[far] = cset.center + u[far] * (cset.radius / nrm[far])[:, None]
+        out[far] = cset.center + u * (
+            cset.radius / _renorm_overflow(u, nrm[far]))[:, None]
         return out.reshape(v.shape)
     raise ParameterError(f"unknown constraint kind {cset.kind!r}")
 
 
-def contains(cset: ConstraintSet, v, tol: float = 1e-12) -> bool:
-    """Membership test with a small tolerance for floating-point boundaries."""
-    v = as_vector(v, dim=cset.dim, name="point")
-    if cset.kind == "whole-space":
-        return True
-    if cset.kind == "box":
-        return bool(np.all(v >= cset.lo - tol) and np.all(v <= cset.hi + tol))
-    if cset.kind == "ball":
-        return float(np.linalg.norm(v - cset.center)) <= cset.radius + tol
-    raise ParameterError(f"unknown constraint kind {cset.kind!r}")
+def _renorm_overflow(rows: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """``nrm``, the Euclidean norms of ``rows``, with each entry whose
+    squared sum overflowed on a finite row (entries above ~1.3e154) taken
+    again, in place, as the norm of the row scaled by its largest
+    magnitude."""
+    if _count_nonzero(nrm == math.inf):
+        finite = np.isfinite(rows).all(axis=-1)
+        for i in np.flatnonzero(np.isinf(nrm) & finite):
+            top = float(np.abs(rows[i]).max())
+            nrm[i] = top * math.sqrt(float(np.vecdot(rows[i] / top,
+                                                     rows[i] / top)))
+    return nrm
 
 
 # ---------------------------------------------------------------------------

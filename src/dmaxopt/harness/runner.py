@@ -33,7 +33,6 @@ from .config import (
 )
 
 __all__ = [
-    "TRACE_HEADER",
     "RunAborted",
     "ExperimentResult",
     "run_experiment",
@@ -41,7 +40,7 @@ __all__ = [
     "trace_payload",
 ]
 
-TRACE_HEADER = ("t", "objective", "stationarity", "p_t", "elapsed_ms", "seed")
+_TRACE_HEADER = ("t", "objective", "stationarity", "p_t", "elapsed_ms", "seed")
 
 
 class RunAborted(RuntimeError):
@@ -63,7 +62,7 @@ def _fmt(v: float) -> str:
 
 
 _ROW_BLOCK = 1 << 12  # rows per %-format: bounds the trace writer's memory
-_FIELDS = attrgetter(*TRACE_HEADER)
+_FIELDS = attrgetter(*_TRACE_HEADER)
 _ONES = str.maketrans("0123456789", "1" * 10)
 
 
@@ -73,7 +72,7 @@ def _write_trace(path: str, meta: dict, records) -> None:
             fh.write(f"# {key}: {val}\n")
         # CSV as csv.writer writes it, no field needing quotes: '%.17g' % v
         # is format(v, '.17g'), and a float column with a NaN takes _fmt's.
-        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        fh.write(",".join(_TRACE_HEADER) + "\r\n")
         for i in range(0, len(records), _ROW_BLOCK):
             vals = list(chain.from_iterable(
                 map(_FIELDS, records[i:i + _ROW_BLOCK])))
@@ -114,7 +113,7 @@ def _rows(path: str, floats):
     n = next((i for i, ln in enumerate(lines) if ln and ln[0] != "#"), None)
     if n is None:
         raise ParameterError(f"{path}: no trace header found")
-    if tuple(lines[n].split(",")) != TRACE_HEADER:
+    if tuple(lines[n].split(",")) != _TRACE_HEADER:
         raise ParameterError(f"{path}: unexpected trace header {lines[n]!r}")
     meta = {key.strip(): val.strip() for key, _, val in
             (ln[1:].partition(":") for ln in lines[:n] if ln)}

@@ -39,12 +39,10 @@ from .data import LabeledDataset
 
 __all__ = [
     "PaucParams",
-    "pauc_objective",
     "fairness_payoff",
     "pauc_full_subgrads",
     "fairness_dual_grad",
     "pauc_fair_problem",
-    "split_scorer",
     "synth_biased_pauc",
 ]
 
@@ -89,15 +87,6 @@ def _split_counts(data: LabeledDataset) -> Tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
-def split_scorer(x: np.ndarray, dim: int, n_pos: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Split the stacked primal vector into (w, s)."""
-    if x.shape != (dim + n_pos,):
-        raise ParameterError(
-            f"primal has shape {x.shape}, expected ({dim + n_pos},)")
-    return x[:dim], x[dim:]
-
-
 def _inactive_ends(hp: np.ndarray, h: np.ndarray, s: np.ndarray,
                    c: float) -> Tuple[np.ndarray, np.ndarray]:
     """Per positive ``i``, the ends of its inactive pairs in the sorted
@@ -124,7 +113,11 @@ def _sorted_pairs(x: np.ndarray, pos: np.ndarray, neg: np.ndarray, c: float):
     """``s`` of ``x = [w, s]``, the sort order of the negative scores, their
     sorted values minus their median ``m`` as ``g``, ``e = c - hp + m``
     (pair ``(i, j)`` has residual ``e_i + g_j``) and the inactive ends."""
-    w, s = split_scorer(x, pos.shape[1], pos.shape[0])
+    dim, n_pos = pos.shape[1], pos.shape[0]
+    if x.shape != (dim + n_pos,):
+        raise ParameterError(
+            f"primal has shape {x.shape}, expected ({dim + n_pos},)")
+    w, s = x[:dim], x[dim:]
     hp = pos @ w
     h = neg @ w
     order = np.argsort(h)
@@ -144,16 +137,6 @@ def _active_sums(v: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 def _objective(x: np.ndarray, pos: np.ndarray, neg: np.ndarray,
                params: PaucParams) -> float:
-    n_pos, n_neg = pos.shape[0], neg.shape[0]
-    s, _, g, e, lo, hi = _sorted_pairs(x, pos, neg, params.c)
-    s1, s2 = _active_sums(np.stack([g, g * g]), lo, hi)
-    # sum over the active pairs of (e_i + g_j)^2 - s_i
-    rows = (lo + (n_neg - hi)) * (e * e - s) + 2.0 * e * s1 + s2
-    return float(np.mean(s)) + float(rows.sum()) / (n_pos * params.rho * n_neg)
-
-
-def pauc_objective(x: np.ndarray, data: LabeledDataset,
-                   params: PaucParams) -> float:
     """Full-data CVaR-thresholded partial-AUC surrogate at ``x = [w, s]``.
 
     The negative scores are sorted once; positive ``i``'s active pairs are
@@ -161,7 +144,12 @@ def pauc_objective(x: np.ndarray, data: LabeledDataset,
     sum(g^2)`` reads prefix sums (see :func:`_sorted_pairs`).  O(n log n)
     time, O(n) memory; equal to the dense formula up to rounding.
     """
-    return _objective(x, *_split_counts(data), params)
+    n_pos, n_neg = pos.shape[0], neg.shape[0]
+    s, _, g, e, lo, hi = _sorted_pairs(x, pos, neg, params.c)
+    s1, s2 = _active_sums(np.stack([g, g * g]), lo, hi)
+    # sum over the active pairs of (e_i + g_j)^2 - s_i
+    rows = (lo + (n_neg - hi)) * (e * e - s) + 2.0 * e * s1 + s2
+    return float(np.mean(s)) + float(rows.sum()) / (n_pos * params.rho * n_neg)
 
 
 def fairness_payoff(w_a: np.ndarray, data: LabeledDataset) -> float:
@@ -209,7 +197,7 @@ def pauc_full_subgrads(x: np.ndarray, data: LabeledDataset,
 
     The batch oracle's pair formula over the whole populations, so the
     oracle's expectation can be checked against it; it shares no code with
-    the oracle.  As in :func:`pauc_objective`, positive ``i``'s coefficient
+    the oracle.  As in :func:`_objective`, positive ``i``'s coefficient
     ``-2 sum(e_i + g_j)`` reads prefix sums of ``g``.  Negative ``j``'s is
     ``-2 (E_j + m_j g_j)``, where ``E_j`` and ``m_j`` sum ``e_i`` and 1 over
     the positives it is active for: range adds over sorted positions.  The

@@ -33,7 +33,6 @@ from .data import LabeledDataset
 
 __all__ = [
     "PuParams",
-    "pu_objective",
     "pu_full_subgrads",
     "make_pu_problem",
     "synth_gaussian_pu",
@@ -57,19 +56,6 @@ class PuParams:
 
 def _hinge(margins: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - margins)
-
-
-def pu_objective(w: np.ndarray, positives: LabeledDataset,
-                 unlabeled: LabeledDataset, params: PuParams) -> float:
-    """Full-data unbiased positive-unlabeled hinge risk at ``w``."""
-    if len(positives) == 0 or len(unlabeled) == 0:
-        raise ParameterError("positives and unlabeled sets must be non-empty")
-    mp = positives.features @ w
-    mu = unlabeled.features @ w
-    risk_pos = float(np.mean(_hinge(mp)))       # labeled as +1
-    risk_pos_neg = float(np.mean(_hinge(-mp)))  # same points labeled -1
-    risk_unl_neg = float(np.mean(_hinge(-mu)))
-    return params.pi_p * (risk_pos - risk_pos_neg) + risk_unl_neg
 
 
 def _phi_batch_grad(w, pos_x, unl_x, pi_p):
@@ -132,6 +118,14 @@ def make_pu_problem(positives: LabeledDataset, unlabeled: LabeledDataset,
         mp = positives.features @ x
         return pi_p * float(np.mean(_hinge(-mp)))
 
+    def risk(w):
+        # the full-data unbiased PU hinge risk: the positives' risk labeled
+        # +1 minus labeled -1, then the unlabeled points' labeled -1
+        mp, mu = pos @ w, unl @ w
+        return (pi_p * (float(np.mean(_hinge(mp)))
+                        - float(np.mean(_hinge(-mp))))
+                + float(np.mean(_hinge(-mu))))
+
     phi_fn = FunctionOracle(
         value=phi_value,
         subgrad=lambda x: _phi_batch_grad(x, positives.features,
@@ -159,8 +153,7 @@ def make_pu_problem(positives: LabeledDataset, unlabeled: LabeledDataset,
             lambda x, z, idx: _psi_batch_grad(x, pos[idx[0]], pi_p)),
         phi_fn=phi_fn,
         psi_fn=psi_fn,
-        full_objective=lambda x: _each_row(
-            lambda w: pu_objective(w, positives, unlabeled, params), x),
+        full_objective=lambda x: _each_row(risk, x),
         name="pu-hinge",
     )
 

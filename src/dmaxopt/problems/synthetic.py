@@ -28,22 +28,9 @@ from ..core import (
 
 __all__ = [
     "piecewise_quadratic",
-    "zero_function",
     "make_onedim_dwc",
     "make_quadratic_minmax",
 ]
-
-
-def zero_function(dim: int = 1) -> FunctionOracle:
-    """The zero function; its prox is the identity."""
-    return FunctionOracle(
-        value=lambda u: 0.0,
-        subgrad=lambda u: np.zeros_like(u),
-        delta=0.0,
-        differentiable=True,
-        prox=lambda v, gamma: np.asarray(v, dtype=np.float64).copy(),
-        kink_gap=lambda v, gamma: math.inf,
-    )
 
 
 def _require_finite(**params: float) -> None:
@@ -244,7 +231,11 @@ def make_quadratic_minmax(dim: int = 1, noise_sigma: float = 0.0,
         raise ParameterError("noise_sigma must be nonnegative")
     sigma = float(noise_sigma)
     huber = _huber_oracle(dim)
-    zero = zero_function(dim)
+    zero = FunctionOracle(
+        value=lambda u: 0.0, subgrad=lambda u: np.zeros_like(u),
+        differentiable=True,
+        prox=lambda v, gamma: np.asarray(v, dtype=np.float64).copy(),
+        kink_gap=lambda v, gamma: math.inf)
 
     if m_bound is None:
         m_bound = 2.0 * math.sqrt(dim) * (1.0 + sigma) + 1.0

@@ -46,6 +46,7 @@ from .core import (
     RunRecord,
     _finite,
     _PerToken,
+    _renorm_overflow,
     as_vector,
     project,
 )
@@ -429,10 +430,11 @@ class _Feed:
 
 def _streams(rng, seed_label):
     """The streams and labels of a run: ``rng`` is one stream or a
-    sequence of them, and an int label applies to every stream."""
+    sequence of them, and an integer label (numpy's too) applies to every
+    stream, as an int."""
     rngs = [rng] if isinstance(rng, RngStream) else list(rng)
-    if isinstance(seed_label, int):
-        return rngs, [seed_label] * len(rngs)
+    if isinstance(seed_label, (int, np.integer)):
+        return rngs, [int(seed_label)] * len(rngs)
     return rngs, list(seed_label)
 
 
@@ -574,16 +576,10 @@ def _norms(v: np.ndarray) -> np.ndarray:
     are bit for bit ``np.linalg.norm`` of the row alone: numpy takes that
     as the square root of the row's ``dot`` with itself, and ``vecdot``
     calls that dot once per row.  A finite row whose squared sum overflows
-    (entries above ~1.3e154) takes the norm of the row scaled by its
-    largest magnitude."""
+    takes the norm :func:`~dmaxopt.core._renorm_overflow` gives it."""
     v = np.ascontiguousarray(v, dtype=np.float64)
     with np.errstate(over="ignore"):
-        out = np.sqrt(np.vecdot(v, v))
-    if math.inf in out:
-        for i in np.flatnonzero(np.isinf(out) & np.isfinite(v).all(axis=-1)):
-            top = float(np.abs(v[i]).max())
-            out[i] = top * math.sqrt(float(np.vecdot(v[i] / top, v[i] / top)))
-    return out
+        return _renorm_overflow(v, np.sqrt(np.vecdot(v, v)))
 
 
 def _sq(d: np.ndarray):
@@ -649,7 +645,7 @@ def run(problem: DMaxProblem, mode: Mode, sched: Schedule, rng,
     best response (else NaN).
 
     With a sequence of streams for ``rng`` (and of labels for
-    ``seed_label``, or one int label for all) the seeds step in lockstep
+    ``seed_label``, or one integer label for all) the seeds step in lockstep
     as the rows of ``(S, dim)`` arrays, and one :class:`RunResult` per
     stream comes back, each equal bit for bit to a solo run of that
     stream.  Every oracle runs in the batched form of

@@ -22,6 +22,7 @@ from dmaxopt.problems import (
     make_quadratic_minmax,
     synth_gaussian_pu,
 )
+from dmaxopt.smag import Schedule, run
 
 
 def test_sgd_update_algebra():
@@ -104,6 +105,36 @@ def test_run_sgda_refuses_a_problem_without_a_dual():
         with pytest.raises(CapabilityError, match="dual"):
             run_sgda(prob, 0.1, 0.1, 5, rng)
         assert rng.counter == 0
+
+
+def test_a_numpy_integer_seed_label_labels_every_record_as_an_int():
+    prob = make_quadratic_minmax(2, noise_sigma=0.1)
+    sched = Schedule.from_manual(0.5, 0.01, 0.05, 12, prob.constants,
+                                 mode="minmax")
+    x0 = np.ones(2)
+    runs = {
+        "smag": lambda rng, label: run(prob, "minmax", sched, rng, x0=x0,
+                                       trace_every=5, seed_label=label),
+        "sgd": lambda rng, label: run_sgd(prob, 0.05, 12, rng, x0=x0,
+                                          trace_every=5, seed_label=label),
+        "sgda": lambda rng, label: run_sgda(prob, 0.05, 0.05, 12, rng,
+                                            x0=x0, trace_every=5,
+                                            seed_label=label),
+    }
+
+    def rows(res):
+        # every field but the wall clock; repr keeps a NaN equal to itself
+        return [(r.t, repr(r.objective), repr(r.stationarity), repr(r.p_t),
+                 r.seed, type(r.seed)) for r in res.records]
+
+    for name, go in runs.items():
+        want = rows(go(RngStream(4), 3))
+        assert [r[0] for r in want] == [5, 10, 12], name
+        assert rows(go(RngStream(4), np.int64(3))) == want, name
+        # one label for every stream of a batch
+        for res in go([RngStream(4), RngStream(5)], np.int64(3)):
+            assert {(r.seed, type(r.seed)) for r in res.records} == {
+                (3, int)}, name
 
 
 def test_run_sgd_deterministic_and_traced():

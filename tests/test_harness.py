@@ -516,9 +516,13 @@ def test_run_experiment_env_output_root(tmp_path, monkeypatch):
     assert res.output_dir.startswith(str(tmp_path / "envroot"))
 
 
+# the header line of a trace CSV
+_HEADER = ["t", "objective", "stationarity", "p_t", "elapsed_ms", "seed"]
+
+
 def test_trace_rows_are_the_bytes_csv_writer_writes(tmp_path):
     from dmaxopt.core import RunRecord
-    from dmaxopt.harness.runner import TRACE_HEADER, _write_trace
+    from dmaxopt.harness.runner import _write_trace
     vals = [0.1, -0.0, 1e-310, 1.7976931348623157e308, math.inf,
             -math.inf, math.nan, 2.0 / 3.0, 12345678.9]
     records = [RunRecord(t, vals[t % 9], vals[(t + 3) % 9],
@@ -533,7 +537,7 @@ def test_trace_rows_are_the_bytes_csv_writer_writes(tmp_path):
     want = io.StringIO(newline="")
     want.write("# seed: 3\n")
     writer = csv.writer(want)
-    writer.writerow(TRACE_HEADER)
+    writer.writerow(_HEADER)
     for r in records:
         writer.writerow([r.t, cell(r.objective), cell(r.stationarity),
                          cell(r.p_t), cell(r.elapsed_ms), r.seed])
@@ -555,7 +559,7 @@ def test_trace_blocks_are_the_bytes_csv_writer_writes(tmp_path,
     want = io.StringIO(newline="")
     want.write("# seed: 7\n")
     writer = csv.writer(want)
-    writer.writerow(runner.TRACE_HEADER)
+    writer.writerow(_HEADER)
     for r in records:
         writer.writerow([r.t] + ["" if math.isnan(v) else format(v, ".17g")
                                  for v in (r.objective, r.stationarity,

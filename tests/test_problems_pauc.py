@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dmaxopt.core import ParameterError, RngStream, contains, token_generator
+from dmaxopt.core import ParameterError, RngStream, token_generator
 from dmaxopt.problems import (
     LabeledDataset,
     PaucParams,
@@ -16,19 +16,22 @@ from dmaxopt.problems import (
     load_libsvm,
     pauc_fair_problem,
     pauc_full_subgrads,
-    pauc_objective,
-    split_scorer,
     synth_biased_pauc,
 )
 from dmaxopt.problems import pauc as pauc_module
 from dmaxopt.smag import Schedule, run
 
 
+def _objective(x, data, params):
+    """The full-data objective of ``pauc_fair_problem(data, params)``."""
+    return pauc_fair_problem(data, params).full_objective(x)
+
+
 def _dense_objective(x, data, params):
     """The objective as the dense n_pos x n_neg formula, for reference."""
     pos = data.features[data.labels == 1]
     neg = data.features[data.labels == -1]
-    w, s = split_scorer(x, data.dimension, pos.shape[0])
+    w, s = x[:data.dimension], x[data.dimension:]
     hp = pos @ w
     hn = neg @ w
     diffs = hp[:, None] - hn[None, :]
@@ -56,7 +59,7 @@ def _assert_dense_active_sets(x, data, params):
     of the sorted negative scores."""
     pos = data.features[data.labels == 1]
     neg = data.features[data.labels == -1]
-    w, s = split_scorer(x, data.dimension, pos.shape[0])
+    w, s = x[:data.dimension], x[data.dimension:]
     h = np.sort(neg @ w)
     resid = params.c - ((pos @ w)[:, None] - h)
     active = resid * resid - s[:, None] > 0.0
@@ -76,10 +79,10 @@ def test_objective_hand_computed():
     params = PaucParams(rho=0.5, c=1.0)
     # w = [0.5, -0.5]: h_pos = 0.5, h_neg = -0.5, diff = 1 = c -> loss 0
     x = np.array([0.5, -0.5, 0.2])
-    assert pauc_objective(x, data, params) == pytest.approx(0.2)
+    assert _objective(x, data, params) == pytest.approx(0.2)
     # w = 0: loss (1-0)^2 = 1, hinged 1 - 0.2 = 0.8, / (1*0.5*1) = 1.6
     x0 = np.array([0.0, 0.0, 0.2])
-    assert pauc_objective(x0, data, params) == pytest.approx(1.8)
+    assert _objective(x0, data, params) == pytest.approx(1.8)
 
 
 def test_full_subgrads_hand_computed():
@@ -122,8 +125,8 @@ def test_full_subgrads_match_central_differences():
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        fd[i] = (pauc_objective(x + e, data, params)
-                 - pauc_objective(x - e, data, params)) / (2 * h)
+        fd[i] = (_objective(x + e, data, params)
+                 - _objective(x - e, data, params)) / (2 * h)
     assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0) < 1e-6
 
 
@@ -168,9 +171,9 @@ def test_dual_best_response_stays_inside_the_ball():
         g = fairness_dual_grad(w_a, data.features, data.sensitive, params)
         w_a = w_a + 0.1 * g
     assert float(np.linalg.norm(g)) < 1e-10
-    assert contains(prob.set_y, w_a)
-    # with strict slack: radius = 2 alpha R / lambda0 + 1
-    assert float(np.linalg.norm(w_a)) < prob.set_y.radius - 0.5
+    # inside the ball with strict slack: radius = 2 alpha R / lambda0 + 1
+    gap = float(np.linalg.norm(w_a - prob.set_y.center))
+    assert gap < prob.set_y.radius - 0.5
 
 
 def test_problem_wiring_and_constants():
@@ -188,10 +191,6 @@ def test_problem_wiring_and_constants():
     assert prob.set_y.kind == "ball"
     assert prob.set_y.radius == pytest.approx(
         2 * params.alpha_fair * r_max / params.lambda0 + 1.0)
-    x = np.zeros(prob.dim_x)
-    assert prob.full_objective(x) == pauc_objective(x, data, params)
-    x = np.random.default_rng(6).normal(size=prob.dim_x)
-    assert prob.full_objective(x) == pauc_objective(x, data, params)
     with pytest.raises(ParameterError):
         prob.full_objective(np.zeros(prob.dim_x + 1))
 
@@ -222,20 +221,20 @@ def test_blocked_objective_matches_the_dense_formula_bit_for_bit(shape):
                             rng.uniform(s_lo, s_hi, size=n_pos)])
         _assert_dense_active_sets(x, data, params)
         want = _dense_objective(x, data, params)
-        got = pauc_objective(x, data, params)
+        got = prob.full_objective(x)
         assert abs(got - want) <= _DENSE_RTOL * abs(want)
-        assert _same_bits(prob.full_objective(x), got)
     if shape == "no-pair-active":
-        assert pauc_objective(x, data, params) == float(np.mean(x[3:]))
+        assert got == float(np.mean(x[3:]))
 
 
 def test_objective_memory_stays_blocked():
     data = synth_biased_pauc(4000, 20, seed=3)
     params = PaucParams(rho=0.3)
     x = np.concatenate([np.full(20, 0.1), np.ones(data.n_pos)])
+    objective = pauc_fair_problem(data, params).full_objective
     tracemalloc.start()
     try:
-        pauc_objective(x, data, params)
+        objective(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -252,7 +251,6 @@ def test_objective_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        pauc_objective(x, data, params)
         objective(x)
         assert gc.collect() == 0
     finally:
@@ -439,7 +437,7 @@ def test_sorted_maps_match_the_dense_formula(shape):
             w, s = x[:3], x[3:]
             _assert_dense_active_sets(x, data, params)
             want = _dense_objective(x, data, params)
-            got = pauc_objective(x, data, params)
+            got = _objective(x, data, params)
             assert abs(got - want) <= _DENSE_RTOL * abs(want)
             g_w, g_s = _dense_pair_subgrads(w, s, pos, neg, params.rho,
                                             params.c)
@@ -464,9 +462,8 @@ def test_sorted_maps_are_bit_reproducible():
                            data.sensitive.copy())
     stacked = prob.full_objective(xs)
     for x, row in zip(xs, stacked):
-        value = pauc_objective(x, data, params)
-        assert _same_bits(value, pauc_objective(x, again, params))
-        assert _same_bits(value, prob.full_objective(x))
+        value = prob.full_objective(x)
+        assert _same_bits(value, _objective(x, again, params))
         assert _same_bits(value, row)
         assert _same_bits(pauc_full_subgrads(x, data, params),
                           pauc_full_subgrads(x, again, params))
@@ -479,16 +476,17 @@ def test_sorted_maps_scale_to_billions_of_pairs():
     rng = np.random.default_rng(3)
     x = np.concatenate([0.3 * rng.normal(size=20),
                         rng.uniform(0.0, 2.0, size=data.n_pos)])
-    for full_map in (pauc_objective, pauc_full_subgrads):
+    for full_map in (pauc_fair_problem(data, params).full_objective,
+                     lambda x: pauc_full_subgrads(x, data, params)):
         tracemalloc.start()
         try:
-            first = full_map(x, data, params)
+            first = full_map(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.all(np.isfinite(first))
         assert peak < 32 * 2 ** 20
-        assert _same_bits(first, full_map(x, data, params))
+        assert _same_bits(first, full_map(x))
 
 
 def test_primal_oracle_reproduces_the_documented_sampling():
@@ -603,12 +601,16 @@ def test_alpha_without_attributes_is_rejected():
                               PaucParams(alpha_fair=0.0))
 
 
-def test_split_scorer_validates_shape():
-    with pytest.raises(ParameterError):
-        split_scorer(np.zeros(4), 3, 2)
-    w, s = split_scorer(np.arange(5.0), 3, 2)
-    assert np.array_equal(w, [0.0, 1.0, 2.0])
-    assert np.array_equal(s, [3.0, 4.0])
+def test_full_maps_validate_the_primal_shape():
+    data = _tiny()  # two features and one positive: x = [w, s] has 3
+    params = PaucParams()
+    objective = pauc_fair_problem(data, params).full_objective
+    for bad in (np.zeros(2), np.zeros(4)):
+        match = rf"^primal has shape \({bad.size},\), expected \(3,\)$"
+        with pytest.raises(ParameterError, match=match):
+            objective(bad)
+        with pytest.raises(ParameterError, match=match):
+            pauc_full_subgrads(bad, data, params)
 
 
 def test_params_validation():

@@ -9,7 +9,6 @@ from dmaxopt.problems import (
     PuParams,
     make_pu_problem,
     pu_full_subgrads,
-    pu_objective,
     synth_gaussian_pu,
 )
 from dmaxopt.problems import pu as pu_module
@@ -27,7 +26,8 @@ def test_pu_objective_frozen_at_zero():
     positives, unlabeled = _single_point_sets()
     params = PuParams(pi_p=0.5, batch_pos=1, batch_unl=1)
     w = np.zeros(1)
-    assert pu_objective(w, positives, unlabeled, params) == pytest.approx(1.0)
+    risk = make_pu_problem(positives, unlabeled, params).full_objective
+    assert risk(w) == pytest.approx(1.0)
     g_phi, g_psi = pu_full_subgrads(w, positives, unlabeled, params)
     # phi: -0.5*1 (pos active) + (-1) * ... unl margin 0 > -1 active: +(-1)
     assert np.allclose(g_phi, [-0.5 - 1.0])
@@ -43,7 +43,8 @@ def test_pu_objective_hand_computed():
     # hinge(-1) on pos: 3, 1.5 -> mean 2.25
     # unl as -1: 1+1=2, 1-3=-2 -> hinge: 2, 0 -> mean 1
     want = 0.3 * (0.25 - 2.25) + 1.0
-    assert pu_objective(w, positives, unlabeled, params) == pytest.approx(want)
+    risk = make_pu_problem(positives, unlabeled, params).full_objective
+    assert risk(w) == pytest.approx(want)
 
 
 def test_hinge_kink_uses_zero_subgradient():
@@ -76,9 +77,9 @@ def test_full_subgrads_match_central_differences_of_the_objective():
     assert kink_gap > 1e-3, "test point accidentally sits near a kink"
     g_phi, g_psi = pu_full_subgrads(w, positives, unlabeled, params)
     h = 1e-6
-    fd = np.array([(pu_objective(w + h * e, positives, unlabeled, params)
-                    - pu_objective(w - h * e, positives, unlabeled, params))
-                   / (2 * h) for e in np.eye(5)])
+    risk = make_pu_problem(positives, unlabeled, params).full_objective
+    fd = np.array([(risk(w + h * e) - risk(w - h * e)) / (2 * h)
+                   for e in np.eye(5)])
     g = g_phi - g_psi
     assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0) < 1e-6
 
@@ -164,11 +165,9 @@ def test_make_pu_problem_validation():
     positives, unlabeled = _single_point_sets()
     params = PuParams(pi_p=0.5)
     empty = LabeledDataset(np.zeros((0, 1)), [])
-    with pytest.raises(ParameterError):
-        make_pu_problem(empty, unlabeled, params)
     for sets in ((empty, unlabeled), (positives, empty)):
         with pytest.raises(ParameterError, match="must be non-empty"):
-            pu_objective(np.zeros(1), *sets, params)
+            make_pu_problem(*sets, params)
     with pytest.raises(ParameterError):
         make_pu_problem(positives, LabeledDataset(np.zeros((2, 3)),
                                                   [1, -1]), params)

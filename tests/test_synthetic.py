@@ -10,7 +10,6 @@ from dmaxopt.problems import (
     make_onedim_dwc,
     make_quadratic_minmax,
     piecewise_quadratic,
-    zero_function,
 )
 
 
@@ -136,7 +135,8 @@ def test_piecewise_quadratic_rejects_negative_weight():
 
 
 def test_zero_function_prox_is_identity():
-    z = zero_function(3)
+    # the second component of the quadratic min-max instance
+    z = make_quadratic_minmax(3).psi_fn
     v = np.array([1.0, -2.0, 0.5])
     assert z.value(v) == 0.0
     assert np.array_equal(z.prox(v, 0.7), v)
